@@ -19,13 +19,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .scalars import GaussianRational, Rational, RationalQuaternion
-from .starfields import (
-    SfieldMorphism,
-    StarSfield,
-    apply_morphism,
-    compose_morphisms,
-    invert_morphism,
-)
+from .starfields import SfieldMorphism, StarSfield
 from .hermspace import (
     HermitianSpace,
     PartialIsometryDescriptor,
@@ -41,9 +35,8 @@ from .hermspace import (
     herm_form,
     invert_semilinear,
     is_quasiunitary,
+    is_unitary,
     make_partial_isometry,
-    orthocomplement,
-    project,
     quasi_generalized_inverse,
     standard_space,
 )
@@ -53,7 +46,6 @@ from .orthoset import (
     RayMap,
     check_axioms,
     dacey_witness,
-    frechet_check,
     linearity_witness,
     perp_closure,
     probe_rays_in,

@@ -4,9 +4,10 @@ Two subcommands: `verify` runs a named suite and emits line-delimited
 report records; `construct` runs a single constructive operation on file
 inputs and emits its serialized output followed by a self-verification
 report.  Exit codes: 0 all checks pass, 1 any check failed or errored,
-2 inputs failed to parse or certify.  Reports are byte-deterministic for
-fixed inputs and seed; ORTHOSET_LAB_THREADS caps worker parallelism
-without affecting output.
+2 inputs failed to parse or certify, or were given to a suite that does
+not read them, 3 (verify) a check hit an internal error, a bug in the
+program rather than a failed law.  Reports are byte-deterministic for
+fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -25,17 +26,24 @@ from .correspondence import (
     transport_linear,
     transport_unitary,
 )
-from .errors import CertificateError, OrthosetLabError, ParseError
+from .errors import CertificateError, InputError, OrthosetLabError, ParseError
 from .hermspace import (
     Subspace,
     adjoint_linear,
     gram_schmidt,
     herm_form,
     is_quasiunitary,
+    is_unitary,
 )
 from .orthoset import ProbeSet
-from .reports import ReportRecord, passed, render
-from .suites import SUITE_NAMES, SuiteConfig, run_suite
+from .reports import ReportRecord, error_witness, passed, render
+from .suites import (
+    SUITE_INPUTS,
+    SUITE_NAMES,
+    SuiteConfig,
+    defining_identity_witness,
+    run_suite,
+)
 
 CONSTRUCT_KINDS = ("gram-schmidt", "project", "adjoint", "induce", "piziak",
                    "coordinatize", "transport", "transport-unitary",
@@ -52,15 +60,17 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--space", help="space file (JSON)")
     common.add_argument("--map", dest="map_path", help="map file (JSON)")
-    common.add_argument("--subspace", help="subspace file (JSON)")
+    common.add_argument("--subspace",
+                        help="subspace file (JSON); read by construct only")
     common.add_argument("--probes", type=int, default=256,
                         help="probe count (default 256)")
     common.add_argument("--seed", type=int, default=0,
                         help="probe/sampling seed (default 0)")
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--timings", action="store_true",
-                        help="include elapsed milliseconds in records "
-                             "(breaks byte determinism)")
+                        help="add task_ms to each record: the milliseconds "
+                             "of the whole task that made the record (breaks "
+                             "byte determinism)")
 
     v = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
@@ -87,50 +97,54 @@ def _load_inputs(args):
     phi = claimed = None
     if args.map_path:
         phi, claimed = serialize.map_from_json(serialize.load_file(args.map_path))
-    subspace = serialize.subspace_from_json(serialize.load_file(args.subspace)) \
-        if args.subspace else None
-    return space, phi, claimed, subspace
+    return space, phi, claimed
+
+
+def _load_failed(exc, args) -> int:
+    rec = ReportRecord(check="load", status="error",
+                       witness={"error": type(exc).__name__,
+                                "message": str(exc)})
+    _emit(render([rec], args.timings), args.out)
+    return 2
 
 
 def cmd_verify(args) -> int:
     try:
-        space, phi, claimed, subspace = _load_inputs(args)
-    except (ParseError, CertificateError, OrthosetLabError) as exc:
-        rec = ReportRecord(check="load", status="error",
-                           witness={"error": type(exc).__name__,
-                                    "message": str(exc)})
-        _emit(render([rec], args.timings), args.out)
-        return 2
+        given = {"space": args.space, "map": args.map_path,
+                 "subspace": args.subspace}
+        for name, path in given.items():
+            if path and name not in SUITE_INPUTS[args.suite]:
+                raise InputError(
+                    f"suite {args.suite!r} does not read --{name}")
+        space, phi, claimed = _load_inputs(args)
+    except OrthosetLabError as exc:
+        return _load_failed(exc, args)
     cfg = SuiteConfig(suite=args.suite, seed=args.seed, count=args.probes,
-                      space=space, map=phi, claimed_adjoint=claimed,
-                      subspace=subspace)
+                      space=space, map=phi, claimed_adjoint=claimed)
     records = run_suite(cfg)
     _emit(render(records, args.timings), args.out)
+    if any(r.status == "internal" for r in records):
+        return 3
     return 0 if passed(records) else 1
 
 
 def cmd_construct(args) -> int:
     try:
-        space, phi, claimed, subspace = _load_inputs(args)
-        raw_subspace = None
+        _, phi, claimed = _load_inputs(args)
+        raw_subspace = subspace = None
         if args.subspace:
             raw_subspace = serialize.basis_vectors_from_json(
                 serialize.load_file(args.subspace))
-    except (ParseError, CertificateError, OrthosetLabError) as exc:
-        rec = ReportRecord(check="load", status="error",
-                           witness={"error": type(exc).__name__,
-                                    "message": str(exc)})
-        _emit(render([rec], args.timings), args.out)
-        return 2
+            subspace = Subspace.from_vectors(*raw_subspace)
+    except OrthosetLabError as exc:
+        return _load_failed(exc, args)
 
     try:
         output, records = _run_construct(args, phi, claimed, subspace,
                                           raw_subspace)
     except OrthosetLabError as exc:
-        rec = ReportRecord(
-            check=f"construct/{args.kind}", status="error",
-            witness={"error": type(exc).__name__, "message": str(exc),
-                     **({"data": exc.witness} if exc.witness is not None else {})})
+        rec = ReportRecord(check=f"construct/{args.kind}", status="error",
+                           witness=error_witness(exc))
         _emit(render([rec], args.timings), args.out)
         return 2 if isinstance(exc, (ParseError, CertificateError)) else 1
 
@@ -167,9 +181,8 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
                 "vectors": serialize._vector_rows_to_json(out)}, records
     if kind == "project":
         s = _require(subspace, "--subspace")
-        if args.vector is None:
-            raise ParseError("this construction needs --vector")
-        u = serialize.vector_from_json(json.loads(args.vector), s.space)
+        u = serialize.vector_from_json(
+            json.loads(_require(args.vector, "--vector")), s.space)
         u_s, u_p = s.project(u)
         ok = u_s + u_p == u and s.contains(u_s) and \
             not any(herm_form(u_p, b) for b in s.basis) and \
@@ -181,12 +194,7 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
     if kind == "adjoint":
         phi = _require(phi, "--map")
         adj = adjoint_linear(phi)
-        ok = all(
-            herm_form(phi.apply(phi.domain.basis_vector(i)),
-                      phi.codomain.basis_vector(j)) ==
-            herm_form(phi.domain.basis_vector(i),
-                      adj.apply(phi.codomain.basis_vector(j)))
-            for i in range(phi.domain.dim) for j in range(phi.codomain.dim))
+        ok = defining_identity_witness(phi, adj) is None
         records = [ReportRecord(check="construct/adjoint/defining-identity",
                                 status="pass" if ok else "fail")]
         return serialize.map_to_json(adj), records
@@ -241,11 +249,9 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
         if cert is None:
             raise OrthosetLabError("map is not quasiunitary")
         tr = transport_unitary(phi, *cert)
-        cert2 = is_quasiunitary(tr.composed)
-        ok = cert2 is not None and cert2[0].is_identity and \
-            cert2[1] == tr.new_space.sfield.one()
         records = [ReportRecord(check="construct/transport-unitary/unitary",
-                                status="pass" if ok else "fail")]
+                                status="pass" if is_unitary(tr.composed)
+                                else "fail")]
         return {"space": serialize.space_to_json(tr.new_space),
                 "tau": serialize.map_to_json(tr.tau),
                 "composed": serialize.map_to_json(tr.composed)}, records

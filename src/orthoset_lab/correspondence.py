@@ -43,6 +43,7 @@ from .hermspace import (
     gram_schmidt,
     herm_form,
     is_quasiunitary,
+    is_unitary,
     make_partial_isometry,
 )
 from .orthoset import (
@@ -52,11 +53,12 @@ from .orthoset import (
     perp_closure,
     probe_rays_in,
     ray_grid,
+    ray_map_rank,
     ray_of,
     ray_payload,
     verify_adjoint_pair,
 )
-from .reports import ReportRecord
+from .reports import ReportRecord, passed
 from .scalars import RationalQuaternion, inv_scalar, star_scalar
 from .starfields import SfieldMorphism, StarSfield
 
@@ -205,24 +207,38 @@ def _check_transported_involution(sig_inv, lam_s, sfield) -> None:
                 witness={"generator": str(g)})
 
 
-def transport_linear(phi: SemilinearMap) -> TransportResult:
-    """Replace the codomain's scalar structure through sigma^-1 so that the
-    same vectors form a Hermitian space over which tau o phi is linear;
-    tau is the identity on vectors and P(tau) is an orthoisomorphism."""
-    sig_inv = phi.sigma.inverse()
+def _transport(phi: SemilinearMap, sigma: SfieldMorphism,
+               lam=None) -> TransportResult:
+    """Replace the scalar structure of phi's codomain through sigma^-1, and
+    rescale its form by lam^-1 when lam is given; tau is the identity on
+    vectors and composed is tau o phi."""
+    sig_inv = sigma.inverse()
     h2 = phi.codomain
-    _check_transported_involution(sig_inv, None, h2.sfield)
-    gram = tuple(tuple(sig_inv(x) for x in row) for row in h2.gram)
+    gram = h2.gram
+    if lam is not None:
+        lam_inv = inv_scalar(lam)
+        gram = tuple(tuple(x * lam_inv for x in row) for row in gram)
+    _check_transported_involution(
+        sig_inv, None if lam is None else sig_inv(lam), h2.sfield)
     try:
-        new_space = HermitianSpace(h2.sfield, h2.dim, gram)
+        new_space = HermitianSpace(
+            h2.sfield, h2.dim, tuple(tuple(sig_inv(x) for x in row)
+                                     for row in gram))
     except CertificateError as exc:
         raise TransportDegeneracyError(
             "transported Gram matrix failed certification",
             witness=exc.witness) from exc
     tau = SemilinearMap(h2, new_space, sig_inv, tuple(new_space.basis()))
-    composed = compose_maps(tau, phi)
-    assert composed.is_linear
-    return TransportResult(new_space, tau, composed)
+    return TransportResult(new_space, tau, compose_maps(tau, phi))
+
+
+def transport_linear(phi: SemilinearMap) -> TransportResult:
+    """Replace the codomain's scalar structure through sigma^-1 so that the
+    same vectors form a Hermitian space over which tau o phi is linear;
+    tau is the identity on vectors and P(tau) is an orthoisomorphism."""
+    result = _transport(phi, phi.sigma)
+    assert result.composed.is_linear
+    return result
 
 
 def transport_unitary(phi: SemilinearMap, sigma: SfieldMorphism,
@@ -234,24 +250,10 @@ def transport_unitary(phi: SemilinearMap, sigma: SfieldMorphism,
         raise InputError("map is not quasiunitary")
     if cert != (sigma, lam):
         raise InputError("certificate does not match the map")
-    sig_inv = sigma.inverse()
-    h2 = phi.codomain
-    lam_inv = inv_scalar(lam)
-    _check_transported_involution(sig_inv, sig_inv(lam), h2.sfield)
-    gram = tuple(tuple(sig_inv(x * lam_inv) for x in row) for row in h2.gram)
-    try:
-        new_space = HermitianSpace(h2.sfield, h2.dim, gram)
-    except CertificateError as exc:
-        raise TransportDegeneracyError(
-            "transported Gram matrix failed certification",
-            witness=exc.witness) from exc
-    tau = SemilinearMap(h2, new_space, sig_inv, tuple(new_space.basis()))
-    composed = compose_maps(tau, phi)
-    cert2 = is_quasiunitary(composed)
-    one = new_space.sfield.one()
-    if cert2 is None or not cert2[0].is_identity or cert2[1] != one:
+    result = _transport(phi, sigma, lam)
+    if not is_unitary(result.composed):
         raise InconsistencyError("transported map failed the unitary check")
-    return TransportResult(new_space, tau, composed)
+    return result
 
 
 def _solve_inner_conjugator(pairs) -> RationalQuaternion | None:
@@ -327,7 +329,7 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     records: list[ReportRecord] = []
     if f.domain != h1 or f.codomain != h2:
         raise InputError("ray map does not match the stated spaces")
-    rank = _probe_rank(f, probes)
+    rank = ray_map_rank(f, probes)
     if rank < 3:
         raise PreconditionError(f"coordinatization needs rank >= 3, got {rank}")
     if probes2 is None:
@@ -336,7 +338,7 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     if adjoint is not None:
         pair = verify_adjoint_pair(f, adjoint, probes, probes2)
         records.extend(pair)
-        if not all(r.status == "pass" for r in pair):
+        if not passed(pair):
             raise InputError("claimed adjoint fails on probes",
                              witness=pair[0].witness)
         k_sub = perp_closure([adjoint(y) for y in probes2])
@@ -438,16 +440,6 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     return CoordinatizationResult(phi, sigma, records)
 
 
-def _probe_rank(f: RayMap, probes) -> int:
-    if f.is_induced:
-        return f.mapping.rank
-    images = [f(x) for x in probes]
-    proper = [r for r in images if not r.is_zero]
-    if not proper:
-        return 0
-    return perp_closure(proper).dim
-
-
 def wigner_reconstruct(f: RayMap, f_inv: RayMap | None,
                        h1: HermitianSpace, h2: HermitianSpace,
                        probes: ProbeSet) -> WignerResult:
@@ -464,7 +456,7 @@ def wigner_reconstruct(f: RayMap, f_inv: RayMap | None,
     probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
     if f_inv is not None:
         pair = verify_adjoint_pair(f, f_inv, probes, probes2)
-        if not all(r.status == "pass" for r in pair):
+        if not passed(pair):
             raise NotOrthoisoError(
                 "map and claimed inverse are not an adjoint pair",
                 witness=pair[0].witness)
@@ -509,11 +501,24 @@ def fix_subspace_normalize(f: RayMap, s: Subspace, probes: ProbeSet,
                 "restriction to the fixed subspace is not a scalar multiple "
                 "of the identity", witness={"vector": [str(c) for c in b.coords]})
     phi = psi.scale(inv_scalar(kappa))
-    cert = is_quasiunitary(phi)
-    one = h.sfield.one()
-    if cert is None or not cert[0].is_identity or cert[1] != one:
+    if not is_unitary(phi):
         raise InconsistencyError("normalized map is not unitary")
     return phi
+
+
+def _between_frames(g: RayMap, source, target) -> RayMap:
+    """g restricted to the subspace of frame source, read in the coordinates
+    of frame target; g must send that subspace into target's."""
+
+    def fn(r: Ray) -> Ray:
+        if r.is_zero:
+            return Ray.zero(target.space)
+        img = g(ray_of(source.to_ambient(r.rep)))
+        if img.is_zero:
+            return Ray.zero(target.space)
+        return ray_of(target.from_ambient(img.rep))
+
+    return RayMap.from_oracle(source.space, target.space, fn)
 
 
 def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
@@ -530,7 +535,7 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     reproduce f on every probe.
     """
     records = verify_adjoint_pair(f, f_adj, probes1, probes2)
-    if not all(r.status == "pass" for r in records):
+    if not passed(records):
         raise NotPartialOrthometryError("map and claimed adjoint fail the "
                                         "biconditional", witness=records[0].witness)
     h1, h2 = f.domain, f.codomain
@@ -574,17 +579,7 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     records.append(ReportRecord(check="partial/core-orthoiso", status="pass",
                                 detail={"rays": len(a_rays)}))
 
-    frame_a, frame_b = a_sub.frame, b_sub.frame
-
-    def core_fn(r: Ray) -> Ray:
-        if r.is_zero:
-            return Ray.zero(frame_b.space)
-        img = f(ray_of(frame_a.to_ambient(r.rep)))
-        if img.is_zero:
-            return Ray.zero(frame_b.space)
-        return ray_of(frame_b.from_ambient(img.rep))
-
-    core = RayMap.from_oracle(frame_a.space, frame_b.space, core_fn)
+    core = _between_frames(f, a_sub.frame, b_sub.frame)
 
     def reassembled_fn(x: Ray) -> Ray:
         if x.is_zero:
@@ -616,16 +611,7 @@ def partial_wigner(f: RayMap, f_adj: RayMap, probes1: ProbeSet,
             f"partial reconstruction needs a core of dimension >= 3, "
             f"got {dec.a.dim}")
     frame_a, frame_b = dec.a.frame, dec.b.frame
-
-    def core_inv_fn(r: Ray) -> Ray:
-        if r.is_zero:
-            return Ray.zero(frame_a.space)
-        img = f_adj(ray_of(frame_b.to_ambient(r.rep)))
-        if img.is_zero:
-            return Ray.zero(frame_a.space)
-        return ray_of(frame_a.from_ambient(img.rep))
-
-    core_inv = RayMap.from_oracle(frame_b.space, frame_a.space, core_inv_fn)
+    core_inv = _between_frames(f_adj, frame_b, frame_a)
     # the core lives behind expensive embed/restrict oracles; reconstruction
     # probes it more lightly, and the full ambient probe set still gates the
     # reassembled map below
@@ -650,35 +636,18 @@ def transport_partial(d: PartialIsometryDescriptor) -> tuple[TransportResult,
     cert = is_quasiunitary(d.core)
     if cert is None:
         raise InputError("descriptor core is not quasiunitary")
-    sigma, lam = cert
-    sig_inv = sigma.inverse()
-    h2 = d.s2.space
-    lam_inv = inv_scalar(lam)
-    _check_transported_involution(sig_inv, sig_inv(lam), h2.sfield)
-    gram = tuple(tuple(sig_inv(x * lam_inv) for x in row) for row in h2.gram)
-    try:
-        new_space = HermitianSpace(h2.sfield, h2.dim, gram)
-    except CertificateError as exc:
-        raise TransportDegeneracyError(
-            "transported Gram matrix failed certification",
-            witness=exc.witness) from exc
-    tau = SemilinearMap(h2, new_space, sig_inv, tuple(new_space.basis()))
-    composed = compose_maps(tau, d.map)
+    result = _transport(d.map, *cert)
     # tau twists coordinates by sigma^-1, so the carried subspace is spanned
     # by tau-images of the old basis, not by the same coordinate rows
     s2_new = Subspace.from_vectors(
-        new_space, [tau.apply(v) for v in d.s2.basis])
+        result.new_space, [result.tau.apply(v) for v in d.s2.basis])
     frame1, frame2 = d.s1.frame, s2_new.frame
     core_images = tuple(
-        frame2.from_ambient(composed.apply(frame1.to_ambient(v)))
+        frame2.from_ambient(result.composed.apply(frame1.to_ambient(v)))
         for v in frame1.space.basis())
     core = SemilinearMap(frame1.space, frame2.space,
-                         composed.sigma, core_images)
+                         result.composed.sigma, core_images)
     transported = make_partial_isometry(d.s1, s2_new, core)
-    one = new_space.sfield.one()
-    cert2 = is_quasiunitary(core) if d.s1.dim else None
-    if d.s1.dim and (cert2 is None or not cert2[0].is_identity
-                     or cert2[1] != one):
+    if d.s1.dim and not is_unitary(core):
         raise InconsistencyError("transported core failed the unitary check")
-    result = TransportResult(new_space, tau, composed)
     return result, transported

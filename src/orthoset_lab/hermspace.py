@@ -429,14 +429,6 @@ class SubspaceFrame:
         return c
 
 
-def orthocomplement(s: Subspace) -> Subspace:
-    return s.orthocomplement()
-
-
-def project(s: Subspace, u: Vector) -> tuple[Vector, Vector]:
-    return s.project(u)
-
-
 def dual_representative(space: HermitianSpace, rho) -> Vector:
     """The vector w with <u, w> = rho(u) for the functional
     rho(u) = sum_i u_i * rho_i."""
@@ -606,6 +598,14 @@ def is_quasiunitary(phi: SemilinearMap):
     return sig, lam
 
 
+def is_unitary(phi: SemilinearMap) -> bool:
+    """phi is quasiunitary with the identity twist and scale factor 1, so
+    it preserves the form on the nose."""
+    cert = is_quasiunitary(phi)
+    return cert is not None and cert[0].is_identity and \
+        cert[1] == phi.codomain.sfield.one()
+
+
 @dataclass(frozen=True)
 class PartialIsometryDescriptor:
     """A map that restricts to a (quasi)unitary bijection between s1 and s2
@@ -639,10 +639,7 @@ def make_partial_isometry(s1: Subspace, s2: Subspace,
 def generalized_inverse(d: PartialIsometryDescriptor) -> SemilinearMap:
     """inclusion(s1) o core^-1 o projection(s2) for a linear, unitary core;
     coincides with the adjoint of the assembled map."""
-    cert = d.s1.dim and is_quasiunitary(d.core)
-    if d.s1.dim and (not d.core.is_linear or cert is None
-                     or not cert[0].is_identity
-                     or cert[1] != d.core.codomain.sfield.one()):
+    if d.s1.dim and not is_unitary(d.core):
         raise UnsupportedVariantError(
             "generalized_inverse needs a linear unitary core; "
             "transport the quasi variant first")

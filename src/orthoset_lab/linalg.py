@@ -25,16 +25,14 @@ def copy_matrix(rows) -> Matrix:
     return [list(r) for r in rows]
 
 
-def rref_with_transform(rows) -> tuple[Matrix, Matrix, list[int]]:
-    """Reduce to left-row-echelon form, tracking the transformation.
-
-    Returns (R, T, pivots) where R has the nonzero rows on top in reduced
-    echelon form, zero rows at the bottom, and R[i] = sum_j T[i][j] * rows[j].
-    """
+def _reduce(rows, track: bool) -> tuple[Matrix, Matrix | None, list[int]]:
+    """The elimination loop behind rref and rref_with_transform; the
+    transform T is kept only when track is set, and is None otherwise."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     r = copy_matrix(rows)
-    t = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    t = [[1 if i == j else 0 for j in range(m)] for i in range(m)] \
+        if track else None
     pivots: list[int] = []
     pr = 0
     for pc in range(n):
@@ -47,15 +45,18 @@ def rref_with_transform(rows) -> tuple[Matrix, Matrix, list[int]]:
             continue
         if pivot_row != pr:
             r[pr], r[pivot_row] = r[pivot_row], r[pr]
-            t[pr], t[pivot_row] = t[pivot_row], t[pr]
+            if track:
+                t[pr], t[pivot_row] = t[pivot_row], t[pr]
         piv_inv = inv_scalar(r[pr][pc])
         r[pr] = [piv_inv * x for x in r[pr]]
-        t[pr] = [piv_inv * x for x in t[pr]]
+        if track:
+            t[pr] = [piv_inv * x for x in t[pr]]
         for i in range(m):
             if i != pr and r[i][pc]:
                 f = r[i][pc]
                 r[i] = [a - f * b for a, b in zip(r[i], r[pr])]
-                t[i] = [a - f * b for a, b in zip(t[i], t[pr])]
+                if track:
+                    t[i] = [a - f * b for a, b in zip(t[i], t[pr])]
         pivots.append(pc)
         pr += 1
         if pr == m:
@@ -63,36 +64,19 @@ def rref_with_transform(rows) -> tuple[Matrix, Matrix, list[int]]:
     return r, t, pivots
 
 
+def rref_with_transform(rows) -> tuple[Matrix, Matrix, list[int]]:
+    """Reduce to left-row-echelon form, tracking the transformation.
+
+    Returns (R, T, pivots) where R has the nonzero rows on top in reduced
+    echelon form, zero rows at the bottom, and R[i] = sum_j T[i][j] * rows[j].
+    """
+    return _reduce(rows, True)
+
+
 def rref(rows) -> tuple[Matrix, list[int]]:
     """Nonzero reduced rows and their pivot columns (no transform
     bookkeeping, which matters when reducing many probe rows)."""
-    m = len(rows)
-    if not m:
-        return [], []
-    n = len(rows[0])
-    r = copy_matrix(rows)
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(n):
-        pivot_row = None
-        for i in range(pr, m):
-            if r[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            r[pr], r[pivot_row] = r[pivot_row], r[pr]
-        piv_inv = inv_scalar(r[pr][pc])
-        r[pr] = [piv_inv * x for x in r[pr]]
-        for i in range(m):
-            if i != pr and r[i][pc]:
-                f = r[i][pc]
-                r[i] = [a - f * b for a, b in zip(r[i], r[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == m:
-            break
+    r, _, pivots = _reduce(rows, False)
     return r[: len(pivots)], pivots
 
 

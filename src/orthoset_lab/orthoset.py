@@ -262,29 +262,6 @@ def dacey_witness(s: Subspace, x: Ray) -> tuple[Ray, Ray]:
     return ray_of(u_s), ray_of(u_perp)
 
 
-def frechet_check(space: HermitianSpace, probes) -> list[ReportRecord]:
-    """For each pair of distinct proper probe rays, exhibit a separating
-    ray orthogonal to one and not the other."""
-    rays = [r for r in probes if not r.is_zero]
-    failures = []
-    checked = 0
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            x, y = rays[i], rays[j]
-            if x == y:
-                continue
-            checked += 1
-            w = separating_ray(x, y)
-            wx, wy = ray_perp(w, x), ray_perp(w, y)
-            if wx == wy:
-                failures.append({"x": ray_payload(x), "y": ray_payload(y),
-                                 "w": ray_payload(w)})
-    witness = failures[0] if failures else None
-    rec = _record("frechet/separation", witness)
-    rec.detail = {"pairs": checked}
-    return [rec]
-
-
 def separating_ray(x: Ray, y: Ray) -> Ray:
     """A ray orthogonal to exactly one of the distinct proper rays x, y,
     constructed from the projection of y onto the complement of x."""
@@ -322,11 +299,6 @@ def verify_adjoint_pair(f: RayMap, g: RayMap, probes1, probes2,
     if failures:
         rec.witness = {"first": failures[0], "shown": failures}
     return [rec]
-
-
-def adjoint_pair_holds(f: RayMap, g: RayMap, probes1, probes2) -> bool:
-    recs = verify_adjoint_pair(f, g, probes1, probes2)
-    return all(r.status == "pass" for r in recs)
 
 
 def ray_map_rank(f: RayMap, probes=None) -> int:

@@ -1,29 +1,28 @@
 """Check reports: one record per verified statement.
 
-Records serialize as line-delimited JSON sorted by check name, so a suite
-split across workers merges deterministically.  Timing is kept on the
-record for diagnostics but left out of the canonical serialization, which
-has to be byte-identical across reruns with the same inputs and seed.
+Records serialize as line-delimited JSON sorted by check name.  Timing is
+kept on the record for diagnostics but left out of the canonical
+serialization, which has to be byte-identical across reruns with the same
+inputs and seed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass
 
-THREADS_ENV = "ORTHOSET_LAB_THREADS"
+from .errors import OrthosetLabError
 
 
 @dataclass
 class ReportRecord:
     check: str
-    status: str  # pass | fail | error
+    status: str  # pass | fail | error | internal
     witness: object = None
     detail: object = None
-    elapsed_ms: float | None = None
+    task_ms: float | None = None  # time of the task that made the record
 
     def to_obj(self, timings: bool = False) -> dict:
         obj = {"check": self.check, "status": self.status}
@@ -31,19 +30,13 @@ class ReportRecord:
             obj["witness"] = self.witness
         if self.detail is not None:
             obj["detail"] = self.detail
-        if timings and self.elapsed_ms is not None:
-            obj["elapsed_ms"] = round(self.elapsed_ms, 3)
+        if timings and self.task_ms is not None:
+            obj["task_ms"] = round(self.task_ms, 3)
         return obj
 
 
 def passed(records) -> bool:
     return all(r.status == "pass" for r in records)
-
-
-def exit_code(records) -> int:
-    if any(r.status == "error" for r in records):
-        return 2 if any(r.check.startswith("load") for r in records) else 1
-    return 0 if passed(records) else 1
 
 
 def render(records, timings: bool = False) -> str:
@@ -53,44 +46,34 @@ def render(records, timings: bool = False) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def thread_budget() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def error_witness(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc),
+            **({"data": exc.witness}
+               if getattr(exc, "witness", None) is not None else {})}
 
 
 def run_tasks(tasks) -> list[ReportRecord]:
-    """Run (name, thunk) tasks, each returning a list of records; results
-    merge sorted by check name so the thread budget never changes output.
-    A task that raises contributes an error record instead of aborting."""
-
-    def run_one(item):
-        name, thunk = item
+    """Run (name, thunk) tasks in sequence, each returning a list of
+    records; results merge sorted by check name.  A task that raises
+    contributes one record instead of aborting: status error for a library
+    error, which is a law or input that failed, and status internal for
+    any other exception, which is a bug in the program."""
+    merged: list[ReportRecord] = []
+    for name, thunk in tasks:
         start = time.perf_counter()
         try:
             records = list(thunk())
-        except Exception as exc:  # error records, not crashes
-            records = [ReportRecord(
-                check=name, status="error",
-                witness={"error": type(exc).__name__, "message": str(exc),
-                         **({"data": getattr(exc, "witness")}
-                            if getattr(exc, "witness", None) is not None else {})})]
+        except Exception as exc:  # records, not crashes
+            status = "error" if isinstance(exc, OrthosetLabError) \
+                else "internal"
+            if status == "internal":  # a bug: keep its traceback on stderr
+                traceback.print_exc()
+            records = [ReportRecord(check=name, status=status,
+                                    witness=error_witness(exc))]
         elapsed = (time.perf_counter() - start) * 1000.0
         for r in records:
-            if r.elapsed_ms is None:
-                r.elapsed_ms = elapsed
-        return records
-
-    budget = thread_budget()
-    merged: list[ReportRecord] = []
-    if budget == 1 or len(tasks) <= 1:
-        for item in tasks:
-            merged.extend(run_one(item))
-    else:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            for records in pool.map(run_one, tasks):
-                merged.extend(records)
+            if r.task_ms is None:
+                r.task_ms = elapsed
+        merged.extend(records)
     merged.sort(key=lambda r: r.check)
     return merged

@@ -22,7 +22,6 @@ from .scalars import (
     HQ_I,
     HQ_J,
     QI_I,
-    inv_scalar,
     star_scalar,
 )
 
@@ -96,25 +95,6 @@ _SCALAR_TYPES = {
 }
 
 
-def involution(tag: StarSfield, a):
-    return tag.star(a)
-
-
-def mul(a, b):
-    """Exact product of two scalars from the same sfield."""
-    try:
-        out = a * b
-    except TypeError as exc:
-        raise InputError("scalars belong to different sfields") from exc
-    if out is NotImplemented:
-        raise InputError("scalars belong to different sfields")
-    return out
-
-
-def inv(a):
-    return inv_scalar(a)
-
-
 def _canonical_inner_q(q: RationalQuaternion) -> RationalQuaternion:
     """Scale q by a rational so its first nonzero component is 1; inner(q)
     only depends on q up to a central factor."""
@@ -173,14 +153,6 @@ class SfieldMorphism:
         return cls(StarSfield.HQ, "inner", q)
 
     @property
-    def source(self) -> StarSfield:
-        return self.sfield
-
-    @property
-    def target(self) -> StarSfield:
-        return self.sfield
-
-    @property
     def is_identity(self) -> bool:
         return self.kind == "id"
 
@@ -230,14 +202,3 @@ class SfieldMorphism:
             return SfieldMorphism.inner(kappa)
         return SfieldMorphism.inner(kappa * self.q)
 
-
-def apply_morphism(sigma: SfieldMorphism, a):
-    return sigma(a)
-
-
-def compose_morphisms(sigma: SfieldMorphism, tau: SfieldMorphism) -> SfieldMorphism:
-    return sigma.compose(tau)
-
-
-def invert_morphism(sigma: SfieldMorphism) -> SfieldMorphism:
-    return sigma.inverse()

@@ -32,6 +32,8 @@ from orthoset_lab.suites import _rng
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 BAD_FILE = os.path.join(os.path.dirname(__file__), "data", "bad_parse.json")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                      "suite_all_seed7.jsonl")
 
 
 def _report(number, name, records):
@@ -146,6 +148,10 @@ def test_criterion_11_cli_determinism_and_exit_codes(tmp_path):
                   "--out", str(run_b))
     done = time.perf_counter()
     assert first.returncode == 0 and second.returncode == 0
+    # the first run must also match the report kept in tests/data byte for
+    # byte, so a change that shifts every run alike is caught as well
+    with open(GOLDEN, "rb") as fh:
+        golden = run_a.read_bytes() == fh.read()
     identical = run_a.read_bytes() == run_b.read_bytes()
 
     ok_pass = _cli("verify", "--suite", "axioms",
@@ -159,8 +165,9 @@ def test_criterion_11_cli_determinism_and_exit_codes(tmp_path):
                     "--space", BAD_FILE).returncode == 2
 
     print(f"  suite-all wall times: {mid - start:.1f}s / {done - mid:.1f}s")
-    ok = identical and ok_pass and ok_fail and ok_parse
+    ok = golden and identical and ok_pass and ok_fail and ok_parse
     print(f"ACCEPTANCE 11 CLI determinism (byte-identical reruns) and "
           f"exit-code contract: {'PASS' if ok else 'FAIL'}")
+    assert golden, f"report differs from {GOLDEN}"
     assert identical, "reports differ between reruns"
     assert ok_pass and ok_fail and ok_parse, "exit-code contract violated"

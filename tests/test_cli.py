@@ -3,10 +3,16 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from orthoset_lab import suites
 from orthoset_lab.cli import main
+from orthoset_lab.errors import InconsistencyError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-BAD_FILE = os.path.join(os.path.dirname(__file__), "data", "bad_parse.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+BAD_FILE = os.path.join(DATA, "bad_parse.json")
+GOLDEN = os.path.join(DATA, "suite_all_seed7.jsonl")
 
 
 def fixture(name):
@@ -65,12 +71,75 @@ def test_verify_deterministic_bytes(tmp_path):
     assert first == second
 
 
-def test_verify_thread_budget_does_not_change_bytes(tmp_path, monkeypatch):
-    args = ("verify", "--suite", "frechet", "--seed", "3", "--probes", "32")
-    _, serial = run_main(tmp_path, *args)
-    monkeypatch.setenv("ORTHOSET_LAB_THREADS", "4")
-    _, threaded = run_main(tmp_path, *args)
-    assert serial == threaded
+INPUTS = {"space": ("--space", fixture("q3.json")),
+          "map": ("--map", fixture("quasiunitary_hq3.json")),
+          "subspace": ("--subspace", fixture("q2_basis.json"))}
+READS = {"axioms": {"space"}, "adjoint": {"map"}, "piziak": {"map"},
+         "wigner": {"map"}, "all": {"space", "map"}}
+
+
+@pytest.mark.parametrize("given", sorted(INPUTS))
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_verify_uses_or_rejects_each_input(tmp_path, monkeypatch, suite,
+                                           given):
+    names = []
+
+    def no_run(tasks):
+        names.extend(name for name, _ in tasks)
+        return []
+    monkeypatch.setattr(suites, "run_tasks", no_run)
+    code, text = run_main(tmp_path, "verify", "--suite", suite,
+                          *INPUTS[given])
+    if given in READS.get(suite, ()):
+        assert code == 0
+        if given == "map":
+            assert any(name.endswith("/file") for name in names)
+        else:  # q3.json is one Q space, in place of the built-in ones
+            assert [n for n in names if n.startswith("axioms/")] == \
+                ["axioms/Q/0"]
+    else:
+        assert code == 2 and not names
+        rec, = records_of(text)
+        assert rec["check"] == "load" and rec["status"] == "error"
+        assert f"--{given}" in rec["witness"]["message"]
+
+
+@pytest.mark.parametrize("raised, status, exit_code", [
+    (AttributeError, "internal", 3),
+    (InconsistencyError, "error", 1),
+])
+def test_verify_tells_internal_bugs_from_failed_laws(tmp_path, monkeypatch,
+                                                     capsys, raised, status,
+                                                     exit_code):
+    def broken(sfield, cfg, rng, prefix):
+        raise raised("planted")
+    monkeypatch.setattr(suites, "frechet_records", broken)
+    code, text = run_main(tmp_path, "verify", "--suite", "frechet",
+                          "--seed", "7")
+    assert code == exit_code
+    recs = records_of(text)
+    assert [r["check"] for r in recs] == ["frechet/HQ", "frechet/Q",
+                                          "frechet/Qi"]
+    assert all(r["status"] == status and
+               r["witness"]["error"] == raised.__name__ for r in recs)
+    # only a bug leaves a traceback, on stderr and never in the report
+    traced = capsys.readouterr().err.count("Traceback")
+    assert traced == (3 if status == "internal" else 0)
+
+
+def test_verify_timings_are_task_times(tmp_path):
+    args = ("verify", "--suite", "piziak", "--seed", "7")
+    _, plain = run_main(tmp_path, *args)
+    _, timed = run_main(tmp_path, *args, "--timings")
+    timed_recs = records_of(timed)
+    assert timed_recs
+    assert all("task_ms" in r and "elapsed_ms" not in r for r in timed_recs)
+    assert [{k: v for k, v in r.items() if k != "task_ms"}
+            for r in timed_recs] == records_of(plain)
+    # without --timings the records are those of the suite-all golden file
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = [line for line in fh if line.startswith('{"check":"piziak/')]
+    assert plain == "".join(golden)
 
 
 def test_construct_gram_schmidt_fixture(tmp_path):
