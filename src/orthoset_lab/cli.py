@@ -4,10 +4,10 @@ Two subcommands: `verify` runs a named suite and emits line-delimited
 report records; `construct` runs a single constructive operation on file
 inputs and emits its serialized output followed by a self-verification
 report.  Exit codes: 0 all checks pass, 1 any check failed or errored,
-2 inputs failed to parse or certify, or were given to a suite that does
-not read them, 3 (verify) a check hit an internal error, a bug in the
-program rather than a failed law.  Reports are byte-deterministic for
-fixed inputs and seed.
+2 inputs failed to parse or certify, or were given to a suite or
+construction that does not read them, 3 a check hit an internal error, a
+bug in the program rather than a failed law.  Reports are
+byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .hermspace import (
     is_unitary,
 )
 from .orthoset import ProbeSet
-from .reports import ReportRecord, error_witness, passed, render
+from .reports import ReportRecord, failure_record, passed, render
 from .suites import (
     SUITE_INPUTS,
     SUITE_NAMES,
@@ -48,6 +48,9 @@ from .suites import (
 CONSTRUCT_KINDS = ("gram-schmidt", "project", "adjoint", "induce", "piziak",
                    "coordinatize", "transport", "transport-unitary",
                    "partial-decompose")
+# the inputs each construction reads; any other is rejected
+CONSTRUCT_INPUTS = dict.fromkeys(CONSTRUCT_KINDS, {"map"}) | {
+    "gram-schmidt": {"subspace"}, "project": {"subspace", "vector"}}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -58,7 +61,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--space", help="space file (JSON)")
     common.add_argument("--map", dest="map_path", help="map file (JSON)")
     common.add_argument("--subspace",
                         help="subspace file (JSON); read by construct only")
@@ -67,14 +69,15 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="probe/sampling seed (default 0)")
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--timings", action="store_true",
-                        help="add task_ms to each record: the milliseconds "
-                             "of the whole task that made the record (breaks "
-                             "byte determinism)")
 
     v = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
     v.add_argument("--suite", required=True, choices=SUITE_NAMES)
+    v.add_argument("--space", help="space file (JSON)")
+    v.add_argument("--timings", action="store_true",
+                   help="add task_ms to each record: the milliseconds of "
+                        "the whole task that made the record (breaks byte "
+                        "determinism)")
 
     c = sub.add_parser("construct", parents=[common],
                        help="run one constructive operation")
@@ -91,32 +94,34 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_inputs(args):
-    space = serialize.space_from_json(serialize.load_file(args.space)) \
-        if args.space else None
-    phi = claimed = None
-    if args.map_path:
-        phi, claimed = serialize.map_from_json(serialize.load_file(args.map_path))
-    return space, phi, claimed
+def _reject_unread(given: dict, reads, what: str) -> None:
+    for name, value in given.items():
+        if value and name not in reads:
+            raise InputError(f"{what} does not read --{name}")
+
+
+def _load_map(args):
+    if not args.map_path:
+        return None, None
+    return serialize.map_from_json(serialize.load_file(args.map_path))
 
 
 def _load_failed(exc, args) -> int:
     rec = ReportRecord(check="load", status="error",
                        witness={"error": type(exc).__name__,
                                 "message": str(exc)})
-    _emit(render([rec], args.timings), args.out)
+    _emit(render([rec]), args.out)
     return 2
 
 
 def cmd_verify(args) -> int:
     try:
-        given = {"space": args.space, "map": args.map_path,
-                 "subspace": args.subspace}
-        for name, path in given.items():
-            if path and name not in SUITE_INPUTS[args.suite]:
-                raise InputError(
-                    f"suite {args.suite!r} does not read --{name}")
-        space, phi, claimed = _load_inputs(args)
+        _reject_unread({"space": args.space, "map": args.map_path,
+                        "subspace": args.subspace},
+                       SUITE_INPUTS[args.suite], f"suite {args.suite!r}")
+        space = serialize.space_from_json(serialize.load_file(args.space)) \
+            if args.space else None
+        phi, claimed = _load_map(args)
     except OrthosetLabError as exc:
         return _load_failed(exc, args)
     cfg = SuiteConfig(suite=args.suite, seed=args.seed, count=args.probes,
@@ -130,7 +135,11 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
-        _, phi, claimed = _load_inputs(args)
+        _reject_unread({"map": args.map_path, "subspace": args.subspace,
+                        "vector": args.vector},
+                       CONSTRUCT_INPUTS[args.kind],
+                       f"construction {args.kind!r}")
+        phi, claimed = _load_map(args)
         raw_subspace = subspace = None
         if args.subspace:
             raw_subspace = serialize.basis_vectors_from_json(
@@ -142,15 +151,16 @@ def cmd_construct(args) -> int:
     try:
         output, records = _run_construct(args, phi, claimed, subspace,
                                           raw_subspace)
-    except OrthosetLabError as exc:
-        rec = ReportRecord(check=f"construct/{args.kind}", status="error",
-                           witness=error_witness(exc))
-        _emit(render([rec], args.timings), args.out)
+    except Exception as exc:  # a record and an exit code, not a crash
+        rec = failure_record(f"construct/{args.kind}", exc)
+        _emit(render([rec]), args.out)
+        if rec.status == "internal":
+            return 3
         return 2 if isinstance(exc, (ParseError, CertificateError)) else 1
 
     lines = json.dumps({"output": output}, sort_keys=True,
                        separators=(",", ":"), default=str) + "\n"
-    lines += render(records, args.timings)
+    lines += render(records)
     _emit(lines, args.out)
     return 0 if passed(records) else 1
 

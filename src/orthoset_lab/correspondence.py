@@ -260,8 +260,7 @@ def _solve_inner_conjugator(pairs) -> RationalQuaternion | None:
     """A quaternion q with q * g = p * q for every (g, p) pair, i.e. the
     conjugator realizing g -> p as an inner automorphism; None if the
     system has no nonzero solution."""
-    basis = [RationalQuaternion(1), RationalQuaternion(0, 1),
-             RationalQuaternion(0, 0, 1), RationalQuaternion(0, 0, 0, 1)]
+    basis = StarSfield.HQ.basis()
     rows = []  # equations as rows of a rational matrix, unknowns = coords of q
     for g, p in pairs:
         cols = []

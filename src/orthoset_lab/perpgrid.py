@@ -7,22 +7,31 @@ of the whole package, so grids are computed in two exact stages:
 1. a residue screen: all pairwise forms are evaluated mod a fixed prime
    with numpy int64 matrix products.  A form that is nonzero mod p is
    nonzero, full stop; no pair can be wrongly declared orthogonal here.
-2. exact confirmation: the few pairs whose residue vanishes are recomputed
-   with arbitrary-precision integer arithmetic, so no pair can be wrongly
-   declared orthogonal either.
+2. exact confirmation: the pairs whose residue vanishes are recomputed on
+   Python ints, so no pair can be wrongly declared orthogonal either.
 
-Inputs are integerised first (rows and Gram matrices are scaled by positive
-rationals, which never changes whether a form vanishes).  Setting
-ORTHOSET_LAB_EXACT_GRID=1 skips the screen and runs stage 2 on every pair;
-`benchmarks/grid_bench.py` compares the two paths.
+Both stages run one form kernel.  A scalar is a vector of k rational
+components over the sfield's basis (`StarSfield.basis()`: 1; 1, i; or
+1, i, j, k), and the kernel reads the sfield's product off the scalar
+classes once, as a table of basis products e_a * e_b = sign * e_c.
+<u, v> = sum_ij u_i g_ij star(v_j) is then W = U G followed by
+F = W star(V)^T, each a signed sum of k component matrix products per
+output component.  Rows are integerised by the lcm of their denominators
+and the Gram matrix by one common lcm; positive rational factors never
+change whether a form vanishes.
 
-The prime sits below 2**28 so that a row of dimension <= 6 accumulates
-inside int64; dimensions above that bound fall back to the exact path.
+Residues lie in [0, p), so one output component of a chunk of `step`
+contracted columns sums k * step products of magnitude at most (p - 1)**2.
+`step` is the largest length that keeps this inside int64 (128 for Q, 64
+for Qi, 32 for HQ); longer contractions are reduced mod p after every chunk
+(delayed reduction, as in Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008), so
+every dimension takes the screen.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips
+the screen and confirms every pair; `benchmarks/grid_bench.py` compares the
+two paths.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from functools import lru_cache
 
@@ -31,183 +40,113 @@ import numpy as np
 from .starfields import StarSfield
 
 PRIME = 268435399  # largest prime below 2**28
-_MAX_SCREEN_DIM = 6
+_INT64_MAX = 2 ** 63 - 1
 
 
 def _use_exact_path() -> bool:
     return os.environ.get("ORTHOSET_LAB_EXACT_GRID", "") not in ("", "0")
 
 
-def _int_planes_q(coords) -> tuple[int, ...]:
-    dens = [c.denominator for c in coords]
-    lcm = math.lcm(*dens) if dens else 1
-    return (tuple(c.numerator * (lcm // c.denominator) for c in coords),)
+@lru_cache(maxsize=None)
+def _tables(sfield: StarSfield):
+    """The products e_a * e_b and e_a * star(e_b) of basis scalars, each
+    listing per output component c the (a, b, sign) with
+    e_a * e_b (or e_a * star(e_b)) = sign * e_c."""
+    basis = sfield.basis()
+
+    def table(twist):
+        terms = [[] for _ in basis]
+        for a, ea in enumerate(basis):
+            for b, eb in enumerate(basis):
+                prod = ea * twist(eb)
+                for c, ec in enumerate(basis):
+                    if prod in (ec, -ec):
+                        terms[c].append((a, b, 1 if prod == ec else -1))
+        return tuple(map(tuple, terms))
+    return table(lambda e: e), table(sfield.star)
 
 
-def _int_planes_qi(coords) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    dens = [c.denominator_int() for c in coords]
-    lcm = math.lcm(*dens) if dens else 1
-    re, im = [], []
-    for c in coords:
-        s = lcm // c.denominator_int()
-        cr, ci = c.component_ints()
-        re.append(cr * s)
-        im.append(ci * s)
-    return tuple(re), tuple(im)
-
-
-def _int_planes_hq(coords):
-    dens = [c.denominator_int() for c in coords]
-    lcm = math.lcm(*dens) if dens else 1
-    planes = ([], [], [], [])
-    for c in coords:
-        s = lcm // c.denominator_int()
-        for plane, comp in zip(planes, c.component_ints()):
-            plane.append(comp * s)
-    return tuple(tuple(p) for p in planes)
-
-
-_PLANES = {
-    StarSfield.Q: _int_planes_q,
-    StarSfield.QI: _int_planes_qi,
-    StarSfield.HQ: _int_planes_hq,
-}
-
-
-def _integerize_rows(sfield: StarSfield, rows):
-    """Per-row integer component planes plus a zero-row flag list."""
-    fn = _PLANES[sfield]
-    planes = []
-    zero = []
-    for coords in rows:
-        p = fn(coords)
-        planes.append(p)
-        zero.append(not any(any(comp) for comp in p))
-    return planes, zero
+def _planes(sfield: StarSfield, rows, n: int):
+    """A (k, len(rows), n) object array of the rows' integer component
+    planes, each row scaled by the lcm of its denominators."""
+    flat = [x for row in rows for x in row]
+    if sfield is StarSfield.Q:
+        comps = [[x.numerator for x in flat]]
+        dens = [x.denominator for x in flat]
+    else:
+        comps = list(zip(*[x.component_ints() for x in flat]))
+        dens = [x.denominator_int() for x in flat]
+    den = np.array(dens, dtype=object).reshape(len(rows), n)
+    scale = np.lcm.reduce(den, axis=1)[:, None] // den
+    return np.array(comps, dtype=object).reshape(-1, len(rows), n) * scale
 
 
 @lru_cache(maxsize=None)
 def _int_gram(space):
-    """Integerised Gram data for a space, shaped per sfield."""
-    sf = space.sfield
-    g = space.gram
+    """The full Gram matrix as (k, n, n) integer planes under one common
+    scale, exact and mod PRIME."""
     n = space.dim
-    if sf is StarSfield.Q:
-        dens = [x.denominator for row in g for x in row] or [1]
-        lcm = math.lcm(*dens)
-        return tuple(tuple(x.numerator * (lcm // x.denominator) for x in row)
-                     for row in g)
-    if sf is StarSfield.QI:
-        dens = [x.denominator_int() for row in g for x in row] or [1]
-        lcm = math.lcm(*dens)
-        re = tuple(tuple(x.component_ints()[0] * (lcm // x.denominator_int())
-                         for x in row) for row in g)
-        im = tuple(tuple(x.component_ints()[1] * (lcm // x.denominator_int())
-                         for x in row) for row in g)
-        return re, im
-    # HQ Gram matrices are diagonal with central entries by certificate
-    dens = [g[i][i].denominator_int() for i in range(n)] or [1]
-    lcm = math.lcm(*dens)
-    return tuple(g[i][i].component_ints()[0] * (lcm // g[i][i].denominator_int())
-                 for i in range(n))
+    flat = [[x for row in space.gram for x in row]]
+    gram = _planes(space.sfield, flat, n * n).reshape(-1, n, n)
+    residues = (gram % PRIME).astype(np.int64)
+    gram.flags.writeable = residues.flags.writeable = False  # shared
+    return gram, residues
 
 
-def _exact_zero_q(gram, a, b) -> bool:
-    (arow,) = a
-    (brow,) = b
-    acc = 0
-    for i, ai in enumerate(arow):
-        if ai:
-            grow = gram[i]
-            acc += ai * sum(gij * bj for gij, bj in zip(grow, brow)
-                            if gij and bj)
-    return acc == 0
+def _combine(terms, x, y, dot):
+    """sum of sign * dot(x[a], y[b]) over one output component's terms."""
+    acc = None
+    for a, b, sign in terms:
+        t = dot(x[a], y[b])
+        if acc is None:
+            acc = t if sign > 0 else -t
+        elif sign > 0:
+            acc += t
+        else:
+            acc -= t
+    return acc
 
 
-def _exact_zero_qi(gram, a, b) -> bool:
-    gr, gi = gram
-    ar, ai_ = a
-    br, bi = b
-    n = len(ar)
-    fr = fi = 0
-    for i in range(n):
-        ur, ui = ar[i], ai_[i]
-        if not (ur or ui):
-            continue
-        for j in range(n):
-            vr, vi = br[j], bi[j]
-            if not (vr or vi):
-                continue
-            grr, gii = gr[i][j], gi[i][j]
-            if not (grr or gii):
-                continue
-            # (ur + i ui)(grr + i gii)(vr - i vi)
-            wr = ur * grr - ui * gii
-            wi = ur * gii + ui * grr
-            fr += wr * vr + wi * vi
-            fi += wi * vr - wr * vi
-    return fr == 0 and fi == 0
+def _residues(terms, x, y):
+    """_combine with matrix products on int64 residues, mod PRIME.  A chunk
+    of `step` contracted columns sums len(terms) * step products below
+    PRIME**2, which int64 holds; each chunk is reduced before the next."""
+    step = _INT64_MAX // (len(terms) * (PRIME - 1) ** 2)
+    acc = None
+    for lo in range(0, x.shape[-1], step):
+        part = _combine(terms, x[..., lo:lo + step], y[:, lo:lo + step],
+                        np.matmul)
+        part %= PRIME
+        acc = part if acc is None else (acc + part) % PRIME
+    return acc
 
 
-def _exact_zero_hq(gram, u, v) -> bool:
-    ua, ub, uc, ud = u
-    va, vb, vc, vd = v
-    fa = fb = fc = fd = 0
-    for i, g in enumerate(gram):
-        if not g:
-            continue
-        pa, pb, pc, pd = g * ua[i], g * ub[i], g * uc[i], g * ud[i]
-        if not (pa or pb or pc or pd):
-            continue
-        qa, qb, qc, qd = va[i], vb[i], vc[i], vd[i]
-        fa += pa * qa + pb * qb + pc * qc + pd * qd
-        fb += -pa * qb + pb * qa - pc * qd + pd * qc
-        fc += -pa * qc + pb * qd + pc * qa - pd * qb
-        fd += -pa * qd - pb * qc + pc * qb + pd * qa
-    return fa == 0 and fb == 0 and fc == 0 and fd == 0
+def _screen(tables, u, gram, v):
+    """True where every component of the form vanishes mod PRIME."""
+    mul, mul_star = tables
+    u, v = ((x % PRIME).astype(np.int64) for x in (u, v))
+    w = np.stack([_residues(terms, u, gram) for terms in mul])
+    vt = v.transpose(0, 2, 1)
+    grid = np.ones((u.shape[1], v.shape[1]), dtype=bool)
+    for terms in mul_star:
+        grid &= _residues(terms, w, vt) == 0
+    return grid
 
 
-_EXACT = {
-    StarSfield.Q: _exact_zero_q,
-    StarSfield.QI: _exact_zero_qi,
-    StarSfield.HQ: _exact_zero_hq,
-}
+def _pair_dot(x, y):
+    return (x * y).sum(axis=-1)
 
 
-def _modmat(planes, idx, p=PRIME):
-    return np.array([[x % p for x in row[idx]] for row in planes],
-                    dtype=np.int64)
-
-
-def _screen(space, planes_a, planes_b):
-    """Residue matrix masks: True where the form is 0 mod PRIME."""
-    sf = space.sfield
-    p = PRIME
-    gram = _int_gram(space)
-    if sf is StarSfield.Q:
-        a = _modmat(planes_a, 0)
-        b = _modmat(planes_b, 0)
-        gm = np.array([[x % p for x in row] for row in gram], dtype=np.int64)
-        f = (a @ gm % p) @ b.T % p
-        return f == 0
-    if sf is StarSfield.QI:
-        ar, ai = _modmat(planes_a, 0), _modmat(planes_a, 1)
-        br, bi = _modmat(planes_b, 0), _modmat(planes_b, 1)
-        gr = np.array([[x % p for x in row] for row in gram[0]], dtype=np.int64)
-        gi = np.array([[x % p for x in row] for row in gram[1]], dtype=np.int64)
-        wr = (ar @ gr - ai @ gi) % p
-        wi = (ar @ gi + ai @ gr) % p
-        fr = (wr @ br.T + wi @ bi.T) % p
-        fi = (wi @ br.T - wr @ bi.T) % p
-        return (fr == 0) & (fi == 0)
-    g = np.array([x % p for x in gram], dtype=np.int64)
-    pa, pb, pc, pd = (_modmat(planes_a, k) * g % p for k in range(4))
-    qa, qb, qc, qd = (_modmat(planes_b, k).T for k in range(4))
-    fa = (pa @ qa + pb @ qb + pc @ qc + pd @ qd) % p
-    fb = (-pa @ qb + pb @ qa - pc @ qd + pd @ qc) % p
-    fc = (-pa @ qc + pb @ qd + pc @ qa - pd @ qb) % p
-    fd = (-pa @ qd - pb @ qc + pc @ qb + pd @ qa) % p
-    return (fa == 0) & (fb == 0) & (fc == 0) & (fd == 0)
+def _exact_zero(tables, u, gram, v, ii, jj):
+    """Exact vanishing of the form on the row pairs (ii[t], jj[t])."""
+    mul, mul_star = tables
+    rows, inv = np.unique(ii, return_inverse=True)
+    w = np.stack([_combine(terms, u[:, rows], gram, np.matmul)
+                  for terms in mul])[:, inv]
+    zero = np.ones(len(ii), dtype=bool)
+    for terms in mul_star:
+        zero &= _combine(terms, w, v[:, jj], _pair_dot) == 0
+    return zero
 
 
 def perp_grid(space, rows_a, rows_b):
@@ -216,29 +155,18 @@ def perp_grid(space, rows_a, rows_b):
     na, nb = len(rows_a), len(rows_b)
     if space.dim == 0:
         return np.ones((na, nb), dtype=bool)
-    planes_a, zero_a = _integerize_rows(space.sfield, rows_a)
-    planes_b, zero_b = _integerize_rows(space.sfield, rows_b)
-    exact = _EXACT[space.sfield]
-    gram = _int_gram(space)
     if na == 0 or nb == 0:
         return np.zeros((na, nb), dtype=bool)
-    if _use_exact_path() or space.dim > _MAX_SCREEN_DIM:
-        grid = np.zeros((na, nb), dtype=bool)
-        for i in range(na):
-            if zero_a[i]:
-                grid[i, :] = True
-                continue
-            for j in range(nb):
-                grid[i, j] = zero_b[j] or exact(gram, planes_a[i], planes_b[j])
-        return grid
-    grid = _screen(space, planes_a, planes_b)
+    tables = _tables(space.sfield)
+    gram, gram_residues = _int_gram(space)
+    u = _planes(space.sfield, rows_a, space.dim)
+    v = _planes(space.sfield, rows_b, space.dim)
+    if _use_exact_path():
+        grid = np.ones((na, nb), dtype=bool)
+    else:
+        grid = _screen(tables, u, gram_residues, v)
     # a zero residue is only a candidate; confirm with exact integers
-    za = np.array(zero_a, dtype=bool)
-    zb = np.array(zero_b, dtype=bool)
-    candidates = grid & ~za[:, None] & ~zb[None, :]
-    for i, j in np.argwhere(candidates):
-        if not exact(gram, planes_a[i], planes_b[j]):
-            grid[i, j] = False
-    grid[za, :] = True
-    grid[:, zb] = True
+    ii, jj = np.nonzero(grid)
+    if len(ii):
+        grid[ii, jj] = _exact_zero(tables, u, gram, v, ii, jj)
     return grid

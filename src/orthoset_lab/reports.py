@@ -52,24 +52,30 @@ def error_witness(exc: Exception) -> dict:
                if getattr(exc, "witness", None) is not None else {})}
 
 
+def failure_record(check: str, exc: Exception) -> ReportRecord:
+    """The record of a check that raised exc, called while exc is handled:
+    status error for a library error, which is a law or input that failed,
+    and status internal for any other exception, which is a bug in the
+    program and leaves its traceback on stderr."""
+    if isinstance(exc, OrthosetLabError):
+        status = "error"
+    else:
+        status = "internal"
+        traceback.print_exc()
+    return ReportRecord(check=check, status=status, witness=error_witness(exc))
+
+
 def run_tasks(tasks) -> list[ReportRecord]:
     """Run (name, thunk) tasks in sequence, each returning a list of
     records; results merge sorted by check name.  A task that raises
-    contributes one record instead of aborting: status error for a library
-    error, which is a law or input that failed, and status internal for
-    any other exception, which is a bug in the program."""
+    contributes one failure_record instead of aborting."""
     merged: list[ReportRecord] = []
     for name, thunk in tasks:
         start = time.perf_counter()
         try:
             records = list(thunk())
         except Exception as exc:  # records, not crashes
-            status = "error" if isinstance(exc, OrthosetLabError) \
-                else "internal"
-            if status == "internal":  # a bug: keep its traceback on stderr
-                traceback.print_exc()
-            records = [ReportRecord(check=name, status=status,
-                                    witness=error_witness(exc))]
+            records = [failure_record(name, exc)]
         elapsed = (time.perf_counter() - start) * 1000.0
         for r in records:
             if r.task_ms is None:

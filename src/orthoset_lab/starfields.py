@@ -21,6 +21,7 @@ from .scalars import (
     RationalQuaternion,
     HQ_I,
     HQ_J,
+    HQ_K,
     QI_I,
     star_scalar,
 )
@@ -69,6 +70,12 @@ class StarSfield(Enum):
         if self is StarSfield.QI:
             return (QI_I,)
         return (HQ_I, HQ_J)
+
+    def basis(self) -> tuple:
+        """The rational basis of the sfield: 1, then 1, i, then 1, i, j, k."""
+        if self is StarSfield.HQ:
+            return (self.one(), HQ_I, HQ_J, HQ_K)
+        return (self.one(),) + self.generators()
 
     def random_scalar(self, rng, bound: int = 10):
         """A random member with numerators in [-bound, bound] and

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from orthoset_lab import suites
+from orthoset_lab import cli, suites
 from orthoset_lab.cli import main
 from orthoset_lab.errors import InconsistencyError
 
@@ -140,6 +140,77 @@ def test_verify_timings_are_task_times(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = [line for line in fh if line.startswith('{"check":"piziak/')]
     assert plain == "".join(golden)
+
+
+def test_verify_adjoint_counts_every_violation(tmp_path):
+    code, text = run_main(tmp_path, "verify", "--suite", "adjoint",
+                          "--map", fixture("shear_with_wrong_adjoint.json"),
+                          "--seed", "7")
+    assert code == 1
+    rec, = [r for r in records_of(text)
+            if r["check"] == "adjoint/file/adjoint-pair/biconditional"]
+    assert rec["status"] == "fail"
+    assert rec["detail"] == {"pairs": 256 * 256, "violations": 1127}
+    assert len(rec["witness"]["shown"]) == 5
+
+
+CONSTRUCT_INPUTS = {"map": ("--map", fixture("scale2_q2.json")),
+                    "subspace": ("--subspace", fixture("q2_basis.json")),
+                    "vector": ("--vector", '["1", "0"]')}
+CONSTRUCT_READS = {"gram-schmidt": {"subspace"},
+                   "project": {"subspace", "vector"}}
+
+
+@pytest.mark.parametrize("given", sorted(CONSTRUCT_INPUTS))
+@pytest.mark.parametrize("kind", cli.CONSTRUCT_KINDS)
+def test_construct_uses_or_rejects_each_input(tmp_path, monkeypatch, kind,
+                                              given):
+    seen = []
+
+    def no_run(args, phi, claimed, subspace, raw_subspace):
+        seen.append({"map": phi, "subspace": subspace,
+                     "vector": args.vector}[given])
+        return {}, []
+    monkeypatch.setattr(cli, "_run_construct", no_run)
+    code, text = run_main(tmp_path, "construct", kind,
+                          *CONSTRUCT_INPUTS[given])
+    if given in CONSTRUCT_READS.get(kind, {"map"}):
+        assert code == 0 and seen and seen[0] is not None
+    else:
+        assert code == 2 and not seen
+        rec, = records_of(text)
+        assert rec["check"] == "load" and rec["status"] == "error"
+        assert f"--{given}" in rec["witness"]["message"]
+
+
+@pytest.mark.parametrize("option", [["--space", fixture("q3.json")],
+                                    ["--timings"]])
+def test_construct_has_no_verify_only_options(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "piziak", "--map", fixture("scale2_q2.json"),
+              *option, "--out", str(tmp_path / "report.txt")])
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raised, status, exit_code", [
+    (AttributeError, "internal", 3),
+    (InconsistencyError, "error", 1),
+])
+def test_construct_tells_internal_bugs_from_failed_checks(
+        tmp_path, monkeypatch, capsys, raised, status, exit_code):
+    def broken(phi, probes):
+        raise raised("planted")
+    monkeypatch.setattr(cli, "piziak_lambda", broken)
+    code, text = run_main(tmp_path, "construct", "piziak",
+                          "--map", fixture("scale2_q2.json"))
+    assert code == exit_code
+    rec, = records_of(text)
+    assert rec["check"] == "construct/piziak"
+    assert rec["status"] == status
+    assert rec["witness"]["error"] == raised.__name__
+    traced = capsys.readouterr().err.count("Traceback")
+    assert traced == (1 if status == "internal" else 0)
 
 
 def test_construct_gram_schmidt_fixture(tmp_path):
