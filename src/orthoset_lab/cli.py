@@ -213,7 +213,8 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
         f = induce(phi)
         probes = ProbeSet.generate(phi.domain, seed, min(count, 16))
         samples = [{"x": serialize.ray_to_json(x),
-                    "fx": serialize.ray_to_json(f(x))} for x in probes]
+                    "fx": serialize.ray_to_json(y)}
+                   for x, y in zip(probes, f.apply_many(probes))]
         records = [ReportRecord(
             check="construct/induce/zero-to-zero",
             status="pass" if f(probes.rays[0]).is_zero else "fail")]

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg
 from .errors import (
     CertificateError,
@@ -159,11 +161,10 @@ def piziak_lambda(phi: SemilinearMap, probes: ProbeSet | None = None):
     if probes is not None:
         rays = list(probes)
         dom_grid = ray_grid(h1, rays, rays)
-        images = [induce(phi)(x) for x in rays]
+        images = induce(phi).apply_many(rays)
         img_grid = ray_grid(phi.codomain, images, images)
         bad = dom_grid & ~img_grid
         if bad.any():
-            import numpy as np
             i, j = np.argwhere(bad)[0]
             raise OrthogonalityViolationError(
                 "orthogonal probe pair with non-orthogonal images",
@@ -340,7 +341,7 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         if not passed(pair):
             raise InputError("claimed adjoint fails on probes",
                              witness=pair[0].witness)
-        k_sub = perp_closure([adjoint(y) for y in probes2])
+        k_sub = perp_closure(adjoint.apply_many(probes2))
     elif kernel_complement is not None:
         k_sub = kernel_complement
     elif injective:
@@ -356,8 +357,8 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
             raise NotInducedError(
                 "map does not vanish on the stated kernel",
                 witness={"ray": ray_payload(ray_of(v))})
-    for x in probes:
-        if not x.is_zero and f(x).is_zero and not n_sub.contains(x.rep):
+    for x, y in zip(probes, f.apply_many(probes)):
+        if not x.is_zero and y.is_zero and not n_sub.contains(x.rep):
             raise NotInducedError(
                 "probe killed by the map lies outside the stated kernel",
                 witness={"ray": ray_payload(x)})
@@ -421,11 +422,11 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         images.append(img)
     phi = SemilinearMap(h1, h2, sigma, tuple(images))
 
-    induced = induce(phi)
     mismatches = 0
     first = None
-    for x in probes:
-        if induced(x) != f(x):
+    for x, y, z in zip(probes, induce(phi).apply_many(probes),
+                       f.apply_many(probes)):
+        if y != z:
             mismatches += 1
             if first is None:
                 first = ray_payload(x)
@@ -538,8 +539,9 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
         raise NotPartialOrthometryError("map and claimed adjoint fail the "
                                         "biconditional", witness=records[0].witness)
     h1, h2 = f.domain, f.codomain
-    a_sub = perp_closure([f_adj(y) for y in probes2])
-    b_sub = perp_closure([f(x) for x in probes1])
+    a_sub = perp_closure(f_adj.apply_many(probes2))
+    fx = f.apply_many(probes1)
+    b_sub = perp_closure(fx)
 
     for v in a_sub.orthocomplement().basis:
         if not f(ray_of(v)).is_zero:
@@ -552,14 +554,14 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
                 "adjoint does not vanish on the orthocomplement of im f",
                 witness={"ray": ray_payload(ray_of(v))})
     n1 = a_sub.orthocomplement()
-    for x in probes1:
-        if not x.is_zero and f(x).is_zero and not n1.contains(x.rep):
+    for x, y in zip(probes1, fx):
+        if not x.is_zero and y.is_zero and not n1.contains(x.rep):
             raise NotPartialOrthometryError(
                 "kernel probe falls outside the orthocomplement of A",
                 witness={"ray": ray_payload(x)})
 
     a_rays = probe_rays_in(a_sub, probes1.seed, count=max(16, 2 * a_sub.dim + 1))
-    images = [f(x) for x in a_rays]
+    images = f.apply_many(a_rays)
     for x, img in zip(a_rays, images):
         if x.is_zero:
             continue
@@ -570,7 +572,6 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     dom_grid = ray_grid(h1, a_rays, a_rays)
     img_grid = ray_grid(h2, images, images)
     if (dom_grid != img_grid).any():
-        import numpy as np
         i, j = np.argwhere(dom_grid != img_grid)[0]
         raise NotPartialOrthometryError(
             "restriction to A does not preserve orthogonality both ways",
@@ -589,8 +590,8 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
         return f(ray_of(u_s))
 
     reassembled = RayMap.from_oracle(h1, h2, reassembled_fn)
-    for x in probes1:
-        if reassembled(x) != f(x):
+    for x, y, z in zip(probes1, reassembled.apply_many(probes1), fx):
+        if y != z:
             raise NotPartialOrthometryError(
                 "factorization through A and B does not reproduce the map",
                 witness={"ray": ray_payload(x)})
@@ -619,9 +620,9 @@ def partial_wigner(f: RayMap, f_adj: RayMap, probes1: ProbeSet,
     wig = wigner_reconstruct(dec.core, core_inv, frame_a.space, frame_b.space,
                              core_probes)
     descriptor = make_partial_isometry(dec.a, dec.b, wig.coordinatization.map)
-    induced = induce(descriptor.map)
-    for x in probes1:
-        if induced(x) != f(x):
+    for x, y, z in zip(probes1, induce(descriptor.map).apply_many(probes1),
+                       f.apply_many(probes1)):
+        if y != z:
             raise NotInducedError(
                 "reassembled partial map disagrees with the oracle",
                 witness={"ray": ray_payload(x)})

@@ -467,7 +467,7 @@ def transport_records(sfield: StarSfield, cfg: SuiteConfig, rng,
             w_lin = {"trial": t}
         probes = ProbeSet.generate(space, cfg.seed, cfg.count)
         tau_map = induce(tr.tau)
-        images = [tau_map(x) for x in probes]
+        images = tau_map.apply_many(probes)
         before = ray_grid(space, list(probes), list(probes))
         after = ray_grid(tr.new_space, images, images)
         if w_tau is None and (before != after).any():

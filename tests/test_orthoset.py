@@ -25,6 +25,7 @@ from orthoset_lab.orthoset import (
     probe_rays_in,
     ray_map_rank,
     ray_of,
+    ray_payload,
     ray_perp,
     separating_ray,
     verify_adjoint_pair,
@@ -104,6 +105,27 @@ def test_check_axioms_pass(sf):
     probes = ProbeSet.generate(sp, seed=1, count=40)
     records = check_axioms(sp, probes)
     assert all(r.status == "pass" for r in records)
+
+
+def test_check_axioms_reports_the_first_witness_in_row_major_order(
+        monkeypatch):
+    from orthoset_lab import orthoset
+    sp = standard_space(Q, 2)
+    probes = ProbeSet.generate(sp, seed=1, count=8)
+    rays = list(probes)
+    bad = orthoset.ray_grid(sp, rays, rays).copy()
+    bad[5, 2] = not bad[5, 2]   # (2, 5) asymmetric
+    bad[3, 6] = not bad[3, 6]   # (3, 6) asymmetric
+    bad[0, 7] = False           # (0, 7) asymmetric, the zero ray fails
+    bad[4, 4] = bad[6, 6] = True  # proper rays orthogonal to themselves
+    monkeypatch.setattr(orthoset, "ray_grid", lambda *args: bad)
+    witnesses = {r.check: r.witness for r in check_axioms(sp, probes)}
+    assert witnesses == {
+        "axioms/symmetry": {"x": ray_payload(rays[0]),
+                            "y": ray_payload(rays[7])},
+        "axioms/self-orthogonal-iff-zero": {"x": ray_payload(rays[4])},
+        "axioms/zero-orthogonal-to-all": {"x": "zero"},
+    }
 
 
 def test_linearity_witness_examples():

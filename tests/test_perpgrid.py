@@ -1,21 +1,31 @@
 """The residue-screened orthogonality grids must agree with plain exact
-evaluation pair by pair, on every sfield, whatever the path taken."""
+evaluation pair by pair, on every sfield, whatever the path taken; the
+batched kernel of induced ray maps must give exactly the rays of the
+scalar path, ray_of(phi.apply(x.rep)), on every sfield and twist."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from orthoset_lab.correspondence import induce
+from orthoset_lab.errors import InputError
 from orthoset_lab.hermspace import (
     HermitianSpace,
+    SemilinearMap,
     herm_form,
     random_subspace,
     random_vector,
     standard_space,
 )
-from orthoset_lab.perpgrid import PRIME, perp_grid
+from orthoset_lab.orthoset import ProbeSet, Ray, RayMap, ray_of
+from orthoset_lab.perpgrid import PRIME, map_matrix, perp_grid
+from orthoset_lab.sampling import random_linear_map, random_partial_isometry
 from orthoset_lab.scalars import GaussianRational as GR
-from orthoset_lab.starfields import StarSfield
+from orthoset_lab.scalars import RationalQuaternion as RQ
+from orthoset_lab.starfields import SfieldMorphism, StarSfield
+
+Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
 
 
 def test_prime_is_prime_and_sized():
@@ -160,3 +170,160 @@ def test_huge_entries_stay_exact():
     w = (F(1), big)    # <u, w> = big + big != 0
     grid = perp_grid(q2, [u], [v, w])
     assert grid[0, 0] and not grid[0, 1]
+
+
+
+def twists(sf):
+    yield SfieldMorphism.identity(sf)
+    if sf is QI:
+        yield SfieldMorphism.conjugation()
+    if sf is HQ:
+        yield SfieldMorphism.inner(RQ(1, 2, -1, 3))
+        yield SfieldMorphism.inner(RQ(0, F(1, 2), 0, -1))
+
+
+def reference(phi, rays):
+    return [Ray.zero(phi.codomain) if x.is_zero else ray_of(phi.apply(x.rep))
+            for x in rays]
+
+
+def batch(space, rng, count=24):
+    """Probe rays plus the zero ray and duplicates, in mixed order."""
+    rays = list(ProbeSet.generate(space, seed=5, count=count))
+    rays += [rays[0], rays[-1], rays[1], Ray.zero(space)]
+    rng.shuffle(rays)
+    return rays
+
+
+def assert_same_rays(got, want):
+    assert got == want
+    # canonical representatives, not just equal rays
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def map_cases():
+    """Every space under test and every twist its sfield has, into the
+    space itself, a larger standard space and a line."""
+    for space in spaces_under_test():
+        name = f"{space.sfield.value}{space.dim}"
+        for t, sigma in enumerate(twists(space.sfield)):
+            for m in (space.dim, space.dim + 1, 1):
+                yield pytest.param(space, sigma, m,
+                                   id=f"{name}-{sigma.kind}{t}-to{m}")
+
+
+@pytest.mark.parametrize("space,sigma,m", list(map_cases()))
+def test_apply_many_matches_scalar_path(space, sigma, m):
+    rng = random.Random(f"apply_many:{space.sfield.value}:{space.dim}:{m}")
+    codomain = space if m == space.dim else standard_space(space.sfield, m)
+    images = tuple(random_vector(codomain, rng) for _ in range(space.dim))
+    phi = SemilinearMap(space, codomain, sigma, images)
+    rays = batch(space, rng)
+    assert_same_rays(induce(phi).apply_many(rays), reference(phi, rays))
+    # one ray at a time through __call__ runs the same kernel
+    assert_same_rays([induce(phi)(x) for x in rays], reference(phi, rays))
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_apply_many_on_non_injective_maps(sf):
+    rng = random.Random(f"apply_many:partial:{sf.value}")
+    space = standard_space(sf, 4)
+    rays = batch(space, rng, count=32)
+    for quasi in (False, True):
+        d, _ = random_partial_isometry(space, space, 1, rng, quasi=quasi)
+        got = induce(d.map).apply_many(rays)
+        assert_same_rays(got, reference(d.map, rays))
+        # a core of dimension 1 has a single proper image ray
+        assert len({r for r in got if not r.is_zero}) == 1
+    for codomain in (standard_space(sf, 2), standard_space(sf, 0)):
+        zero = SemilinearMap.zero(space, codomain)
+        got = induce(zero).apply_many(rays)
+        assert got == [Ray.zero(codomain)] * len(rays)
+        assert_same_rays(got, reference(zero, rays))
+    empty = standard_space(sf, 0)
+    f = induce(random_linear_map(empty, space, rng))
+    assert f.apply_many([Ray.zero(empty)]) == [Ray.zero(space)]
+    assert f.apply_many([]) == []
+
+
+def test_apply_many_fills_and_reads_the_memo():
+    rng = random.Random("apply_many:memo")
+    space = standard_space(HQ, 3)
+    phi = SemilinearMap(space, space, SfieldMorphism.inner(RQ(1, 1, 0, 2)),
+                        tuple(random_vector(space, rng) for _ in range(3)))
+    rays = list(ProbeSet.generate(space, seed=2, count=12))
+    f = induce(phi)
+    x, y = rays[4], rays[7]
+    fx = f(x)
+    assert f.apply_many([x])[0] is fx
+    out = f.apply_many(rays + [y, x])
+    assert out[4] is fx and out[-1] is fx
+    assert out[7] is out[-2] is f(y)
+    assert all(f(r) is img for r, img in zip(rays, out))
+
+
+def test_oracle_maps_loop_through_the_memo():
+    space = standard_space(QI, 2)
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        return r
+
+    f = RayMap.from_oracle(space, space, fn)
+    rays = list(ProbeSet.generate(space, seed=3, count=6))
+    assert f.apply_many(rays + rays) == rays + rays
+    assert calls == rays
+
+
+def test_foreign_rays_are_rejected_by_both_entry_points():
+    q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
+    f = induce(SemilinearMap.identity(q2))
+    foreign = ray_of(q3.vector([1, 2, 0]))
+    with pytest.raises(InputError):
+        f(foreign)
+    with pytest.raises(InputError):
+        f.apply_many([ray_of(q2.vector([1, 1])), foreign])
+    with pytest.raises(InputError):
+        f.apply_many([Ray.zero(q3)])
+
+
+def _primes_from(start, count):
+    out, p = [], start
+    while len(out) < count:
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_planes_past_int64_stay_exact(sf):
+    """Numerators near 2**40 over coprime denominators near 2**30: the
+    common scale of the map's integer matrix alone is far past 2**63, so a
+    cast to int64 would overflow or wrap.  The images of the probes are
+    rows of the same height, and they are mapped too."""
+    rng = random.Random(f"apply_many:height:{sf.value}")
+    n = 3
+    dens = iter(_primes_from(2 ** 30, n * n * len(sf.basis())))
+
+    def big():
+        return F(rng.randint(2 ** 39, 2 ** 40) * rng.choice((1, -1)),
+                 next(dens))
+
+    def scalar():
+        if sf is Q:
+            return big()
+        if sf is QI:
+            return GR(big(), big())
+        return RQ(big(), big(), big(), big())
+
+    space = standard_space(sf, n)
+    images = tuple(space.vector([scalar() for _ in range(n)])
+                   for _ in range(n))
+    for sigma in twists(sf):
+        phi = SemilinearMap(space, space, sigma, images)
+        assert max(abs(v) for v in map_matrix(phi).flat) > 2 ** 63
+        rays = list(ProbeSet.generate(space, seed=9, count=24))
+        rays += reference(phi, rays)
+        assert_same_rays(induce(phi).apply_many(rays), reference(phi, rays))
