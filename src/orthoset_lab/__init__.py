@@ -28,6 +28,7 @@ from .hermspace import (
     SubspaceFrame,
     Vector,
     adjoint_linear,
+    between_frames,
     compose_maps,
     dual_representative,
     generalized_inverse,

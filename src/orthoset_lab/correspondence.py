@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -41,8 +42,8 @@ from .hermspace import (
     SemilinearMap,
     Subspace,
     Vector,
+    between_frames,
     compose_maps,
-    gram_schmidt,
     herm_form,
     is_quasiunitary,
     is_unitary,
@@ -50,7 +51,6 @@ from .hermspace import (
 )
 from .orthoset import (
     ProbeSet,
-    Ray,
     RayMap,
     perp_closure,
     probe_rays_in,
@@ -350,34 +350,43 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         raise InputError("need an adjoint oracle, injectivity, or an "
                          "explicit kernel complement")
 
-    # the kernel must actually be killed, and zero-image probes must agree
+    # one batch: the kernel's basis rays, the complement's orthogonal basis
+    # us, the sum rays us[0] + us[i] and the generator-scaled us[0] + g us[1]
     n_sub = k_sub.orthocomplement()
-    for v in n_sub.basis:
-        if not f(ray_of(v)).is_zero:
+    us = list(k_sub.orthogonal_basis)
+    gens = h1.sfield.generators() if len(us) > 1 else ()
+    kernel_rays = [ray_of(v) for v in n_sub.basis]
+    u_rays = [ray_of(u) for u in us]
+    parts = (kernel_rays, u_rays, [ray_of(us[0] + u) for u in us[1:]],
+             [ray_of(us[0] + g * us[1]) for g in gens])
+    images = iter(f.apply_many([x for part in parts for x in part]))
+    f_kernel, f_u, f_sum, f_gen = (list(islice(images, len(part)))
+                                   for part in parts)
+
+    # the kernel must actually be killed, and zero-image probes must agree
+    for x, y in zip(kernel_rays, f_kernel):
+        if not y.is_zero:
             raise NotInducedError(
                 "map does not vanish on the stated kernel",
-                witness={"ray": ray_payload(ray_of(v))})
+                witness={"ray": ray_payload(x)})
     for x, y in zip(probes, f.apply_many(probes)):
         if not x.is_zero and y.is_zero and not n_sub.contains(x.rep):
             raise NotInducedError(
                 "probe killed by the map lies outside the stated kernel",
                 witness={"ray": ray_payload(x)})
 
-    us = gram_schmidt(list(k_sub.basis)) if k_sub.dim else []
     if len(us) < 3:  # the probed rank is >= 3, so an induced map cannot fit
         raise NotInducedError(
             "stated kernel complement is smaller than the probed rank",
             witness={"complement_dim": len(us), "rank": rank})
-    f_u = [f(ray_of(u)) for u in us]
-    for u, img in zip(us, f_u):
+    for x, img in zip(u_rays, f_u):
         if img.is_zero:
             raise NotInducedError(
                 "map vanishes inside the stated kernel complement",
-                witness={"ray": ray_payload(ray_of(u))})
+                witness={"ray": ray_payload(x)})
 
     phi_u: list[Vector] = [f_u[0].rep]
-    for i in range(1, len(us)):
-        target = f(ray_of(us[0] + us[i]))
+    for i, target in enumerate(f_sum, start=1):
         rows = [list(phi_u[0].coords), list(f_u[i].rep.coords)]
         if linalg.rank(rows) < 2:
             raise NotInducedError(
@@ -395,8 +404,7 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         phi_u.append((inv_scalar(a) * b) * f_u[i].rep)
 
     generator_images = []
-    for g in h1.sfield.generators():
-        target = f(ray_of(us[0] + g * us[1]))
+    for g, target in zip(gens, f_gen):
         rows = [list(phi_u[0].coords), list(phi_u[1].coords)]
         if target.is_zero:
             raise NotInducedError("generator-scaled sum ray collapses to zero",
@@ -410,17 +418,10 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         generator_images.append((g, inv_scalar(a) * b))
     sigma = _classify_twist(h1.sfield, generator_images)
 
-    images = []
-    inv_norms = [inv_scalar(herm_form(u, u)) for u in us]
-    for i in range(h1.dim):
-        e = h1.basis_vector(i)
-        img = h2.zero_vector()
-        for u, inv_norm, pu in zip(us, inv_norms, phi_u):
-            c = herm_form(e, u) * inv_norm
-            if c:
-                img = img + sigma(c) * pu
-        images.append(img)
-    phi = SemilinearMap(h1, h2, sigma, tuple(images))
+    # phi sends us[i] to phi_u[i] and kills the kernel
+    frame = k_sub.frame
+    phi = compose_maps(SemilinearMap(frame.space, h2, sigma, tuple(phi_u)),
+                       frame.projection)
 
     mismatches = 0
     first = None
@@ -481,10 +482,10 @@ def fix_subspace_normalize(f: RayMap, s: Subspace, probes: ProbeSet,
         raise PreconditionError("normalization needs dimension >= 3")
     if s.dim < 2:
         raise PreconditionError("the fixed subspace must have dimension >= 2")
-    for x in probe_rays_in(s, probes.seed, count=max(8, 2 * s.dim)):
-        if x.is_zero:
-            continue
-        if f(x) != x:
+    fixed = [x for x in probe_rays_in(s, probes.seed, count=max(8, 2 * s.dim))
+             if not x.is_zero]
+    for x, y in zip(fixed, f.apply_many(fixed)):
+        if y != x:
             raise InputError("map does not fix the subspace pointwise",
                              witness={"ray": ray_payload(x)})
     wig = wigner_reconstruct(f, f_inv, h, h, probes)
@@ -507,18 +508,22 @@ def fix_subspace_normalize(f: RayMap, s: Subspace, probes: ProbeSet,
 
 
 def _between_frames(g: RayMap, source, target) -> RayMap:
-    """g restricted to the subspace of frame source, read in the coordinates
-    of frame target; g must send that subspace into target's."""
+    """P(target.projection) o g o P(source.inclusion), on whole batches.  g
+    must send the source subspace into the target's, which holds a ray y
+    exactly when P(target.inclusion) takes P(target.projection)(y) to y."""
+    embed, restrict, back = (induce(phi) for phi in (
+        source.inclusion, target.projection, target.inclusion))
 
-    def fn(r: Ray) -> Ray:
-        if r.is_zero:
-            return Ray.zero(target.space)
-        img = g(ray_of(source.to_ambient(r.rep)))
-        if img.is_zero:
-            return Ray.zero(target.space)
-        return ray_of(target.from_ambient(img.rep))
+    def batch(rays):
+        images = g.apply_many(embed.apply_many(rays))
+        coords = restrict.apply_many(images)
+        for y, z in zip(images, back.apply_many(coords)):
+            if y != z:
+                raise InputError("vector does not lie in the subspace",
+                                 witness={"ray": ray_payload(y)})
+        return coords
 
-    return RayMap.from_oracle(source.space, target.space, fn)
+    return RayMap(source.space, target.space, oracle=batch)
 
 
 def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
@@ -543,17 +548,16 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     fx = f.apply_many(probes1)
     b_sub = perp_closure(fx)
 
-    for v in a_sub.orthocomplement().basis:
-        if not f(ray_of(v)).is_zero:
-            raise NotPartialOrthometryError(
-                "map does not vanish on the orthocomplement of im f*",
-                witness={"ray": ray_payload(ray_of(v))})
-    for v in b_sub.orthocomplement().basis:
-        if not f_adj(ray_of(v)).is_zero:
-            raise NotPartialOrthometryError(
-                "adjoint does not vanish on the orthocomplement of im f",
-                witness={"ray": ray_payload(ray_of(v))})
-    n1 = a_sub.orthocomplement()
+    n1, n2 = a_sub.orthocomplement(), b_sub.orthocomplement()
+    for g, n, message in (
+            (f, n1, "map does not vanish on the orthocomplement of im f*"),
+            (f_adj, n2,
+             "adjoint does not vanish on the orthocomplement of im f")):
+        rays = [ray_of(v) for v in n.basis]
+        for x, y in zip(rays, g.apply_many(rays)):
+            if not y.is_zero:
+                raise NotPartialOrthometryError(
+                    message, witness={"ray": ray_payload(x)})
     for x, y in zip(probes1, fx):
         if not x.is_zero and y.is_zero and not n1.contains(x.rep):
             raise NotPartialOrthometryError(
@@ -581,15 +585,10 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
 
     core = _between_frames(f, a_sub.frame, b_sub.frame)
 
-    def reassembled_fn(x: Ray) -> Ray:
-        if x.is_zero:
-            return Ray.zero(h2)
-        u_s, _ = a_sub.project(x.rep)
-        if u_s.is_zero:
-            return Ray.zero(h2)
-        return f(ray_of(u_s))
-
-    reassembled = RayMap.from_oracle(h1, h2, reassembled_fn)
+    frame = a_sub.frame
+    project_a = induce(compose_maps(frame.inclusion, frame.projection))
+    reassembled = RayMap(
+        h1, h2, oracle=lambda rays: f.apply_many(project_a.apply_many(rays)))
     for x, y, z in zip(probes1, reassembled.apply_many(probes1), fx):
         if y != z:
             raise NotPartialOrthometryError(
@@ -641,12 +640,7 @@ def transport_partial(d: PartialIsometryDescriptor) -> tuple[TransportResult,
     # by tau-images of the old basis, not by the same coordinate rows
     s2_new = Subspace.from_vectors(
         result.new_space, [result.tau.apply(v) for v in d.s2.basis])
-    frame1, frame2 = d.s1.frame, s2_new.frame
-    core_images = tuple(
-        frame2.from_ambient(result.composed.apply(frame1.to_ambient(v)))
-        for v in frame1.space.basis())
-    core = SemilinearMap(frame1.space, frame2.space,
-                         result.composed.sigma, core_images)
+    core = between_frames(result.composed, d.s1.frame, s2_new.frame)
     transported = make_partial_isometry(d.s1, s2_new, core)
     if d.s1.dim and not is_unitary(core):
         raise InconsistencyError("transported core failed the unitary check")

@@ -332,11 +332,7 @@ class Subspace:
     def project(self, u: Vector) -> tuple[Vector, Vector]:
         """Split u = u_S + u_perp with u_S in S and u_perp orthogonal to S."""
         _same_space_sub(self, u)
-        u_s = self.space.zero_vector()
-        for o in self.orthogonal_basis:
-            f = herm_form(u, o) * inv_scalar(herm_form(o, o))
-            if f:
-                u_s = u_s + f * o
+        u_s = self.frame.to_ambient(self.frame.project_coords(u))
         return u_s, u - u_s
 
     @cached_property
@@ -376,6 +372,10 @@ class SubspaceFrame:
     The frame space is a Hermitian space of the subspace's dimension whose
     Gram matrix is the diagonal of self-products of an orthogonal basis;
     it always satisfies the anisotropy certificate, over every sfield.
+    The frame carries the subspace's adjoint pair as two linear maps:
+    `inclusion` from the frame space into the ambient space, and
+    `projection` from the ambient space onto the frame coordinates of the
+    orthogonal projection.  Every map between subspaces is built from them.
     """
 
     subspace: Subspace
@@ -393,28 +393,30 @@ class SubspaceFrame:
         inner = HermitianSpace(sf, len(ortho), diag)
         return cls(s, inner, ortho)
 
-    def to_ambient(self, v: Vector) -> Vector:
-        if v.space != self.space:
-            raise InputError("vector does not use this frame's coordinates")
+    @cached_property
+    def inclusion(self) -> "SemilinearMap":
+        """Frame coordinates to ambient vectors: e_i goes to vectors[i]."""
+        return SemilinearMap(self.space, self.subspace.space,
+                             SfieldMorphism.identity(self.space.sfield),
+                             self.vectors)
+
+    @cached_property
+    def projection(self) -> "SemilinearMap":
+        """Ambient vectors to the frame coordinates of their orthogonal
+        projection onto the subspace."""
         ambient = self.subspace.space
-        acc = None
-        for c, o in zip(v.coords, self.vectors):
-            if not c:
-                continue
-            row = o.coords
-            if acc is None:
-                acc = [c * x for x in row]
-            else:
-                for k, x in enumerate(row):
-                    if x:
-                        acc[k] = acc[k] + c * x
-        if acc is None:
-            return ambient.zero_vector()
-        return Vector(ambient, tuple(acc))
+        return SemilinearMap(ambient, self.space,
+                             SfieldMorphism.identity(ambient.sfield),
+                             tuple(self.project_coords(e)
+                                   for e in ambient.basis()))
+
+    def to_ambient(self, v: Vector) -> Vector:
+        return self.inclusion.apply(v)
 
     @cached_property
     def _inv_norms(self):
-        return tuple(inv_scalar(herm_form(o, o)) for o in self.vectors)
+        # the frame space's Gram diagonal holds <o, o> for each vector o
+        return tuple(inv_scalar(row[i]) for i, row in enumerate(self.space.gram))
 
     def project_coords(self, u: Vector) -> Vector:
         """Frame coordinates of the orthogonal projection of u."""
@@ -628,11 +630,7 @@ def make_partial_isometry(s1: Subspace, s2: Subspace,
         raise InputError("core must map the s1 frame space to the s2 frame space")
     if s1.dim and is_quasiunitary(core) is None:
         raise InputError("core is not quasiunitary")
-    images = []
-    for i in range(s1.space.dim):
-        pc = f1.project_coords(s1.space.basis_vector(i))
-        images.append(f2.to_ambient(core.apply(pc)))
-    phi = SemilinearMap(s1.space, s2.space, core.sigma, tuple(images))
+    phi = compose_maps(f2.inclusion, compose_maps(core, f1.projection))
     return PartialIsometryDescriptor(phi, s1, s2, core)
 
 
@@ -656,11 +654,18 @@ def _reverse_through_core(d: PartialIsometryDescriptor) -> SemilinearMap:
     if d.s1.dim == 0:
         return SemilinearMap.zero(d.s2.space, d.s1.space)
     core_inv = invert_semilinear(d.core)
-    images = []
-    for i in range(d.s2.space.dim):
-        pc = f2.project_coords(d.s2.space.basis_vector(i))
-        images.append(f1.to_ambient(core_inv.apply(pc)))
-    return SemilinearMap(d.s2.space, d.s1.space, core_inv.sigma, tuple(images))
+    return compose_maps(f1.inclusion, compose_maps(core_inv, f2.projection))
+
+
+def between_frames(phi: SemilinearMap, source: SubspaceFrame,
+                   target: SubspaceFrame) -> SemilinearMap:
+    """phi restricted to the subspace of frame source, in the coordinates of
+    frame target: target.projection o phi o source.inclusion.  phi must
+    send the source subspace into the target subspace."""
+    into = compose_maps(phi, source.inclusion)
+    for w in into.images:
+        target.from_ambient(w)
+    return compose_maps(target.projection, into)
 
 
 def random_vector(space: HermitianSpace, rng, bound: int = 10) -> Vector:

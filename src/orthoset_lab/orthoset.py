@@ -19,8 +19,9 @@ components), and canonicalizes every image with one gcd per coordinate.
 The rays are the ones `ray_of(phi.apply(u))` gives.  On the `wigner`
 benchmark, 57 Wigner round trips on 256-probe sets, a round went from
 9.3 s to 4.1 s this way (median of ten paired runs, 2-core host,
-Python 3.11).  Oracle maps are applied ray by ray; every map memoizes its
-images.
+Python 3.11).  An oracle map is a batch function on rays, so both kinds
+of map are evaluated the same way: the new rays of a batch are mapped in
+one call, and every map memoizes its images.
 """
 
 from __future__ import annotations
@@ -113,14 +114,16 @@ def perp_closure(rays) -> Subspace:
 @dataclass(frozen=True)
 class RayMap:
     """A total map on rays: either induced by a semilinear map or supplied
-    as an opaque oracle (which must send zero to zero and be re-entrant).
-    Both `__call__` and `apply_many` evaluate an induced map with the
-    batched kernel of `perpgrid`."""
+    as an opaque oracle.  An oracle is a batch function from a list of
+    rays to the list of their images; it must send zero to zero and be
+    pure, since images are memoized.  `apply_many` is the one evaluation
+    path: the new rays of a batch go through the batched kernel of
+    `perpgrid` or through one oracle call."""
 
     domain: HermitianSpace
     codomain: HermitianSpace
     mapping: SemilinearMap | None = None
-    oracle: Callable[[Ray], Ray] | None = None
+    oracle: Callable[[list[Ray]], list[Ray]] | None = None
 
     def __post_init__(self):
         if (self.mapping is None) == (self.oracle is None):
@@ -129,49 +132,39 @@ class RayMap:
                 self.mapping.domain != self.domain
                 or self.mapping.codomain != self.codomain):
             raise InputError("underlying map does not match the stated spaces")
-        # verification pipelines hit the same probe rays repeatedly; results
-        # are memoized, so supplied oracles must be pure
+        # verification pipelines hit the same probe rays repeatedly
         object.__setattr__(self, "_memo", {})
 
     @classmethod
     def from_oracle(cls, domain, codomain, fn) -> "RayMap":
-        return cls(domain, codomain, oracle=fn)
+        """The ray map of a per-ray function fn."""
+        return cls(domain, codomain, oracle=lambda rays: [fn(x) for x in rays])
 
     @property
     def is_induced(self) -> bool:
         return self.mapping is not None
 
     def __call__(self, x: Ray) -> Ray:
-        memo = self._memo
-        y = memo.get(x)
-        if y is not None:
-            return y
-        self._check_domain(x)
-        if self.mapping is not None:
-            y, = self._induced([x])
-        else:
-            y = self.oracle(x)
-            if y.space != self.codomain:
-                raise InputError("oracle returned a ray of the wrong space")
-        memo[x] = y
-        return y
+        return self.apply_many([x])[0]
 
     def apply_many(self, rays) -> list[Ray]:
-        """[self(x) for x in rays], with the images of an induced map's
-        new rays computed in one batch."""
-        if self.mapping is None:
-            return [self(x) for x in rays]
+        """The images of rays, in order.  The rays not yet memoized, each
+        once, are mapped in one batch."""
         rays = list(rays)
         memo = self._memo
         todo = list(dict.fromkeys(x for x in rays if x not in memo))
-        for x in todo:
-            self._check_domain(x)
-        memo.update(zip(todo, self._induced(todo)))
+        if todo:
+            # equal spaces are often distinct objects, and comparing them
+            # compares Gram matrices, so each distinct object is compared once
+            if any(s != self.domain for s in {x.space for x in todo}):
+                raise InputError("ray is not in the map's domain")
+            images = list((self.oracle or self._induced)(todo))
+            if len(images) != len(todo):
+                raise InputError("oracle returned the wrong number of rays")
+            if any(s != self.codomain for s in {y.space for y in images}):
+                raise InputError("oracle returned a ray of the wrong space")
+            memo.update(zip(todo, images))
         return [memo[x] for x in rays]
-
-    def _check_domain(self, x: Ray) -> None:
-        if x.space is not self.domain and x.space != self.domain:
-            raise InputError("ray is not in the map's domain")
 
     @cached_property
     def _int_matrix(self):
@@ -280,9 +273,7 @@ def linearity_witness(x: Ray, y: Ray) -> Ray:
         raise InputError("witness construction needs distinct rays")
     if ray_perp(x, y):
         return ray_of(x.rep + y.rep)
-    line = Subspace.from_vectors(x.space, [x.rep])
-    _, perp_part = line.project(y.rep)
-    return ray_of(perp_part)
+    return separating_ray(x, y)
 
 
 def dacey_witness(s: Subspace, x: Ray) -> tuple[Ray, Ray]:

@@ -15,8 +15,10 @@ from .hermspace import (
     HermitianSpace,
     SemilinearMap,
     Subspace,
+    between_frames,
     compose_maps,
     herm_form,
+    make_partial_isometry,
     random_nonzero_vector,
     random_subspace,
     random_vector,
@@ -119,8 +121,6 @@ def random_partial_isometry(space1: HermitianSpace, space2: HermitianSpace,
     canonical subspace frames.  Requires isometric ambient spaces, which
     is arranged by using equal Gram matrices.
     """
-    from .hermspace import make_partial_isometry  # local to avoid cycle noise
-
     if space1.gram != space2.gram:
         raise InputError("ambient spaces must share a Gram matrix")
     s1 = random_subspace(space1, core_dim, rng)
@@ -128,9 +128,5 @@ def random_partial_isometry(space1: HermitianSpace, space2: HermitianSpace,
         else random_unitary(space2, rng)
     carried = [ambient.apply(space2.vector(v.coords)) for v in s1.basis]
     s2 = Subspace.from_vectors(space2, carried)
-    frame1, frame2 = s1.frame, s2.frame
-    images = tuple(
-        frame2.from_ambient(ambient.apply(space2.vector(frame1.to_ambient(c).coords)))
-        for c in frame1.space.basis())
-    core = SemilinearMap(frame1.space, frame2.space, ambient.sigma, images)
+    core = between_frames(ambient, s1.frame, s2.frame)
     return make_partial_isometry(s1, s2, core), core

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from orthoset_lab import orthoset
 from orthoset_lab.correspondence import (
+    _between_frames,
     coordinatize,
     decompose_partial_orthometry,
     fix_subspace_normalize,
@@ -29,6 +31,7 @@ from orthoset_lab.hermspace import (
     SemilinearMap,
     Subspace,
     adjoint_linear,
+    between_frames,
     compose_maps,
     generalized_inverse,
     invert_semilinear,
@@ -37,6 +40,7 @@ from orthoset_lab.hermspace import (
     standard_space,
 )
 from orthoset_lab.orthoset import ProbeSet, Ray, RayMap, ray_of
+from orthoset_lab.perpgrid import image_rows
 from orthoset_lab.sampling import (
     conjugation_map,
     left_scalar_map,
@@ -516,3 +520,40 @@ def test_generalized_inverse_equals_adjoint_for_linear_partial():
         h = standard_space(sf, 4)
         d, _ = random_partial_isometry(h, h, 3, random.Random(f"gi:{sf.value}"))
         assert generalized_inverse(d) == adjoint_linear(d.map)
+
+
+def test_partial_wigner_maps_rays_in_batches(monkeypatch):
+    """The oracles of the partial pipeline take whole batches to the map
+    kernel; applied one ray at a time, this run took 137 kernel calls."""
+    calls = []
+
+    def counted(sfield, matrix, rows, n):
+        calls.append(len(rows))
+        return image_rows(sfield, matrix, rows, n)
+
+    monkeypatch.setattr(orthoset, "image_rows", counted)
+    q5 = standard_space(Q, 5)
+    d, _ = random_partial_isometry(q5, q5, 3, random.Random(1), quasi=True)
+    p = ProbeSet.generate(q5, seed=1, count=64)
+    partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)), p, p)
+    assert 0 < len(calls) <= 40
+
+
+def test_frame_restrictions_reject_images_outside_the_target():
+    q3 = standard_space(Q, 3)
+    s = Subspace.from_vectors(q3, [q3.vector([1, 0, 0]), q3.vector([0, 1, 0])])
+    t = Subspace.from_vectors(q3, [q3.vector([1, 1, 0]), q3.vector([0, 0, 1])])
+    ident = SemilinearMap.identity(q3)
+    assert between_frames(ident, s.frame, s.frame) == \
+        SemilinearMap.identity(s.frame.space)
+    with pytest.raises(InputError, match="does not lie in the subspace"):
+        between_frames(ident, s.frame, t.frame)
+    core = _between_frames(induce(ident), s.frame, t.frame)
+    frame_space = s.frame.space
+    inside = ray_of(frame_space.vector([1, 1]))  # (1, 1, 0) lies in t
+    assert core.apply_many([Ray.zero(frame_space), inside]) == [
+        Ray.zero(t.frame.space), ray_of(t.frame.space.vector([1, 0]))]
+    with pytest.raises(InputError, match="does not lie in the subspace"):
+        core(ray_of(frame_space.vector([1, 0])))
+    with pytest.raises(InputError, match="does not lie in the subspace"):
+        core.apply_many(ProbeSet.generate(frame_space, seed=0, count=8))

@@ -422,17 +422,43 @@ def test_subspace_canonical_equality():
         Subspace(q3, (q3.vector([2, 0, 0]),))  # not reduced
 
 
+def frame_spaces():
+    """Standard spaces over every sfield, and Q and Qi Gram spaces."""
+    i = GR(0, 1)
+    return [standard_space(sf, 4) for sf in StarSfield] + [
+        HermitianSpace.create(Q, 3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
+        HermitianSpace.create(QI, 3, [[2, i, 0], [-i, 2, 1], [0, 1, 3]]),
+    ]
+
+
 def test_frame_round_trip():
     rng = random.Random("frame")
-    for sf in StarSfield:
-        sp = standard_space(sf, 4)
-        s = random_subspace(sp, 2, rng)
-        fr = s.frame
-        for v in s.basis:
-            assert fr.to_ambient(fr.from_ambient(v)) == v
-        outside = random_vector(sp, rng)
-        coords = fr.project_coords(outside)
-        assert fr.to_ambient(coords) == s.project(outside)[0]
+    for sp in frame_spaces():
+        for s in (Subspace.zero(sp), random_subspace(sp, 2, rng),
+                  Subspace.full(sp)):
+            fr = s.frame
+            for v in s.basis:
+                assert fr.to_ambient(fr.from_ambient(v)) == v
+            outside = random_vector(sp, rng)
+            coords = fr.project_coords(outside)
+            assert fr.to_ambient(coords) == s.project(outside)[0]
+            # the frame's linear maps: inclusion sends e_i to vectors[i],
+            # projection agrees with project_coords, and they are adjoint
+            inc, proj = fr.inclusion, fr.projection
+            assert (inc.domain, inc.codomain) == (fr.space, sp)
+            assert (proj.domain, proj.codomain) == (sp, fr.space)
+            assert inc.images == fr.vectors and inc.is_linear
+            for c in fr.space.basis() + [random_vector(fr.space, rng)]:
+                by_hand = sp.zero_vector()
+                for a, o in zip(c.coords, fr.vectors):
+                    by_hand = by_hand + a * o
+                assert inc.apply(c) == fr.to_ambient(c) == by_hand
+                assert herm_form(inc.apply(c), outside) == \
+                    herm_form(c, proj.apply(outside))
+            for u in sp.basis() + [outside, sp.zero_vector()]:
+                assert proj.apply(u) == fr.project_coords(u)
+        assert Subspace.zero(sp).project(outside) == (sp.zero_vector(), outside)
+        assert Subspace.full(sp).project(outside) == (outside, sp.zero_vector())
 
 
 def test_frame_space_certifies_over_hq():

@@ -262,18 +262,82 @@ def test_apply_many_fills_and_reads_the_memo():
     assert all(f(r) is img for r, img in zip(rays, out))
 
 
+def per_ray_oracle(space, fn, calls):
+    """RayMap.from_oracle over fn, logging each call as a one-ray batch."""
+
+    def logged(x):
+        calls.append([x])
+        return fn(x)
+
+    return RayMap.from_oracle(space, space, logged)
+
+
+def batch_oracle(space, fn, calls):
+    """The same map as a batch oracle, logging each batch it is given."""
+
+    def logged(rays):
+        calls.append(list(rays))
+        return [fn(x) for x in rays]
+
+    return RayMap(space, space, oracle=logged)
+
+
 def test_oracle_maps_loop_through_the_memo():
     space = standard_space(QI, 2)
-    calls = []
-
-    def fn(r):
-        calls.append(r)
-        return r
-
-    f = RayMap.from_oracle(space, space, fn)
     rays = list(ProbeSet.generate(space, seed=3, count=6))
-    assert f.apply_many(rays + rays) == rays + rays
-    assert calls == rays
+    for make in (per_ray_oracle, batch_oracle):
+        calls = []
+        f = make(space, lambda r: r, calls)
+        assert f.apply_many(rays + rays) == rays + rays
+        assert [x for batch in calls for x in batch] == rays
+
+
+@pytest.mark.parametrize("space", spaces_under_test(),
+                         ids=lambda s: f"{s.sfield.value}{s.dim}")
+def test_batched_and_per_ray_oracles_agree(space):
+    """A map given as a batch oracle and as a per-ray oracle yields the
+    same rays, on the zero ray, duplicates, memo hits and the empty batch;
+    the batch oracle sees each new ray once, in one call per batch."""
+    rng = random.Random(f"oracle:batch:{space.sfield.value}:{space.dim}")
+    phi = SemilinearMap(space, space, list(twists(space.sfield))[-1],
+                        tuple(random_vector(space, rng)
+                              for _ in range(space.dim)))
+    fn = induce(phi)
+    rays = batch(space, rng)
+    first, second = rays[:len(rays) // 2], rays[len(rays) // 3:]
+    per_calls, batch_calls = [], []
+    per = per_ray_oracle(space, fn, per_calls)
+    bat = batch_oracle(space, fn, batch_calls)
+    seen = set()
+    for rays_in in ([], first, second, [], second, [Ray.zero(space)] * 3):
+        new = list(dict.fromkeys(x for x in rays_in if x not in seen))
+        seen.update(rays_in)
+        calls_before = len(batch_calls)
+        got = bat.apply_many(rays_in)
+        assert_same_rays(got, [per(x) for x in rays_in])
+        assert_same_rays(got, reference(phi, rays_in))
+        assert batch_calls[calls_before:] == ([new] if new else [])
+    assert all(len(c) == 1 for c in per_calls)
+    assert len(per_calls) == len(seen)
+
+
+def test_oracle_results_are_checked():
+    q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
+    foreign = ray_of(q3.vector([1, 2, 0]))
+    x = ray_of(q2.vector([1, 1]))
+    wrong_space = RayMap.from_oracle(q2, q2, lambda r: foreign)
+    with pytest.raises(InputError, match="wrong space"):
+        wrong_space(x)
+    with pytest.raises(InputError, match="wrong space"):
+        wrong_space.apply_many([x, Ray.zero(q2)])
+    for short in (lambda rays: rays[1:], lambda rays: rays + rays[:1]):
+        wrong_count = RayMap(q2, q2, oracle=short)
+        with pytest.raises(InputError, match="number of rays"):
+            wrong_count.apply_many([x, Ray.zero(q2)])
+        with pytest.raises(InputError, match="number of rays"):
+            wrong_count(x)
+        # nothing is memoized from a rejected batch
+        assert wrong_count._memo == {}
 
 
 def test_foreign_rays_are_rejected_by_both_entry_points():
