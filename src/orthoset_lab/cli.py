@@ -145,6 +145,9 @@ def cmd_construct(args) -> int:
             raw_subspace = serialize.basis_vectors_from_json(
                 serialize.load_file(args.subspace))
             subspace = Subspace.from_vectors(*raw_subspace)
+            if args.vector:  # parsed here; read as a Vector from now on
+                args.vector = serialize.vector_from_json(
+                    serialize.loads(args.vector, "--vector"), subspace.space)
     except OrthosetLabError as exc:
         return _load_failed(exc, args)
 
@@ -191,8 +194,7 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
                 "vectors": serialize._vector_rows_to_json(out)}, records
     if kind == "project":
         s = _require(subspace, "--subspace")
-        u = serialize.vector_from_json(
-            json.loads(_require(args.vector, "--vector")), s.space)
+        u = _require(args.vector, "--vector")
         u_s, u_p = s.project(u)
         ok = u_s + u_p == u and s.contains(u_s) and \
             not any(herm_form(u_p, b) for b in s.basis) and \

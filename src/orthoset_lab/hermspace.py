@@ -5,11 +5,14 @@ Vectors are rows under a left scalar action and forms follow the convention
     <u, v> = sum_ij u_i * G_ij * star(v_j),
 
 linear in the first argument, star-twisted in the second.  Every space
-carries an anisotropy certificate checked at construction: over Q and Qi the
-leading principal minors of the Gram matrix must be positive rationals, over
-HQ the Gram matrix must be diagonal with positive rational entries.  This is
-deliberately stronger than anisotropy itself, which is undecidable-in-
-practice for arbitrary rational forms without heavy machinery.
+carries an anisotropy certificate checked at construction, the same over
+every sfield: left elimination factors the Gram matrix as G = L D L* with L
+unit lower triangular, and every pivot in D must be a positive rational.
+Then <u, u> = sum_k d_k N((u L)_k) is positive for u != 0, so the form is
+anisotropic.  Over Q and Qi the product d_1 ... d_k is the k-th leading
+principal minor.  The certificate is deliberately stronger than anisotropy
+itself, which is undecidable-in-practice for arbitrary rational forms
+without heavy machinery.
 """
 
 from __future__ import annotations
@@ -25,44 +28,40 @@ from .errors import (
     InputError,
     UnsupportedVariantError,
 )
-from .scalars import inv_scalar, star_scalar
+from .scalars import inv_scalar, real_part, star_scalar
 from .starfields import SfieldMorphism, StarSfield
 
 
-def _det_commutative(rows):
-    """Determinant over a commutative field (Q or Qi entries)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    sign = 1
-    det = None
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return m[0][0] - m[0][0]
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        p = m[c][c]
-        det = p if det is None else det * p
-        p_inv = inv_scalar(p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * p_inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det if sign > 0 else -det
+def _certify_ldl(gram) -> None:
+    """Certify a Hermitian Gram matrix by G = L D L*.
+
+    Step k eliminates below the pivot d_k by the left row operations
+    row_i <- row_i - g_ik d_k^-1 row_k on the trailing columns.  Each pivot
+    is central, so the trailing block stays Hermitian and its diagonal, the
+    next pivot, is self-adjoint: a rational, read off as its real part.
+    The first pivot that is not positive fails with the order k and the
+    product d_1 ... d_k, which over Q and Qi is the leading principal minor.
+    """
+    m = [list(r) for r in gram]
+    minor = None
+    for k, row_k in enumerate(m):
+        d = row_k[k]
+        minor = d if minor is None else minor * d
+        if real_part(d) <= 0:
+            raise CertificateError(
+                "leading principal minor is not a positive rational",
+                witness={"order": k + 1, "minor": str(minor)})
+        d_inv = inv_scalar(d)
+        for row_i in m[k + 1:]:
+            f = row_i[k] * d_inv
+            if f:
+                row_i[k + 1:] = [a - f * b
+                                 for a, b in zip(row_i[k + 1:], row_k[k + 1:])]
 
 
-def _is_positive_rational(x) -> bool:
-    if isinstance(x, Fraction):
-        return x > 0
-    if isinstance(x, int):
-        return x > 0
-    # Gaussian rational or quaternion: must be central and positive
-    if hasattr(x, "im"):
-        return x.im == 0 and x.re > 0
-    return x.is_central() and x.a > 0
+def _identity_gram(sfield: StarSfield, dim: int) -> tuple:
+    return tuple(tuple(sfield.coerce(1 if i == j else 0) for j in range(dim))
+                 for i in range(dim))
 
 
 @dataclass(frozen=True)
@@ -90,51 +89,19 @@ class HermitianSpace:
                     raise CertificateError(
                         "Gram matrix is not Hermitian",
                         witness={"i": i, "j": j})
-        if sf is StarSfield.HQ:
-            for i in range(n):
-                for j in range(n):
-                    if i != j and g[i][j]:
-                        raise CertificateError(
-                            "HQ Gram matrices must be diagonal",
-                            witness={"i": i, "j": j})
-                if i == j and not _is_positive_rational(g[i][i]):
-                    raise CertificateError(
-                        "HQ Gram diagonal must be positive rational",
-                        witness={"i": i})
-        else:
-            rows = [list(r) for r in g]
-            for k in range(1, n + 1):
-                minor = _det_commutative([row[:k] for row in rows[:k]])
-                if not _is_positive_rational(minor):
-                    raise CertificateError(
-                        "leading principal minor is not a positive rational",
-                        witness={"order": k, "minor": str(minor)})
+        _certify_ldl(g)
 
     @classmethod
     def create(cls, sfield: StarSfield, dim: int, gram=None) -> "HermitianSpace":
         if gram is None:
-            gram = tuple(
-                tuple(sfield.coerce(1 if i == j else 0) for j in range(dim))
-                for i in range(dim))
+            gram = _identity_gram(sfield, dim)
         else:
             gram = tuple(tuple(sfield.coerce(x) for x in row) for row in gram)
         return cls(sfield, dim, gram)
 
     @cached_property
-    def _diag(self):
-        """Diagonal entries when the Gram matrix is diagonal, else None."""
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.gram[i][j]:
-                    return None
-        return tuple(self.gram[i][i] for i in range(n))
-
-    @cached_property
     def _is_identity_gram(self) -> bool:
-        d = self._diag
-        one = self.sfield.one()
-        return d is not None and all(x == one for x in d)
+        return self.gram == _identity_gram(self.sfield, self.dim)
 
     @cached_property
     def _cells(self):
@@ -150,11 +117,6 @@ class HermitianSpace:
             for a, b in zip(u, v):
                 if a and b:
                     term = a * star_scalar(b)
-                    acc = term if acc is None else acc + term
-        elif self._diag is not None:
-            for a, g, b in zip(u, self._diag, v):
-                if a and b:
-                    term = a * g * star_scalar(b)
                     acc = term if acc is None else acc + term
         else:
             for i, j, g in self._cells:
@@ -308,8 +270,15 @@ class Subspace:
 
     def contains(self, u: Vector) -> bool:
         _same_space_sub(self, u)
-        return linalg.in_row_span([list(v.coords) for v in self.basis],
-                                  list(u.coords))
+        residue, _ = linalg.reduce_against(
+            [v.coords for v in self.basis], self._pivots, u.coords)
+        return not any(residue)
+
+    @cached_property
+    def _pivots(self) -> tuple:
+        """The pivot column of each basis row: its first nonzero entry."""
+        return tuple(next(j for j, x in enumerate(v.coords) if x)
+                     for v in self.basis)
 
     @cached_property
     def orthogonal_basis(self) -> tuple:
@@ -320,11 +289,7 @@ class Subspace:
         left kernel, using <u, v> = star(<v, u>) to put u on the left."""
         space = self.space
         n = space.dim
-        g = space.gram
-        cols = []
-        for i in range(n):
-            cols.append([
-                _dot_gram_star(g, i, v.coords) for v in self.basis])
+        cols = [[herm_form(e, v) for v in self.basis] for e in space.basis()]
         kernel = linalg.left_kernel(cols) if self.basis else \
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         return Subspace.from_vectors(space, [space.vector(r) for r in kernel])
@@ -341,23 +306,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.space!r})"
-
-
-def _dot_gram_star(gram, i, vcoords):
-    acc = None
-    for j, vj in enumerate(vcoords):
-        if vj and gram[i][j]:
-            term = gram[i][j] * star_scalar(vj)
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else _zero_of(vcoords, gram, i)
-
-
-def _zero_of(vcoords, gram, i):
-    for x in gram[i]:
-        return x - x
-    for x in vcoords:
-        return x - x
-    return Fraction(0)
 
 
 def _same_space_sub(s: Subspace, u: Vector):

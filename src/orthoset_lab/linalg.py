@@ -126,10 +126,6 @@ def coords_in_rows(rows, v) -> Row | None:
     return out
 
 
-def in_row_span(rows, v) -> bool:
-    return coords_in_rows(rows, v) is not None
-
-
 def matmul(a, b) -> Matrix:
     """Matrix product preserving multiplication order a[i][k] * b[k][j]."""
     if not a:

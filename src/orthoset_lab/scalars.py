@@ -386,6 +386,14 @@ def star_scalar(a):
     return a.conjugate()
 
 
+def real_part(a) -> Fraction:
+    """The rational part: the scalar itself on rationals, the real
+    component on Gaussian rationals and quaternions."""
+    if isinstance(a, (int, Fraction)):
+        return Fraction(a)
+    return Fraction(a.component_ints()[0], a.denominator_int())
+
+
 def inv_scalar(a):
     """Exact two-sided multiplicative inverse."""
     if isinstance(a, int):

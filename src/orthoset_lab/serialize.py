@@ -36,21 +36,24 @@ def scalar_to_json(a):
     raise InputError(f"not a scalar: {a!r}")
 
 
+def _rational(text) -> Fraction:
+    if not isinstance(text, str):
+        raise TypeError("rationals are JSON strings")
+    return rational_from_str(text)
+
+
 def scalar_from_json(obj, sfield: StarSfield):
     try:
         if sfield is StarSfield.Q:
-            return rational_from_str(obj)
+            return _rational(obj)
         if sfield is StarSfield.QI:
             if isinstance(obj, str):
-                return GaussianRational(rational_from_str(obj))
-            return GaussianRational(rational_from_str(obj["re"]),
-                                    rational_from_str(obj["im"]))
+                return GaussianRational(_rational(obj))
+            return GaussianRational(_rational(obj["re"]), _rational(obj["im"]))
         if isinstance(obj, str):
-            return RationalQuaternion(rational_from_str(obj))
-        return RationalQuaternion(rational_from_str(obj["a"]),
-                                  rational_from_str(obj["b"]),
-                                  rational_from_str(obj["c"]),
-                                  rational_from_str(obj["d"]))
+            return RationalQuaternion(_rational(obj))
+        return RationalQuaternion(_rational(obj["a"]), _rational(obj["b"]),
+                                  _rational(obj["c"]), _rational(obj["d"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad scalar literal {obj!r} for {sfield.value}") from exc
 
@@ -209,11 +212,17 @@ def dump_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def loads(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source} is not valid JSON: {exc}") from exc
+
+
 def load_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    return loads(text, path)

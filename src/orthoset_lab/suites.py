@@ -64,7 +64,13 @@ from .orthoset import (
     verify_adjoint_pair,
 )
 from .reports import ReportRecord, passed, run_tasks
-from .scalars import GaussianRational, RationalQuaternion, star_scalar
+from .scalars import (
+    HQ_I,
+    HQ_J,
+    GaussianRational,
+    RationalQuaternion,
+    star_scalar,
+)
 from .starfields import SfieldMorphism, StarSfield
 
 # the file inputs each suite reads: "space" is --space, "map" is --map
@@ -106,8 +112,9 @@ def default_spaces(sfield: StarSfield) -> list[HermitianSpace]:
         return [standard_space(sfield, 4),
                 HermitianSpace.create(sfield, 2, [[2, i], [-i, 1]])]
     return [standard_space(sfield, 4),
-            HermitianSpace.create(sfield, 3,
-                                  [[1, 0, 0], [0, 2, 0], [0, 0, 3]])]
+            HermitianSpace.create(sfield, 3, [[2, HQ_I, 0],
+                                              [-HQ_I, 2, HQ_J],
+                                              [0, -HQ_J, 3]])]
 
 
 def _rng(cfg: SuiteConfig, *parts) -> random.Random:

@@ -261,6 +261,46 @@ def test_construct_project_with_vector(tmp_path):
     assert output["perp"] == ["1/2", "-1/2"]
 
 
+@pytest.mark.parametrize("vector", ["[1, 2]", "nope"])
+def test_construct_malformed_vector_is_load_error(tmp_path, vector):
+    code, text = run_main(tmp_path, "construct", "project",
+                          "--subspace", fixture("q2_basis.json"),
+                          "--vector", vector)
+    assert code == 2
+    rec, = records_of(text)
+    assert rec["check"] == "load" and rec["status"] == "error"
+    assert rec["witness"]["error"] == "ParseError"
+
+
+QUATERNION_J = {"a": "0", "b": "0", "c": "1", "d": "0"}
+MINUS_J = {"a": "0", "b": "0", "c": "-1", "d": "0"}
+
+
+@pytest.mark.parametrize("space, error", [
+    ({"sfield": "Q", "dim": 2, "gram": [[2, 1], [1, 1]]}, "ParseError"),
+    ({"sfield": "HQ", "dim": 2, "gram": [["1", QUATERNION_J],
+                                         [MINUS_J, "-1"]]},
+     "CertificateError"),
+], ids=["numeric-gram-entry", "indefinite-hq"])
+def test_verify_bad_space_file_is_load_error(tmp_path, space, error):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code, text = run_main(tmp_path, "verify", "--suite", "axioms",
+                          "--space", str(path))
+    assert code == 2
+    rec, = records_of(text)
+    assert rec["check"] == "load" and rec["status"] == "error"
+    assert rec["witness"]["error"] == error
+
+
+def test_verify_axioms_on_non_diagonal_hq_space(tmp_path):
+    code, text = run_main(tmp_path, "verify", "--suite", "axioms",
+                          "--space", fixture("hq3_gram.json"), "--seed", "7")
+    assert code == 0
+    recs = records_of(text)
+    assert recs and all(r["status"] == "pass" for r in recs)
+
+
 def test_construct_transport_unitary(tmp_path):
     code, text = run_main(tmp_path, "construct", "transport-unitary",
                           "--map", fixture("quasiunitary_hq3.json"))

@@ -28,7 +28,7 @@ from orthoset_lab.hermspace import (
     standard_space,
 )
 from orthoset_lab.sampling import left_scalar_map, random_linear_map, random_unitary
-from orthoset_lab.scalars import GaussianRational as GR, RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K
+from orthoset_lab.scalars import GaussianRational as GR, RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K, star_scalar
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
 
 Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
@@ -62,11 +62,156 @@ def test_indefinite_gram_rejected():
         HermitianSpace.create(Q, 2, [[1, 2], [2, 1]])  # det = -3
 
 
-def test_hq_gram_must_be_diagonal():
-    with pytest.raises(CertificateError):
+def test_hq_gram_with_zero_pivot_or_not_hermitian_rejected():
+    with pytest.raises(CertificateError) as err:
         HermitianSpace.create(HQ, 2, [[1, HQ_I], [-HQ_I, 1]])
-    with pytest.raises(CertificateError):
+    assert err.value.witness == {"order": 2, "minor": "0"}
+    with pytest.raises(CertificateError) as err:
         HermitianSpace.create(HQ, 1, [[HQ_I]])
+    assert err.value.witness == {"i": 0, "j": 0}
+
+
+def _det(rows):
+    """Determinant over a commutative field (Q or Qi entries)."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return m[0][0] - m[0][0]
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        p = m[c][c]
+        det = det * p
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / p
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def _minors_witness(gram):
+    """The leading-minors test over Q or Qi, the certificate's oracle: the
+    first order whose minor is not a positive rational, with that minor,
+    or None when all are positive."""
+    for k in range(1, len(gram) + 1):
+        minor = _det([row[:k] for row in gram[:k]])
+        value = minor if isinstance(minor, F) else minor.re
+        if value <= 0 or (not isinstance(minor, F) and minor.im):
+            return {"order": k, "minor": str(minor)}
+    return None
+
+
+def _certificate_witness(sf, gram):
+    try:
+        HermitianSpace.create(sf, len(gram), gram)
+    except CertificateError as exc:
+        return exc.witness
+    return None
+
+
+def _random_hermitian(sf, n, rng):
+    """A random Hermitian matrix: B B* for a full-rank or rank-deficient
+    random B, sometimes with a diagonal entry pushed down, or random
+    entries with a diagonal of either sign."""
+    shape = rng.choice(("full", "singular", "shifted", "entries"))
+    if shape == "entries":
+        g = [[None] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = sf.coerce(F(rng.randint(-2, 6), rng.randint(1, 3)))
+            for j in range(i + 1, n):
+                g[i][j] = sf.random_scalar(rng, 2)
+                g[j][i] = star_scalar(g[i][j])
+        return g
+    r = n if shape != "singular" else rng.randint(0, n - 1)
+    b = [[sf.random_scalar(rng, 3) for _ in range(r)] for _ in range(n)]
+    g = [[sum((b[i][k] * star_scalar(b[j][k]) for k in range(r)),
+              sf.zero()) for j in range(n)] for i in range(n)]
+    if shape == "shifted":
+        k = rng.randrange(n)
+        g[k][k] = g[k][k] - sf.coerce(rng.randint(1, 40))
+    return g
+
+
+@pytest.mark.parametrize("sf", [Q, QI])
+def test_certificate_agrees_with_leading_minors(sf):
+    rng = random.Random(f"ldl:{sf.value}")
+    orders = []
+    for _ in range(400):
+        gram = _random_hermitian(sf, rng.randint(1, 4), rng)
+        got = _certificate_witness(sf, gram)
+        assert got == _minors_witness(gram)
+        orders.append(got and got["order"])
+    # the sample holds accepted matrices and rejections at every order
+    assert set(orders) == {None, 1, 2, 3, 4}
+
+
+def _complex_adjoint(gram):
+    """chi(G) over Qi: each quaternion z1 + z2 j becomes the block
+    [[z1, z2], [-conj z2, conj z1]].  chi is an injective *-homomorphism,
+    so a Hermitian G is positive definite iff chi(G) is (Zhang 1997), and
+    the leading minor of chi(G) of order 2k is the square of the product
+    of the first k pivots of G."""
+    def block(q):
+        z1, z2 = GR(q.a, q.b), GR(q.c, q.d)
+        return [[z1, z2], [-z2.conjugate(), z1.conjugate()]]
+    out = []
+    for row in gram:
+        blocks = [block(q) for q in row]
+        out += [[x for bl in blocks for x in bl[r]] for r in range(2)]
+    return out
+
+
+def test_hq_certificate_agrees_with_the_complex_adjoint():
+    rng = random.Random("ldl:HQ")
+    orders = []
+    for _ in range(200):
+        gram = _random_hermitian(HQ, rng.randint(1, 3), rng)
+        got = _certificate_witness(HQ, gram)
+        chi = _complex_adjoint(gram)
+        oracle = _minors_witness(chi)
+        assert (got is None) == (oracle is None)
+        if got is not None:
+            k = got["order"]
+            assert oracle["order"] == 2 * k - 1
+            minor = F(got["minor"])
+            assert _det([row[:2 * k] for row in chi[:2 * k]]) == minor * minor
+        orders.append(got and got["order"])
+    assert set(orders) == {None, 1, 2, 3}
+
+
+def test_non_diagonal_hq_grams_certify():
+    i, j, k = HQ_I, HQ_J, HQ_K
+    grams = [
+        [[2, i, 0], [-i, 2, j], [0, -j, 3]],
+        [[1, RQ(0, 1, 1, 1)], [RQ(0, -1, -1, -1), 4]],
+        [[3, j, k, 0], [-j, 3, i, k], [-k, -i, 3, j], [0, -k, -j, 3]],
+    ]
+    rng = random.Random("hq-gram")
+    for gram in grams:
+        sp = HermitianSpace.create(HQ, len(gram), gram)
+        for _ in range(20):
+            u = random_vector(sp, rng)
+            norm = herm_form(u, u)
+            assert norm == star_scalar(norm)
+            assert u.is_zero or norm.a > 0
+
+
+def test_singular_and_indefinite_hq_grams_rejected_with_order():
+    i, j = HQ_I, HQ_J
+    cases = [
+        ([[1, i], [-i, 1]], {"order": 2, "minor": "0"}),
+        ([[1, j], [-j, -1]], {"order": 2, "minor": "-2"}),
+        ([[2, i, 0], [-i, 2, j], [0, -j, F(1, 3)]],
+         {"order": 3, "minor": "-1"}),
+        ([[2, i, 0], [-i, 2, j], [0, -j, F(2, 3)]],
+         {"order": 3, "minor": "0"}),
+        ([[0, 0], [0, 1]], {"order": 1, "minor": "0"}),
+    ]
+    for gram, witness in cases:
+        assert _certificate_witness(HQ, gram) == witness
 
 
 # ------------------------------------------------------------------- forms
@@ -246,17 +391,22 @@ def test_adjoint_defining_identity_random(sf):
 
 
 def test_adjoint_between_non_diagonal_gram_spaces(rng):
-    h1 = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
-    h2 = standard_space(Q, 3)
-    for _ in range(8):
-        phi = random_linear_map(h1, h2, rng)
-        adj = adjoint_linear(phi)
-        for i in range(2):
-            for j in range(3):
-                assert herm_form(phi.apply(h1.basis_vector(i)),
-                                 h2.basis_vector(j)) == \
-                    herm_form(h1.basis_vector(i), adj.apply(h2.basis_vector(j)))
-        assert adjoint_linear(adj) == phi
+    hq_gram = HermitianSpace.create(
+        HQ, 3, [[2, HQ_I, 0], [-HQ_I, 2, HQ_J], [0, -HQ_J, 3]])
+    pairs = [(HermitianSpace.create(Q, 2, [[2, 1], [1, 1]]),
+              standard_space(Q, 3)),
+             (HermitianSpace.create(HQ, 2, [[1, HQ_K], [-HQ_K, 3]]), hq_gram)]
+    for h1, h2 in pairs:
+        for _ in range(8):
+            phi = random_linear_map(h1, h2, rng)
+            adj = adjoint_linear(phi)
+            for i in range(h1.dim):
+                for j in range(h2.dim):
+                    assert herm_form(phi.apply(h1.basis_vector(i)),
+                                     h2.basis_vector(j)) == \
+                        herm_form(h1.basis_vector(i),
+                                  adj.apply(h2.basis_vector(j)))
+            assert adjoint_linear(adj) == phi
 
 
 def test_quasiunitary_on_weighted_spaces(rng):
@@ -423,11 +573,13 @@ def test_subspace_canonical_equality():
 
 
 def frame_spaces():
-    """Standard spaces over every sfield, and Q and Qi Gram spaces."""
+    """Standard spaces over every sfield, and a Gram space over each."""
     i = GR(0, 1)
     return [standard_space(sf, 4) for sf in StarSfield] + [
         HermitianSpace.create(Q, 3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]]),
         HermitianSpace.create(QI, 3, [[2, i, 0], [-i, 2, 1], [0, 1, 3]]),
+        HermitianSpace.create(HQ, 3, [[2, HQ_I, 0], [-HQ_I, 2, HQ_J],
+                                      [0, -HQ_J, 3]]),
     ]
 
 

@@ -99,8 +99,8 @@ def test_coords_in_rows_round_trip():
 
 def test_in_row_span_negative():
     rows = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
-    assert linalg.in_row_span(rows, [F(1), F(2), F(0)])
-    assert not linalg.in_row_span(rows, [F(0), F(0), F(1)])
+    assert linalg.coords_in_rows(rows, [F(1), F(2), F(0)]) is not None
+    assert linalg.coords_in_rows(rows, [F(0), F(0), F(1)]) is None
 
 
 def test_matmul_keeps_multiplication_order():

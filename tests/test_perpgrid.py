@@ -22,6 +22,7 @@ from orthoset_lab.orthoset import ProbeSet, Ray, RayMap, ray_of
 from orthoset_lab.perpgrid import PRIME, map_matrix, perp_grid
 from orthoset_lab.sampling import random_linear_map, random_partial_isometry
 from orthoset_lab.scalars import GaussianRational as GR
+from orthoset_lab.scalars import HQ_I, HQ_J
 from orthoset_lab.scalars import RationalQuaternion as RQ
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
 
@@ -43,11 +44,23 @@ def spaces_under_test():
         HermitianSpace.create(StarSfield.QI, 2, [[2, i], [-i, 1]]),
         standard_space(StarSfield.HQ, 3),
         HermitianSpace.create(StarSfield.HQ, 2, [[1, 0], [0, F(5, 2)]]),
+        HermitianSpace.create(StarSfield.HQ, 3, [[2, HQ_I, 0],
+                                                 [-HQ_I, 2, HQ_J],
+                                                 [0, -HQ_J, 3]]),
     ]
 
 
-@pytest.mark.parametrize("space", spaces_under_test(),
-                         ids=lambda s: f"{s.sfield.value}{s.dim}")
+def short_id(space):
+    """Sfield and dimension; a Gram space that shares both with a standard
+    space under test adds "-gram"."""
+    name = f"{space.sfield.value}{space.dim}"
+    standard = standard_space(space.sfield, space.dim)
+    if space != standard and standard in spaces_under_test():
+        return name + "-gram"
+    return name
+
+
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
 def test_grid_matches_pairwise_forms(space):
     rng = random.Random(f"grid:{space.sfield.value}:{space.dim}")
     rows = [random_vector(space, rng) for _ in range(18)]
@@ -60,8 +73,7 @@ def test_grid_matches_pairwise_forms(space):
             assert bool(grid[a, b]) == (not herm_form(u, v))
 
 
-@pytest.mark.parametrize("space", spaces_under_test(),
-                         ids=lambda s: f"{s.sfield.value}{s.dim}")
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
 def test_exact_path_agrees_with_screened_path(space, monkeypatch):
     rng = random.Random("paths")
     rows = [random_vector(space, rng).coords for _ in range(12)]
@@ -95,11 +107,11 @@ def test_zero_rows_and_empty_grids():
 
 
 def larger_spaces():
-    """Dimensions 7 and 8 with the identity Gram and with a non-identity
-    one: tridiagonal for Q and Qi, diagonal for HQ."""
+    """Dimensions 7 and 8 with the identity Gram and with a tridiagonal
+    one."""
     i = GR(0, 1)
     off = {StarSfield.Q: (1, 1), StarSfield.QI: (i, -i),
-           StarSfield.HQ: (0, 0)}
+           StarSfield.HQ: (HQ_J, -HQ_J)}
     spaces = []
     for n in (7, 8):
         for sf in StarSfield:
@@ -205,7 +217,7 @@ def map_cases():
     """Every space under test and every twist its sfield has, into the
     space itself, a larger standard space and a line."""
     for space in spaces_under_test():
-        name = f"{space.sfield.value}{space.dim}"
+        name = short_id(space)
         for t, sigma in enumerate(twists(space.sfield)):
             for m in (space.dim, space.dim + 1, 1):
                 yield pytest.param(space, sigma, m,
@@ -292,8 +304,7 @@ def test_oracle_maps_loop_through_the_memo():
         assert [x for batch in calls for x in batch] == rays
 
 
-@pytest.mark.parametrize("space", spaces_under_test(),
-                         ids=lambda s: f"{s.sfield.value}{s.dim}")
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
 def test_batched_and_per_ray_oracles_agree(space):
     """A map given as a batch oracle and as a per-ray oracle yields the
     same rays, on the zero ray, duplicates, memo hits and the empty batch;
