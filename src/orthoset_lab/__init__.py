@@ -53,6 +53,7 @@ from .orthoset import (
     ray_map_rank,
     ray_of,
     ray_perp,
+    rays_of,
     verify_adjoint_pair,
 )
 from .correspondence import (

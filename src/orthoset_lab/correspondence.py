@@ -56,8 +56,8 @@ from .orthoset import (
     probe_rays_in,
     ray_grid,
     ray_map_rank,
-    ray_of,
     ray_payload,
+    rays_of,
     verify_adjoint_pair,
 )
 from .reports import ReportRecord, passed
@@ -355,13 +355,11 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     n_sub = k_sub.orthocomplement()
     us = list(k_sub.orthogonal_basis)
     gens = h1.sfield.generators() if len(us) > 1 else ()
-    kernel_rays = [ray_of(v) for v in n_sub.basis]
-    u_rays = [ray_of(u) for u in us]
-    parts = (kernel_rays, u_rays, [ray_of(us[0] + u) for u in us[1:]],
-             [ray_of(us[0] + g * us[1]) for g in gens])
-    images = iter(f.apply_many([x for part in parts for x in part]))
-    f_kernel, f_u, f_sum, f_gen = (list(islice(images, len(part)))
-                                   for part in parts)
+    parts = (list(n_sub.basis), us, [us[0] + u for u in us[1:]],
+             [us[0] + g * us[1] for g in gens])
+    rays = rays_of(h1, [v for part in parts for v in part])
+    kernel_rays, u_rays, _, _ = _split(rays, parts)
+    f_kernel, f_u, f_sum, f_gen = _split(f.apply_many(rays), parts)
 
     # the kernel must actually be killed, and zero-image probes must agree
     for x, y in zip(kernel_rays, f_kernel):
@@ -439,6 +437,12 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         check="coordinatize/probe-match", status="pass",
         detail={"probes": len(list(probes))}))
     return CoordinatizationResult(phi, sigma, records)
+
+
+def _split(items, parts) -> list[list]:
+    """items cut into consecutive lists as long as the parts."""
+    it = iter(items)
+    return [list(islice(it, len(part))) for part in parts]
 
 
 def wigner_reconstruct(f: RayMap, f_inv: RayMap | None,
@@ -553,7 +557,7 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
             (f, n1, "map does not vanish on the orthocomplement of im f*"),
             (f_adj, n2,
              "adjoint does not vanish on the orthocomplement of im f")):
-        rays = [ray_of(v) for v in n.basis]
+        rays = rays_of(n.space, n.basis)
         for x, y in zip(rays, g.apply_many(rays)):
             if not y.is_zero:
                 raise NotPartialOrthometryError(

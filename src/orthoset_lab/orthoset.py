@@ -3,23 +3,31 @@
 A ray is an at-most-one-dimensional left subspace: either the zero element
 or a line with a canonical representative whose first nonzero coordinate is
 1 (achieved by left multiplication, so it is well defined for left spans).
-Orthogonality of rays is orthogonality of representatives, with the zero
-element orthogonal to everything.
+A `Ray` holds that representative as one primitive integer row: the
+canonical row times the lcm of its denominators, its k component planes
+flattened into k * n ints.  The row is unique for the ray, so equality,
+hashing, ray maps and grids all run on ints; the representative as a
+Vector of scalars (`rep`, `coords()`, the text of `repr` and of
+`ray_payload`) is built from the row only on first use, one scalar and
+one gcd per coordinate.  Orthogonality of rays is orthogonality of
+representatives, with the zero element orthogonal to everything.
 
 The ray universe of a space over any of our sfields is infinite, so the
 universally quantified checks in this module run over ProbeSets: finite,
 reproducible, seed-determined families of rays that always contain the zero
-ray and all standard basis rays.
+ray and all standard basis rays.  Probe sets, like every other family of
+rays the package builds, are canonicalized in one `rays_of` batch.
 
 Ray maps induced by a semilinear map are evaluated by the batched exact
-kernel of `perpgrid`: `RayMap.apply_many` turns the rays into integer
-component planes, multiplies them with one integer matrix that holds the
-map's matrix and its twist (a k x k integer matrix on a scalar's
-components), and canonicalizes every image with one gcd per coordinate.
-The rays are the ones `ray_of(phi.apply(u))` gives.  On the `wigner`
-benchmark, 57 Wigner round trips on 256-probe sets, a round went from
-9.3 s to 4.1 s this way (median of ten paired runs, 2-core host,
-Python 3.11).  An oracle map is a batch function on rays, so both kinds
+kernel of `perpgrid`: `RayMap.apply_many` multiplies the rays' rows with
+one integer matrix that holds the map's matrix and its twist (a k x k
+integer matrix on a scalar's components) and canonicalizes every image
+row with one gcd, building no scalar object.  The rays are the ones
+`ray_of(phi.apply(u))` gives, which the tests keep as the reference.  On
+the `wigner` benchmark, 57 Wigner round trips on 256-probe sets, a round
+went from 9.3 s to 4.1 s with the batched kernel on scalar rays, and
+from 4.2 s to 2.7 s with rays held as rows (medians of ten paired runs
+each, 2-core host, Python 3.11).  An oracle map is a batch function on rays, so both kinds
 of map are evaluated the same way: the new rays of a batch are mapped in
 one call, and every map memoizes its images.
 """
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -42,49 +51,91 @@ from .hermspace import (
     herm_form,
     random_nonzero_vector,
 )
-from .perpgrid import image_rows, map_matrix, perp_grid
+from .perpgrid import image_rows, map_matrix, ray_rows, row_grid
 from .reports import ReportRecord
-from .scalars import inv_scalar
+from .starfields import StarSfield
 
 
-@dataclass(frozen=True)
 class Ray:
-    space: HermitianSpace
-    rep: Vector | None  # None encodes the zero element
+    """A ray of a space, held as its primitive integer row.
 
-    def __post_init__(self):
-        if self.rep is not None and self.rep.space != self.space:
-            raise InputError("representative lives in a different space")
+    The row is the canonical representative (first nonzero coordinate 1)
+    times the lcm of its denominators: the k component planes of the
+    coordinates, each of length n, one after the other, as one tuple of
+    k * n ints.  It is unique for the ray, so equality and hashing run on
+    (space, row) without scalar objects; the zero ray's row is all zeros.
+    Build rays with `rays_of`, `ray_of` or `Ray.zero`.  `rep`, the
+    representative as a Vector of scalars, is built from the row on first
+    use, one scalar per coordinate with one gcd each, and then kept."""
+
+    __slots__ = ("space", "row", "_hash", "_rep")
+
+    def __init__(self, space: HermitianSpace, row: tuple):
+        self.space = space
+        self.row = row
+        self._hash = None
+        self._rep = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Ray):
+            return NotImplemented
+        return self.row == other.row and (
+            self.space is other.space or self.space == other.space)
 
     def __hash__(self):
-        return hash(self.rep)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.space, self.row))
+        return h
 
     @classmethod
     def zero(cls, space: HermitianSpace) -> "Ray":
-        return cls(space, None)
+        return cls(space, (0,) * (len(space.sfield.basis()) * space.dim))
 
     @property
     def is_zero(self) -> bool:
-        return self.rep is None
+        return not any(self.row)
+
+    @property
+    def rep(self) -> Vector | None:
+        """The canonical representative; None for the zero ray."""
+        if self._rep is None and not self.is_zero:
+            space, row = self.space, self.row
+            n = space.dim
+            den = next(x for x in row[:n] if x)  # the pivot's real part
+            if space.sfield is StarSfield.Q:
+                coords = tuple(Fraction(x, den) for x in row)
+            else:
+                raw = space.sfield.scalar_type._raw
+                coords = tuple(raw(*comps, den) for comps in zip(
+                    *(row[c:c + n] for c in range(0, len(row), n))))
+            self._rep = Vector(space, coords)
+        return self._rep
 
     def coords(self) -> tuple:
         """Coordinates of the representative; all zeros for the zero ray."""
-        if self.rep is None:
+        if self.is_zero:
             return tuple(self.space.sfield.zero() for _ in range(self.space.dim))
         return self.rep.coords
 
     def __repr__(self):
-        if self.rep is None:
+        if self.is_zero:
             return "Ray(ZERO)"
         return f"Ray({', '.join(str(c) for c in self.rep.coords)})"
 
 
+def rays_of(space: HermitianSpace, vectors) -> list[Ray]:
+    """The rays spanned by vectors of space, canonicalized in one batch."""
+    vectors = list(vectors)
+    if any(s != space for s in {v.space for v in vectors}):
+        raise InputError("vector lives in a different space")
+    rows = ray_rows(space.sfield, [v.coords for v in vectors], space.dim)
+    return [Ray(space, row) for row in rows]
+
+
 def ray_of(u: Vector) -> Ray:
     """The ray spanned by u, canonically represented."""
-    for alpha in u.coords:
-        if alpha:
-            return Ray(u.space, inv_scalar(alpha) * u)
-    return Ray.zero(u.space)
+    return rays_of(u.space, [u])[0]
 
 
 def ray_perp(x: Ray, y: Ray) -> bool:
@@ -173,10 +224,8 @@ class RayMap:
     def _induced(self, rays) -> list[Ray]:
         """The images of rays under the induced map, by one batch."""
         cod = self.codomain
-        rows = image_rows(cod.sfield, self._int_matrix,
-                          [x.coords() for x in rays], self.domain.dim)
-        return [Ray.zero(cod) if row is None else Ray(cod, Vector(cod, row))
-                for row in rows]
+        rows = image_rows(cod.sfield, self._int_matrix, [x.row for x in rays])
+        return [Ray(cod, row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -203,11 +252,11 @@ class ProbeSet:
 
 @lru_cache(maxsize=256)
 def _generate_probes(space: HermitianSpace, seed: int, count: int) -> ProbeSet:
-    rays = [Ray.zero(space)]
-    rays.extend(ray_of(space.basis_vector(i)) for i in range(space.dim))
+    vectors = space.basis()
     rng = random.Random(f"probes:{space.sfield.value}:{space.dim}:{seed}")
-    while len(rays) < count and space.dim > 0:
-        rays.append(ray_of(random_nonzero_vector(space, rng)))
+    while len(vectors) + 1 < count and space.dim > 0:
+        vectors.append(random_nonzero_vector(space, rng))
+    rays = [Ray.zero(space)] + rays_of(space, vectors)
     return ProbeSet(space, seed, count, tuple(rays))
 
 
@@ -215,24 +264,22 @@ def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ra
     """Probe rays inside a subspace: its basis rays plus random left
     combinations of the basis, reproducible from the seed."""
     space = subspace.space
-    rays = [Ray.zero(space)]
-    rays.extend(ray_of(v) for v in subspace.basis)
+    vectors = list(subspace.basis)
     rng = random.Random(f"subprobes:{space.sfield.value}:{subspace.dim}:{seed}")
     sf = space.sfield
-    while len(rays) < count and subspace.dim > 0:
+    while len(vectors) + 1 < count and subspace.dim > 0:
         v = space.zero_vector()
         while v.is_zero:
             v = space.zero_vector()
             for b in subspace.basis:
                 v = v + sf.random_scalar(rng) * b
-        rays.append(ray_of(v))
-    return rays
+        vectors.append(v)
+    return [Ray.zero(space)] + rays_of(space, vectors)
 
 
 def ray_grid(space: HermitianSpace, rays_a, rays_b):
     """Exact orthogonality grid over two ray families."""
-    return perp_grid(space, [r.coords() for r in rays_a],
-                     [r.coords() for r in rays_b])
+    return row_grid(space, [r.row for r in rays_a], [r.row for r in rays_b])
 
 
 def check_axioms(space: HermitianSpace, probes: ProbeSet) -> list[ReportRecord]:

@@ -29,28 +29,32 @@ every dimension takes the screen.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips
 the screen and confirms every pair; `benchmarks/grid_bench.py` compares the
 two paths.
 
-The same planes carry induced ray maps (`map_matrix`, `image_rows`).  A
+The same planes carry rays and induced ray maps.  A ray is held as its
+primitive integer row (`orthoset.Ray`): an integer row y of the ray with
+pivot P, its first nonzero coordinate, becomes star(P) y, which is N(P)
+times the canonical row P^-1 y, divided by the gcd of its entries.  One
+canonicalizer, `_primitive_rows`, serves coordinate rows (`ray_rows`)
+and map images (`image_rows`), one gcd per row and no scalar object.  A
 semilinear map sends the row x to sigma(x) M.  On a scalar's components
 the twist sigma is a k x k integer matrix: the identity for id, a negated
 i-plane for conjugation, and a -> q a star(q) on q's integer components
 for inner(q), which is q a q^-1 times the positive rational N(q).  With
-the product table it folds into one (k n) x (k m) integer matrix per map,
-so a batch of rows, as flattened planes, is mapped by one matrix product.
-Each image row y is then divided on the left by its pivot P, its first
-nonzero coordinate, as star(P) y / N(P): star(P) acts as a k x k matrix
-read off the same table, and each coordinate costs one gcd.  All of it
-runs on Python ints, whose height is unbounded: a map's matrix shares the
-lcm of all its denominators and easily passes 2**63.  Through `RayMap`, on
-256 probe rays of a random quasiunitary map at dimension 5 (2-core host,
-Python 3.11), a ray costs about 20-25 us for Q, 45-60 us for Qi and
-110-120 us for HQ in one batch, and 70, 135-155 and 180-185 us alone,
-where ray_of(phi.apply(u)) takes 200, 200-300 and 320-460 us.
+the product table it folds into one (k n) x (k m) integer matrix per map
+(`map_matrix`), so a batch of rays' rows is mapped by one matrix product
+and canonicalized in one call.  Grids of rays (`row_grid`) take the same
+rows as planes without re-integerizing them.  All of it runs on Python
+ints, whose height is unbounded: a map's matrix shares the lcm of all its
+denominators and easily passes 2**63.  Through `RayMap`, on 255 probe
+rays of a random quasiunitary map at dimension 5 (2-core host, Python
+3.11), a ray costs about 6 us for Q, 19 us for Qi and 64 us for HQ in one
+batch, and 50, 65-70 and 100-105 us alone, where ray_of(phi.apply(u))
+takes 200-300 us for Q and Qi and 400-500 us for HQ.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -175,12 +179,11 @@ def _exact_zero(tables, u, gram, v, ii, jj):
 def map_matrix(phi):
     """The semilinear map phi as one integer matrix K on flattened planes:
     a row x, as its (k, n) component planes read row by row, goes to the
-    (k, m) planes of a positive rational multiple of phi(x), as x K.  None
-    when the domain or the codomain is the zero space."""
+    (k, m) planes of a positive rational multiple of phi(x), as x K."""
     sf, n, m = phi.domain.sfield, phi.domain.dim, phi.codomain.dim
-    if n == 0 or m == 0:
-        return None
     basis = sf.basis()
+    if n == 0 or m == 0:
+        return np.zeros((len(basis) * n, len(basis) * m), dtype=object)
     mat = _matrix_planes(sf, phi.matrix, n, m)
     # twist[a, b] is component a of sigma(e_b) times a positive integer:
     # the identity for id, a negated i-plane for conj, q e_b star(q) up to
@@ -207,48 +210,67 @@ def _star_left(sfield: StarSfield):
     return index, sign
 
 
-def image_rows(sfield: StarSfield, matrix, rows, n: int):
-    """The images of coordinate rows under the map whose `map_matrix` is
-    matrix, each canonical (first nonzero coordinate 1) or None for a zero
-    image.
+def _width(sfield: StarSfield) -> int:
+    """k, the number of rational components of a scalar."""
+    return len(_tables(sfield)[0])
 
-    The rows become integer planes and their images one integer matrix
-    product; every factor dropped along the way is a
-    positive rational, which changes no ray.  A row's image y with pivot
-    P, its first nonzero coordinate, is then P^-1 y = star(P) y / N(P),
-    one gcd per coordinate."""
-    if matrix is None or not rows:
-        return [None] * len(rows)
-    x = _planes(sfield, rows, n)
-    k, count = x.shape[:2]
-    y = x.transpose(1, 0, 2).reshape(count, -1) @ matrix
-    y = y.reshape(count, k, -1)
-    del x
+
+def _primitive_rows(sfield: StarSfield, y):
+    """The rays of integer rows, given as (count, k, n) planes, each as its
+    primitive row (`orthoset.Ray.row`): star(P) y for the row's pivot P, its
+    first nonzero coordinate, divided by the gcd of its entries.  star(P) y
+    is N(P) times the canonical row P^-1 y, so this is the canonical row
+    times the lcm of its denominators, one gcd per row.  A zero row stays
+    zero."""
+    count, k, n = y.shape
+    if not n:
+        return [()] * count
     nonzero = (y != 0).any(axis=1)
-    live = nonzero.any(axis=1).tolist()
     pivot = y[np.arange(count), :, nonzero.argmax(axis=1)]
-    if sfield is StarSfield.Q:
-        nums, dens = y[:, 0].tolist(), pivot[:, 0].tolist()
-        make = Fraction
-    else:
-        index, sign = _star_left(sfield)
-        left = pivot[:, index] * sign
-        nums = (left @ y).transpose(0, 2, 1).tolist()
-        # component 0 of star(P) P is N(P)
-        dens = (left[:, 0] * pivot).sum(axis=1).tolist()
-        raw = sfield.scalar_type._raw
-        del left
+    index, sign = _star_left(sfield)
+    z = ((pivot[:, index] * sign) @ y).reshape(count, k * n)
+    g = np.array([math.gcd(*row) or 1 for row in z.tolist()], dtype=object)
+    return list(map(tuple, (z // g[:, None]).tolist()))
 
-        def make(comps, den):
-            return raw(*comps, den)
-    del y, pivot
-    return [tuple(make(c, den) for c in row) if ok else None
-            for row, den, ok in zip(nums, dens, live)]
+
+def ray_rows(sfield: StarSfield, rows, n: int):
+    """The primitive rows of the rays spanned by coordinate rows, in one
+    batch."""
+    if not rows or not n:
+        return [()] * len(rows)
+    return _primitive_rows(sfield, _planes(sfield, rows, n).transpose(1, 0, 2))
+
+
+def image_rows(sfield: StarSfield, matrix, rows):
+    """The primitive rows of the images of rays under the map whose
+    `map_matrix` is matrix, given the rays' primitive rows.  The images are
+    one integer matrix product; every factor dropped along the way is a
+    positive rational, which changes no ray."""
+    if not rows:
+        return []
+    k = _width(sfield)
+    y = np.array(rows, dtype=object) @ matrix
+    return _primitive_rows(sfield,
+                           y.reshape(len(rows), k, matrix.shape[1] // k))
 
 
 def perp_grid(space, rows_a, rows_b):
     """Boolean matrix of exact orthogonality for all pairs of coordinate
     rows; entry [i][j] is True iff <rows_a[i], rows_b[j]> = 0."""
+    return _grid(space, rows_a, rows_b,
+                 lambda rows: _planes(space.sfield, rows, space.dim))
+
+
+def row_grid(space, rows_a, rows_b):
+    """perp_grid on integer rows as `orthoset.Ray.row` holds them: the k
+    component planes of a row, each of length n, one after the other."""
+    k, n = _width(space.sfield), space.dim
+    return _grid(space, rows_a, rows_b, lambda rows: np.array(
+        rows, dtype=object).reshape(len(rows), k, n).transpose(1, 0, 2))
+
+
+def _grid(space, rows_a, rows_b, planes):
+    """The grid kernel on the rows' (k, rows, n) integer planes."""
     na, nb = len(rows_a), len(rows_b)
     if space.dim == 0:
         return np.ones((na, nb), dtype=bool)
@@ -256,8 +278,7 @@ def perp_grid(space, rows_a, rows_b):
         return np.zeros((na, nb), dtype=bool)
     tables = _tables(space.sfield)
     gram, gram_residues = _int_gram(space)
-    u = _planes(space.sfield, rows_a, space.dim)
-    v = _planes(space.sfield, rows_b, space.dim)
+    u, v = planes(rows_a), planes(rows_b)
     if _use_exact_path():
         grid = np.ones((na, nb), dtype=bool)
     else:

@@ -72,6 +72,14 @@ def space_to_json(space: HermitianSpace) -> dict:
     return obj
 
 
+def _rows(rows, what: str) -> list:
+    """A JSON list of lists: the rows of a Gram matrix, of map images or of
+    a basis."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ParseError(f"{what} must be a list of lists")
+    return rows
+
+
 def space_from_json(obj) -> HermitianSpace:
     try:
         sf = sfield_from_json(obj["sfield"])
@@ -81,7 +89,8 @@ def space_from_json(obj) -> HermitianSpace:
         raise ParseError(f"bad space object: {exc}") from exc
     if gram is None:
         return HermitianSpace.create(sf, dim)
-    rows = [[scalar_from_json(x, sf) for x in row] for row in gram]
+    rows = [[scalar_from_json(x, sf) for x in row]
+            for row in _rows(gram, "gram")]
     return HermitianSpace.create(sf, dim, rows)
 
 
@@ -133,7 +142,7 @@ def map_from_json(obj) -> tuple[SemilinearMap, SemilinearMap | None]:
         domain = space_from_json(obj["domain"])
         codomain = space_from_json(obj["codomain"])
         sigma = morphism_from_json(obj["sigma"], domain.sfield)
-        rows = obj["images"]
+        rows = _rows(obj["images"], "images")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad map object: {exc}") from exc
     if len(rows) != domain.dim:
@@ -144,7 +153,7 @@ def map_from_json(obj) -> tuple[SemilinearMap, SemilinearMap | None]:
     phi = SemilinearMap(domain, codomain, sigma, images)
     claimed = None
     if "adjoint_images" in obj:
-        arows = obj["adjoint_images"]
+        arows = _rows(obj["adjoint_images"], "adjoint_images")
         if len(arows) != codomain.dim:
             raise ParseError("adjoint image count does not match")
         aimages = tuple(
@@ -170,7 +179,7 @@ def basis_vectors_from_json(obj) -> tuple[HermitianSpace, list[Vector]]:
     gram_schmidt-style constructions need the rows as given."""
     try:
         space = space_from_json(obj["space"])
-        rows = obj["basis"]
+        rows = _rows(obj["basis"], "basis")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad subspace object: {exc}") from exc
     vectors = [space.vector([scalar_from_json(x, space.sfield) for x in row])
@@ -223,6 +232,6 @@ def load_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return loads(text, path)

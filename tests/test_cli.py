@@ -281,7 +281,8 @@ MINUS_J = {"a": "0", "b": "0", "c": "-1", "d": "0"}
     ({"sfield": "HQ", "dim": 2, "gram": [["1", QUATERNION_J],
                                          [MINUS_J, "-1"]]},
      "CertificateError"),
-], ids=["numeric-gram-entry", "indefinite-hq"])
+    ({"sfield": "Q", "dim": 2, "gram": 5}, "ParseError"),
+], ids=["numeric-gram-entry", "indefinite-hq", "gram-not-a-list"])
 def test_verify_bad_space_file_is_load_error(tmp_path, space, error):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space))
@@ -291,6 +292,35 @@ def test_verify_bad_space_file_is_load_error(tmp_path, space, error):
     rec, = records_of(text)
     assert rec["check"] == "load" and rec["status"] == "error"
     assert rec["witness"]["error"] == error
+
+
+Q2 = {"sfield": "Q", "dim": 2}
+MAP_Q2 = {"domain": Q2, "codomain": Q2, "sigma": {"kind": "id"},
+          "images": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("argv, option, content", [
+    (["verify", "--suite", "adjoint"], "--map",
+     json.dumps(dict(MAP_Q2, images=7))),
+    (["verify", "--suite", "adjoint"], "--map",
+     json.dumps(dict(MAP_Q2, adjoint_images=[7, 7]))),
+    (["construct", "gram-schmidt"], "--subspace",
+     json.dumps({"space": Q2, "basis": 7})),
+    (["verify", "--suite", "axioms"], "--space", b"\xff\xfe\x00"),
+], ids=["map-images", "map-adjoint-images", "subspace-basis", "not-utf8"])
+def test_malformed_input_file_is_load_error(tmp_path, argv, option, content):
+    """Containers of the wrong shape and bytes that are not UTF-8 are input
+    errors, not crashes."""
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, text = run_main(tmp_path, *argv, option, str(path))
+    assert code == 2
+    rec, = records_of(text)
+    assert rec["check"] == "load" and rec["status"] == "error"
+    assert rec["witness"]["error"] == "ParseError"
 
 
 def test_verify_axioms_on_non_diagonal_hq_space(tmp_path):

@@ -527,9 +527,9 @@ def test_partial_wigner_maps_rays_in_batches(monkeypatch):
     kernel; applied one ray at a time, this run took 137 kernel calls."""
     calls = []
 
-    def counted(sfield, matrix, rows, n):
+    def counted(sfield, matrix, rows):
         calls.append(len(rows))
-        return image_rows(sfield, matrix, rows, n)
+        return image_rows(sfield, matrix, rows)
 
     monkeypatch.setattr(orthoset, "image_rows", counted)
     q5 = standard_space(Q, 5)

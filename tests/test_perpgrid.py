@@ -3,6 +3,7 @@ evaluation pair by pair, on every sfield, whatever the path taken; the
 batched kernel of induced ray maps must give exactly the rays of the
 scalar path, ray_of(phi.apply(x.rep)), on every sfield and twist."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,12 +19,21 @@ from orthoset_lab.hermspace import (
     random_vector,
     standard_space,
 )
-from orthoset_lab.orthoset import ProbeSet, Ray, RayMap, ray_of
+from orthoset_lab import serialize as sz
+from orthoset_lab.orthoset import (
+    ProbeSet,
+    Ray,
+    RayMap,
+    ray_of,
+    ray_payload,
+    rays_of,
+)
 from orthoset_lab.perpgrid import PRIME, map_matrix, perp_grid
 from orthoset_lab.sampling import random_linear_map, random_partial_isometry
 from orthoset_lab.scalars import GaussianRational as GR
 from orthoset_lab.scalars import HQ_I, HQ_J
 from orthoset_lab.scalars import RationalQuaternion as RQ
+from orthoset_lab.scalars import inv_scalar
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
 
 Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
@@ -272,6 +282,107 @@ def test_apply_many_fills_and_reads_the_memo():
     assert out[4] is fx and out[-1] is fx
     assert out[7] is out[-2] is f(y)
     assert all(f(r) is img for r, img in zip(rays, out))
+
+
+def huge_scalar(sf, rng):
+    """A nonzero scalar whose numerators and denominators pass 2**63."""
+    def part():
+        return F(rng.randint(2 ** 64, 2 ** 70) * rng.choice((1, -1)),
+                 rng.randint(2 ** 63, 2 ** 66))
+    if sf is Q:
+        return part()
+    if sf is QI:
+        return GR(part(), part())
+    return RQ(part(), part(), part(), part())
+
+
+def oracle_rep(u):
+    """The representative as rays were built from scalars: the vector
+    divided on the left by its first nonzero coordinate."""
+    for alpha in u.coords:
+        if alpha:
+            return inv_scalar(alpha) * u
+    return None
+
+
+def oracle_row(rep):
+    """The representative's component planes times the lcm of its
+    denominators, flattened plane by plane."""
+    sf = rep.space.sfield
+    comps = [[F(c)] if sf is Q else
+             [F(x, c.denominator_int()) for x in c.component_ints()]
+             for c in rep.coords]
+    den = math.lcm(*(x.denominator for cs in comps for x in cs))
+    return tuple(int(cs[p] * den) for p in range(len(comps[0]))
+                 for cs in comps)
+
+
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
+def test_ray_rows_match_the_scalar_oracle(space):
+    """Rays held as primitive integer rows: u and c u give one ray and one
+    hash, and rep, repr, ray_payload and ray_to_json equal those of the
+    scalar representative inv(pivot) u, also past 2**63."""
+    sf = space.sfield
+    rng = random.Random(f"rayrows:{short_id(space)}")
+    vectors = [random_vector(space, rng) for _ in range(12)]
+    vectors += [space.vector([huge_scalar(sf, rng) if rng.random() < 0.7
+                              else 0 for _ in range(space.dim)])
+                for _ in range(6)]
+    vectors += [space.zero_vector(), space.basis_vector(space.dim - 1)]
+    scales = [sf.random_nonzero_scalar(rng) if t % 2 else huge_scalar(sf, rng)
+              for t in range(len(vectors))]
+    multiples = [c * u for c, u in zip(scales, vectors)]
+    rays = rays_of(space, vectors)
+    assert rays_of(space, multiples) == rays
+    for u, x, y in zip(vectors, rays, rays_of(space, multiples)):
+        assert x == y and hash(x) == hash(y) and x == ray_of(u)
+        rep = oracle_rep(u)
+        assert x.rep == rep
+        if rep is None:
+            assert x.is_zero and not any(x.row)
+            assert repr(x) == "Ray(ZERO)" and ray_payload(x) == "zero"
+            assert sz.ray_to_json(x)["rep"] == "zero"
+            continue
+        assert x.row == oracle_row(rep)
+        assert repr(x) == f"Ray({', '.join(str(c) for c in rep.coords)})"
+        assert ray_payload(x) == [str(c) for c in rep.coords]
+        assert sz.ray_to_json(x) == {
+            "space": sz.space_to_json(space),
+            "rep": [sz.scalar_to_json(c) for c in rep.coords]}
+    assert any(abs(v) > 2 ** 63 for x in rays for v in x.row)
+    with pytest.raises(InputError):
+        rays_of(space, vectors[:1] + [standard_space(sf, space.dim + 1)
+                                      .basis_vector(0)])
+
+
+def test_apply_many_builds_no_scalars(monkeypatch):
+    """The map kernel reads the rays' integer rows and returns integer rows:
+    a batch of Qi and HQ probe rays is mapped, memoized and compared
+    without one scalar object."""
+    made = []
+    for cls in (GR, RQ):
+        raw = cls.__dict__["_raw"].__func__
+
+        def counted(c, *args, raw=raw):
+            made.append(c.__name__)
+            return raw(c, *args)
+
+        monkeypatch.setattr(cls, "_raw", classmethod(counted))
+    rng = random.Random("apply_many:no-scalars")
+    for space in spaces_under_test():
+        if space.sfield is Q:
+            continue
+        sigma = list(twists(space.sfield))[-1]
+        phi = SemilinearMap(space, space, sigma, tuple(
+            random_vector(space, rng) for _ in range(space.dim)))
+        rays = list(ProbeSet.generate(space, seed=4, count=64))
+        f = induce(phi)
+        f(rays[0])  # builds the map's integer matrix
+        del made[:]
+        images = f.apply_many(rays)
+        assert f.apply_many(rays) == images
+        assert made == []
+        assert_same_rays(images, reference(phi, rays))
 
 
 def per_ray_oracle(space, fn, calls):

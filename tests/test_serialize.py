@@ -135,3 +135,6 @@ def test_load_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         sz.load_file(str(bad))
+    bad.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError):
+        sz.load_file(str(bad))
