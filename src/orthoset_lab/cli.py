@@ -4,10 +4,10 @@ Two subcommands: `verify` runs a named suite and emits line-delimited
 report records; `construct` runs a single constructive operation on file
 inputs and emits its serialized output followed by a self-verification
 report.  Exit codes: 0 all checks pass, 1 any check failed or errored,
-2 inputs failed to parse or certify, or were given to a suite or
-construction that does not read them, 3 a check hit an internal error, a
-bug in the program rather than a failed law.  Reports are
-byte-deterministic for fixed inputs and seed.
+2 inputs failed to parse or certify, were given to a suite or
+construction that does not read them, or asked for fewer than one probe,
+3 a check hit an internal error, a bug in the program rather than a
+failed law.  Reports are byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -100,6 +100,11 @@ def _reject_unread(given: dict, reads, what: str) -> None:
             raise InputError(f"{what} does not read --{name}")
 
 
+def _reject_no_probes(count: int) -> None:
+    if count < 1:
+        raise InputError(f"--probes must be at least 1, got {count}")
+
+
 def _load_map(args):
     if not args.map_path:
         return None, None
@@ -116,6 +121,7 @@ def _load_failed(exc, args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        _reject_no_probes(args.probes)
         _reject_unread({"space": args.space, "map": args.map_path,
                         "subspace": args.subspace},
                        SUITE_INPUTS[args.suite], f"suite {args.suite!r}")
@@ -135,6 +141,7 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
+        _reject_no_probes(args.probes)
         _reject_unread({"map": args.map_path, "subspace": args.subspace,
                         "vector": args.vector},
                        CONSTRUCT_INPUTS[args.kind],

@@ -3,9 +3,9 @@
 One direction is easy: a semilinear map phi induces the ray map sending
 <u> to <phi(u)>.  The other direction is constructive coordinatization:
 given a ray map known to be adjointable (with its adjoint supplied and
-probe-verified, or known injective, or arriving with an explicit kernel
-complement), rebuild a semilinear map that induces it, classify its sfield
-twist, and certify the result against every probe.  On top of that sit the
+probe-verified, or known injective), rebuild a semilinear map that
+induces it, classify its sfield twist, and certify the result against
+every probe.  On top of that sit the
 orthometric specialisations: extraction of the form scale factor of an
 orthogonality-preserving map, re-coordinatizations that turn quasi-maps
 into honestly linear or unitary ones, and the kernel/image decomposition
@@ -309,15 +309,13 @@ def _classify_twist(sfield: StarSfield, generator_images) -> SfieldMorphism:
 def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
                  probes: ProbeSet, adjoint: RayMap | None = None,
                  injective: bool = False,
-                 kernel_complement: Subspace | None = None,
                  probes2: ProbeSet | None = None) -> CoordinatizationResult:
     """Rebuild a semilinear map phi with P(phi) = f.
 
-    The caller must justify adjointability one of three ways: supply the
-    adjoint oracle (verified here on probes), declare the map injective
-    (orthoisomorphism pipelines), or hand over the orthocomplement of the
-    kernel directly (partial orthometry pipelines).  Probing alone cannot
-    find the kernel of an arbitrary oracle: random rays miss a proper
+    The caller must justify adjointability one of two ways: supply the
+    adjoint oracle (verified here on probes; partial maps need this), or
+    declare the map injective (orthoisomorphism pipelines).  Probing alone
+    cannot find the kernel of an arbitrary oracle: random rays miss a proper
     subspace, so zero-image probes only corroborate, and the kernel is
     derived from the adjoint's image closure, which the theory makes exact.
 
@@ -342,13 +340,10 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
             raise InputError("claimed adjoint fails on probes",
                              witness=pair[0].witness)
         k_sub = perp_closure(adjoint.apply_many(probes2))
-    elif kernel_complement is not None:
-        k_sub = kernel_complement
     elif injective:
         k_sub = Subspace.full(h1)
     else:
-        raise InputError("need an adjoint oracle, injectivity, or an "
-                         "explicit kernel complement")
+        raise InputError("need an adjoint oracle or injectivity")
 
     # one batch: the kernel's basis rays, the complement's orthogonal basis
     # us, the sum rays us[0] + us[i] and the generator-scaled us[0] + g us[1]

@@ -381,23 +381,15 @@ class SubspaceFrame:
 
 def dual_representative(space: HermitianSpace, rho) -> Vector:
     """The vector w with <u, w> = rho(u) for the functional
-    rho(u) = sum_i u_i * rho_i."""
-    rho = [space.sfield.coerce(x) for x in rho]
-    if len(rho) != space.dim:
+    rho(u) = sum_i u_i * rho_i: the adjoint of rho, a linear map into the
+    standard line, at that line's basis vector."""
+    line = standard_space(space.sfield, 1)
+    images = tuple(line.vector([x]) for x in rho)
+    if len(images) != space.dim:
         raise InputError("functional coefficient count does not match")
-    if not any(rho):
-        return space.zero_vector()
-    kernel = linalg.left_kernel([[x] for x in rho])
-    ker_sub = Subspace.from_vectors(space, [space.vector(r) for r in kernel])
-    line = ker_sub.orthocomplement()
-    assert line.dim == 1
-    x0 = line.basis[0]
-    rho_x0 = None
-    for c, r in zip(x0.coords, rho):
-        term = c * r
-        rho_x0 = term if rho_x0 is None else rho_x0 + term
-    x = inv_scalar(rho_x0) * x0
-    return inv_scalar(herm_form(x, x)) * x
+    rho_map = SemilinearMap(space, line, SfieldMorphism.identity(space.sfield),
+                            images)
+    return adjoint_linear(rho_map).apply(line.basis_vector(0))
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ class Ray:
                 coords = tuple(Fraction(x, den) for x in row)
             else:
                 raw = space.sfield.scalar_type._raw
-                coords = tuple(raw(*comps, den) for comps in zip(
+                coords = tuple(raw(comps, den) for comps in zip(
                     *(row[c:c + n] for c in range(0, len(row), n))))
             self._rep = Vector(space, coords)
         return self._rep

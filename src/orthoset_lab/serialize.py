@@ -1,4 +1,4 @@
-"""JSON file formats for spaces, maps, subspaces, rays and probe specs.
+"""JSON file formats for spaces, maps, subspaces and rays.
 
 Scalar text syntax: rationals are "p/q" or "p"; Gaussian rationals are
 {"re": ..., "im": ...}; quaternions are {"a": ..., "b": ..., "c": ...,
@@ -28,11 +28,9 @@ from .starfields import SfieldMorphism, StarSfield
 def scalar_to_json(a):
     if isinstance(a, (int, Fraction)):
         return rational_to_str(Fraction(a))
-    if isinstance(a, GaussianRational):
-        return {"re": rational_to_str(a.re), "im": rational_to_str(a.im)}
-    if isinstance(a, RationalQuaternion):
-        return {"a": rational_to_str(a.a), "b": rational_to_str(a.b),
-                "c": rational_to_str(a.c), "d": rational_to_str(a.d)}
+    if isinstance(a, (GaussianRational, RationalQuaternion)):
+        return {name: rational_to_str(getattr(a, name))
+                for name in a.component_names}
     raise InputError(f"not a scalar: {a!r}")
 
 
@@ -46,14 +44,10 @@ def scalar_from_json(obj, sfield: StarSfield):
     try:
         if sfield is StarSfield.Q:
             return _rational(obj)
-        if sfield is StarSfield.QI:
-            if isinstance(obj, str):
-                return GaussianRational(_rational(obj))
-            return GaussianRational(_rational(obj["re"]), _rational(obj["im"]))
+        cls = sfield.scalar_type
         if isinstance(obj, str):
-            return RationalQuaternion(_rational(obj))
-        return RationalQuaternion(_rational(obj["a"]), _rational(obj["b"]),
-                                  _rational(obj["c"]), _rational(obj["d"]))
+            return cls(_rational(obj))
+        return cls(*[_rational(obj[name]) for name in cls.component_names])
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad scalar literal {obj!r} for {sfield.value}") from exc
 
@@ -208,13 +202,6 @@ def vector_from_json(obj, space: HermitianSpace) -> Vector:
     if not isinstance(obj, list):
         raise ParseError("vector literal must be a list of scalars")
     return space.vector([scalar_from_json(x, space.sfield) for x in obj])
-
-
-def probes_from_json(obj) -> tuple[int, int]:
-    try:
-        return int(obj.get("seed", 0)), int(obj.get("count", 256))
-    except (TypeError, ValueError) as exc:
-        raise ParseError("bad probe spec") from exc
 
 
 def dump_canonical(obj) -> str:

@@ -80,13 +80,11 @@ class StarSfield(Enum):
     def random_scalar(self, rng, bound: int = 10):
         """A random member with numerators in [-bound, bound] and
         denominators in [1, bound]."""
-        def frac():
-            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
         if self is StarSfield.Q:
-            return frac()
-        if self is StarSfield.QI:
-            return GaussianRational(frac(), frac())
-        return RationalQuaternion(frac(), frac(), frac(), frac())
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        cls = self.scalar_type
+        return cls._of([(rng.randint(-bound, bound), rng.randint(1, bound))
+                        for _ in cls.component_names])
 
     def random_nonzero_scalar(self, rng, bound: int = 10):
         while True:

@@ -325,20 +325,12 @@ def adjoint_random_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         d0, d1, d2 = (rng.randint(2, 5) for _ in range(3))
         h0, h1, h2 = (standard_space(sfield, d) for d in (d0, d1, d2))
         phi = sampling.random_linear_map(h1, h2, rng)
+        map_records = adjoint_map_records(phi, cfg.seed, cfg.count,
+                                          f"{prefix}/map{t:03d}")
         if t < 3:  # full per-map reports for a few; the rest aggregate
-            records.extend(adjoint_map_records(phi, cfg.seed, cfg.count,
-                                               f"{prefix}/map{t:03d}"))
-        else:
-            adj = adjoint_linear(phi)
-            ok = defining_identity_witness(phi, adj) is None and \
-                adjoint_linear(adj) == phi and \
-                passed(verify_adjoint_pair(
-                    induce(phi), induce(adj),
-                    ProbeSet.generate(h1, cfg.seed, cfg.count),
-                    ProbeSet.generate(h2, cfg.seed, cfg.count))) \
-                and ray_map_rank(induce(phi)) == ray_map_rank(induce(adj))
-            if not ok:
-                records.append(_fail(f"{prefix}/map{t:03d}", {"trial": t}))
+            records.extend(map_records)
+        elif not passed(map_records):
+            records.append(_fail(f"{prefix}/map{t:03d}", {"trial": t}))
         psi = sampling.random_linear_map(h0, h1, rng)
         if w_contra is None and \
                 adjoint_linear(compose_maps(phi, psi)) != \

@@ -323,6 +323,23 @@ def test_malformed_input_file_is_load_error(tmp_path, argv, option, content):
     assert rec["witness"]["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "axioms", "--probes", "-3"],
+    ["verify", "--suite", "wigner", "--map", fixture("quasiunitary_hq3.json"),
+     "--probes", "0"],
+    ["construct", "induce", "--map", fixture("scale2_q2.json"),
+     "--probes", "-5"],
+], ids=["verify-axioms-negative", "verify-wigner-zero", "construct-induce"])
+def test_probe_count_below_one_is_load_error(tmp_path, argv):
+    """A probe count below 1 would probe only the zero and basis rays."""
+    code, text = run_main(tmp_path, *argv)
+    assert code == 2
+    rec, = records_of(text)
+    assert rec["check"] == "load" and rec["status"] == "error"
+    assert rec["witness"]["error"] == "InputError"
+    assert "--probes" in rec["witness"]["message"]
+
+
 def test_verify_axioms_on_non_diagonal_hq_space(tmp_path):
     code, text = run_main(tmp_path, "verify", "--suite", "axioms",
                           "--space", fixture("hq3_gram.json"), "--seed", "7")

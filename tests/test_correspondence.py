@@ -325,7 +325,7 @@ def test_coordinatize_detects_non_induced_oracle():
         coordinatize(oracle, q3, q3, probes, injective=True)
 
 
-def test_coordinatize_partial_map_with_kernel_complement():
+def test_coordinatize_partial_map_with_adjoint():
     q4 = standard_space(Q, 4)
     d, _ = random_partial_isometry(q4, q4, 3, random.Random(8))
     probes = ProbeSet.generate(q4, seed=2, count=48)

@@ -33,7 +33,7 @@ from orthoset_lab.sampling import random_linear_map, random_partial_isometry
 from orthoset_lab.scalars import GaussianRational as GR
 from orthoset_lab.scalars import HQ_I, HQ_J
 from orthoset_lab.scalars import RationalQuaternion as RQ
-from orthoset_lab.scalars import inv_scalar
+from orthoset_lab.scalars import _Components, inv_scalar
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
 
 Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
@@ -360,14 +360,13 @@ def test_apply_many_builds_no_scalars(monkeypatch):
     a batch of Qi and HQ probe rays is mapped, memoized and compared
     without one scalar object."""
     made = []
-    for cls in (GR, RQ):
-        raw = cls.__dict__["_raw"].__func__
+    raw = _Components.__dict__["_raw"].__func__  # makes every Qi and HQ scalar
 
-        def counted(c, *args, raw=raw):
-            made.append(c.__name__)
-            return raw(c, *args)
+    def counted(cls, *args):
+        made.append(cls.__name__)
+        return raw(cls, *args)
 
-        monkeypatch.setattr(cls, "_raw", classmethod(counted))
+    monkeypatch.setattr(_Components, "_raw", classmethod(counted))
     rng = random.Random("apply_many:no-scalars")
     for space in spaces_under_test():
         if space.sfield is Q:

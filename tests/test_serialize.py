@@ -97,11 +97,6 @@ def test_ray_round_trip():
     assert sz.ray_from_json(z).is_zero
 
 
-def test_probe_spec():
-    assert sz.probes_from_json({}) == (0, 256)
-    assert sz.probes_from_json({"seed": 7, "count": 31}) == (7, 31)
-
-
 def test_canonical_dump_stable():
     sp = HermitianSpace.create(QI, 2, [[2, GR(0, 1)], [GR(0, -1), 1]])
     text = sz.dump_canonical(sz.space_to_json(sp))
