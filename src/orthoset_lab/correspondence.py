@@ -9,7 +9,8 @@ every probe.  On top of that sit the
 orthometric specialisations: extraction of the form scale factor of an
 orthogonality-preserving map, re-coordinatizations that turn quasi-maps
 into honestly linear or unitary ones, and the kernel/image decomposition
-of partial orthometries.
+of partial orthometries.  Scale factors and transports read the one
+certificate of hermspace (`form_scale`, `_involution_witness`).
 
 Reconstructed maps are unique only up to a left scalar; all round-trip
 verification in this module is therefore modulo scalar_ratio.
@@ -42,9 +43,10 @@ from .hermspace import (
     SemilinearMap,
     Subspace,
     Vector,
+    _involution_witness,
     between_frames,
     compose_maps,
-    herm_form,
+    form_scale,
     is_quasiunitary,
     is_unitary,
     make_partial_isometry,
@@ -140,21 +142,18 @@ def piziak_lambda(phi: SemilinearMap, probes: ProbeSet | None = None):
 
     Requires an at least 2-dimensional domain and a map that preserves
     orthogonality, which is pre-checked on all Gram-orthogonal basis pairs
-    and, when probes are supplied, on all orthogonal probe pairs.  For each
-    basis vector v, a vector w with <w, v> = 1 is found by left-scaling a
-    basis vector not orthogonal to v; the candidate <phi(w), phi(v)> must
-    then agree across every choice of v.
+    of phi.image_gram and, when probes are supplied, on all orthogonal
+    probe pairs.  Then lam is form_scale(phi), star-fixed if phi is bijective.
     """
     h1 = phi.domain
     if h1.dim < 2:
         raise PreconditionError("the scale factor needs dimension >= 2")
-    sig = phi.sigma
-    imgs = phi.images
     g1 = h1.gram
+    img = phi.image_gram
     n = h1.dim
     for i in range(n):
         for j in range(n):
-            if not g1[i][j] and herm_form(imgs[i], imgs[j]):
+            if not g1[i][j] and img[i][j]:
                 raise OrthogonalityViolationError(
                     "orthogonal basis pair with non-orthogonal images",
                     witness={"i": i, "j": j})
@@ -169,43 +168,12 @@ def piziak_lambda(phi: SemilinearMap, probes: ProbeSet | None = None):
             raise OrthogonalityViolationError(
                 "orthogonal probe pair with non-orthogonal images",
                 witness={"x": ray_payload(rays[i]), "y": ray_payload(rays[j])})
-    lam = None
-    for j in range(n):
-        i = next(k for k in range(n) if g1[k][j])
-        # w = <e_i, e_j>^-1 e_i gives <w, e_j> = 1
-        lam_j = sig(inv_scalar(g1[i][j])) * herm_form(imgs[i], imgs[j])
-        if lam is None:
-            lam = lam_j
-        elif lam_j != lam:
-            raise InconsistencyError(
-                "scale factor differs across basis vectors",
-                witness={"j": j, "lam_j": str(lam_j), "lam": str(lam)})
-    for i in range(n):
-        for j in range(n):
-            if herm_form(imgs[i], imgs[j]) != sig(g1[i][j]) * lam:
-                raise InconsistencyError(
-                    "form scaling fails on a basis pair; the declared twist "
-                    "does not match the map", witness={"i": i, "j": j})
+    lam = form_scale(phi)
     bijective = h1.dim == phi.codomain.dim and phi.rank == h1.dim
     if bijective and star_scalar(lam) != lam:
         raise InconsistencyError("scale factor is not star-fixed",
                                  witness={"lam": str(lam)})
     return lam
-
-
-def _check_transported_involution(sig_inv, lam_s, sfield) -> None:
-    """The transported involution must coincide with the sfield's standard
-    one, otherwise the result would leave the supported type system."""
-    sig = sig_inv.inverse()
-    lam_inv = inv_scalar(lam_s) if lam_s is not None else None
-    for g in list(sfield.generators()) + [sfield.coerce(Fraction(2, 3))]:
-        moved = sig_inv(star_scalar(sig(g)))
-        if lam_s is not None:
-            moved = lam_s * moved * lam_inv
-        if moved != star_scalar(g):
-            raise TransportDegeneracyError(
-                "transported involution leaves the supported sfields",
-                witness={"generator": str(g)})
 
 
 def _transport(phi: SemilinearMap, sigma: SfieldMorphism,
@@ -219,8 +187,11 @@ def _transport(phi: SemilinearMap, sigma: SfieldMorphism,
     if lam is not None:
         lam_inv = inv_scalar(lam)
         gram = tuple(tuple(x * lam_inv for x in row) for row in gram)
-    _check_transported_involution(
-        sig_inv, None if lam is None else sig_inv(lam), h2.sfield)
+    g = _involution_witness(sigma, h2.sfield.one() if lam is None else lam)
+    if g is not None:
+        raise TransportDegeneracyError(
+            "transported involution leaves the supported sfields",
+            witness={"generator": str(g)})
     try:
         new_space = HermitianSpace(
             h2.sfield, h2.dim, tuple(tuple(sig_inv(x) for x in row)
@@ -463,13 +434,11 @@ def wigner_reconstruct(f: RayMap, f_inv: RayMap | None,
     coord = coordinatize(f, h1, h2, probes, injective=True, probes2=probes2)
     phi = coord.map
     lam = piziak_lambda(phi)
-    cert = is_quasiunitary(phi)
+    cert = is_quasiunitary(phi)  # the same certificate, so the same lam
     if cert is None:
         raise NotOrthoisoError("reconstructed map failed the quasiunitary "
                                "certificate")
-    sigma, lam_cert = cert
-    assert lam_cert == lam
-    return WignerResult(coord, sigma, lam)
+    return WignerResult(coord, cert[0], lam)
 
 
 def fix_subspace_normalize(f: RayMap, s: Subspace, probes: ProbeSet,

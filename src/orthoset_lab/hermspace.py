@@ -13,6 +13,10 @@ anisotropic.  Over Q and Qi the product d_1 ... d_k is the k-th leading
 principal minor.  The certificate is deliberately stronger than anisotropy
 itself, which is undecidable-in-practice for arbitrary rational forms
 without heavy machinery.
+
+A map's scale certificate is read off one cached matrix, the forms of its
+basis images (`SemilinearMap.image_gram`), by `form_scale`; with
+`_involution_witness` it serves is_quasiunitary and correspondence alike.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from . import linalg
 from .errors import (
     CertificateError,
     DependencyError,
+    InconsistencyError,
     InputError,
     UnsupportedVariantError,
 )
@@ -438,6 +443,12 @@ class SemilinearMap:
     def rank(self) -> int:
         return linalg.rank(self.matrix)
 
+    @cached_property
+    def image_gram(self) -> tuple:
+        """<phi(e_i), phi(e_j)> for every pair of domain basis vectors."""
+        return tuple(tuple(herm_form(u, v) for v in self.images)
+                     for u in self.images)
+
     def apply(self, u: Vector) -> Vector:
         if u.space is not self.domain and u.space != self.domain:
             raise InputError("vector is not in the map's domain")
@@ -512,32 +523,62 @@ def adjoint_linear(phi: SemilinearMap) -> SemilinearMap:
     return SemilinearMap(h2, h1, SfieldMorphism.identity(sf), images)
 
 
+def form_scale(phi: SemilinearMap):
+    """The lam with <phi(e_i), phi(e_j)> = sigma(g_ij) * lam on every basis
+    pair, read off phi.image_gram (None in dimension 0).  The first g_ij != 0
+    of each column j gives a candidate; all must agree and every pair must
+    scale, else InconsistencyError."""
+    sig = phi.sigma
+    g1 = phi.domain.gram
+    img = phi.image_gram
+    n = len(g1)
+    lam = None
+    for j in range(n):
+        i = next(k for k in range(n) if g1[k][j])
+        lam_j = sig(inv_scalar(g1[i][j])) * img[i][j]
+        if lam is None:
+            lam = lam_j
+        elif lam_j != lam:
+            raise InconsistencyError(
+                "scale factor differs across basis vectors",
+                witness={"j": j, "lam_j": str(lam_j), "lam": str(lam)})
+    for i in range(n):
+        for j in range(n):
+            if img[i][j] != sig(g1[i][j]) * lam:
+                raise InconsistencyError(
+                    "form scaling fails on a basis pair; the declared twist "
+                    "does not match the map", witness={"i": i, "j": j})
+    return lam
+
+
+def _involution_witness(sigma: SfieldMorphism, lam):
+    """The first generator g with
+    sigma(star(g)) * lam != lam * star(sigma(g)), or None.  With none, a
+    basis certificate extends to all vectors and a transport keeps the
+    standard involution."""
+    for g in sigma.sfield.generators():
+        if sigma(star_scalar(g)) * lam != lam * star_scalar(sigma(g)):
+            return g
+    return None
+
+
 def is_quasiunitary(phi: SemilinearMap):
-    """Certify <phi(u), phi(v)> = sigma(<u, v>) * lam on all basis pairs,
-    plus the involution-compatibility facts that let the basis check extend
-    to all vectors.  Returns (sigma, lam) or None; raises on non-bijective
-    input."""
+    """Certify <phi(u), phi(v)> = sigma(<u, v>) * lam by form_scale, a
+    star-fixed lam and no involution witness.  Returns (sigma, lam) or
+    None; raises on non-bijective input."""
     h1, h2 = phi.domain, phi.codomain
     if h1.dim != h2.dim or phi.rank != h1.dim:
         raise InputError("quasiunitarity is defined for bijective maps")
-    sf2 = h2.sfield
     if h1.dim == 0:
-        return phi.sigma, sf2.one()
-    sig = phi.sigma
-    imgs = phi.images
-    lam = inv_scalar(sig(h1.gram[0][0])) * herm_form(imgs[0], imgs[0])
-    if not lam:
+        return phi.sigma, h2.sfield.one()
+    try:
+        lam = form_scale(phi)
+    except InconsistencyError:
         return None
-    for i in range(h1.dim):
-        for j in range(h1.dim):
-            if herm_form(imgs[i], imgs[j]) != sig(h1.gram[i][j]) * lam:
-                return None
-    if star_scalar(lam) != lam:
+    if star_scalar(lam) != lam or \
+            _involution_witness(phi.sigma, lam) is not None:
         return None
-    for g in h1.sfield.generators():
-        if sig(star_scalar(g)) * lam != lam * star_scalar(sig(g)):
-            return None
-    return sig, lam
+    return phi.sigma, lam
 
 
 def is_unitary(phi: SemilinearMap) -> bool:

@@ -7,9 +7,9 @@ A `Ray` holds that representative as one primitive integer row: the
 canonical row times the lcm of its denominators, its k component planes
 flattened into k * n ints.  The row is unique for the ray, so equality,
 hashing, ray maps and grids all run on ints; the representative as a
-Vector of scalars (`rep`, `coords()`, the text of `repr` and of
-`ray_payload`) is built from the row only on first use, one scalar and
-one gcd per coordinate.  Orthogonality of rays is orthogonality of
+Vector of scalars (`rep`, the text of `repr` and of `ray_payload`) is
+built from the row only on first use, one scalar and one gcd per
+coordinate.  Orthogonality of rays is orthogonality of
 representatives, with the zero element orthogonal to everything.
 
 The ray universe of a space over any of our sfields is infinite, so the
@@ -52,8 +52,10 @@ from .hermspace import (
     random_nonzero_vector,
 )
 from .perpgrid import image_rows, map_matrix, ray_rows, row_grid
-from .reports import ReportRecord
+from .reports import ReportRecord, law
 from .starfields import StarSfield
+
+MAX_WITNESSES = 5  # violating pairs shown by a failed verify_adjoint_pair
 
 
 class Ray:
@@ -111,12 +113,6 @@ class Ray:
                     *(row[c:c + n] for c in range(0, len(row), n))))
             self._rep = Vector(space, coords)
         return self._rep
-
-    def coords(self) -> tuple:
-        """Coordinates of the representative; all zeros for the zero ray."""
-        if self.is_zero:
-            return tuple(self.space.sfield.zero() for _ in range(self.space.dim))
-        return self.rep.coords
 
     def __repr__(self):
         if self.is_zero:
@@ -278,7 +274,11 @@ def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ra
 
 
 def ray_grid(space: HermitianSpace, rays_a, rays_b):
-    """Exact orthogonality grid over two ray families."""
+    """Exact orthogonality grid over two ray families of space."""
+    rays_a, rays_b = list(rays_a), list(rays_b)
+    # each distinct space object is compared once, as in RayMap.apply_many
+    if any(s != space for s in {r.space for r in rays_a + rays_b}):
+        raise InputError("ray is not in the grid's space")
     return row_grid(space, [r.row for r in rays_a], [r.row for r in rays_b])
 
 
@@ -295,7 +295,7 @@ def check_axioms(space: HermitianSpace, probes: ProbeSet) -> list[ReportRecord]:
     if len(asymmetric):
         i, j = asymmetric[0]
         witness = {"x": ray_payload(rays[i]), "y": ray_payload(rays[j])}
-    records = [_record("axioms/symmetry", witness)]
+    records = [law("axioms/symmetry", witness)]
 
     for check, bad in (
             ("axioms/self-orthogonal-iff-zero", np.diag(grid) != is_zero),
@@ -303,7 +303,7 @@ def check_axioms(space: HermitianSpace, probes: ProbeSet) -> list[ReportRecord]:
              is_zero & ~(grid.all(axis=1) & grid.all(axis=0)))):
         hits = np.flatnonzero(bad)
         witness = {"x": ray_payload(rays[hits[0]])} if len(hits) else None
-        records.append(_record(check, witness))
+        records.append(law(check, witness))
     return records
 
 
@@ -345,9 +345,10 @@ def separating_ray(x: Ray, y: Ray) -> Ray:
     return ray_of(perp_part)
 
 
-def verify_adjoint_pair(f: RayMap, g: RayMap, probes1, probes2,
-                        max_witnesses: int = 5) -> list[ReportRecord]:
-    """Check f(x) perp y iff x perp g(y) over all probe pairs."""
+def verify_adjoint_pair(f: RayMap, g: RayMap, probes1,
+                        probes2) -> list[ReportRecord]:
+    """Check f(x) perp y iff x perp g(y) over all probe pairs; a failure
+    shows the first MAX_WITNESSES violating pairs in row-major order."""
     xs = list(probes1)
     ys = list(probes2)
     fx = f.apply_many(xs)
@@ -358,13 +359,11 @@ def verify_adjoint_pair(f: RayMap, g: RayMap, probes1, probes2,
     failures = [{"x": ray_payload(xs[i]), "y": ray_payload(ys[j]),
                  "f(x) perp y": bool(left[i, j]),
                  "x perp g(y)": bool(right[i, j])}
-                for i, j in np.argwhere(differ)[:max_witnesses]]
-    rec = _record("adjoint-pair/biconditional",
-                  failures[0] if failures else None)
+                for i, j in np.argwhere(differ)[:MAX_WITNESSES]]
+    rec = law("adjoint-pair/biconditional",
+              {"first": failures[0], "shown": failures} if failures else None)
     rec.detail = {"pairs": len(xs) * len(ys),
                   "violations": int(differ.sum())}
-    if failures:
-        rec.witness = {"first": failures[0], "shown": failures}
     return [rec]
 
 
@@ -385,9 +384,3 @@ def ray_payload(r: Ray):
     if r.is_zero:
         return "zero"
     return [str(c) for c in r.rep.coords]
-
-
-def _record(check: str, witness) -> ReportRecord:
-    if witness is None:
-        return ReportRecord(check=check, status="pass")
-    return ReportRecord(check=check, status="fail", witness=witness)

@@ -35,6 +35,14 @@ class ReportRecord:
         return obj
 
 
+def law(check: str, witness, detail=None) -> ReportRecord:
+    """The record of a law: a pass, with detail, when there is no witness,
+    else a fail with the witness."""
+    if witness is None:
+        return ReportRecord(check=check, status="pass", detail=detail)
+    return ReportRecord(check=check, status="fail", witness=witness)
+
+
 def passed(records) -> bool:
     return all(r.status == "pass" for r in records)
 

@@ -7,7 +7,8 @@ Every random draw is derived from the configured seed plus the task name,
 so reports are byte-stable under reruns.
 
 The CLI exposes these by name; the acceptance tests call the same
-functions with their pinned sample counts.
+functions.  The sample budgets are module constants, which the acceptance
+tests pin.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .orthoset import (
     separating_ray,
     verify_adjoint_pair,
 )
-from .reports import ReportRecord, passed, run_tasks
+from .reports import ReportRecord, law, passed, run_tasks
 from .scalars import (
     HQ_I,
     HQ_J,
@@ -81,6 +82,17 @@ SUITE_INPUTS = {
 }
 SUITE_NAMES = tuple(SUITE_INPUTS)
 
+# sample budgets, pinned by the acceptance criteria
+FORM_SAMPLES = 1000     # form-axiom samples per sfield, split across spaces
+BASES = 100             # Gram-Schmidt bases per sfield
+SPLITS = 100            # subspace splittings per sfield
+LINEAR_MAPS = 50        # adjoint maps per sfield
+QUASIUNITARY_MAPS = 50  # scale extractions per sfield
+WIGNER_MAPS = 30        # Wigner round trips per sfield
+TRANSPORT_MAPS = 20     # transports per sfield
+PARTIAL_MAPS = 10       # partial-orthometry round trips per sfield
+RAY_PAIRS = 500         # linearity and separation ray pairs per sfield
+
 
 @dataclass
 class SuiteConfig:
@@ -90,16 +102,6 @@ class SuiteConfig:
     space: HermitianSpace | None = None
     map: SemilinearMap | None = None
     claimed_adjoint: SemilinearMap | None = None
-    # sample budgets; the acceptance criteria pin the defaults
-    form_samples: int = 1000
-    bases: int = 100
-    splits: int = 100
-    linear_maps: int = 50
-    quasiunitary_maps: int = 50
-    wigner_maps: int = 30
-    transport_maps: int = 20
-    partial_maps: int = 10
-    ray_pairs: int = 500
 
 
 def default_spaces(sfield: StarSfield) -> list[HermitianSpace]:
@@ -119,20 +121,6 @@ def default_spaces(sfield: StarSfield) -> list[HermitianSpace]:
 
 def _rng(cfg: SuiteConfig, *parts) -> random.Random:
     return random.Random(":".join([str(cfg.seed)] + [str(p) for p in parts]))
-
-
-def _ok(check, detail=None) -> ReportRecord:
-    return ReportRecord(check=check, status="pass", detail=detail)
-
-
-def _fail(check, witness) -> ReportRecord:
-    return ReportRecord(check=check, status="fail", witness=witness)
-
-
-def _law(check, witness, detail=None) -> ReportRecord:
-    if witness is None:
-        return _ok(check, detail)
-    return _fail(check, witness)
 
 
 # ---------------------------------------------------------------- axioms
@@ -169,11 +157,11 @@ def form_axiom_records(space: HermitianSpace, rng, samples: int,
                 w_aniso = {"trial": t, "vector": [str(c) for c in x.coords]}
     detail = {"samples": samples}
     return [
-        _law(f"{prefix}/sesquilinear-first", w_first, detail),
-        _law(f"{prefix}/sesquilinear-second", w_second, detail),
-        _law(f"{prefix}/symmetry", w_sym, detail),
-        _law(f"{prefix}/two-sided", w_sides, detail),
-        _law(f"{prefix}/anisotropy", w_aniso, detail),
+        law(f"{prefix}/sesquilinear-first", w_first, detail),
+        law(f"{prefix}/sesquilinear-second", w_second, detail),
+        law(f"{prefix}/symmetry", w_sym, detail),
+        law(f"{prefix}/two-sided", w_sides, detail),
+        law(f"{prefix}/anisotropy", w_aniso, detail),
     ]
 
 
@@ -185,7 +173,7 @@ def suite_axioms(cfg: SuiteConfig) -> list:
         if cfg.space is not None and cfg.space.sfield is not sf:
             continue
         # the sample budget is per sfield, split across its spaces
-        per_space = max(1, cfg.form_samples // len(use))
+        per_space = max(1, FORM_SAMPLES // len(use))
         for si, space in enumerate(use):
             name = f"axioms/{sf.value}/{si}"
             tasks.append((name, _axioms_task(cfg, space, name, per_space)))
@@ -206,10 +194,10 @@ def _axioms_task(cfg, space, name, samples):
 
 # ---------------------------------------------------------- gram-schmidt
 
-def gram_schmidt_records(sfield: StarSfield, rng, bases: int,
+def gram_schmidt_records(sfield: StarSfield, rng,
                          prefix: str) -> list[ReportRecord]:
     w_orth = w_span = w_first = None
-    for t in range(bases):
+    for t in range(BASES):
         n = rng.randint(2, 6)
         space = standard_space(sfield, n)
         vecs = []
@@ -227,20 +215,20 @@ def gram_schmidt_records(sfield: StarSfield, rng, bases: int,
         if w_span is None and Subspace.from_vectors(space, out) != \
                 Subspace.from_vectors(space, vecs):
             w_span = {"trial": t}
-    detail = {"bases": bases}
+    detail = {"bases": BASES}
     return [
-        _law(f"{prefix}/pairwise-orthogonal", w_orth, detail),
-        _law(f"{prefix}/span-preserved", w_span, detail),
-        _law(f"{prefix}/first-vector-kept", w_first, detail),
+        law(f"{prefix}/pairwise-orthogonal", w_orth, detail),
+        law(f"{prefix}/span-preserved", w_span, detail),
+        law(f"{prefix}/first-vector-kept", w_first, detail),
     ]
 
 
 # ------------------------------------------------------- dacey/splitting
 
-def splitting_records(sfield: StarSfield, rng, trials: int,
+def splitting_records(sfield: StarSfield, rng,
                       prefix: str) -> list[ReportRecord]:
     w_split = w_ortho = w_idem = w_dims = w_closed = w_dacey = None
-    for t in range(trials):
+    for t in range(SPLITS):
         n = rng.randint(2, 6)
         space = standard_space(sfield, n)
         s = random_subspace(space, rng.randint(0, n), rng)
@@ -265,14 +253,14 @@ def splitting_records(sfield: StarSfield, rng, trials: int,
                  perp_closure([y, z]).contains(x.rep)
             if not ok:
                 w_dacey = {"trial": t, "x": ray_payload(x)}
-    detail = {"trials": trials}
+    detail = {"trials": SPLITS}
     return [
-        _law(f"{prefix}/decomposition", w_split, detail),
-        _law(f"{prefix}/perp-part-orthogonal", w_ortho, detail),
-        _law(f"{prefix}/idempotent", w_idem, detail),
-        _law(f"{prefix}/dim-additivity", w_dims, detail),
-        _law(f"{prefix}/double-complement", w_closed, detail),
-        _law(f"{prefix}/dacey-witness", w_dacey, detail),
+        law(f"{prefix}/decomposition", w_split, detail),
+        law(f"{prefix}/perp-part-orthogonal", w_ortho, detail),
+        law(f"{prefix}/idempotent", w_idem, detail),
+        law(f"{prefix}/dim-additivity", w_dims, detail),
+        law(f"{prefix}/double-complement", w_closed, detail),
+        law(f"{prefix}/dacey-witness", w_dacey, detail),
     ]
 
 
@@ -281,13 +269,11 @@ def splitting_records(sfield: StarSfield, rng, trials: int,
 def defining_identity_witness(phi: SemilinearMap, adj: SemilinearMap):
     """The last basis pair (i, j), i major, on which
     <phi(e_i), f_j> = <e_i, adj(f_j)> fails; None if it holds on all."""
-    h1, h2 = phi.domain, phi.codomain
+    e, f = phi.domain.basis(), phi.codomain.basis()
     w = None
-    for i in range(h1.dim):
-        for j in range(h2.dim):
-            lhs = herm_form(phi.apply(h1.basis_vector(i)), h2.basis_vector(j))
-            rhs = herm_form(h1.basis_vector(i), adj.apply(h2.basis_vector(j)))
-            if lhs != rhs:
+    for i, (e_i, phi_e_i) in enumerate(zip(e, phi.images)):
+        for j, (f_j, adj_f_j) in enumerate(zip(f, adj.images)):
+            if herm_form(phi_e_i, f_j) != herm_form(e_i, adj_f_j):
                 w = {"i": i, "j": j}
     return w
 
@@ -298,9 +284,9 @@ def adjoint_map_records(phi: SemilinearMap, seed: int, count: int,
     records = []
     h1, h2 = phi.domain, phi.codomain
     adj = adjoint_linear(phi)
-    records.append(_law(f"{prefix}/defining-identity",
+    records.append(law(f"{prefix}/defining-identity",
                         defining_identity_witness(phi, adj)))
-    records.append(_law(f"{prefix}/involution",
+    records.append(law(f"{prefix}/involution",
                         None if adjoint_linear(adj) == phi else {}))
     partner = adj if claimed is None else claimed
     probes1 = ProbeSet.generate(h1, seed, count)
@@ -309,7 +295,7 @@ def adjoint_map_records(phi: SemilinearMap, seed: int, count: int,
                                    probes1, probes2):
         rec.check = f"{prefix}/{rec.check}"
         records.append(rec)
-    records.append(_law(
+    records.append(law(
         f"{prefix}/rank-equal",
         None if ray_map_rank(induce(phi)) == ray_map_rank(induce(adj))
         else {"rank_f": ray_map_rank(induce(phi)),
@@ -321,7 +307,7 @@ def adjoint_random_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                            prefix: str) -> list[ReportRecord]:
     records = []
     w_contra = w_unitary = None
-    for t in range(cfg.linear_maps):
+    for t in range(LINEAR_MAPS):
         d0, d1, d2 = (rng.randint(2, 5) for _ in range(3))
         h0, h1, h2 = (standard_space(sfield, d) for d in (d0, d1, d2))
         phi = sampling.random_linear_map(h1, h2, rng)
@@ -330,7 +316,7 @@ def adjoint_random_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         if t < 3:  # full per-map reports for a few; the rest aggregate
             records.extend(map_records)
         elif not passed(map_records):
-            records.append(_fail(f"{prefix}/map{t:03d}", {"trial": t}))
+            records.append(law(f"{prefix}/map{t:03d}", {"trial": t}))
         psi = sampling.random_linear_map(h0, h1, rng)
         if w_contra is None and \
                 adjoint_linear(compose_maps(phi, psi)) != \
@@ -346,10 +332,10 @@ def adjoint_random_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         pair = adjoint_linear(bij) == invert_semilinear(bij)
         if w_unitary is None and unit != pair:
             w_unitary = {"trial": t, "certified": unit, "adjoint-inverse": pair}
-    records.append(_law(f"{prefix}/contravariance", w_contra,
-                        {"maps": cfg.linear_maps}))
-    records.append(_law(f"{prefix}/unitary-iff-adjoint-pair", w_unitary,
-                        {"maps": cfg.linear_maps}))
+    records.append(law(f"{prefix}/contravariance", w_contra,
+                        {"maps": LINEAR_MAPS}))
+    records.append(law(f"{prefix}/unitary-iff-adjoint-pair", w_unitary,
+                        {"maps": LINEAR_MAPS}))
     return records
 
 
@@ -359,7 +345,7 @@ def piziak_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                    prefix: str) -> list[ReportRecord]:
     records = []
     w_lam = w_match = w_left = None
-    for t in range(cfg.quasiunitary_maps):
+    for t in range(QUASIUNITARY_MAPS):
         n = rng.randint(2, 5)
         space = standard_space(sfield, n)
         phi = sampling.random_quasiunitary(space, rng)
@@ -378,11 +364,11 @@ def piziak_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                 lmul = sampling.left_scalar_map(space, q)
                 if piziak_lambda(lmul) != space.sfield.coerce(q.norm()):
                     w_left = {"trial": t, "q": str(q)}
-    records.append(_law(f"{prefix}/scale-extraction", w_lam,
-                        {"maps": cfg.quasiunitary_maps}))
-    records.append(_law(f"{prefix}/matches-certificate", w_match))
+    records.append(law(f"{prefix}/scale-extraction", w_lam,
+                        {"maps": QUASIUNITARY_MAPS}))
+    records.append(law(f"{prefix}/matches-certificate", w_match))
     if sfield is StarSfield.HQ:
-        records.append(_law(f"{prefix}/left-multiplication-norm", w_left))
+        records.append(law(f"{prefix}/left-multiplication-norm", w_left))
     return records
 
 
@@ -392,7 +378,7 @@ def wigner_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                    prefix: str) -> list[ReportRecord]:
     records = []
     w_round = None
-    for t in range(cfg.wigner_maps):
+    for t in range(WIGNER_MAPS):
         n = rng.randint(3, 5)
         space = standard_space(sfield, n)
         phi0 = sampling.random_quasiunitary(space, rng)
@@ -408,8 +394,8 @@ def wigner_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         cert = is_quasiunitary(wig.coordinatization.map)
         if w_round is None and (kappa is None or cert is None):
             w_round = {"trial": t}
-    records.append(_law(f"{prefix}/round-trip", w_round,
-                        {"maps": cfg.wigner_maps}))
+    records.append(law(f"{prefix}/round-trip", w_round,
+                        {"maps": WIGNER_MAPS}))
     records.append(_negative_control(sfield, cfg, prefix))
     return records
 
@@ -436,10 +422,10 @@ def _negative_control(sfield: StarSfield, cfg: SuiteConfig,
     except NotOrthoisoError as exc:
         raised = exc.witness is not None
     if failed_with_witness and raised:
-        return _ok(f"{prefix}/negative-control",
+        return law(f"{prefix}/negative-control", None,
                    {"witness-shown": pair[0].witness["first"]["x"]})
-    return _fail(f"{prefix}/negative-control",
-                 {"pair-failed": failed_with_witness, "raised": raised})
+    return law(f"{prefix}/negative-control",
+               {"pair-failed": failed_with_witness, "raised": raised})
 
 
 # ------------------------------------------------------------- transport
@@ -448,7 +434,7 @@ def transport_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                       prefix: str) -> list[ReportRecord]:
     records = []
     w_lin = w_tau = w_unit = None
-    for t in range(cfg.transport_maps):
+    for t in range(TRANSPORT_MAPS):
         n = rng.randint(2, 5)
         space = standard_space(sfield, n)
         # a quasilinear map whose twist is as wild as the sfield allows
@@ -476,10 +462,10 @@ def transport_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         tru = transport_unitary(qu, sigma, lam)
         if w_unit is None and not is_unitary(tru.composed):
             w_unit = {"trial": t}
-    detail = {"maps": cfg.transport_maps}
-    records.append(_law(f"{prefix}/composed-linear", w_lin, detail))
-    records.append(_law(f"{prefix}/tau-orthoiso", w_tau, detail))
-    records.append(_law(f"{prefix}/unitary-after-transport", w_unit, detail))
+    detail = {"maps": TRANSPORT_MAPS}
+    records.append(law(f"{prefix}/composed-linear", w_lin, detail))
+    records.append(law(f"{prefix}/tau-orthoiso", w_tau, detail))
+    records.append(law(f"{prefix}/unitary-after-transport", w_unit, detail))
     return records
 
 
@@ -489,7 +475,7 @@ def partial_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                     prefix: str) -> list[ReportRecord]:
     records = []
     w_dec = w_inv = w_round = None
-    for t in range(cfg.partial_maps):
+    for t in range(PARTIAL_MAPS):
         n = rng.randint(4, 6)
         core_dim = rng.randint(3, n - 1)
         quasi = rng.random() < 0.5
@@ -517,10 +503,10 @@ def partial_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                 linear_d = d
             if generalized_inverse(linear_d) != adjoint_linear(linear_d.map):
                 w_inv = {"trial": t}
-    detail = {"maps": cfg.partial_maps}
-    records.append(_law(f"{prefix}/kernel-image-recovery", w_dec, detail))
-    records.append(_law(f"{prefix}/round-trip-on-core", w_round, detail))
-    records.append(_law(f"{prefix}/generalized-inverse-is-adjoint", w_inv,
+    detail = {"maps": PARTIAL_MAPS}
+    records.append(law(f"{prefix}/kernel-image-recovery", w_dec, detail))
+    records.append(law(f"{prefix}/round-trip-on-core", w_round, detail))
+    records.append(law(f"{prefix}/generalized-inverse-is-adjoint", w_inv,
                         detail))
     records.append(_small_core_control(sfield, cfg, prefix))
     return records
@@ -536,8 +522,9 @@ def _small_core_control(sfield: StarSfield, cfg: SuiteConfig,
                        ProbeSet.generate(h, cfg.seed, max(32, h.dim + 1)),
                        ProbeSet.generate(h, cfg.seed, max(32, h.dim + 1)))
     except PreconditionError:
-        return _ok(f"{prefix}/small-core-rejected")
-    return _fail(f"{prefix}/small-core-rejected", {"expected": "precondition error"})
+        return law(f"{prefix}/small-core-rejected", None)
+    return law(f"{prefix}/small-core-rejected",
+               {"expected": "precondition error"})
 
 
 # ---------------------------------------------------- linearity/frechet
@@ -546,7 +533,7 @@ def linearity_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                       prefix: str) -> list[ReportRecord]:
     space = standard_space(sfield, 4)
     w_wit = None
-    for t in range(cfg.ray_pairs):
+    for t in range(RAY_PAIRS):
         x = ray_of(random_nonzero_vector(space, rng))
         y = ray_of(random_nonzero_vector(space, rng))
         if x == y:
@@ -557,14 +544,14 @@ def linearity_records(sfield: StarSfield, cfg: SuiteConfig, rng,
               and ray_perp(x, y) != ray_perp(x, z))
         if not ok and w_wit is None:
             w_wit = {"trial": t, "x": ray_payload(x), "y": ray_payload(y)}
-    return [_law(f"{prefix}/witness", w_wit, {"pairs": cfg.ray_pairs})]
+    return [law(f"{prefix}/witness", w_wit, {"pairs": RAY_PAIRS})]
 
 
 def frechet_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                     prefix: str) -> list[ReportRecord]:
     space = standard_space(sfield, 4)
     w_sep = None
-    for t in range(cfg.ray_pairs):
+    for t in range(RAY_PAIRS):
         x = ray_of(random_nonzero_vector(space, rng))
         y = ray_of(random_nonzero_vector(space, rng))
         if x == y:
@@ -572,7 +559,7 @@ def frechet_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         w = separating_ray(x, y)
         if ray_perp(w, x) == ray_perp(w, y) and w_sep is None:
             w_sep = {"trial": t, "x": ray_payload(x), "y": ray_payload(y)}
-    return [_law(f"{prefix}/separation", w_sep, {"pairs": cfg.ray_pairs})]
+    return [law(f"{prefix}/separation", w_sep, {"pairs": RAY_PAIRS})]
 
 
 # ----------------------------------------------------------- dispatching
@@ -599,9 +586,9 @@ def suite_tasks(cfg: SuiteConfig) -> list:
     if s in ("dacey", "all"):
         tasks.extend(_per_sfield_tasks(
             cfg, "dacey",
-            lambda sf, c, rng, nm: gram_schmidt_records(sf, rng, c.bases,
+            lambda sf, c, rng, nm: gram_schmidt_records(sf, rng,
                                                         nm + "/gram-schmidt")
-            + splitting_records(sf, rng, c.splits, nm + "/splitting")))
+            + splitting_records(sf, rng, nm + "/splitting")))
     if s in ("frechet", "all"):
         tasks.extend(_per_sfield_tasks(cfg, "frechet", frechet_records))
     if s in ("adjoint", "all"):
@@ -614,7 +601,7 @@ def suite_tasks(cfg: SuiteConfig) -> list:
                                            adjoint_random_records))
     if s in ("piziak", "all"):
         if cfg.map is not None:
-            tasks.append(("piziak/file", lambda: [_law(
+            tasks.append(("piziak/file", lambda: [law(
                 "piziak/file/scale-extraction",
                 None, {"lam": str(piziak_lambda(cfg.map))})]))
         else:
@@ -640,7 +627,7 @@ def _wigner_file_records(cfg: SuiteConfig) -> list[ReportRecord]:
     wig = wigner_reconstruct(induce(phi0), induce(invert_semilinear(phi0)),
                              space, phi0.codomain, probes)
     kappa = scalar_ratio(wig.coordinatization.map, phi0)
-    return [_law("wigner/file/round-trip",
+    return [law("wigner/file/round-trip",
                  None if kappa is not None else {"ratio": "none"},
                  {"lam": str(wig.lam)})]
 

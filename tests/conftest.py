@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -5,6 +6,17 @@ import pytest
 from hypothesis import strategies as st
 
 from orthoset_lab.scalars import GaussianRational, RationalQuaternion
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def src_env():
+    """The environment of a child interpreter that imports orthoset_lab
+    from this checkout, as pytest's pythonpath setting does for the tests."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 
 def bounded_fractions(bound=10):

@@ -12,7 +12,9 @@ import sys
 import time
 
 import pytest
+from conftest import src_env
 
+from orthoset_lab import suites
 from orthoset_lab.reports import passed
 from orthoset_lab.starfields import StarSfield
 from orthoset_lab.suites import (
@@ -54,8 +56,18 @@ def _per_sfield(cfg, fn, label):
     return records
 
 
+def test_sample_budgets_are_pinned():
+    budgets = {name: getattr(suites, name) for name in (
+        "FORM_SAMPLES", "BASES", "SPLITS", "LINEAR_MAPS", "QUASIUNITARY_MAPS",
+        "WIGNER_MAPS", "TRANSPORT_MAPS", "PARTIAL_MAPS", "RAY_PAIRS")}
+    assert budgets == {
+        "FORM_SAMPLES": 1000, "BASES": 100, "SPLITS": 100, "LINEAR_MAPS": 50,
+        "QUASIUNITARY_MAPS": 50, "WIGNER_MAPS": 30, "TRANSPORT_MAPS": 20,
+        "PARTIAL_MAPS": 10, "RAY_PAIRS": 500}
+
+
 def test_criterion_01_form_axioms():
-    cfg = SuiteConfig(suite="axioms", seed=0, count=256, form_samples=1000)
+    cfg = SuiteConfig(suite="axioms", seed=0, count=256)
     records = run_suite(cfg)
     assert sum(1 for r in records if r.check.endswith("anisotropy")) >= 3
     _report(1, "form axioms: sesquilinearity, symmetry, anisotropy (1000 "
@@ -63,27 +75,27 @@ def test_criterion_01_form_axioms():
 
 
 def test_criterion_02_gram_schmidt():
-    cfg = SuiteConfig(suite="dacey", seed=0, bases=100)
+    cfg = SuiteConfig(suite="dacey", seed=0)
     records = []
     for sf in StarSfield:
         records.extend(gram_schmidt_records(sf, _rng(cfg, "a2", sf.value),
-                                            cfg.bases, f"a2/{sf.value}"))
+                                            f"a2/{sf.value}"))
     _report(2, "orthogonal bases: 100 random bases per sfield, dims 2-6",
             records)
 
 
 def test_criterion_03_splitting_and_dacey():
-    cfg = SuiteConfig(suite="dacey", seed=0, splits=100)
+    cfg = SuiteConfig(suite="dacey", seed=0)
     records = []
     for sf in StarSfield:
         records.extend(splitting_records(sf, _rng(cfg, "a3", sf.value),
-                                         cfg.splits, f"a3/{sf.value}"))
+                                         f"a3/{sf.value}"))
     _report(3, "splitting decompositions and projection witnesses "
                "(100 per sfield)", records)
 
 
 def test_criterion_04_05_adjoints_and_unitary_pairs():
-    cfg = SuiteConfig(suite="adjoint", seed=0, count=256, linear_maps=50)
+    cfg = SuiteConfig(suite="adjoint", seed=0, count=256)
     records = _per_sfield(cfg, adjoint_random_records, "a4")
     _report(4, "adjoints: defining identity, involution, contravariance, "
                "ray-level pairs on 256 probes, rank equality (50 maps per "
@@ -94,21 +106,21 @@ def test_criterion_04_05_adjoints_and_unitary_pairs():
 
 
 def test_criterion_06_scale_extraction():
-    cfg = SuiteConfig(suite="piziak", seed=0, quasiunitary_maps=50)
+    cfg = SuiteConfig(suite="piziak", seed=0)
     records = _per_sfield(cfg, piziak_records, "a6")
     _report(6, "form scale factors: agreement across basis anchors, exact "
                "scaling, star-fixedness (50 maps per sfield)", records)
 
 
 def test_criterion_07_wigner_round_trip():
-    cfg = SuiteConfig(suite="wigner", seed=0, count=256, wigner_maps=30)
+    cfg = SuiteConfig(suite="wigner", seed=0, count=256)
     records = _per_sfield(cfg, wigner_records, "a7")
     _report(7, "ray-level reconstruction round trip with negative control "
                "(30 maps per sfield, dims 3-5)", records)
 
 
 def test_criterion_08_transports():
-    cfg = SuiteConfig(suite="transport", seed=0, count=256, transport_maps=20)
+    cfg = SuiteConfig(suite="transport", seed=0, count=256)
     records = _per_sfield(cfg, transport_records, "a8")
     _report(8, "scalar transports: composed maps exactly linear/unitary, "
                "re-coordinatization is an orthoisomorphism on 256 probes",
@@ -116,7 +128,7 @@ def test_criterion_08_transports():
 
 
 def test_criterion_09_partial_orthometries():
-    cfg = SuiteConfig(suite="partial", seed=0, count=256, partial_maps=10)
+    cfg = SuiteConfig(suite="partial", seed=0, count=256)
     records = _per_sfield(cfg, partial_records, "a9")
     _report(9, "partial orthometries: kernel/image recovery, factorization, "
                "generalized inverse = adjoint, core round trip (30 maps)",
@@ -124,7 +136,7 @@ def test_criterion_09_partial_orthometries():
 
 
 def test_criterion_10_linearity_and_frechet():
-    cfg = SuiteConfig(suite="linearity", seed=0, ray_pairs=500)
+    cfg = SuiteConfig(suite="linearity", seed=0)
     records = _per_sfield(cfg, linearity_records, "a10")
     records.extend(_per_sfield(cfg, frechet_records, "a10f"))
     _report(10, "linearity witnesses and separation witnesses "
@@ -134,7 +146,7 @@ def test_criterion_10_linearity_and_frechet():
 def _cli(*argv, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "orthoset_lab", *argv],
-        capture_output=True, text=True, timeout=timeout)
+        capture_output=True, text=True, timeout=timeout, env=src_env())
 
 
 def test_criterion_11_cli_determinism_and_exit_codes(tmp_path):

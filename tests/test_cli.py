@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import src_env
 
 from orthoset_lab import cli, suites
 from orthoset_lab.cli import main
@@ -410,6 +411,6 @@ def test_cli_subprocess_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "orthoset_lab", "verify", "--suite", "axioms",
          "--space", fixture("q3.json"), "--probes", "32", "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=src_env())
     assert proc.returncode == 0
     assert out.read_text()

@@ -5,6 +5,7 @@ import pytest
 
 from orthoset_lab.errors import InputError
 from orthoset_lab.hermspace import (
+    HermitianSpace,
     SemilinearMap,
     Subspace,
     adjoint_linear,
@@ -25,6 +26,7 @@ from orthoset_lab.orthoset import (
     probe_rays_in,
     ray_map_rank,
     ray_of,
+    ray_grid,
     ray_payload,
     ray_perp,
     separating_ray,
@@ -206,6 +208,35 @@ def test_verify_adjoint_pair_shear_fails_with_witness():
     assert any(r.status == "fail" for r in records)
     bad = next(r for r in records if r.status == "fail")
     assert bad.witness and "first" in bad.witness
+
+
+def test_verify_adjoint_pair_rejects_rays_of_another_space():
+    # g maps the Gram space into Q^2 and the second probes live in the Gram
+    # space, so the left grid would decide Gram-space rays by Q^2's form
+    q2 = standard_space(Q, 2)
+    gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
+    f = induce(SemilinearMap.identity(q2))
+    g = induce(SemilinearMap(gram, q2, SfieldMorphism.identity(Q),
+                             tuple(q2.basis())))
+    p1 = ProbeSet.generate(q2, seed=0, count=16)
+    p2 = ProbeSet.generate(gram, seed=0, count=16)
+    with pytest.raises(InputError):
+        verify_adjoint_pair(f, g, p1, p2)
+
+
+def test_ray_grid_checks_the_space_of_every_ray():
+    q2 = standard_space(Q, 2)
+    gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
+    rays = list(ProbeSet.generate(q2, seed=0, count=8))
+    other = list(ProbeSet.generate(gram, seed=0, count=8))
+    with pytest.raises(InputError):
+        ray_grid(q2, rays, other)
+    with pytest.raises(InputError):
+        ray_grid(q2, other, rays)
+    # an equal space held by another object is the same space
+    twin = standard_space(Q, 2)
+    assert twin is not q2
+    assert (ray_grid(twin, rays, rays) == ray_grid(q2, rays, rays)).all()
 
 
 def test_ray_map_rank_examples():
