@@ -33,7 +33,6 @@ from .hermspace import (
     gram_schmidt,
     herm_form,
     is_quasiunitary,
-    is_unitary,
 )
 from .orthoset import ProbeSet
 from .reports import ReportRecord, failure_record, passed, render
@@ -265,13 +264,11 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
                 "composed": serialize.map_to_json(tr.composed)}, records
     if kind == "transport-unitary":
         phi = _require(phi, "--map")
-        cert = is_quasiunitary(phi)
-        if cert is None:
-            raise OrthosetLabError("map is not quasiunitary")
-        tr = transport_unitary(phi, *cert)
+        # transport_unitary rejects a map without a certificate, and returns
+        # only once the transported map has passed its unitary check
+        tr = transport_unitary(phi, *(is_quasiunitary(phi) or (None, None)))
         records = [ReportRecord(check="construct/transport-unitary/unitary",
-                                status="pass" if is_unitary(tr.composed)
-                                else "fail")]
+                                status="pass")]
         return {"space": serialize.space_to_json(tr.new_space),
                 "tau": serialize.map_to_json(tr.tau),
                 "composed": serialize.map_to_json(tr.composed)}, records

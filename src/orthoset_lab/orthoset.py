@@ -51,7 +51,7 @@ from .hermspace import (
     herm_form,
     random_nonzero_vector,
 )
-from .perpgrid import image_rows, map_matrix, ray_rows, row_grid
+from .perpgrid import image_rows, map_matrix, pivot_rows, ray_rows, row_grid
 from .reports import ReportRecord, law
 from .starfields import StarSfield
 
@@ -120,10 +120,18 @@ class Ray:
         return f"Ray({', '.join(str(c) for c in self.rep.coords)})"
 
 
+def _all_in(space: HermitianSpace, spaces) -> bool:
+    """Whether every one of spaces is space.  Equal spaces are often
+    distinct objects, and comparing those compares Gram matrices, so each
+    distinct object is compared once."""
+    return all(s is space or s == space
+               for s in {id(s): s for s in spaces}.values())
+
+
 def rays_of(space: HermitianSpace, vectors) -> list[Ray]:
     """The rays spanned by vectors of space, canonicalized in one batch."""
     vectors = list(vectors)
-    if any(s != space for s in {v.space for v in vectors}):
+    if not _all_in(space, (v.space for v in vectors)):
         raise InputError("vector lives in a different space")
     rows = ray_rows(space.sfield, [v.coords for v in vectors], space.dim)
     return [Ray(space, row) for row in rows]
@@ -144,18 +152,47 @@ def ray_perp(x: Ray, y: Ray) -> bool:
 
 def perp_closure(rays) -> Subspace:
     """The span of the representatives, which at finite dimension equals the
-    double orthocomplement of the ray set."""
+    double orthocomplement of the ray set.
+
+    Three steps, none of which decides an equality mod p:
+    1. pick: `pivot_rows` chooses candidate basis rays from the rows mod
+       PRIME (zero rays and duplicates dropped first; at most n rays are
+       all picked);
+    2. span: S is the exact echelon span of the picked rays'
+       representatives, so S lies inside the closure;
+    3. confirm: every space here is positive definite, so S = S-perp-perp,
+       and a ray lies in S exactly when it is orthogonal to a basis of
+       S-perp.  Unless every ray is picked, one exact `row_grid` of all
+       the rays against that basis decides it; the first ray outside S
+       joins the pick and the span is taken again.
+    The pick misses a ray only when p divides a minor, and every miss
+    raises the dimension of S, so the loop ends within n rounds.  The
+    result is the span of all the rays, exactly."""
     rays = list(rays)
     if not rays:
         raise InputError("perp_closure needs at least one ray to fix the space")
     space = rays[0].space
-    vectors = []
+    if not _all_in(space, (r.space for r in rays)):
+        raise InputError("rays live in different spaces")
+    proper = {}
     for r in rays:
-        if r.space != space:
-            raise InputError("rays live in different spaces")
         if not r.is_zero:
-            vectors.append(r.rep)
-    return Subspace.from_vectors(space, vectors)
+            proper.setdefault(r.row, r)
+    rows = list(proper)
+    # at most n rays are their own pick: a scalar span of that few rows
+    # costs less than the residue pick, and nothing is left to confirm
+    picked = (list(range(len(rows))) if len(rows) <= space.dim
+              else pivot_rows(space.sfield, rows))
+    while True:
+        s = Subspace.from_vectors(space, [proper[rows[i]].rep for i in picked])
+        if s.dim == space.dim or len(picked) == len(rows):
+            return s
+        perp = rays_of(space, s.orthocomplement().basis)
+        outside = np.flatnonzero(
+            ~row_grid(space, rows, [r.row for r in perp]).all(axis=1))
+        if not len(outside):
+            return s
+        picked.append(int(outside[0]))
 
 
 @dataclass(frozen=True)
@@ -201,14 +238,12 @@ class RayMap:
         memo = self._memo
         todo = list(dict.fromkeys(x for x in rays if x not in memo))
         if todo:
-            # equal spaces are often distinct objects, and comparing them
-            # compares Gram matrices, so each distinct object is compared once
-            if any(s != self.domain for s in {x.space for x in todo}):
+            if not _all_in(self.domain, (x.space for x in todo)):
                 raise InputError("ray is not in the map's domain")
             images = list((self.oracle or self._induced)(todo))
             if len(images) != len(todo):
                 raise InputError("oracle returned the wrong number of rays")
-            if any(s != self.codomain for s in {y.space for y in images}):
+            if not _all_in(self.codomain, (y.space for y in images)):
                 raise InputError("oracle returned a ray of the wrong space")
             memo.update(zip(todo, images))
         return [memo[x] for x in rays]
@@ -276,8 +311,7 @@ def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ra
 def ray_grid(space: HermitianSpace, rays_a, rays_b):
     """Exact orthogonality grid over two ray families of space."""
     rays_a, rays_b = list(rays_a), list(rays_b)
-    # each distinct space object is compared once, as in RayMap.apply_many
-    if any(s != space for s in {r.space for r in rays_a + rays_b}):
+    if not _all_in(space, (r.space for r in rays_a + rays_b)):
         raise InputError("ray is not in the grid's space")
     return row_grid(space, [r.row for r in rays_a], [r.row for r in rays_b])
 

@@ -49,6 +49,16 @@ rays of a random quasiunitary map at dimension 5 (2-core host, Python
 3.11), a ray costs about 6 us for Q, 19 us for Qi and 64 us for HQ in one
 batch, and 50, 65-70 and 100-105 us alone, where ray_of(phi.apply(u))
 takes 200-300 us for Q and Qi and 400-500 us for HQ.
+
+Closures of ray sets (`orthoset.perp_closure`) follow the grid's pattern:
+mod p chooses, exact arithmetic decides.  `pivot_rows` reduces the rays'
+real left-multiplication rows mod PRIME in int64 and picks the rays that
+hold a pivot, at most k * n of them.  A vanishing minor mod p can only
+hide a ray from the pick, never invent independence, and the picked rays
+are exact rays, so their exact echelon span S lies inside the closure.
+Every space is positive definite, so S = S-perp-perp: one exact grid of
+all the rays against a basis of S-perp shows whether each ray lies in S,
+and a ray outside it joins the pick.  No equality is decided mod p.
 """
 
 from __future__ import annotations
@@ -252,6 +262,43 @@ def image_rows(sfield: StarSfield, matrix, rows):
     y = np.array(rows, dtype=object) @ matrix
     return _primitive_rows(sfield,
                            y.reshape(len(rows), k, matrix.shape[1] // k))
+
+
+def pivot_rows(sfield: StarSfield, rows) -> list[int]:
+    """The indices of the rays, given as primitive rows, whose real rows
+    hold a pivot when all of them are reduced mod PRIME in order.
+
+    A row r stands for the k rows e_a r of its real left-multiplication
+    form, whose real span is the left line of r.  Reducing all those rows
+    mod PRIME, column by column with the topmost free row as pivot, gives
+    pivot rows that span every row mod p, so the returned rays (at most
+    k * n of them, and n in practice) are a candidate basis of the left
+    span.  Residues lie in [0, p) and p**2 < 2**63, so every step is exact
+    in int64.  The pick only chooses: a minor that vanishes mod p but not
+    over Q makes it miss a ray, never add a wrong one, and
+    `orthoset.perp_closure` decides the span exactly."""
+    k = _width(sfield)
+    n = len(rows[0]) // k if rows else 0
+    if not n:
+        return []
+    r = (np.array(rows, dtype=object) % PRIME).astype(np.int64)
+    r = r.reshape(len(rows), k, n)
+    # component c of e_a r sums sign * r_b over the table's (a, b, sign)
+    left = np.zeros((len(rows), k, k, n), dtype=np.int64)
+    for c, terms in enumerate(_tables(sfield)[0]):
+        for a, b, sign in terms:
+            left[:, a, c] += sign * r[:, b]
+    m = (left % PRIME).reshape(len(rows) * k, k * n)
+    free = np.ones(len(m), dtype=bool)
+    for col in range(k * n):
+        hits = np.flatnonzero(free & (m[:, col] != 0))
+        if not len(hits):
+            continue
+        p = hits[0]
+        free[p] = False
+        pivot = m[p] * pow(int(m[p, col]), -1, PRIME) % PRIME
+        m = (m - np.outer(m[:, col], pivot)) % PRIME
+    return sorted({int(i) // k for i in np.flatnonzero(~free)})
 
 
 def perp_grid(space, rows_a, rows_b):

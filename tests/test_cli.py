@@ -357,6 +357,18 @@ def test_construct_transport_unitary(tmp_path):
     assert all(r["status"] == "pass" for r in recs)
 
 
+def test_construct_transport_unitary_rejects_a_non_quasiunitary_map(tmp_path):
+    # transport_unitary's own rejection reaches the report, class and all
+    code, text = run_main(tmp_path, "construct", "transport-unitary",
+                          "--map", fixture("shear_with_wrong_adjoint.json"))
+    assert code == 1
+    rec, = records_of(text)
+    assert rec["check"] == "construct/transport-unitary"
+    assert rec["status"] == "error"
+    assert rec["witness"] == {"error": "InputError",
+                              "message": "map is not quasiunitary"}
+
+
 def test_construct_partial_decompose(tmp_path):
     code, text = run_main(tmp_path, "construct", "partial-decompose",
                           "--map", fixture("partial_q5.json"),

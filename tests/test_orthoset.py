@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from orthoset_lab import linalg, orthoset
 from orthoset_lab.errors import InputError
 from orthoset_lab.hermspace import (
     HermitianSpace,
@@ -10,11 +12,12 @@ from orthoset_lab.hermspace import (
     Subspace,
     adjoint_linear,
     invert_semilinear,
+    quasi_generalized_inverse,
     random_nonzero_vector,
     random_subspace,
     standard_space,
 )
-from orthoset_lab.correspondence import induce
+from orthoset_lab.correspondence import induce, partial_wigner
 from orthoset_lab.orthoset import (
     ProbeSet,
     Ray,
@@ -29,12 +32,15 @@ from orthoset_lab.orthoset import (
     ray_grid,
     ray_payload,
     ray_perp,
+    rays_of,
     separating_ray,
     verify_adjoint_pair,
 )
-from orthoset_lab.sampling import random_linear_map
+from orthoset_lab.perpgrid import PRIME, pivot_rows
+from orthoset_lab.sampling import random_linear_map, random_partial_isometry
 from orthoset_lab.scalars import RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
+from orthoset_lab.suites import default_spaces
 
 Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
 
@@ -99,6 +105,112 @@ def test_perp_closure_is_closure_operator(sf):
         assert all(big.contains(b) for b in small.basis)     # monotone
         again = perp_closure([ray_of(b) for b in small.basis])
         assert again == small                                # idempotent
+
+
+def _closure_oracle(rays):
+    """The scalar echelon span of every proper representative."""
+    return Subspace.from_vectors(rays[0].space,
+                                 [r.rep for r in rays if not r.is_zero])
+
+
+def _closure_families(space, rng):
+    """Ray families of space: full rank, rank deficient, duplicate heavy,
+    a single ray and all zero."""
+    sf, n = space.sfield, space.dim
+
+    def span_rays(dim, count):
+        basis = [random_nonzero_vector(space, rng) for _ in range(dim)]
+        vectors = []
+        for _ in range(count):
+            v = space.zero_vector()
+            for b in basis:
+                v = v + sf.random_scalar(rng) * b
+            vectors.append(v)
+        return rays_of(space, vectors)
+
+    few = span_rays(2, n + 2)  # more distinct rays than n, so the pick runs
+    heavy = few * 4 + [Ray.zero(space)] * 4
+    rng.shuffle(heavy)
+    return {"full": span_rays(n, 3 * n + 2),
+            "deficient": span_rays(rng.randint(1, n - 1), 12),
+            "duplicates": heavy,
+            "single": [ray_of(random_nonzero_vector(space, rng))],
+            "zero": [Ray.zero(space)] * 3}
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_perp_closure_matches_the_scalar_span(sf):
+    rng = random.Random(f"closure-oracle:{sf.value}")
+    for space in [standard_space(sf, 3)] + default_spaces(sf):
+        for _ in range(4):
+            families = _closure_families(space, rng)
+            for name, rays in families.items():
+                assert perp_closure(rays) == _closure_oracle(rays), name
+            assert perp_closure(families["full"]).dim == space.dim
+            assert perp_closure(families["zero"]).dim == 0
+
+
+def test_perp_closure_confirms_rays_the_pick_misses():
+    # rows that agree mod p: the pick sees rank 1, the span is the plane.
+    # A third such ray makes more rays than n, so the pick runs.
+    q2 = standard_space(Q, 2)
+    rays = rays_of(q2, [q2.vector([1, 1 + t * PRIME]) for t in range(3)])
+    assert [r.row for r in rays[:2]] == [(1, 1), (1, 1 + PRIME)]
+    assert pivot_rows(Q, [r.row for r in rays[:2]]) == [0]
+    assert pivot_rows(Q, [r.row for r in rays]) == [0]
+    assert perp_closure(rays) == Subspace.full(q2)
+    # two misses: each confirmation round adds one ray
+    q3 = standard_space(Q, 3)
+    rays = rays_of(q3, [q3.vector(v) for v in ([1, 0, 0], [1, PRIME, 0],
+                                               [1, 0, PRIME],
+                                               [1, PRIME, PRIME])])
+    assert pivot_rows(Q, [r.row for r in rays]) == [0]
+    assert perp_closure(rays) == Subspace.full(q3)
+
+
+def test_perp_closure_confirms_a_quaternion_ray_the_pick_misses():
+    hq2 = standard_space(HQ, 2)
+    q = RQ(1, 2, 3, 4)
+    rays = rays_of(hq2, [hq2.vector([1, q + t * PRIME]) for t in range(3)])
+    assert pivot_rows(HQ, [r.row for r in rays[:2]]) == [0]
+    assert pivot_rows(HQ, [r.row for r in rays]) == [0]
+    closure = perp_closure(rays)
+    assert closure.dim == _closure_oracle(rays).dim == 2
+
+
+def test_perp_closure_rejects_rays_of_another_space():
+    q2 = standard_space(Q, 2)
+    gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
+    with pytest.raises(InputError):
+        perp_closure([ray_of(q2.vector([1, 0])),
+                      ray_of(gram.vector([0, 1]))])
+    twin = standard_space(Q, 2)
+    assert perp_closure([ray_of(q2.vector([1, 0])),
+                         ray_of(twin.vector([0, 1]))]) == Subspace.full(q2)
+
+
+def test_partial_wigner_closures_reduce_at_most_k_n_rows(monkeypatch):
+    # the closures of 256 probe images must not go back to one scalar
+    # elimination of all the rays
+    rref, closure = linalg.rref, orthoset.perp_closure.__code__
+    heights = []
+
+    def spy(rows):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not closure:
+            frame = frame.f_back
+        if frame is not None:
+            heights.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    h = standard_space(HQ, 5)
+    d, _ = random_partial_isometry(h, h, 3, random.Random("closure-guard"))
+    probes = ProbeSet.generate(h, seed=1, count=256)
+    partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
+                   probes, probes)
+    assert heights
+    assert max(heights) <= 4 * h.dim
 
 
 @pytest.mark.parametrize("sf", list(StarSfield))
