@@ -15,7 +15,6 @@ from .errors import (
     OrthosetLabError,
     ParseError,
     PreconditionError,
-    TransportDegeneracyError,
     UnsupportedVariantError,
 )
 from .scalars import GaussianRational, Rational, RationalQuaternion

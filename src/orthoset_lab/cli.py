@@ -27,13 +27,7 @@ from .correspondence import (
     transport_unitary,
 )
 from .errors import CertificateError, InputError, OrthosetLabError, ParseError
-from .hermspace import (
-    Subspace,
-    adjoint_linear,
-    gram_schmidt,
-    herm_form,
-    is_quasiunitary,
-)
+from .hermspace import Subspace, adjoint_linear, gram_schmidt, herm_form
 from .orthoset import ProbeSet
 from .reports import ReportRecord, failure_record, passed, render
 from .suites import (
@@ -266,7 +260,7 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
         phi = _require(phi, "--map")
         # transport_unitary rejects a map without a certificate, and returns
         # only once the transported map has passed its unitary check
-        tr = transport_unitary(phi, *(is_quasiunitary(phi) or (None, None)))
+        tr = transport_unitary(phi)
         records = [ReportRecord(check="construct/transport-unitary/unitary",
                                 status="pass")]
         return {"space": serialize.space_to_json(tr.new_space),

@@ -10,7 +10,9 @@ orthometric specialisations: extraction of the form scale factor of an
 orthogonality-preserving map, re-coordinatizations that turn quasi-maps
 into honestly linear or unitary ones, and the kernel/image decomposition
 of partial orthometries.  Scale factors and transports read the one
-certificate of hermspace (`form_scale`, `_involution_witness`).
+certificate of hermspace, `form_scale`; the scale of a bijective map is a
+positive rational (see hermspace.is_quasiunitary), so a transport through
+its twist and scale always lands in a certified space.
 
 Reconstructed maps are unique only up to a left scalar; all round-trip
 verification in this module is therefore modulo scalar_ratio.
@@ -26,7 +28,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    CertificateError,
     InconsistencyError,
     InconsistentFixedSubspaceError,
     InputError,
@@ -35,7 +36,6 @@ from .errors import (
     NotPartialOrthometryError,
     OrthogonalityViolationError,
     PreconditionError,
-    TransportDegeneracyError,
 )
 from .hermspace import (
     HermitianSpace,
@@ -43,7 +43,6 @@ from .hermspace import (
     SemilinearMap,
     Subspace,
     Vector,
-    _involution_witness,
     between_frames,
     compose_maps,
     form_scale,
@@ -63,7 +62,7 @@ from .orthoset import (
     verify_adjoint_pair,
 )
 from .reports import ReportRecord, passed
-from .scalars import RationalQuaternion, inv_scalar, star_scalar
+from .scalars import RationalQuaternion, inv_scalar
 from .starfields import SfieldMorphism, StarSfield
 
 
@@ -143,7 +142,8 @@ def piziak_lambda(phi: SemilinearMap, probes: ProbeSet | None = None):
     Requires an at least 2-dimensional domain and a map that preserves
     orthogonality, which is pre-checked on all Gram-orthogonal basis pairs
     of phi.image_gram and, when probes are supplied, on all orthogonal
-    probe pairs.  Then lam is form_scale(phi), star-fixed if phi is bijective.
+    probe pairs.  Then lam is form_scale(phi), a positive rational if phi
+    is bijective.
     """
     h1 = phi.domain
     if h1.dim < 2:
@@ -168,38 +168,30 @@ def piziak_lambda(phi: SemilinearMap, probes: ProbeSet | None = None):
             raise OrthogonalityViolationError(
                 "orthogonal probe pair with non-orthogonal images",
                 witness={"x": ray_payload(rays[i]), "y": ray_payload(rays[j])})
-    lam = form_scale(phi)
-    bijective = h1.dim == phi.codomain.dim and phi.rank == h1.dim
-    if bijective and star_scalar(lam) != lam:
-        raise InconsistencyError("scale factor is not star-fixed",
-                                 witness={"lam": str(lam)})
-    return lam
+    return form_scale(phi)
 
 
 def _transport(phi: SemilinearMap, sigma: SfieldMorphism,
                lam=None) -> TransportResult:
     """Replace the scalar structure of phi's codomain through sigma^-1, and
     rescale its form by lam^-1 when lam is given; tau is the identity on
-    vectors and composed is tau o phi."""
+    vectors and composed is tau o phi.
+
+    The new space's certificate passes.  Every supported sigma^-1 is an
+    automorphism that commutes with the star and fixes the rationals, so
+    entrywise it takes G = L D L* to sigma^-1(L) D sigma^-1(L)*, with the
+    same positive pivots; and lam^-1 > 0 (a positive rational, by
+    is_quasiunitary) scales every pivot by a positive rational.
+    """
     sig_inv = sigma.inverse()
     h2 = phi.codomain
     gram = h2.gram
     if lam is not None:
         lam_inv = inv_scalar(lam)
         gram = tuple(tuple(x * lam_inv for x in row) for row in gram)
-    g = _involution_witness(sigma, h2.sfield.one() if lam is None else lam)
-    if g is not None:
-        raise TransportDegeneracyError(
-            "transported involution leaves the supported sfields",
-            witness={"generator": str(g)})
-    try:
-        new_space = HermitianSpace(
-            h2.sfield, h2.dim, tuple(tuple(sig_inv(x) for x in row)
-                                     for row in gram))
-    except CertificateError as exc:
-        raise TransportDegeneracyError(
-            "transported Gram matrix failed certification",
-            witness=exc.witness) from exc
+    new_space = HermitianSpace(
+        h2.sfield, h2.dim, tuple(tuple(sig_inv(x) for x in row)
+                                 for row in gram))
     tau = SemilinearMap(h2, new_space, sig_inv, tuple(new_space.basis()))
     return TransportResult(new_space, tau, compose_maps(tau, phi))
 
@@ -213,16 +205,15 @@ def transport_linear(phi: SemilinearMap) -> TransportResult:
     return result
 
 
-def transport_unitary(phi: SemilinearMap, sigma: SfieldMorphism,
-                      lam) -> TransportResult:
+def transport_unitary(phi: SemilinearMap) -> TransportResult:
     """Like transport_linear, but rescale the form by lam^-1 as well, so
-    that tau o phi preserves it on the nose."""
+    that tau o phi preserves it on the nose.  The twist and lam come from
+    the one certificate is_quasiunitary(phi); lam is a positive rational,
+    so the rescaled space certifies."""
     cert = is_quasiunitary(phi)
     if cert is None:
         raise InputError("map is not quasiunitary")
-    if cert != (sigma, lam):
-        raise InputError("certificate does not match the map")
-    result = _transport(phi, sigma, lam)
+    result = _transport(phi, *cert)
     if not is_unitary(result.composed):
         raise InconsistencyError("transported map failed the unitary check")
     return result
@@ -432,13 +423,11 @@ def wigner_reconstruct(f: RayMap, f_inv: RayMap | None,
                 "map and claimed inverse are not an adjoint pair",
                 witness=pair[0].witness)
     coord = coordinatize(f, h1, h2, probes, injective=True, probes2=probes2)
-    phi = coord.map
-    lam = piziak_lambda(phi)
-    cert = is_quasiunitary(phi)  # the same certificate, so the same lam
+    cert = is_quasiunitary(coord.map)
     if cert is None:
         raise NotOrthoisoError("reconstructed map failed the quasiunitary "
                                "certificate")
-    return WignerResult(coord, cert[0], lam)
+    return WignerResult(coord, *cert)
 
 
 def fix_subspace_normalize(f: RayMap, s: Subspace, probes: ProbeSet,

@@ -65,9 +65,5 @@ class UnsupportedVariantError(OrthosetLabError):
     """The operation only supports the linear/unitary variant."""
 
 
-class TransportDegeneracyError(OrthosetLabError):
-    """A transported Gram matrix failed re-certification."""
-
-
 class ParseError(OrthosetLabError):
     """A file or literal could not be parsed into a library value."""

@@ -15,8 +15,10 @@ itself, which is undecidable-in-practice for arbitrary rational forms
 without heavy machinery.
 
 A map's scale certificate is read off one cached matrix, the forms of its
-basis images (`SemilinearMap.image_gram`), by `form_scale`; with
-`_involution_witness` it serves is_quasiunitary and correspondence alike.
+basis images (`SemilinearMap.image_gram`), by `form_scale`, and serves
+is_quasiunitary and correspondence alike.  On a bijective map its scale is
+a positive rational, by the certificate of the codomain (see
+is_quasiunitary), so no further test of the scale can fail.
 """
 
 from __future__ import annotations
@@ -248,12 +250,20 @@ class Subspace:
     basis: tuple
 
     def __post_init__(self):
-        rows = [list(v.coords) for v in self.basis]
-        reduced, pivots = linalg.rref(rows)
-        if len(reduced) != len(rows) or any(
-                list(v.coords) != r for v, r in zip(self.basis, reduced)):
+        """Check the reduced echelon shape in O(k n): no zero rows, each
+        row's first nonzero entry a 1, these pivot columns strictly
+        increasing, and every other row 0 in each pivot column."""
+        rows = [v.coords for v in self.basis]
+        pivots = tuple(next((j for j, x in enumerate(r) if x), -1)
+                       for r in rows)
+        if not (all(p >= 0 and r[p] == 1 for p, r in zip(pivots, rows))
+                and all(a < b for a, b in zip(pivots, pivots[1:]))
+                and not any(r[p] for k, r in enumerate(rows)
+                            for m, p in enumerate(pivots) if m != k)):
             raise InputError("basis is not in reduced echelon form; "
                              "use Subspace.from_vectors")
+        # the pivot column of each basis row, read by contains
+        object.__setattr__(self, "_pivots", pivots)
 
     @classmethod
     def from_vectors(cls, space: HermitianSpace, vectors) -> "Subspace":
@@ -278,12 +288,6 @@ class Subspace:
         residue, _ = linalg.reduce_against(
             [v.coords for v in self.basis], self._pivots, u.coords)
         return not any(residue)
-
-    @cached_property
-    def _pivots(self) -> tuple:
-        """The pivot column of each basis row: its first nonzero entry."""
-        return tuple(next(j for j, x in enumerate(v.coords) if x)
-                     for v in self.basis)
 
     @cached_property
     def orthogonal_basis(self) -> tuple:
@@ -551,21 +555,21 @@ def form_scale(phi: SemilinearMap):
     return lam
 
 
-def _involution_witness(sigma: SfieldMorphism, lam):
-    """The first generator g with
-    sigma(star(g)) * lam != lam * star(sigma(g)), or None.  With none, a
-    basis certificate extends to all vectors and a transport keeps the
-    standard involution."""
-    for g in sigma.sfield.generators():
-        if sigma(star_scalar(g)) * lam != lam * star_scalar(sigma(g)):
-            return g
-    return None
-
-
 def is_quasiunitary(phi: SemilinearMap):
-    """Certify <phi(u), phi(v)> = sigma(<u, v>) * lam by form_scale, a
-    star-fixed lam and no involution witness.  Returns (sigma, lam) or
-    None; raises on non-bijective input."""
+    """Certify <phi(u), phi(v)> = sigma(<u, v>) * lam by form_scale.
+    Returns (sigma, lam) or None; raises InputError on non-bijective input.
+
+    lam is read in column 0 as sigma(g_00)^-1 * <phi(e_0), phi(e_0)>.  g_00
+    is a positive rational, the first pivot of the domain's certificate;
+    every supported sigma (id, conj, inner(q)) fixes the rationals; and
+    phi(e_0) != 0 for a bijective map into a certified space, so its form
+    is a positive rational too.  So lam is a positive rational, central
+    and star-fixed.  Every supported sigma also commutes with the star
+    (over HQ, (q g q^-1)* = q g* q^-1 since q* = N(q) q^-1), so the basis
+    certificate extends to all vectors.  A lam that is not a positive
+    rational is a bug in the program, not a failed law, and raises
+    RuntimeError.
+    """
     h1, h2 = phi.domain, phi.codomain
     if h1.dim != h2.dim or phi.rank != h1.dim:
         raise InputError("quasiunitarity is defined for bijective maps")
@@ -575,9 +579,10 @@ def is_quasiunitary(phi: SemilinearMap):
         lam = form_scale(phi)
     except InconsistencyError:
         return None
-    if star_scalar(lam) != lam or \
-            _involution_witness(phi.sigma, lam) is not None:
-        return None
+    r = real_part(lam)
+    if r <= 0 or lam != h2.sfield.coerce(r):
+        raise RuntimeError(f"scale {lam} of a bijective map is not a "
+                           f"positive rational")
     return phi.sigma, lam
 
 

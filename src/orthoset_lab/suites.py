@@ -458,8 +458,7 @@ def transport_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         if w_tau is None and (before != after).any():
             w_tau = {"trial": t}
         qu = sampling.random_quasiunitary(space, rng)
-        sigma, lam = is_quasiunitary(qu)
-        tru = transport_unitary(qu, sigma, lam)
+        tru = transport_unitary(qu)
         if w_unit is None and not is_unitary(tru.composed):
             w_unit = {"trial": t}
     detail = {"maps": TRANSPORT_MAPS}

@@ -1,30 +1,31 @@
-"""The one scale certificate: SemilinearMap.image_gram, form_scale and
-_involution_witness, and the callers that read them.
+"""The one scale certificate: SemilinearMap.image_gram and form_scale, its
+one check that the scale of a bijective map is a positive rational, and the
+callers that read them.
 
 The differential tests hold the earlier, separate implementations of
-piziak_lambda, is_quasiunitary and the transported-involution check as
-oracles, and require the same value, or the same exception class,
-message and witness, on every input.
+piziak_lambda and is_quasiunitary as oracles, and require the same value,
+or the same exception class, message and witness, on every input.
 """
 
+import json
+import os
 import random
-from fractions import Fraction as F
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from orthoset_lab import hermspace
-from orthoset_lab.correspondence import _transport, induce, piziak_lambda
+from orthoset_lab import cli, correspondence, hermspace, suites
+from orthoset_lab.correspondence import induce, piziak_lambda
 from orthoset_lab.errors import (
     InconsistencyError,
     InputError,
     OrthogonalityViolationError,
+    OrthosetLabError,
     PreconditionError,
-    TransportDegeneracyError,
 )
 from orthoset_lab.hermspace import (
     SemilinearMap,
-    _involution_witness,
     form_scale,
     herm_form,
     is_quasiunitary,
@@ -33,13 +34,15 @@ from orthoset_lab.hermspace import (
 from orthoset_lab.orthoset import ProbeSet, ray_grid, ray_payload
 from orthoset_lab.sampling import left_scalar_map, random_quasiunitary
 from orthoset_lab.scalars import (
-    GaussianRational as GR,
     RationalQuaternion as RQ,
     inv_scalar,
+    real_part,
     star_scalar,
 )
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
-from orthoset_lab.suites import default_spaces
+from orthoset_lab.suites import SuiteConfig, default_spaces
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
 
@@ -116,19 +119,6 @@ def oracle_is_quasiunitary(phi):
         if sig(star_scalar(g)) * lam != lam * star_scalar(sig(g)):
             return None
     return sig, lam
-
-
-def oracle_check_transported_involution(sig_inv, lam_s, sfield):
-    sig = sig_inv.inverse()
-    lam_inv = inv_scalar(lam_s) if lam_s is not None else None
-    for g in list(sfield.generators()) + [sfield.coerce(F(2, 3))]:
-        moved = sig_inv(star_scalar(sig(g)))
-        if lam_s is not None:
-            moved = lam_s * moved * lam_inv
-        if moved != star_scalar(g):
-            raise TransportDegeneracyError(
-                "transported involution leaves the supported sfields",
-                witness={"generator": str(g)})
 
 
 def outcome(fn, *args):
@@ -256,65 +246,66 @@ def test_is_quasiunitary_after_piziak_lambda_matches_the_oracle():
         assert outcome(is_quasiunitary, phi) == want, label
 
 
-def _morphisms(sf):
-    if sf is Q:
-        return [SfieldMorphism.identity(Q)]
-    if sf is QI:
-        return [SfieldMorphism.identity(QI), SfieldMorphism.conjugation()]
-    return [SfieldMorphism.identity(HQ)] + [
-        SfieldMorphism.inner(q)
-        for q in (RQ(1, 1, 0, 0), RQ(0, 1, 2, 0), RQ(2, -1, 3, 1))]
-
-
-def _scales(sf):
-    if sf is Q:
-        return [F(1), F(-3, 2), F(7)]
-    if sf is QI:
-        return [GR(1), GR(2), GR(0, 1), GR(1, -2), GR(3, 5)]
-    return [RQ(1), RQ(F(5, 2)), RQ(0, 1, 0, 0), RQ(0, 0, 1, 0),
-            RQ(0, 0, 0, 1), RQ(1, 2, -1, 3), RQ(0, 1, 1, 0)]
-
-
-@pytest.mark.parametrize("sf", list(StarSfield))
-def test_involution_witness_matches_the_transported_check(sf):
+def test_is_quasiunitary_scales_are_positive_rationals():
     seen = set()
-    for sigma in _morphisms(sf):
-        sig_inv = sigma.inverse()
-        for lam in [None] + _scales(sf):
-            want = outcome(oracle_check_transported_involution, sig_inv,
-                           None if lam is None else sig_inv(lam), sf)
-            g = _involution_witness(sigma, sf.one() if lam is None else lam)
-            if g is None:
-                assert want == ("value", None), (sigma, lam)
-            else:
-                assert want == ("raise", TransportDegeneracyError,
-                                "transported involution leaves the "
-                                "supported sfields",
-                                {"generator": str(g)}), (sigma, lam)
-            seen.add(g is None)
-    # over the commutative Q and Qi both twists commute with the star
-    assert seen == ({True, False} if sf is HQ else {True})
+    for label, phi in CASES:
+        got = outcome(is_quasiunitary, _fresh(phi))
+        if got[0] == "value" and got[1] is not None:
+            lam = got[1][1]
+            r = real_part(lam)
+            assert r > 0 and lam == phi.codomain.sfield.coerce(r), label
+            seen.add((phi.domain.sfield, phi.domain._is_identity_gram))
+    # every sfield, over standard and Gram spaces
+    assert seen == {(sf, std) for sf in StarSfield for std in (True, False)}
 
 
-def test_involution_witness_hq_identity_twist_scale_i():
-    sigma = SfieldMorphism.identity(HQ)
-    i, j = HQ.generators()
-    g = _involution_witness(sigma, i)
-    assert g == j
-    with pytest.raises(TransportDegeneracyError) as err:
-        oracle_check_transported_involution(sigma.inverse(), i, HQ)
-    assert err.value.witness == {"generator": str(j)}
+def test_a_scale_that_is_not_a_positive_rational_is_an_internal_error(
+        monkeypatch, capsys):
+    phi = random_quasiunitary(standard_space(HQ, 3), random.Random(3))
+    monkeypatch.setattr(hermspace, "form_scale",
+                        lambda phi: RQ(0, 1, 0, 0))
+    with pytest.raises(Exception) as err:
+        is_quasiunitary(phi)
+    assert not isinstance(err.value, OrthosetLabError)
+    # so the report marks a bug in the program, not a failed law
+    code = cli.main(["construct", "transport-unitary", "--map",
+                     os.path.join(FIXTURES, "quasiunitary_hq3.json")])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 3 and rec["status"] == "internal"
 
 
-def test_transport_raises_on_the_involution_witness():
-    hq2 = standard_space(HQ, 2)
-    phi = SemilinearMap.identity(hq2)
-    i = RQ(0, 1, 0, 0)
-    with pytest.raises(TransportDegeneracyError) as err:
-        _transport(phi, phi.sigma, i)
-    assert str(err.value) == \
-        "transported involution leaves the supported sfields"
-    assert err.value.witness == {"generator": str(HQ.generators()[1])}
+def _count_certificates(monkeypatch, *modules):
+    """Record the map of every is_quasiunitary call read through the
+    named modules."""
+    calls = []
+    real = hermspace.is_quasiunitary
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+    for module in modules:
+        monkeypatch.setattr(module, "is_quasiunitary", counted, raising=False)
+    return calls
+
+
+def test_construct_transport_unitary_reads_one_certificate(monkeypatch,
+                                                           capsys):
+    calls = _count_certificates(monkeypatch, cli, correspondence)
+    code = cli.main(["construct", "transport-unitary", "--map",
+                     os.path.join(FIXTURES, "quasiunitary_hq3.json")])
+    assert code == 0 and capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_transport_suite_reads_one_certificate_per_map(monkeypatch):
+    calls = _count_certificates(monkeypatch, suites, correspondence)
+    cfg = SuiteConfig(suite="transport", count=16)
+    for sf in StarSfield:
+        calls.clear()
+        records = suites.transport_records(sf, cfg, random.Random(1), "t")
+        assert all(r.status == "pass" for r in records)
+        assert len(calls) == suites.TRANSPORT_MAPS
+        assert max(Counter(map(id, calls)).values()) == 1
 
 
 def test_form_scale_reads_the_image_gram():

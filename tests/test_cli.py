@@ -14,6 +14,11 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BAD_FILE = os.path.join(DATA, "bad_parse.json")
 GOLDEN = os.path.join(DATA, "suite_all_seed7.jsonl")
+# stdout and exit code of each scale-reading construction on each map fixture
+CONSTRUCT_GOLDEN = os.path.join(DATA, "construct_maps.json")
+MAP_FIXTURES = ("partial_q5.json", "quasiunitary_hq3.json",
+                "quasiunitary_qi3.json", "scale2_q2.json",
+                "shear_with_wrong_adjoint.json")
 
 
 def fixture(name):
@@ -367,6 +372,19 @@ def test_construct_transport_unitary_rejects_a_non_quasiunitary_map(tmp_path):
     assert rec["status"] == "error"
     assert rec["witness"] == {"error": "InputError",
                               "message": "map is not quasiunitary"}
+
+
+def test_construct_outputs_match_the_golden_file(capsys):
+    with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(
+        f"{kind} {name}" for kind in ("piziak", "transport",
+                                      "transport-unitary")
+        for name in MAP_FIXTURES)
+    for key, want in golden.items():
+        kind, name = key.split()
+        code = main(["construct", kind, "--map", fixture(name)])
+        assert {"exit": code, "stdout": capsys.readouterr().out} == want, key
 
 
 def test_construct_partial_decompose(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orthoset_lab import linalg
 from orthoset_lab.errors import (
     CertificateError,
     DependencyError,
@@ -568,8 +569,28 @@ def test_subspace_canonical_equality():
     a = Subspace.from_vectors(q3, [q3.vector([1, 1, 0]), q3.vector([0, 1, 1])])
     b = Subspace.from_vectors(q3, [q3.vector([1, 2, 1]), q3.vector([1, 0, -1])])
     assert a == b
-    with pytest.raises(InputError):
-        Subspace(q3, (q3.vector([2, 0, 0]),))  # not reduced
+    for rows in ([[2, 0, 0]],                  # pivot != 1
+                 [[0, 1, 0], [1, 0, 0]],       # unsorted pivots
+                 [[1, 3, 0], [0, 1, 0]],       # nonzero above a pivot
+                 [[1, 0, 0], [0, 0, 0]]):      # zero row
+        with pytest.raises(InputError):
+            Subspace(q3, tuple(q3.vector(r) for r in rows))
+    hq3 = standard_space(HQ, 3)
+    s = Subspace(hq3, (hq3.vector([1, 0, HQ_J]), hq3.vector([0, 1, HQ_K])))
+    assert s == Subspace.from_vectors(hq3, list(s.basis))
+
+
+def test_from_vectors_reduces_once(monkeypatch):
+    calls = []
+    real = linalg.rref
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+    monkeypatch.setattr(linalg, "rref", counted)
+    q3 = standard_space(Q, 3)
+    s = Subspace.from_vectors(q3, [q3.vector([2, 4, 0]), q3.vector([1, 1, 1])])
+    assert s.dim == 2 and len(calls) == 1
 
 
 def frame_spaces():
