@@ -9,10 +9,14 @@ every probe.  On top of that sit the
 orthometric specialisations: extraction of the form scale factor of an
 orthogonality-preserving map, re-coordinatizations that turn quasi-maps
 into honestly linear or unitary ones, and the kernel/image decomposition
-of partial orthometries.  Scale factors and transports read the one
-certificate of hermspace, `form_scale`; the scale of a bijective map is a
-positive rational (see hermspace.is_quasiunitary), so a transport through
-its twist and scale always lands in a certified space.
+of partial orthometries.  A partial orthometry is reconstructed once, by
+coordinatize's exact reconstruction on the kernel complement that its
+decomposition found; the core between the two subspace frames is then
+certified quasiunitary, with no second round trip.  Scale factors and
+transports read the one certificate of hermspace, `form_scale`; the scale
+of a bijective map is a positive rational (see hermspace.is_quasiunitary),
+so a transport through its twist and scale always lands in a certified
+space.
 
 Reconstructed maps are unique only up to a left scalar; all round-trip
 verification in this module is therefore modulo scalar_ratio.
@@ -95,8 +99,7 @@ class WignerResult:
 class PartialOrthometryDecomposition:
     a: Subspace          # (ker f)-perp, equal to the closure of im f*
     b: Subspace          # im f closure, equal to (ker f*)-perp
-    core: RayMap         # the restriction, in frame coordinates
-    reassembled: RayMap  # inclusion o core o projection
+    reassembled: RayMap  # f o P(projection onto A)
     report: list
 
 
@@ -307,6 +310,19 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     else:
         raise InputError("need an adjoint oracle or injectivity")
 
+    phi, sigma = _reconstruct(f, h1, h2, k_sub, rank, probes)
+    records.append(ReportRecord(
+        check="coordinatize/probe-match", status="pass",
+        detail={"probes": len(list(probes))}))
+    return CoordinatizationResult(phi, sigma, records)
+
+
+def _reconstruct(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
+                 k_sub: Subspace, rank: int, probes: ProbeSet):
+    """The semilinear map phi, and its twist sigma, with P(phi) = f, for f
+    whose kernel is the orthocomplement of k_sub; raises NotInducedError
+    when f does not fit, and otherwise returns only once P(phi) = f holds
+    on every probe."""
     # one batch: the kernel's basis rays, the complement's orthogonal basis
     # us, the sum rays us[0] + us[i] and the generator-scaled us[0] + g us[1]
     n_sub = k_sub.orthocomplement()
@@ -390,10 +406,7 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         raise NotInducedError(
             "reconstructed map disagrees with the oracle on probes",
             witness={"ray": first, "mismatches": mismatches})
-    records.append(ReportRecord(
-        check="coordinatize/probe-match", status="pass",
-        detail={"probes": len(list(probes))}))
-    return CoordinatizationResult(phi, sigma, records)
+    return phi, sigma
 
 
 def _split(items, parts) -> list[list]:
@@ -464,25 +477,6 @@ def fix_subspace_normalize(f: RayMap, s: Subspace, probes: ProbeSet,
     return phi
 
 
-def _between_frames(g: RayMap, source, target) -> RayMap:
-    """P(target.projection) o g o P(source.inclusion), on whole batches.  g
-    must send the source subspace into the target's, which holds a ray y
-    exactly when P(target.inclusion) takes P(target.projection)(y) to y."""
-    embed, restrict, back = (induce(phi) for phi in (
-        source.inclusion, target.projection, target.inclusion))
-
-    def batch(rays):
-        images = g.apply_many(embed.apply_many(rays))
-        coords = restrict.apply_many(images)
-        for y, z in zip(images, back.apply_many(coords)):
-            if y != z:
-                raise InputError("vector does not lie in the subspace",
-                                 witness={"ray": ray_payload(y)})
-        return coords
-
-    return RayMap(source.space, target.space, oracle=batch)
-
-
 def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
                                  probes1: ProbeSet,
                                  probes2: ProbeSet) -> PartialOrthometryDecomposition:
@@ -540,8 +534,6 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     records.append(ReportRecord(check="partial/core-orthoiso", status="pass",
                                 detail={"rays": len(a_rays)}))
 
-    core = _between_frames(f, a_sub.frame, b_sub.frame)
-
     frame = a_sub.frame
     project_a = induce(compose_maps(frame.inclusion, frame.projection))
     reassembled = RayMap(
@@ -553,29 +545,30 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
                 witness={"ray": ray_payload(x)})
     records.append(ReportRecord(check="partial/factorization", status="pass",
                                 detail={"probes": len(list(probes1))}))
-    return PartialOrthometryDecomposition(a_sub, b_sub, core, reassembled,
-                                          records)
+    return PartialOrthometryDecomposition(a_sub, b_sub, reassembled, records)
 
 
 def partial_wigner(f: RayMap, f_adj: RayMap, probes1: ProbeSet,
                    probes2: ProbeSet) -> PartialIsometryDescriptor:
     """Rebuild a partial quasiisometry inducing the partial orthometry f;
-    needs the kernel complement to have dimension >= 3."""
+    needs the kernel complement A to have dimension >= 3.
+
+    f is reconstructed once, exactly, with kernel A-perp, and its core
+    between the frames of A and B must pass the quasiunitary certificate:
+    on A, f is an orthoisomorphism onto B, so in dimension >= 3 it is
+    induced by a quasiunitary map (Wigner's theorem in Uhlhorn's
+    orthogonality form)."""
     dec = decompose_partial_orthometry(f, f_adj, probes1, probes2)
     if dec.a.dim < 3:
         raise PreconditionError(
             f"partial reconstruction needs a core of dimension >= 3, "
             f"got {dec.a.dim}")
-    frame_a, frame_b = dec.a.frame, dec.b.frame
-    core_inv = _between_frames(f_adj, frame_b, frame_a)
-    # the core lives behind expensive embed/restrict oracles; reconstruction
-    # probes it more lightly, and the full ambient probe set still gates the
-    # reassembled map below
-    core_probes = ProbeSet.generate(frame_a.space, probes1.seed,
-                                    max(32, probes1.count // 4))
-    wig = wigner_reconstruct(dec.core, core_inv, frame_a.space, frame_b.space,
-                             core_probes)
-    descriptor = make_partial_isometry(dec.a, dec.b, wig.coordinatization.map)
+    phi, _ = _reconstruct(f, f.domain, f.codomain, dec.a, dec.b.dim, probes1)
+    core = between_frames(phi, dec.a.frame, dec.b.frame)
+    if is_quasiunitary(core) is None:
+        raise NotPartialOrthometryError(
+            "reconstructed core failed the quasiunitary certificate")
+    descriptor = make_partial_isometry(dec.a, dec.b, core)
     for x, y, z in zip(probes1, induce(descriptor.map).apply_many(probes1),
                        f.apply_many(probes1)):
         if y != z:

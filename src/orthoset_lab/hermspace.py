@@ -627,20 +627,16 @@ def generalized_inverse(d: PartialIsometryDescriptor) -> SemilinearMap:
         raise UnsupportedVariantError(
             "generalized_inverse needs a linear unitary core; "
             "transport the quasi variant first")
-    return _reverse_through_core(d)
+    return quasi_generalized_inverse(d)
 
 
 def quasi_generalized_inverse(d: PartialIsometryDescriptor) -> SemilinearMap:
     """The quasi variant: inclusion(s1) o core^-1 o projection(s2)."""
-    return _reverse_through_core(d)
-
-
-def _reverse_through_core(d: PartialIsometryDescriptor) -> SemilinearMap:
-    f1, f2 = d.s1.frame, d.s2.frame
     if d.s1.dim == 0:
         return SemilinearMap.zero(d.s2.space, d.s1.space)
     core_inv = invert_semilinear(d.core)
-    return compose_maps(f1.inclusion, compose_maps(core_inv, f2.projection))
+    return compose_maps(d.s1.frame.inclusion,
+                        compose_maps(core_inv, d.s2.frame.projection))
 
 
 def between_frames(phi: SemilinearMap, source: SubspaceFrame,

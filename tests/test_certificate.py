@@ -308,6 +308,37 @@ def test_transport_suite_reads_one_certificate_per_map(monkeypatch):
         assert max(Counter(map(id, calls)).values()) == 1
 
 
+
+def test_transport_suite_certifies_each_transported_map_once(monkeypatch):
+    """transport_unitary certifies the input map and, through is_unitary,
+    the transported one; the suite adds no third certificate."""
+    calls = _count_certificates(monkeypatch, hermspace, suites,
+                                correspondence)
+    cfg = SuiteConfig(suite="transport", count=16)
+    records = suites.transport_records(Q, cfg, random.Random(1), "t")
+    assert all(r.status == "pass" for r in records)
+    assert len(calls) == 2 * suites.TRANSPORT_MAPS == 40
+
+
+
+def test_wigner_suite_reads_one_certificate_per_map(monkeypatch):
+    calls = _count_certificates(monkeypatch, suites, correspondence)
+    cfg = SuiteConfig(suite="wigner", count=16)
+    records = suites.wigner_records(Q, cfg, random.Random(1), "w")
+    assert all(r.status == "pass" for r in records)
+    assert len(calls) == suites.WIGNER_MAPS
+
+def test_transport_suite_records_a_failed_transport(monkeypatch):
+    def fails(phi):
+        raise InconsistencyError("transported map failed the unitary check")
+    monkeypatch.setattr(suites, "transport_unitary", fails)
+    cfg = SuiteConfig(suite="transport", count=16)
+    records = suites.transport_records(Q, cfg, random.Random(1), "t")
+    rec, = [r for r in records if r.check == "t/unitary-after-transport"]
+    assert rec.status == "fail"
+    assert rec.witness == {
+        "trial": 0, "error": "transported map failed the unitary check"}
+
 def test_form_scale_reads_the_image_gram():
     hq3 = default_spaces(HQ)[1]
     phi = random_quasiunitary(hq3, random.Random(5))

@@ -3,9 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from orthoset_lab import orthoset
+from orthoset_lab import correspondence, orthoset
 from orthoset_lab.correspondence import (
-    _between_frames,
     coordinatize,
     decompose_partial_orthometry,
     fix_subspace_normalize,
@@ -48,7 +47,11 @@ from orthoset_lab.sampling import (
     random_partial_isometry,
     random_quasiunitary,
 )
-from orthoset_lab.scalars import GaussianRational as GR, RationalQuaternion as RQ
+from orthoset_lab.scalars import (
+    GaussianRational as GR,
+    RationalQuaternion as RQ,
+    star_scalar,
+)
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
 
 Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
@@ -468,22 +471,33 @@ def test_decompose_rejects_broken_adjoint():
                                      probes, probes)
 
 
+def gram_space_4(sf):
+    """A 4-dimensional space with a tridiagonal certified Gram matrix whose
+    off-diagonal entries are 1, i or the quaternion units."""
+    units = {Q: (1, 1, 1), QI: (GR(0, 1),) * 3,
+             HQ: (RQ(0, 1, 0, 0), RQ(0, 0, 1, 0), RQ(0, 0, 0, 1))}[sf]
+    gram = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    for i, u in enumerate(units):
+        gram[i][i + 1], gram[i + 1][i] = u, star_scalar(u)
+    return HermitianSpace.create(sf, 4, gram)
+
+
 @pytest.mark.parametrize("sf", list(StarSfield))
 @pytest.mark.parametrize("quasi", [False, True])
 def test_partial_wigner_round_trip(sf, quasi):
-    rng = random.Random(f"pw:{sf.value}:{quasi}")
-    h1, h2 = standard_space(sf, 5), standard_space(sf, 5)
-    d, core0 = random_partial_isometry(h1, h2, 3, rng, quasi=quasi)
-    f = induce(d.map)
-    f_adj = induce(quasi_generalized_inverse(d))
-    p1 = ProbeSet.generate(h1, seed=3, count=40)
-    p2 = ProbeSet.generate(h2, seed=3, count=40)
-    result = partial_wigner(f, f_adj, p1, p2)
-    assert result.s1 == d.s1 and result.s2 == d.s2
-    assert scalar_ratio(result.core, core0) is not None
-    induced = induce(result.map)
-    for x in p1:
-        assert induced(x) == f(x)
+    """On the standard 5-space and on a 4-space with a Gram matrix."""
+    for space, tag in ((standard_space(sf, 5), ""),
+                       (gram_space_4(sf), ":gram")):
+        rng = random.Random(f"pw:{sf.value}:{quasi}{tag}")
+        d, core0 = random_partial_isometry(space, space, 3, rng, quasi=quasi)
+        f = induce(d.map)
+        p = ProbeSet.generate(space, seed=3, count=40)
+        result = partial_wigner(f, induce(quasi_generalized_inverse(d)), p, p)
+        assert result.s1 == d.s1 and result.s2 == d.s2
+        assert scalar_ratio(result.core, core0) is not None
+        induced = induce(result.map)
+        for x in p:
+            assert induced(x) == f(x)
 
 
 def test_partial_wigner_identity_is_identity_isometry():
@@ -545,12 +559,47 @@ def test_frame_restrictions_reject_images_outside_the_target():
         SemilinearMap.identity(s.frame.space)
     with pytest.raises(InputError, match="does not lie in the subspace"):
         between_frames(ident, s.frame, t.frame)
-    core = _between_frames(induce(ident), s.frame, t.frame)
-    frame_space = s.frame.space
-    inside = ray_of(frame_space.vector([1, 1]))  # (1, 1, 0) lies in t
-    assert core.apply_many([Ray.zero(frame_space), inside]) == [
-        Ray.zero(t.frame.space), ray_of(t.frame.space.vector([1, 0]))]
-    with pytest.raises(InputError, match="does not lie in the subspace"):
-        core(ray_of(frame_space.vector([1, 0])))
-    with pytest.raises(InputError, match="does not lie in the subspace"):
-        core.apply_many(ProbeSet.generate(frame_space, seed=0, count=8))
+
+
+def test_partial_wigner_reconstructs_once(monkeypatch):
+    """One adjoint-pair check (the decomposition's), no Wigner round trip
+    and no probe set on a frame space: f is rebuilt once on (ker f)-perp."""
+    calls = {"pair": 0, "wigner": 0}
+    probe_spaces = []
+    real_pair, real_probes = orthoset.verify_adjoint_pair, \
+        orthoset._generate_probes
+
+    def pair(*args):
+        calls["pair"] += 1
+        return real_pair(*args)
+
+    def wigner(*args):
+        calls["wigner"] += 1
+        raise AssertionError("partial_wigner ran a Wigner round trip")
+
+    def probes(space, seed, count):
+        probe_spaces.append(space)
+        return real_probes(space, seed, count)
+
+    q5 = standard_space(Q, 5)
+    d, _ = random_partial_isometry(q5, q5, 3, random.Random(2), quasi=True)
+    p = ProbeSet.generate(q5, seed=1, count=48)
+    monkeypatch.setattr(correspondence, "verify_adjoint_pair", pair)
+    monkeypatch.setattr(correspondence, "wigner_reconstruct", wigner)
+    monkeypatch.setattr(orthoset, "_generate_probes", probes)
+    result = partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
+                            p, p)
+    assert result.s1 == d.s1 and result.s2 == d.s2
+    assert calls == {"pair": 1, "wigner": 0}
+    assert all(space == q5 for space in probe_spaces)
+
+
+def test_partial_wigner_rejects_a_core_that_fails_the_certificate(
+        monkeypatch):
+    q5 = standard_space(Q, 5)
+    d, _ = random_partial_isometry(q5, q5, 3, random.Random(3))
+    p = ProbeSet.generate(q5, seed=0, count=32)
+    monkeypatch.setattr(correspondence, "is_quasiunitary", lambda phi: None)
+    with pytest.raises(NotPartialOrthometryError, match="certificate"):
+        partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
+                       p, p)
