@@ -5,14 +5,18 @@ Vectors are rows under a left scalar action and forms follow the convention
     <u, v> = sum_ij u_i * G_ij * star(v_j),
 
 linear in the first argument, star-twisted in the second.  Every space
-carries an anisotropy certificate checked at construction, the same over
-every sfield: left elimination factors the Gram matrix as G = L D L* with L
-unit lower triangular, and every pivot in D must be a positive rational.
+carries an anisotropy certificate, the same over every sfield: left
+elimination factors the Gram matrix as G = L D L* with L unit lower
+triangular, and every pivot in D must be a positive rational.
 Then <u, u> = sum_k d_k N((u L)_k) is positive for u != 0, so the form is
 anisotropic.  Over Q and Qi the product d_1 ... d_k is the k-th leading
 principal minor.  The certificate is deliberately stronger than anisotropy
 itself, which is undecidable-in-practice for arbitrary rational forms
 without heavy machinery.
+
+Equal spaces are one object: construction returns the live space of the
+same sfield, dimension and Gram matrix when there is one, so the
+certificate is checked once per distinct space and space equality is `is`.
 
 A map's scale certificate is read off one cached matrix, the forms of its
 basis images (`SemilinearMap.image_gram`), by `form_scale`, and serves
@@ -23,6 +27,7 @@ is_quasiunitary), so no further test of the scale can fail.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,8 +76,25 @@ def _identity_gram(sfield: StarSfield, dim: int) -> tuple:
                  for i in range(dim))
 
 
-@dataclass(frozen=True)
-class HermitianSpace:
+_live_spaces = weakref.WeakValueDictionary()  # (sfield, dim, gram) -> space
+
+
+class _Interned(type):
+    """Construction through the table of live spaces: a hit comes back as
+    is; a miss is built, certified by __post_init__, then registered, so a
+    Gram matrix that fails its certificate never enters the table."""
+
+    def __call__(cls, sfield: StarSfield, dim: int, gram):
+        gram = tuple(tuple(sfield.coerce(x) for x in row) for row in gram)
+        key = (sfield, dim, gram)
+        space = _live_spaces.get(key)
+        if space is None:
+            space = _live_spaces[key] = super().__call__(sfield, dim, gram)
+        return space
+
+
+@dataclass(frozen=True, eq=False)
+class HermitianSpace(metaclass=_Interned):
     sfield: StarSfield
     dim: int
     gram: tuple
@@ -84,12 +106,6 @@ class HermitianSpace:
         g = self.gram
         if len(g) != n or any(len(row) != n for row in g):
             raise InputError("Gram matrix shape does not match dimension")
-        sf = self.sfield
-        for row in g:
-            for x in row:
-                if not sf.is_member(x):
-                    raise InputError(
-                        f"Gram entry {x!r} is not a scalar of {sf.value}")
         for i in range(n):
             for j in range(i, n):
                 if g[j][i] != star_scalar(g[i][j]):
@@ -100,11 +116,8 @@ class HermitianSpace:
 
     @classmethod
     def create(cls, sfield: StarSfield, dim: int, gram=None) -> "HermitianSpace":
-        if gram is None:
-            gram = _identity_gram(sfield, dim)
-        else:
-            gram = tuple(tuple(sfield.coerce(x) for x in row) for row in gram)
-        return cls(sfield, dim, gram)
+        return cls(sfield, dim, _identity_gram(sfield, dim) if gram is None
+                   else gram)
 
     @cached_property
     def _is_identity_gram(self) -> bool:
@@ -144,13 +157,6 @@ class HermitianSpace:
 
     def basis(self) -> list["Vector"]:
         return [self.basis_vector(i) for i in range(self.dim)]
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.sfield, self.dim, self.gram))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __repr__(self):
         tag = "std" if self._is_identity_gram else "gram"
@@ -203,7 +209,7 @@ class Vector:
 
 
 def _same_space(u, v):
-    if u.space is not v.space and u.space != v.space:
+    if u.space is not v.space:
         raise InputError("vectors live in different spaces")
 
 
@@ -294,14 +300,17 @@ class Subspace:
         return tuple(gram_schmidt(list(self.basis)))
 
     def orthocomplement(self) -> "Subspace":
-        """All u with <v, u> = 0 for every v in this subspace; computed as a
-        left kernel, using <u, v> = star(<v, u>) to put u on the left."""
-        space = self.space
-        n = space.dim
-        cols = [[herm_form(e, v) for v in self.basis] for e in space.basis()]
-        kernel = linalg.left_kernel(cols) if self.basis else \
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return Subspace.from_vectors(space, [space.vector(r) for r in kernel])
+        """All u with <v, u> = 0 for every v in this subspace; computed once
+        as a left kernel, using <u, v> = star(<v, u>) to put u on the left."""
+        if "_perp" not in self.__dict__:
+            space = self.space
+            n = space.dim
+            cols = [[herm_form(e, v) for v in self.basis] for e in space.basis()]
+            kernel = linalg.left_kernel(cols) if self.basis else \
+                [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            object.__setattr__(self, "_perp", Subspace.from_vectors(
+                space, [space.vector(r) for r in kernel]))
+        return self._perp
 
     def project(self, u: Vector) -> tuple[Vector, Vector]:
         """Split u = u_S + u_perp with u_S in S and u_perp orthogonal to S."""
@@ -318,7 +327,7 @@ class Subspace:
 
 
 def _same_space_sub(s: Subspace, u: Vector):
-    if s.space is not u.space and s.space != u.space:
+    if s.space is not u.space:
         raise InputError("vector lives outside the subspace's ambient space")
 
 
@@ -419,7 +428,7 @@ class SemilinearMap:
         if len(self.images) != self.domain.dim:
             raise InputError("need one image per domain basis vector")
         for v in self.images:
-            if v.space != self.codomain:
+            if v.space is not self.codomain:
                 raise InputError("images must live in the codomain")
         if self.sigma.sfield is not self.domain.sfield or \
                 self.domain.sfield is not self.codomain.sfield:
@@ -454,7 +463,7 @@ class SemilinearMap:
                      for u in self.images)
 
     def apply(self, u: Vector) -> Vector:
-        if u.space is not self.domain and u.space != self.domain:
+        if u.space is not self.domain:
             raise InputError("vector is not in the map's domain")
         ident = self.sigma.is_identity
         acc = None
@@ -490,7 +499,7 @@ class SemilinearMap:
 
 def compose_maps(outer: SemilinearMap, inner: SemilinearMap) -> SemilinearMap:
     """outer after inner."""
-    if inner.codomain != outer.domain:
+    if inner.codomain is not outer.domain:
         raise InputError("maps do not compose")
     return SemilinearMap(
         inner.domain, outer.codomain,
@@ -612,7 +621,7 @@ def make_partial_isometry(s1: Subspace, s2: Subspace,
     if s1.dim != s2.dim:
         raise InputError("subspaces must have equal dimension")
     f1, f2 = s1.frame, s2.frame
-    if core.domain != f1.space or core.codomain != f2.space:
+    if core.domain is not f1.space or core.codomain is not f2.space:
         raise InputError("core must map the s1 frame space to the s2 frame space")
     if s1.dim and is_quasiunitary(core) is None:
         raise InputError("core is not quasiunitary")

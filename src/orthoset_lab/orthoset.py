@@ -5,10 +5,11 @@ or a line with a canonical representative whose first nonzero coordinate is
 1 (achieved by left multiplication, so it is well defined for left spans).
 A `Ray` holds that representative as one primitive integer row: the
 canonical row times the lcm of its denominators, its k component planes
-flattened into k * n ints.  The row is unique for the ray, so equality,
-hashing, ray maps and grids all run on ints; the representative as a
-Vector of scalars (`rep`, the text of `repr` and of `ray_payload`) is
-built from the row only on first use, one scalar and one gcd per
+flattened into k * n ints.  The row is unique for the ray, so ray maps
+and grids run on ints, and equality and hashing on the row and the
+identity of the space (equal spaces are one object).  The representative
+as a Vector of scalars (`rep`, the text of `repr` and of `ray_payload`)
+is built from the row only on first use, one scalar and one gcd per
 coordinate.  Orthogonality of rays is orthogonality of
 representatives, with the zero element orthogonal to everything.
 
@@ -65,7 +66,7 @@ class Ray:
     times the lcm of its denominators: the k component planes of the
     coordinates, each of length n, one after the other, as one tuple of
     k * n ints.  It is unique for the ray, so equality and hashing run on
-    (space, row) without scalar objects; the zero ray's row is all zeros.
+    the row and the space's identity; the zero ray's row is all zeros.
     Build rays with `rays_of`, `ray_of` or `Ray.zero`.  `rep`, the
     representative as a Vector of scalars, is built from the row on first
     use, one scalar per coordinate with one gcd each, and then kept."""
@@ -81,8 +82,7 @@ class Ray:
     def __eq__(self, other):
         if not isinstance(other, Ray):
             return NotImplemented
-        return self.row == other.row and (
-            self.space is other.space or self.space == other.space)
+        return self.row == other.row and self.space is other.space
 
     def __hash__(self):
         h = self._hash
@@ -120,18 +120,10 @@ class Ray:
         return f"Ray({', '.join(str(c) for c in self.rep.coords)})"
 
 
-def _all_in(space: HermitianSpace, spaces) -> bool:
-    """Whether every one of spaces is space.  Equal spaces are often
-    distinct objects, and comparing those compares Gram matrices, so each
-    distinct object is compared once."""
-    return all(s is space or s == space
-               for s in {id(s): s for s in spaces}.values())
-
-
 def rays_of(space: HermitianSpace, vectors) -> list[Ray]:
     """The rays spanned by vectors of space, canonicalized in one batch."""
     vectors = list(vectors)
-    if not _all_in(space, (v.space for v in vectors)):
+    if any(v.space is not space for v in vectors):
         raise InputError("vector lives in a different space")
     rows = ray_rows(space.sfield, [v.coords for v in vectors], space.dim)
     return [Ray(space, row) for row in rows]
@@ -143,7 +135,7 @@ def ray_of(u: Vector) -> Ray:
 
 
 def ray_perp(x: Ray, y: Ray) -> bool:
-    if x.space != y.space:
+    if x.space is not y.space:
         raise InputError("rays live in different spaces")
     if x.is_zero or y.is_zero:
         return True
@@ -172,7 +164,7 @@ def perp_closure(rays) -> Subspace:
     if not rays:
         raise InputError("perp_closure needs at least one ray to fix the space")
     space = rays[0].space
-    if not _all_in(space, (r.space for r in rays)):
+    if any(r.space is not space for r in rays):
         raise InputError("rays live in different spaces")
     proper = {}
     for r in rays:
@@ -213,8 +205,8 @@ class RayMap:
         if (self.mapping is None) == (self.oracle is None):
             raise InputError("provide exactly one of mapping and oracle")
         if self.mapping is not None and (
-                self.mapping.domain != self.domain
-                or self.mapping.codomain != self.codomain):
+                self.mapping.domain is not self.domain
+                or self.mapping.codomain is not self.codomain):
             raise InputError("underlying map does not match the stated spaces")
         # verification pipelines hit the same probe rays repeatedly
         object.__setattr__(self, "_memo", {})
@@ -238,12 +230,12 @@ class RayMap:
         memo = self._memo
         todo = list(dict.fromkeys(x for x in rays if x not in memo))
         if todo:
-            if not _all_in(self.domain, (x.space for x in todo)):
+            if any(x.space is not self.domain for x in todo):
                 raise InputError("ray is not in the map's domain")
             images = list((self.oracle or self._induced)(todo))
             if len(images) != len(todo):
                 raise InputError("oracle returned the wrong number of rays")
-            if not _all_in(self.codomain, (y.space for y in images)):
+            if any(y.space is not self.codomain for y in images):
                 raise InputError("oracle returned a ray of the wrong space")
             memo.update(zip(todo, images))
         return [memo[x] for x in rays]
@@ -311,7 +303,7 @@ def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ra
 def ray_grid(space: HermitianSpace, rays_a, rays_b):
     """Exact orthogonality grid over two ray families of space."""
     rays_a, rays_b = list(rays_a), list(rays_b)
-    if not _all_in(space, (r.space for r in rays_a + rays_b)):
+    if any(r.space is not space for r in rays_a + rays_b):
         raise InputError("ray is not in the grid's space")
     return row_grid(space, [r.row for r in rays_a], [r.row for r in rays_b])
 
@@ -348,7 +340,7 @@ def linearity_witness(x: Ray, y: Ray) -> Ray:
     orthogonal to x."""
     if x.is_zero or y.is_zero:
         raise InputError("witness construction needs proper rays")
-    if x.space != y.space:
+    if x.space is not y.space:
         raise InputError("rays live in different spaces")
     if x == y:
         raise InputError("witness construction needs distinct rays")

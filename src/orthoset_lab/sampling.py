@@ -118,15 +118,15 @@ def random_partial_isometry(space1: HermitianSpace, space2: HermitianSpace,
     a random ambient (quasi)unitary map.
 
     Returns (descriptor, core) with the core expressed between the
-    canonical subspace frames.  Requires isometric ambient spaces, which
-    is arranged by using equal Gram matrices.
+    canonical subspace frames.  Requires equal Gram matrices, that is one
+    space given twice (equal spaces are one object).
     """
-    if space1.gram != space2.gram:
+    if space1 is not space2:
         raise InputError("ambient spaces must share a Gram matrix")
     s1 = random_subspace(space1, core_dim, rng)
     ambient = random_quasiunitary(space2, rng) if quasi \
         else random_unitary(space2, rng)
-    carried = [ambient.apply(space2.vector(v.coords)) for v in s1.basis]
+    carried = [ambient.apply(v) for v in s1.basis]
     s2 = Subspace.from_vectors(space2, carried)
     core = between_frames(ambient, s1.frame, s2.frame)
     return make_partial_isometry(s1, s2, core), core

@@ -480,8 +480,7 @@ def partial_records(sfield: StarSfield, cfg: SuiteConfig, rng,
         n = rng.randint(4, 6)
         core_dim = rng.randint(3, n - 1)
         quasi = rng.random() < 0.5
-        h1 = standard_space(sfield, n)
-        h2 = standard_space(sfield, n)
+        h1 = h2 = standard_space(sfield, n)
         d, core0 = sampling.random_partial_isometry(h1, h2, core_dim, rng,
                                                     quasi=quasi)
         f = induce(d.map)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orthoset_lab import correspondence, orthoset
+from orthoset_lab import correspondence, linalg, orthoset
 from orthoset_lab.correspondence import (
     coordinatize,
     decompose_partial_orthometry,
@@ -27,12 +27,14 @@ from orthoset_lab.errors import (
 )
 from orthoset_lab.hermspace import (
     HermitianSpace,
+    PartialIsometryDescriptor,
     SemilinearMap,
     Subspace,
     adjoint_linear,
     between_frames,
     compose_maps,
     generalized_inverse,
+    herm_form,
     invert_semilinear,
     is_quasiunitary,
     quasi_generalized_inverse,
@@ -40,6 +42,7 @@ from orthoset_lab.hermspace import (
 )
 from orthoset_lab.orthoset import ProbeSet, Ray, RayMap, ray_of
 from orthoset_lab.perpgrid import image_rows
+from orthoset_lab.reports import run_tasks
 from orthoset_lab.sampling import (
     conjugation_map,
     left_scalar_map,
@@ -603,3 +606,73 @@ def test_partial_wigner_rejects_a_core_that_fails_the_certificate(
     with pytest.raises(NotPartialOrthometryError, match="certificate"):
         partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
                        p, p)
+
+
+def test_partial_wigner_maps_no_probe_after_the_reconstruction(monkeypatch):
+    """The assembled map is checked against phi exactly, not by mapping
+    the probes through it once more."""
+    done, late = [], []
+    real_reconstruct = correspondence._reconstruct
+    real_apply = RayMap.apply_many
+
+    def reconstruct(*args):
+        result = real_reconstruct(*args)
+        done.append(True)
+        return result
+
+    def apply_many(self, rays):
+        if done:
+            late.append(self)
+        return real_apply(self, rays)
+
+    monkeypatch.setattr(correspondence, "_reconstruct", reconstruct)
+    monkeypatch.setattr(RayMap, "apply_many", apply_many)
+    q5 = standard_space(Q, 5)
+    d, _ = random_partial_isometry(q5, q5, 3, random.Random(2), quasi=True)
+    p = ProbeSet.generate(q5, seed=1, count=48)
+    result = partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
+                            p, p)
+    assert done == [True] and late == []
+    assert result.s1 == d.s1 and result.s2 == d.s2
+
+
+def test_partial_wigner_reports_a_wrong_assembly_as_internal(monkeypatch):
+    q5 = standard_space(Q, 5)
+    d, _ = random_partial_isometry(q5, q5, 3, random.Random(3))
+    p = ProbeSet.generate(q5, seed=0, count=32)
+    real_make = correspondence.make_partial_isometry
+
+    def make(s1, s2, core):
+        right = real_make(s1, s2, core)
+        return PartialIsometryDescriptor(right.map.scale(2), s1, s2, core)
+
+    monkeypatch.setattr(correspondence, "make_partial_isometry", make)
+    f, f_adj = induce(d.map), induce(quasi_generalized_inverse(d))
+    with pytest.raises(RuntimeError, match="differs"):
+        partial_wigner(f, f_adj, p, p)
+    record, = run_tasks([("partial/Q", lambda: partial_wigner(f, f_adj, p, p))])
+    assert record.status == "internal"
+
+
+def test_partial_wigner_computes_each_orthocomplement_once(monkeypatch):
+    kernels = []
+    real_kernel = linalg.left_kernel
+
+    def left_kernel(rows):
+        kernels.append([list(r) for r in rows])
+        return real_kernel(rows)
+
+    monkeypatch.setattr(linalg, "left_kernel", left_kernel)
+    hq5 = standard_space(HQ, 5)
+    d, _ = random_partial_isometry(hq5, hq5, 3, random.Random(4), quasi=True)
+    p = ProbeSet.generate(hq5, seed=1, count=48)
+    result = partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
+                            p, p)
+
+    def perp_system(s):
+        return [[herm_form(e, v) for v in s.basis] for e in hq5.basis()]
+
+    assert result.s1 != result.s2
+    assert kernels.count(perp_system(result.s1)) == 1
+    assert kernels.count(perp_system(result.s2)) == 1
+    assert result.s1.orthocomplement() is result.s1.orthocomplement()

@@ -1,9 +1,12 @@
+import gc
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from orthoset_lab import linalg
+from orthoset_lab import hermspace, linalg, serialize
+from orthoset_lab.correspondence import transport_linear
 from orthoset_lab.errors import (
     CertificateError,
     DependencyError,
@@ -29,6 +32,7 @@ from orthoset_lab.hermspace import (
     standard_space,
 )
 from orthoset_lab.sampling import left_scalar_map, random_linear_map, random_unitary
+from orthoset_lab.suites import default_spaces
 from orthoset_lab.scalars import GaussianRational as GR, RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K, star_scalar
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
 
@@ -213,6 +217,68 @@ def test_singular_and_indefinite_hq_grams_rejected_with_order():
     ]
     for gram, witness in cases:
         assert _certificate_witness(HQ, gram) == witness
+
+
+# --------------------------------------------------------------- interning
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _fixture_space(name):
+    return serialize.space_from_json(
+        serialize.load_file(os.path.join(FIXTURES, name)))
+
+
+def test_equal_spaces_are_one_object():
+    q3 = standard_space(Q, 3)
+    assert HermitianSpace.create(Q, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) is q3
+    assert _fixture_space("q3.json") is q3
+    assert _fixture_space("hq3_gram.json") is default_spaces(HQ)[1]
+    gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
+    assert HermitianSpace(Q, 2, ((F(2), F(1)), (F(1), F(1)))) is gram
+    assert gram is not standard_space(Q, 2) and gram != standard_space(Q, 2)
+
+
+def test_linear_transport_keeps_the_codomain_object():
+    gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
+    phi = random_linear_map(standard_space(Q, 3), gram, random.Random(5))
+    assert transport_linear(phi).new_space is phi.codomain
+
+
+def test_each_distinct_space_is_certified_once(monkeypatch):
+    certified = []
+    real = hermspace._certify_ldl
+
+    def spy(gram):
+        certified.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(hermspace, "_certify_ldl", spy)
+    grams = [(Q, [[101, 1], [1, 103]]),
+             (QI, [[101, GR(0, 1)], [GR(0, -1), 103]]),
+             (HQ, [[101, HQ_I], [-HQ_I, 103]])]
+    live = [HermitianSpace.create(sf, 2, g) for sf, g in grams]
+    for _ in range(3):
+        again = [HermitianSpace.create(sf, 2, g) for sf, g in grams]
+        assert all(a is b for a, b in zip(again, live))
+    assert len(certified) == 3
+
+
+def test_a_failed_certificate_is_not_kept():
+    for _ in range(2):
+        with pytest.raises(CertificateError):
+            HermitianSpace.create(Q, 2, [[1, 1], [2, 1]])
+    key = (Q, 2, ((F(1), F(1)), (F(2), F(1))))
+    assert key not in hermspace._live_spaces
+
+
+def test_a_space_without_references_leaves_the_table():
+    space = HermitianSpace.create(Q, 2, [[107, 1], [1, 109]])
+    key = (Q, 2, space.gram)
+    assert hermspace._live_spaces[key] is space
+    del space
+    gc.collect()
+    assert key not in hermspace._live_spaces
 
 
 # ------------------------------------------------------------------- forms

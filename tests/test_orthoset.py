@@ -345,9 +345,9 @@ def test_ray_grid_checks_the_space_of_every_ray():
         ray_grid(q2, rays, other)
     with pytest.raises(InputError):
         ray_grid(q2, other, rays)
-    # an equal space held by another object is the same space
+    # equal spaces are one object
     twin = standard_space(Q, 2)
-    assert twin is not q2
+    assert twin is q2
     assert (ray_grid(twin, rays, rays) == ray_grid(q2, rays, rays)).all()
 
 
