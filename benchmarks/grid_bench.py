@@ -1,10 +1,12 @@
 """Compare the two exact orthogonality-grid paths.
 
-The screened path reduces everything mod a fixed prime and only falls back
-to arbitrary-precision integers for residue-zero candidates; the pure path
-(ORTHOSET_LAB_EXACT_GRID=1) evaluates every pair with arbitrary-precision
-integers.  Both are exact; this script measures how much the screen buys
-per sfield and checks that the grids agree cell for cell.
+The screened path screens component 0 of every form mod a fixed prime and
+only falls back to arbitrary-precision integers for residue-zero
+candidates, and not for the zero row, which is orthogonal to every row;
+the pure path (ORTHOSET_LAB_EXACT_GRID=1) evaluates every pair, the zero
+row's included, with arbitrary-precision integers.  Both are exact; this
+script measures how much the screen buys per sfield and checks that the
+grids agree cell for cell.
 
     python benchmarks/grid_bench.py [probe-count]
 """
@@ -31,13 +33,16 @@ def bench(space, rows, repeats=3):
 
 def main():
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 192
-    print(f"{count} x {count} ray grids, dim 5, entries with numerators and "
-          f"denominators up to 10\n")
+    print(f"{count} x {count} ray grids, dim 5: the zero row and random "
+          f"rows with numerators and denominators up to 10\n")
     print(f"{'sfield':8s} {'screened':>12s} {'pure-exact':>12s} {'speedup':>9s}")
     for sf in StarSfield:
         space = standard_space(sf, 5)
         rng = random.Random(f"bench:{sf.value}")
-        rows = [random_nonzero_vector(space, rng).coords for _ in range(count)]
+        # probe sets always hold the zero ray; its row needs no confirmation
+        rows = [space.zero_vector().coords] + [
+            random_nonzero_vector(space, rng).coords
+            for _ in range(count - 1)]
         os.environ.pop("ORTHOSET_LAB_EXACT_GRID", None)
         fast_t, fast_grid = bench(space, rows)
         os.environ["ORTHOSET_LAB_EXACT_GRID"] = "1"

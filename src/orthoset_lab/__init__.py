@@ -29,7 +29,6 @@ from .hermspace import (
     adjoint_linear,
     between_frames,
     compose_maps,
-    dual_representative,
     generalized_inverse,
     gram_schmidt,
     herm_form,

@@ -397,19 +397,6 @@ class SubspaceFrame:
         return c
 
 
-def dual_representative(space: HermitianSpace, rho) -> Vector:
-    """The vector w with <u, w> = rho(u) for the functional
-    rho(u) = sum_i u_i * rho_i: the adjoint of rho, a linear map into the
-    standard line, at that line's basis vector."""
-    line = standard_space(space.sfield, 1)
-    images = tuple(line.vector([x]) for x in rho)
-    if len(images) != space.dim:
-        raise InputError("functional coefficient count does not match")
-    rho_map = SemilinearMap(space, line, SfieldMorphism.identity(space.sfield),
-                            images)
-    return adjoint_linear(rho_map).apply(line.basis_vector(0))
-
-
 @dataclass(frozen=True)
 class SemilinearMap:
     """A map phi with phi(sum_i a_i e_i) = sum_i sigma(a_i) * images[i].

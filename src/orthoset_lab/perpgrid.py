@@ -4,11 +4,20 @@ The property suites decide `<u, v> = 0` for hundreds of thousands of vector
 pairs.  Doing that with exact scalar arithmetic pair by pair is the hot loop
 of the whole package, so grids are computed in two exact stages:
 
-1. a residue screen: all pairwise forms are evaluated mod a fixed prime
-   with numpy int64 matrix products.  A form that is nonzero mod p is
-   nonzero, full stop; no pair can be wrongly declared orthogonal here.
-2. exact confirmation: the pairs whose residue vanishes are recomputed on
-   Python ints, so no pair can be wrongly declared orthogonal either.
+1. a residue screen: component 0 of every pairwise form (its real part,
+   up to a positive factor) is evaluated mod a fixed prime with numpy
+   int64 matrix products.  If that component is nonzero mod p it is a
+   nonzero integer, so the form is nonzero, full stop; no pair can be
+   wrongly declared orthogonal here.  A form with real part 0, such as
+   <(1, 1), (1, -1 - i)> = i, passes as a candidate and costs one exact
+   check, never a wrong answer.
+2. exact confirmation: the candidates are recomputed on Python ints in
+   all k components, so no pair can be wrongly declared orthogonal
+   either.  A row whose exact integer planes are all zero is orthogonal
+   to every row, since <0, v> = <u, 0> = 0, and its pairs skip this
+   stage; it is read off the exact planes, not the residues, because a
+   nonzero row can vanish mod p.  Every probe set holds the zero ray, so
+   this spares 2 * 256 - 1 confirmations per probe x probe grid.
 
 Both stages run one form kernel.  A scalar is a vector of k rational
 components over the sfield's basis (`StarSfield.basis()`: 1; 1, i; or
@@ -16,9 +25,11 @@ components over the sfield's basis (`StarSfield.basis()`: 1; 1, i; or
 classes once, as a table of basis products e_a * e_b = sign * e_c.
 <u, v> = sum_ij u_i g_ij star(v_j) is then W = U G followed by
 F = W star(V)^T, each a signed sum of k component matrix products per
-output component.  Rows are integerised by the lcm of their denominators
-and the Gram matrix by one common lcm; positive rational factors never
-change whether a form vanishes.
+output component; the screen needs W in all k components but only
+component 0 of F, k matrix products in place of k * k.  Rows are
+integerised by the lcm of their denominators and the Gram matrix by one
+common lcm; positive rational factors never change whether a form
+vanishes.
 
 Residues lie in [0, p), so one output component of a chunk of `step`
 contracted columns sums k * step products of magnitude at most (p - 1)**2.
@@ -26,8 +37,8 @@ contracted columns sums k * step products of magnitude at most (p - 1)**2.
 for Qi, 32 for HQ); longer contractions are reduced mod p after every chunk
 (delayed reduction, as in Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008), so
 every dimension takes the screen.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips
-the screen and confirms every pair; `benchmarks/grid_bench.py` compares the
-two paths.
+the screen and confirms every pair, zero rows included;
+`benchmarks/grid_bench.py` compares the two paths.
 
 The same planes carry rays and induced ray maps.  A ray is held as its
 primitive integer row (`orthoset.Ray`): an integer row y of the ray with
@@ -159,15 +170,12 @@ def _residues(terms, x, y):
 
 
 def _screen(tables, u, gram, v):
-    """True where every component of the form vanishes mod PRIME."""
+    """True where component 0 of the form vanishes mod PRIME: W = U G in
+    all k components, then component 0 of W star(V)^T alone."""
     mul, mul_star = tables
     u, v = ((x % PRIME).astype(np.int64) for x in (u, v))
     w = np.stack([_residues(terms, u, gram) for terms in mul])
-    vt = v.transpose(0, 2, 1)
-    grid = np.ones((u.shape[1], v.shape[1]), dtype=bool)
-    for terms in mul_star:
-        grid &= _residues(terms, w, vt) == 0
-    return grid
+    return _residues(mul_star[0], w, v.transpose(0, 2, 1)) == 0
 
 
 def _pair_dot(x, y):
@@ -327,11 +335,15 @@ def _grid(space, rows_a, rows_b, planes):
     gram, gram_residues = _int_gram(space)
     u, v = planes(rows_a), planes(rows_b)
     if _use_exact_path():
-        grid = np.ones((na, nb), dtype=bool)
+        grid = candidates = np.ones((na, nb), dtype=bool)
     else:
         grid = _screen(tables, u, gram_residues, v)
+        # <0, v> = <u, 0> = 0, and the screen passes those pairs; zero rows
+        # are read off the exact planes, as a nonzero row can vanish mod p
+        nonzero_u, nonzero_v = ((x != 0).any(axis=(0, 2)) for x in (u, v))
+        candidates = grid & nonzero_u[:, None] & nonzero_v
     # a zero residue is only a candidate; confirm with exact integers
-    ii, jj = np.nonzero(grid)
+    ii, jj = np.nonzero(candidates)
     if len(ii):
         grid[ii, jj] = _exact_zero(tables, u, gram, v, ii, jj)
     return grid

@@ -19,7 +19,6 @@ from orthoset_lab.hermspace import (
     Subspace,
     adjoint_linear,
     compose_maps,
-    dual_representative,
     generalized_inverse,
     gram_schmidt,
     herm_form,
@@ -385,30 +384,6 @@ def test_project_examples():
     u_s, u_p = diag.project(q2.vector([1, 0]))
     assert u_s.coords == (F(1, 2), F(1, 2))
     assert u_p.coords == (F(1, 2), F(-1, 2))
-
-
-# ---------------------------------------------------- dual representatives
-
-def test_dual_representative_examples():
-    q2 = standard_space(Q, 2)
-    assert dual_representative(q2, [0, 0]) == q2.zero_vector()
-    assert dual_representative(q2, [1, 0]) == q2.vector([1, 0])
-    qi2 = standard_space(QI, 2)
-    i = GR(0, 1)
-    w = dual_representative(qi2, [i, 0])
-    assert w == qi2.vector([GR(0, -1), 0])
-
-
-@pytest.mark.parametrize("sf", list(StarSfield))
-def test_dual_representative_reproduces_functional(sf):
-    rng = random.Random(f"dual:{sf.value}")
-    for _ in range(15):
-        n = rng.randint(1, 5)
-        sp = standard_space(sf, n)
-        rho = [sf.random_scalar(rng) for _ in range(n)]
-        w = dual_representative(sp, rho)
-        for j in range(n):
-            assert herm_form(sp.basis_vector(j), w) == rho[j]
 
 
 # ---------------------------------------------------------------- adjoints

@@ -19,6 +19,7 @@ from orthoset_lab.hermspace import (
     random_vector,
     standard_space,
 )
+from orthoset_lab import perpgrid
 from orthoset_lab import serialize as sz
 from orthoset_lab.orthoset import (
     ProbeSet,
@@ -70,23 +71,66 @@ def short_id(space):
     return name
 
 
+def spy_exact_zero(monkeypatch):
+    """Record the (row, column) pairs that reach exact confirmation."""
+    seen = []
+    real = perpgrid._exact_zero
+
+    def spy(tables, u, gram, v, ii, jj):
+        seen.extend(zip(ii.tolist(), jj.tolist()))
+        return real(tables, u, gram, v, ii, jj)
+    monkeypatch.setattr(perpgrid, "_exact_zero", spy)
+    return seen
+
+
 @pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
-def test_grid_matches_pairwise_forms(space):
+def test_grid_matches_pairwise_forms(space, monkeypatch):
     rng = random.Random(f"grid:{space.sfield.value}:{space.dim}")
     rows = [random_vector(space, rng) for _ in range(18)]
     rows.append(space.zero_vector())
     rows.append(space.basis_vector(0))
     coords = [v.coords for v in rows]
+    seen = spy_exact_zero(monkeypatch)
     grid = perp_grid(space, coords, coords)
+    # zero rows are orthogonal to every row without exact confirmation
+    assert not any(rows[a].is_zero or rows[b].is_zero for a, b in seen)
     for a, u in enumerate(rows):
         for b, v in enumerate(rows):
             assert bool(grid[a, b]) == (not herm_form(u, v))
+
+
+PLANTED = {QI: GR(0, 1), HQ: HQ_J}
+
+
+def planted_rows(space):
+    """u = (1, 1) and v = (1, -1 - t), padded with zeros, for t = i over Qi
+    and t = j over HQ; none over Q.  In a standard space <u, v> = t, which
+    is nonzero with real part 0, so the screen, which reads component 0 of
+    the form only, passes the pair and exact confirmation must reject it."""
+    t = PLANTED.get(space.sfield)
+    if t is None or space.dim < 2:
+        return []
+    pad = (0,) * (space.dim - 2)
+    return [space.vector((1, 1) + pad).coords,
+            space.vector((1, -1 - t) + pad).coords]
+
+
+@pytest.mark.parametrize("sf", [QI, HQ])
+def test_real_part_zero_forms_stay_non_orthogonal(sf, monkeypatch):
+    space = standard_space(sf, 2)
+    u, v = planted_rows(space)
+    assert herm_form(space.vector(u), space.vector(v)) == PLANTED[sf]
+    seen = spy_exact_zero(monkeypatch)
+    grid = perp_grid(space, [u, v], [v, u])
+    assert seen == [(0, 0), (1, 1)]  # the screen passes both pairs
+    assert not grid.any()
 
 
 @pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
 def test_exact_path_agrees_with_screened_path(space, monkeypatch):
     rng = random.Random("paths")
     rows = [random_vector(space, rng).coords for _ in range(12)]
+    rows += [space.zero_vector().coords] + planted_rows(space)
     screened = perp_grid(space, rows, rows)
     monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
     pure = perp_grid(space, rows, rows)
