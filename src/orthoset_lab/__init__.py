@@ -6,7 +6,6 @@ from .errors import (
     CertificateError,
     DependencyError,
     InconsistencyError,
-    InconsistentFixedSubspaceError,
     InputError,
     NotInducedError,
     NotOrthoisoError,
@@ -17,7 +16,7 @@ from .errors import (
     PreconditionError,
     UnsupportedVariantError,
 )
-from .scalars import GaussianRational, Rational, RationalQuaternion
+from .scalars import GaussianRational, RationalQuaternion
 from .starfields import SfieldMorphism, StarSfield
 from .hermspace import (
     HermitianSpace,
@@ -61,7 +60,6 @@ from .correspondence import (
     WignerResult,
     coordinatize,
     decompose_partial_orthometry,
-    fix_subspace_normalize,
     induce,
     partial_wigner,
     piziak_lambda,

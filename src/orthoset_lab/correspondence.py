@@ -33,7 +33,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     InconsistencyError,
-    InconsistentFixedSubspaceError,
     InputError,
     NotInducedError,
     NotOrthoisoError,
@@ -97,9 +96,8 @@ class WignerResult:
 
 @dataclass(frozen=True)
 class PartialOrthometryDecomposition:
-    a: Subspace          # (ker f)-perp, equal to the closure of im f*
-    b: Subspace          # im f closure, equal to (ker f*)-perp
-    reassembled: RayMap  # f o P(projection onto A)
+    a: Subspace  # (ker f)-perp, equal to the closure of im f*
+    b: Subspace  # im f closure, equal to (ker f*)-perp
     report: list
 
 
@@ -273,16 +271,16 @@ def _classify_twist(sfield: StarSfield, generator_images) -> SfieldMorphism:
 
 def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
                  probes: ProbeSet, adjoint: RayMap | None = None,
-                 injective: bool = False,
-                 probes2: ProbeSet | None = None) -> CoordinatizationResult:
+                 injective: bool = False) -> CoordinatizationResult:
     """Rebuild a semilinear map phi with P(phi) = f.
 
     The caller must justify adjointability one of two ways: supply the
-    adjoint oracle (verified here on probes; partial maps need this), or
-    declare the map injective (orthoisomorphism pipelines).  Probing alone
-    cannot find the kernel of an arbitrary oracle: random rays miss a proper
-    subspace, so zero-image probes only corroborate, and the kernel is
-    derived from the adjoint's image closure, which the theory makes exact.
+    adjoint oracle (verified here against probes and the codomain probes
+    of the same seed and count; partial maps need this), or declare the
+    map injective (orthoisomorphism pipelines).  Probing alone cannot find
+    the kernel of an arbitrary oracle: random rays miss a proper subspace,
+    so zero-image probes only corroborate, and the kernel is derived from
+    the adjoint's image closure, which the theory makes exact.
 
     The reconstruction anchors the scale on the first basis vector of the
     kernel complement, fixes every other image by decomposing the image of
@@ -295,10 +293,9 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     rank = ray_map_rank(f, probes)
     if rank < 3:
         raise PreconditionError(f"coordinatization needs rank >= 3, got {rank}")
-    if probes2 is None:
-        probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
 
     if adjoint is not None:
+        probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
         pair = verify_adjoint_pair(f, adjoint, probes, probes2)
         records.extend(pair)
         if not passed(pair):
@@ -428,53 +425,19 @@ def wigner_reconstruct(f: RayMap, f_inv: RayMap | None,
     """
     if h1.dim < 3 or h2.dim < 3:
         raise PreconditionError("reconstruction needs dimensions >= 3")
-    probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
     if f_inv is not None:
+        probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
         pair = verify_adjoint_pair(f, f_inv, probes, probes2)
         if not passed(pair):
             raise NotOrthoisoError(
                 "map and claimed inverse are not an adjoint pair",
                 witness=pair[0].witness)
-    coord = coordinatize(f, h1, h2, probes, injective=True, probes2=probes2)
+    coord = coordinatize(f, h1, h2, probes, injective=True)
     cert = is_quasiunitary(coord.map)
     if cert is None:
         raise NotOrthoisoError("reconstructed map failed the quasiunitary "
                                "certificate")
     return WignerResult(coord, *cert)
-
-
-def fix_subspace_normalize(f: RayMap, s: Subspace, probes: ProbeSet,
-                           f_inv: RayMap | None = None) -> SemilinearMap:
-    """For an orthoautomorphism fixing P(S) pointwise (dim S >= 2), the
-    unique unitary representative that is the identity on S itself."""
-    h = s.space
-    if h.dim < 3:
-        raise PreconditionError("normalization needs dimension >= 3")
-    if s.dim < 2:
-        raise PreconditionError("the fixed subspace must have dimension >= 2")
-    fixed = [x for x in probe_rays_in(s, probes.seed, count=max(8, 2 * s.dim))
-             if not x.is_zero]
-    for x, y in zip(fixed, f.apply_many(fixed)):
-        if y != x:
-            raise InputError("map does not fix the subspace pointwise",
-                             witness={"ray": ray_payload(x)})
-    wig = wigner_reconstruct(f, f_inv, h, h, probes)
-    psi = wig.coordinatization.map
-    b0 = s.basis[0]
-    pivot = next(i for i, c in enumerate(b0.coords) if c)
-    kappa = psi.apply(b0).coords[pivot] * inv_scalar(b0.coords[pivot])
-    if not kappa:
-        raise InconsistentFixedSubspaceError("restriction vanishes on the "
-                                             "fixed subspace")
-    for b in s.basis:
-        if psi.apply(b) != kappa * b:
-            raise InconsistentFixedSubspaceError(
-                "restriction to the fixed subspace is not a scalar multiple "
-                "of the identity", witness={"vector": [str(c) for c in b.coords]})
-    phi = psi.scale(inv_scalar(kappa))
-    if not is_unitary(phi):
-        raise InconsistencyError("normalized map is not unitary")
-    return phi
 
 
 def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
@@ -487,8 +450,8 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     closure of f's images.  Both identifications are then enforced: f must
     kill the orthocomplement of A ray by ray, zero-image probes must lie in
     that orthocomplement, the restriction to A-probes must preserve
-    orthogonality both ways into B, and the reassembled composite must
-    reproduce f on every probe.
+    orthogonality both ways into B, and the composite f o P(projection onto
+    A) must reproduce f on every probe.
     """
     records = verify_adjoint_pair(f, f_adj, probes1, probes2)
     if not passed(records):
@@ -536,16 +499,15 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
 
     frame = a_sub.frame
     project_a = induce(compose_maps(frame.inclusion, frame.projection))
-    reassembled = RayMap(
-        h1, h2, oracle=lambda rays: f.apply_many(project_a.apply_many(rays)))
-    for x, y, z in zip(probes1, reassembled.apply_many(probes1), fx):
+    through_a = f.apply_many(project_a.apply_many(probes1))
+    for x, y, z in zip(probes1, through_a, fx):
         if y != z:
             raise NotPartialOrthometryError(
                 "factorization through A and B does not reproduce the map",
                 witness={"ray": ray_payload(x)})
     records.append(ReportRecord(check="partial/factorization", status="pass",
                                 detail={"probes": len(list(probes1))}))
-    return PartialOrthometryDecomposition(a_sub, b_sub, reassembled, records)
+    return PartialOrthometryDecomposition(a_sub, b_sub, records)
 
 
 def partial_wigner(f: RayMap, f_adj: RayMap, probes1: ProbeSet,

@@ -56,11 +56,6 @@ class NotPartialOrthometryError(OrthosetLabError):
     """A ray map fails the partial-orthometry checks; witness explains."""
 
 
-class InconsistentFixedSubspaceError(OrthosetLabError):
-    """The restriction to the supposedly fixed subspace is not a scalar
-    multiple of the identity."""
-
-
 class UnsupportedVariantError(OrthosetLabError):
     """The operation only supports the linear/unitary variant."""
 

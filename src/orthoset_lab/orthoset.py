@@ -211,11 +211,6 @@ class RayMap:
         # verification pipelines hit the same probe rays repeatedly
         object.__setattr__(self, "_memo", {})
 
-    @classmethod
-    def from_oracle(cls, domain, codomain, fn) -> "RayMap":
-        """The ray map of a per-ray function fn."""
-        return cls(domain, codomain, oracle=lambda rays: [fn(x) for x in rays])
-
     @property
     def is_induced(self) -> bool:
         return self.mapping is not None

@@ -17,8 +17,6 @@ import math
 from fractions import Fraction
 from operator import attrgetter, neg
 
-Rational = Fraction
-
 
 def _num_den(x) -> tuple[int, int]:
     if isinstance(x, int):

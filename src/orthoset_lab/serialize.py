@@ -4,6 +4,8 @@ Scalar text syntax: rationals are "p/q" or "p"; Gaussian rationals are
 {"re": ..., "im": ...}; quaternions are {"a": ..., "b": ..., "c": ...,
 "d": ...}; sfield tags are "Q", "Qi", "HQ"; morphisms are {"kind": "id" |
 "conj" | "inner"} with the conjugator under "q" for inner morphisms.
+Input rules: "dim" is a JSON integer, not a bool or a float; a zero
+denominator, as in "1/0", is a ParseError.
 Output is canonical: sorted keys, reduced fractions, denominators printed
 only when they differ from 1, identity Gram matrices omitted.
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InputError, ParseError
 from .hermspace import HermitianSpace, SemilinearMap, Subspace, Vector
-from .orthoset import Ray, ray_of
+from .orthoset import Ray
 from .scalars import (
     GaussianRational,
     RationalQuaternion,
@@ -48,7 +50,7 @@ def scalar_from_json(obj, sfield: StarSfield):
         if isinstance(obj, str):
             return cls(_rational(obj))
         return cls(*[_rational(obj[name]) for name in cls.component_names])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar literal {obj!r} for {sfield.value}") from exc
 
 
@@ -77,10 +79,12 @@ def _rows(rows, what: str) -> list:
 def space_from_json(obj) -> HermitianSpace:
     try:
         sf = sfield_from_json(obj["sfield"])
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         gram = obj.get("gram")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad space object: {exc}") from exc
+    if type(dim) is not int:  # int() would pass a bool and truncate a float
+        raise ParseError(f"dim must be a JSON integer, got {dim!r}")
     if gram is None:
         return HermitianSpace.create(sf, dim)
     rows = [[scalar_from_json(x, sf) for x in row]
@@ -117,16 +121,13 @@ def _vector_rows_to_json(vectors) -> list:
     return [[scalar_to_json(c) for c in v.coords] for v in vectors]
 
 
-def map_to_json(phi: SemilinearMap, adjoint_images=None) -> dict:
-    obj = {
+def map_to_json(phi: SemilinearMap) -> dict:
+    return {
         "domain": space_to_json(phi.domain),
         "codomain": space_to_json(phi.codomain),
         "sigma": morphism_to_json(phi.sigma),
         "images": _vector_rows_to_json(phi.images),
     }
-    if adjoint_images is not None:
-        obj["adjoint_images"] = _vector_rows_to_json(adjoint_images)
-    return obj
 
 
 def map_from_json(obj) -> tuple[SemilinearMap, SemilinearMap | None]:
@@ -163,11 +164,6 @@ def subspace_to_json(s: Subspace) -> dict:
             "basis": _vector_rows_to_json(s.basis)}
 
 
-def subspace_from_json(obj) -> Subspace:
-    space, vectors = basis_vectors_from_json(obj)
-    return Subspace.from_vectors(space, vectors)
-
-
 def basis_vectors_from_json(obj) -> tuple[HermitianSpace, list[Vector]]:
     """The raw basis rows of a subspace file, without echelon reduction;
     gram_schmidt-style constructions need the rows as given."""
@@ -187,25 +183,10 @@ def ray_to_json(r: Ray) -> dict:
     return obj
 
 
-def ray_from_json(obj) -> Ray:
-    try:
-        space = space_from_json(obj["space"])
-        rep = obj["rep"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad ray object: {exc}") from exc
-    if rep == "zero":
-        return Ray.zero(space)
-    return ray_of(space.vector([scalar_from_json(x, space.sfield) for x in rep]))
-
-
 def vector_from_json(obj, space: HermitianSpace) -> Vector:
     if not isinstance(obj, list):
         raise ParseError("vector literal must be a list of scalars")
     return space.vector([scalar_from_json(x, space.sfield) for x in obj])
-
-
-def dump_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def loads(text: str, source: str):

@@ -86,12 +86,6 @@ class StarSfield(Enum):
         return cls._of([(rng.randint(-bound, bound), rng.randint(1, bound))
                         for _ in cls.component_names])
 
-    def random_nonzero_scalar(self, rng, bound: int = 10):
-        while True:
-            a = self.random_scalar(rng, bound)
-            if a:
-                return a
-
 
 _SCALAR_TYPES = {
     StarSfield.Q: Fraction,

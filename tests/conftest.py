@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from orthoset_lab.orthoset import RayMap
 from orthoset_lab.scalars import GaussianRational, RationalQuaternion
 
 
@@ -17,6 +18,18 @@ def src_env():
     path = os.environ.get("PYTHONPATH")
     return {**os.environ,
             "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
+
+def oracle_map(domain, codomain, fn):
+    """The oracle ray map of a per-ray function fn."""
+    return RayMap(domain, codomain, oracle=lambda rays: [fn(x) for x in rays])
+
+
+def nonzero_scalar(sfield, rng, bound=10):
+    while True:
+        a = sfield.random_scalar(rng, bound)
+        if a:
+            return a
 
 
 def bounded_fractions(bound=10):

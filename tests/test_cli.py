@@ -14,11 +14,14 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BAD_FILE = os.path.join(DATA, "bad_parse.json")
 GOLDEN = os.path.join(DATA, "suite_all_seed7.jsonl")
-# stdout and exit code of each scale-reading construction on each map fixture
+# stdout and exit code of each map construction on each map fixture, and of
+# each subspace construction on q2_basis.json
 CONSTRUCT_GOLDEN = os.path.join(DATA, "construct_maps.json")
 MAP_FIXTURES = ("partial_q5.json", "quasiunitary_hq3.json",
                 "quasiunitary_qi3.json", "scale2_q2.json",
                 "shear_with_wrong_adjoint.json")
+SUBSPACE_KINDS = ("gram-schmidt", "project")
+GOLDEN_VECTOR = '["3", "-1/2"]'
 
 
 def fixture(name):
@@ -267,7 +270,7 @@ def test_construct_project_with_vector(tmp_path):
     assert output["perp"] == ["1/2", "-1/2"]
 
 
-@pytest.mark.parametrize("vector", ["[1, 2]", "nope"])
+@pytest.mark.parametrize("vector", ["[1, 2]", "nope", '["1/0", "1"]'])
 def test_construct_malformed_vector_is_load_error(tmp_path, vector):
     code, text = run_main(tmp_path, "construct", "project",
                           "--subspace", fixture("q2_basis.json"),
@@ -288,7 +291,13 @@ MINUS_J = {"a": "0", "b": "0", "c": "-1", "d": "0"}
                                          [MINUS_J, "-1"]]},
      "CertificateError"),
     ({"sfield": "Q", "dim": 2, "gram": 5}, "ParseError"),
-], ids=["numeric-gram-entry", "indefinite-hq", "gram-not-a-list"])
+    ({"sfield": "Q", "dim": 2, "gram": [["1/0", "0"], ["0", "1"]]},
+     "ParseError"),
+    ({"sfield": "Q", "dim": 3.9}, "ParseError"),
+    ({"sfield": "Q", "dim": True}, "ParseError"),
+    ({"sfield": "Q", "dim": "3"}, "ParseError"),
+], ids=["numeric-gram-entry", "indefinite-hq", "gram-not-a-list",
+        "zero-denominator", "dim-float", "dim-bool", "dim-string"])
 def test_verify_bad_space_file_is_load_error(tmp_path, space, error):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space))
@@ -313,10 +322,15 @@ MAP_Q2 = {"domain": Q2, "codomain": Q2, "sigma": {"kind": "id"},
     (["construct", "gram-schmidt"], "--subspace",
      json.dumps({"space": Q2, "basis": 7})),
     (["verify", "--suite", "axioms"], "--space", b"\xff\xfe\x00"),
-], ids=["map-images", "map-adjoint-images", "subspace-basis", "not-utf8"])
+    (["verify", "--suite", "adjoint"], "--map",
+     json.dumps(dict(MAP_Q2, images=[["1/0", "0"], ["0", "1"]]))),
+    (["construct", "gram-schmidt"], "--subspace",
+     json.dumps({"space": Q2, "basis": [["1", "2/0"]]})),
+], ids=["map-images", "map-adjoint-images", "subspace-basis", "not-utf8",
+        "map-zero-denominator", "subspace-zero-denominator"])
 def test_malformed_input_file_is_load_error(tmp_path, argv, option, content):
-    """Containers of the wrong shape and bytes that are not UTF-8 are input
-    errors, not crashes."""
+    """Containers of the wrong shape, zero denominators and bytes that are
+    not UTF-8 are input errors, not crashes."""
     path = tmp_path / "input.json"
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -378,12 +392,18 @@ def test_construct_outputs_match_the_golden_file(capsys):
     with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert sorted(golden) == sorted(
-        f"{kind} {name}" for kind in ("piziak", "transport",
-                                      "transport-unitary")
-        for name in MAP_FIXTURES)
+        [f"{kind} {name}" for kind in cli.CONSTRUCT_KINDS
+         if kind not in SUBSPACE_KINDS for name in MAP_FIXTURES]
+        + [f"{kind} q2_basis.json" for kind in SUBSPACE_KINDS])
     for key, want in golden.items():
         kind, name = key.split()
-        code = main(["construct", kind, "--map", fixture(name)])
+        if kind in SUBSPACE_KINDS:
+            argv = ["--subspace", fixture(name)]
+            if kind == "project":
+                argv += ["--vector", GOLDEN_VECTOR]
+        else:
+            argv = ["--map", fixture(name)]
+        code = main(["construct", kind, *argv])
         assert {"exit": code, "stdout": capsys.readouterr().out} == want, key
 
 

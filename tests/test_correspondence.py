@@ -2,12 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import nonzero_scalar, oracle_map
 
 from orthoset_lab import correspondence, linalg, orthoset
 from orthoset_lab.correspondence import (
     coordinatize,
     decompose_partial_orthometry,
-    fix_subspace_normalize,
     induce,
     partial_wigner,
     piziak_lambda,
@@ -101,7 +101,7 @@ def test_induced_maps_agree_exactly_for_left_multiples(sf, rng):
     phi = random_linear_map(sp, sp, rng)
     while phi.rank < 2:
         phi = random_linear_map(sp, sp, rng)
-    kappa = sp.sfield.random_nonzero_scalar(rng)
+    kappa = nonzero_scalar(sp.sfield, rng)
     psi = phi.scale(kappa)
     probes = ProbeSet.generate(sp, seed=8, count=32)
     f, g = induce(phi), induce(psi)
@@ -322,7 +322,7 @@ def test_coordinatize_detects_non_induced_oracle():
             return Ray.zero(q3)
         return ray_of(q3.vector([c * c for c in x.rep.coords]))
 
-    oracle = RayMap.from_oracle(q3, q3, squares)
+    oracle = oracle_map(q3, q3, squares)
     probes = ProbeSet.generate(q3, seed=0, count=48)
     with pytest.raises(NotInducedError):
         coordinatize(oracle, q3, q3, probes, injective=True)
@@ -387,48 +387,6 @@ def test_wigner_dimension_precondition():
                            ProbeSet.generate(q2, seed=0, count=16))
 
 
-# ------------------------------------------------- fixed-subspace pinning
-
-def test_fix_subspace_identity():
-    q3 = standard_space(Q, 3)
-    s = Subspace.from_vectors(q3, [q3.basis_vector(0), q3.basis_vector(1)])
-    ident = SemilinearMap.identity(q3)
-    probes = ProbeSet.generate(q3, seed=0, count=48)
-    phi = fix_subspace_normalize(induce(ident), s, probes, induce(ident))
-    assert phi == ident
-
-
-def test_fix_subspace_sign_flip():
-    q3 = standard_space(Q, 3)
-    s = Subspace.from_vectors(q3, [q3.basis_vector(0), q3.basis_vector(1)])
-    flip = SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
-                         (q3.basis_vector(0), q3.basis_vector(1),
-                          -q3.basis_vector(2)))
-    probes = ProbeSet.generate(q3, seed=0, count=48)
-    phi = fix_subspace_normalize(induce(flip), s, probes, induce(flip))
-    assert phi == flip  # reconstruction normalizes back to the flip itself
-
-
-def test_fix_subspace_global_scaling_gives_identity():
-    q3 = standard_space(Q, 3)
-    s = Subspace.from_vectors(q3, [q3.basis_vector(0), q3.basis_vector(1)])
-    doubled = SemilinearMap.identity(q3).scale(F(2))
-    probes = ProbeSet.generate(q3, seed=0, count=48)
-    phi = fix_subspace_normalize(induce(doubled), s, probes, induce(doubled))
-    assert phi == SemilinearMap.identity(q3)
-
-
-def test_fix_subspace_rejects_moving_map():
-    q3 = standard_space(Q, 3)
-    s = Subspace.from_vectors(q3, [q3.basis_vector(0), q3.basis_vector(1)])
-    perm = SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
-                         (q3.basis_vector(1), q3.basis_vector(0),
-                          q3.basis_vector(2)))
-    probes = ProbeSet.generate(q3, seed=0, count=48)
-    with pytest.raises(InputError):
-        fix_subspace_normalize(induce(perm), s, probes, induce(perm))
-
-
 # ------------------------------------------------------ partial orthometry
 
 def test_decompose_identity():
@@ -437,8 +395,10 @@ def test_decompose_identity():
     probes = ProbeSet.generate(q3, seed=0, count=32)
     dec = decompose_partial_orthometry(ident, ident, probes, probes)
     assert dec.a == Subspace.full(q3) and dec.b == Subspace.full(q3)
-    for x in probes:
-        assert dec.reassembled(x) == x
+    factorization, = [r for r in dec.report
+                      if r.check == "partial/factorization"]
+    assert factorization.status == "pass"
+    assert factorization.detail == {"probes": len(probes)}
 
 
 def test_decompose_shift_example():

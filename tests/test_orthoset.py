@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from conftest import nonzero_scalar, oracle_map
 
 from orthoset_lab import linalg, orthoset
 from orthoset_lab.errors import InputError
@@ -62,7 +63,7 @@ def test_ray_of_scale_invariance(sf):
     sp = standard_space(sf, 3)
     for _ in range(100):
         u = random_nonzero_vector(sp, rng)
-        alpha = sf.random_nonzero_scalar(rng)
+        alpha = nonzero_scalar(sf, rng)
         assert ray_of(alpha * u) == ray_of(u)
 
 
@@ -359,7 +360,7 @@ def test_ray_map_rank_examples():
                           (q3.vector([0, 1, 0]), q3.vector([0, 0, 1]),
                            q3.zero_vector()))
     assert ray_map_rank(induce(shift)) == 2
-    oracle = RayMap.from_oracle(q3, q3, lambda x: x)
+    oracle = oracle_map(q3, q3, lambda x: x)
     probes = ProbeSet.generate(q3, seed=0, count=16)
     assert ray_map_rank(oracle, probes) == 3
     with pytest.raises(InputError):

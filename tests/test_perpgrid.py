@@ -8,6 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import nonzero_scalar, oracle_map
 
 from orthoset_lab.correspondence import induce
 from orthoset_lab.errors import InputError
@@ -373,7 +374,7 @@ def test_ray_rows_match_the_scalar_oracle(space):
                               else 0 for _ in range(space.dim)])
                 for _ in range(6)]
     vectors += [space.zero_vector(), space.basis_vector(space.dim - 1)]
-    scales = [sf.random_nonzero_scalar(rng) if t % 2 else huge_scalar(sf, rng)
+    scales = [nonzero_scalar(sf, rng) if t % 2 else huge_scalar(sf, rng)
               for t in range(len(vectors))]
     multiples = [c * u for c, u in zip(scales, vectors)]
     rays = rays_of(space, vectors)
@@ -429,13 +430,13 @@ def test_apply_many_builds_no_scalars(monkeypatch):
 
 
 def per_ray_oracle(space, fn, calls):
-    """RayMap.from_oracle over fn, logging each call as a one-ray batch."""
+    """oracle_map over fn, logging each call as a one-ray batch."""
 
     def logged(x):
         calls.append([x])
         return fn(x)
 
-    return RayMap.from_oracle(space, space, logged)
+    return oracle_map(space, space, logged)
 
 
 def batch_oracle(space, fn, calls):
@@ -490,7 +491,7 @@ def test_oracle_results_are_checked():
     q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
     foreign = ray_of(q3.vector([1, 2, 0]))
     x = ray_of(q2.vector([1, 1]))
-    wrong_space = RayMap.from_oracle(q2, q2, lambda r: foreign)
+    wrong_space = oracle_map(q2, q2, lambda r: foreign)
     with pytest.raises(InputError, match="wrong space"):
         wrong_space(x)
     with pytest.raises(InputError, match="wrong space"):

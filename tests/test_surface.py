@@ -1,0 +1,38 @@
+import ast
+import glob
+import inspect
+import os
+
+import orthoset_lab
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def _references(path):
+    """The names a file reads: loaded names, attribute names and imported
+    names. A def, a class or an assignment target is not a reference."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_exported_name_is_reached_by_the_library_or_the_benchmark():
+    """A name that only __init__ exports and only tests call is surface no
+    suite, construction or benchmark runs; delete it or use it."""
+    paths = [p for p in glob.glob(os.path.join(ROOT, "src", "orthoset_lab",
+                                               "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    used = set()
+    for path in paths:
+        used.update(_references(path))
+    exported = [name for name in orthoset_lab.__all__
+                if not inspect.ismodule(getattr(orthoset_lab, name))]
+    assert exported
+    assert sorted(set(exported) - used) == []
