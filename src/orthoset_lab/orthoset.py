@@ -23,14 +23,18 @@ Ray maps induced by a semilinear map are evaluated by the batched exact
 kernel of `perpgrid`: `RayMap.apply_many` multiplies the rays' rows with
 one integer matrix that holds the map's matrix and its twist (a k x k
 integer matrix on a scalar's components) and canonicalizes every image
-row with one gcd, building no scalar object.  The rays are the ones
-`ray_of(phi.apply(u))` gives, which the tests keep as the reference.  On
-the `wigner` benchmark, 57 Wigner round trips on 256-probe sets, a round
-went from 9.3 s to 4.1 s with the batched kernel on scalar rays, and
-from 4.2 s to 2.7 s with rays held as rows (medians of ten paired runs
-each, 2-core host, Python 3.11).  An oracle map is a batch function on rays, so both kinds
-of map are evaluated the same way: the new rays of a batch are mapped in
-one call, and every map memoizes its images.
+row with one gcd, building no scalar object.  The product is exact on
+int64 limbs: the map's matrix is split once into signed s-bit limbs,
+with c K (2**s - 1)**2 <= 2**63 - 1 for K = k n contracted terms and c = 2
+limb products summed in int64, and the rays' rows are split the same way
+batch by batch.  The rays are the ones `ray_of(phi.apply(u))` gives,
+which the tests keep as the reference, as they keep the product on
+Python ints for the limbs.  On the `wigner` benchmark, 57 Wigner round
+trips on 256-probe sets, the limb product took the median round from
+1.82 s to 1.49 s (seed 401, ten alternating pairs, all won; 2-core host,
+Python 3.11, `BENCH_18.json`).  An oracle map is a batch function on
+rays, so both kinds of map are evaluated the same way: the new rays of a
+batch are mapped in one call, and every map memoizes its images.
 """
 
 from __future__ import annotations
@@ -52,7 +56,14 @@ from .hermspace import (
     herm_form,
     random_nonzero_vector,
 )
-from .perpgrid import image_rows, map_matrix, pivot_rows, ray_rows, row_grid
+from .perpgrid import (
+    image_rows,
+    map_matrix,
+    matrix_limbs,
+    pivot_rows,
+    ray_rows,
+    row_grid,
+)
 from .reports import ReportRecord, law
 from .starfields import StarSfield
 
@@ -237,7 +248,8 @@ class RayMap:
 
     @cached_property
     def _int_matrix(self):
-        return map_matrix(self.mapping)
+        # split into limbs once per map, and freed with it
+        return matrix_limbs(map_matrix(self.mapping))
 
     def _induced(self, rays) -> list[Ray]:
         """The images of rays under the induced map, by one batch."""

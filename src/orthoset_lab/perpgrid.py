@@ -53,13 +53,29 @@ for inner(q), which is q a q^-1 times the positive rational N(q).  With
 the product table it folds into one (k n) x (k m) integer matrix per map
 (`map_matrix`), so a batch of rays' rows is mapped by one matrix product
 and canonicalized in one call.  Grids of rays (`row_grid`) take the same
-rows as planes without re-integerizing them.  All of it runs on Python
-ints, whose height is unbounded: a map's matrix shares the lcm of all its
-denominators and easily passes 2**63.  Through `RayMap`, on 255 probe
-rays of a random quasiunitary map at dimension 5 (2-core host, Python
-3.11), a ray costs about 6 us for Q, 19 us for Qi and 64 us for HQ in one
-batch, and 50, 65-70 and 100-105 us alone, where ray_of(phi.apply(u))
-takes 200-300 us for Q and Qi and 400-500 us for HQ.
+rows as planes without re-integerizing them.
+
+That product is exact on int64 limbs.  A map's matrix shares the lcm of
+all its denominators and easily passes 2**63, and so can rows fed back
+from images, so neither fits a machine word in general.  Each entry x, of
+the matrix and of the rows, is written as signed s-bit limbs,
+x = sum_l x_l 2**(s l) with |x_l| < 2**s (`_limbs`).  The int64 products
+x_i @ M_j of equal level i + j are summed, and the levels are recombined
+on Python ints by Horner's rule in 2**s.  A limb product contracts
+K = k n terms, so its entries are at most K (2**s - 1)**2; s is the
+largest width with c K (2**s - 1)**2 <= 2**63 - 1 (`_limb_bits`), and c = 2
+products of a level sum in int64 (s = 31 for K = 1, 30 up to K = 4, 29 up
+to 16 and 28 up to 40, HQ at n = 10).  Further products of a level are
+added as Python ints.  A map's matrix is split once (`matrix_limbs`,
+cached on its `RayMap` and freed with it); rows that fit in int64 are
+loaded in C, and rows past it, or at -2**63, whose abs wraps, are split
+from Python ints.  The canonicalizer stays on Python ints, since
+star(P) y in limbs would need about five recombined levels per entry.
+On one seed-401 `wigner` round, timed by a spy (2-core host, Python
+3.11, `BENCH_18.json`), `image_rows` took 0.79 s before and 0.46 s after,
+0.33 s of it in the canonicalizer; over ten alternating benchmark pairs
+the median `wigner` round went from 1.82 s to 1.49 s and the `partial`
+round from 1.85 s to 1.81 s.
 
 Closures of ray sets (`orthoset.perp_closure`) follow the grid's pattern:
 mod p chooses, exact arithmetic decides.  `pivot_rows` reduces the rays'
@@ -84,6 +100,7 @@ from .starfields import StarSfield
 
 PRIME = 268435399  # largest prime below 2**28
 _INT64_MAX = 2 ** 63 - 1
+_LIMB_SUMS = 2  # c, the limb products of one level summed in int64
 
 
 def _use_exact_path() -> bool:
@@ -259,17 +276,78 @@ def ray_rows(sfield: StarSfield, rows, n: int):
     return _primitive_rows(sfield, _planes(sfield, rows, n).transpose(1, 0, 2))
 
 
+def _limb_bits(length: int) -> int:
+    """s, the limb width for a contraction of `length` terms: the largest s
+    with _LIMB_SUMS * length * (2**s - 1)**2 <= 2**63 - 1.  A limb product
+    sums `length` terms of magnitude at most (2**s - 1)**2, and every
+    partial sum of _LIMB_SUMS such products is bounded by the sum of their
+    magnitudes, so int64 holds them exactly."""
+    r = math.isqrt(_INT64_MAX // (_LIMB_SUMS * max(length, 1)))
+    return (r + 1).bit_length() - 1  # the largest s with 2**s - 1 <= r
+
+
+def _limbs(a, s: int):
+    """The signed s-bit limbs of an integer array, int64 or object: an
+    (L, *a.shape) int64 array x, L >= 1, with a = sum_l x[l] * 2**(s*l)
+    and |x[l]| < 2**s, each limb carrying the sign of its entry.  On int64
+    input every entry must lie above -2**63, whose abs wraps."""
+    sign, mag = np.sign(a), abs(a)
+    mask = (1 << s) - 1
+    limbs = []
+    while not limbs or mag.any():
+        limbs.append(((mag & mask) * sign).astype(np.int64))
+        mag = mag >> s
+    return np.stack(limbs)
+
+
+def matrix_limbs(matrix):
+    """A `map_matrix` split once into its signed limbs for `image_rows`:
+    an (L, k n, k m) int64 array, with s = _limb_bits(k n)."""
+    return _limbs(matrix, _limb_bits(matrix.shape[0]))
+
+
+def _limb_product(rows, matrix):
+    """The product of the rows and M, exact, as an object array of Python
+    ints, where matrix is `matrix_limbs(M)`: the int64 products of the
+    rows' limbs and the matrix's limbs, recombined."""
+    s = _limb_bits(matrix.shape[1])
+    # rows that fit convert in C; past int64, or at -2**63, whose abs
+    # wraps, they are split from Python ints instead
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = None
+    if a is None or (a == -_INT64_MAX - 1).any():
+        a = np.array(rows, dtype=object)
+    x = _limbs(a.reshape(len(rows), matrix.shape[1]), s)
+    # level t sums x[i] @ matrix[j] over i + j = t; by _limb_bits,
+    # _LIMB_SUMS of those products at a time sum in int64, and the chunks
+    # of a level sum in Python ints
+    levels = [[] for _ in range(len(x) + len(matrix) - 1)]
+    for i, xi in enumerate(x):
+        for j, mj in enumerate(matrix):
+            levels[i + j].append(xi @ mj)
+    y = None
+    for level in reversed(levels):  # Horner's rule in 2**s
+        chunks = [sum(level[lo:lo + _LIMB_SUMS]).astype(object)
+                  for lo in range(0, len(level), _LIMB_SUMS)]
+        total = sum(chunks[1:], chunks[0])
+        y = total if y is None else (y << s) + total
+    return y
+
+
 def image_rows(sfield: StarSfield, matrix, rows):
     """The primitive rows of the images of rays under the map whose
-    `map_matrix` is matrix, given the rays' primitive rows.  The images are
-    one integer matrix product; every factor dropped along the way is a
-    positive rational, which changes no ray."""
+    `matrix_limbs` is matrix, given the rays' primitive rows.  The images
+    are one exact integer matrix product, taken on int64 limbs; every
+    factor dropped along the way is a positive rational, which changes no
+    ray."""
     if not rows:
         return []
     k = _width(sfield)
-    y = np.array(rows, dtype=object) @ matrix
+    y = _limb_product(rows, matrix)
     return _primitive_rows(sfield,
-                           y.reshape(len(rows), k, matrix.shape[1] // k))
+                           y.reshape(len(rows), k, matrix.shape[2] // k))
 
 
 def pivot_rows(sfield: StarSfield, rows) -> list[int]:

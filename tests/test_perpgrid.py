@@ -3,24 +3,30 @@ evaluation pair by pair, on every sfield, whatever the path taken; the
 batched kernel of induced ray maps must give exactly the rays of the
 scalar path, ray_of(phi.apply(x.rep)), on every sfield and twist."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from conftest import nonzero_scalar, oracle_map
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoset_lab.correspondence import induce
 from orthoset_lab.errors import InputError
 from orthoset_lab.hermspace import (
     HermitianSpace,
     SemilinearMap,
+    Subspace,
     herm_form,
     random_subspace,
     random_vector,
     standard_space,
 )
-from orthoset_lab import perpgrid
+from orthoset_lab import orthoset, perpgrid
 from orthoset_lab import serialize as sz
 from orthoset_lab.orthoset import (
     ProbeSet,
@@ -557,3 +563,167 @@ def test_planes_past_int64_stay_exact(sf):
         rays = list(ProbeSet.generate(space, seed=9, count=24))
         rays += reference(phi, rays)
         assert_same_rays(induce(phi).apply_many(rays), reference(phi, rays))
+
+
+# The map kernel's int64 limb product, against the product on Python ints.
+
+def object_product(rows, matrix):
+    """The reference: the exact product of rows and matrix on Python ints."""
+    return np.array(rows, dtype=object).reshape(
+        len(rows), matrix.shape[0]) @ matrix
+
+
+def assert_exact_product(rows, matrix):
+    got = perpgrid._limb_product(rows, perpgrid.matrix_limbs(matrix))
+    want = object_product(rows, matrix)
+    assert got.shape == want.shape
+    assert all(type(v) is int for v in got.flat)
+    assert got.tolist() == want.tolist()
+
+
+def test_limb_width_meets_its_bound():
+    """s is the largest width with c K (2**s - 1)**2 <= 2**63 - 1."""
+    c = perpgrid._LIMB_SUMS
+    for length in range(1, 41):
+        s = perpgrid._limb_bits(length)
+        assert c * length * (2 ** s - 1) ** 2 <= 2 ** 63 - 1
+        assert c * length * (2 ** (s + 1) - 1) ** 2 > 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 7), (2, 5), (4, 5), (4, 10)])
+def test_limb_product_on_edge_entries(k, n):
+    """0, +-1, +-(2**s - 1), +-2**s, 2**63 - 1, -2**63 and 200-500 bit
+    entries, with contraction lengths up to 40 (HQ, n = 10)."""
+    length = k * n
+    s = perpgrid._limb_bits(length)
+    rng = random.Random(f"limbs:edges:{k}:{n}")
+    small = [0, 1, 2 ** s - 1, 2 ** s, 2 ** 63 - 1]
+    small += [-v for v in small]
+    edges = small + [-2 ** 63] + [rng.getrandbits(rng.randint(200, 500))
+                                  * rng.choice((1, -1)) for _ in range(6)]
+    matrix = np.array([[rng.choice(edges) for _ in range(3 * k)]
+                       for _ in range(length)], dtype=object)
+    # int64 rows, loaded in C; then -2**63 and rows past int64
+    fitting = [tuple(rng.choice(small) for _ in range(length))
+               for _ in range(6)]
+    assert_exact_product(fitting, matrix)
+    assert_exact_product(fitting + [(-2 ** 63,) * length], matrix)
+    wide = [tuple(rng.choice(edges) for _ in range(length))
+            for _ in range(6)]
+    assert_exact_product(fitting + wide, matrix)
+
+
+@pytest.mark.parametrize("length", [1, 16, 40])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_limb_levels_at_the_int64_bound(length, sign):
+    """Every limb is +-(2**s - 1) with one sign, so every limb product
+    reaches K (2**s - 1)**2 and c of them the bound c K (2**s - 1)**2.
+    With 2 c limbs on both sides the middle level holds 2 c products,
+    more than the c summed in int64; at these lengths their sum would not
+    fit in int64."""
+    c = perpgrid._LIMB_SUMS
+    s = perpgrid._limb_bits(length)
+    assert 2 * c * length * (2 ** s - 1) ** 2 > 2 ** 63 - 1
+    top = 2 ** (2 * c * s) - 1
+    matrix = np.full((length, 3), top, dtype=object)
+    rows = [(sign * top,) * length] * 2
+    x = perpgrid._limbs(np.array(rows, dtype=object), s)
+    assert len(x) == 2 * c and (x == sign * (2 ** s - 1)).all()
+    assert_exact_product(rows, matrix)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_limb_product_on_empty_and_zero_shapes(k):
+    """Empty row lists, the zero matrix, and (k n x 0) and (0 x k m)
+    matrices, as the maps to and from zero-dimensional spaces have."""
+    rng = random.Random(f"limbs:shapes:{k}")
+    for n, m in [(0, 3), (3, 0), (0, 0), (3, 2)]:
+        matrix = np.zeros((k * n, k * m), dtype=object)
+        rows = [tuple(rng.getrandbits(300) - 2 ** 299 for _ in range(k * n))
+                for _ in range(4)]
+        for count in (0, 1, 4):
+            assert_exact_product(rows[:count], matrix)
+            assert_exact_product([(0,) * (k * n)] * count, matrix)
+
+
+def signed_heights(cap=300):
+    """Integers of random height up to cap bits and random sign."""
+    return st.integers(0, cap).flatmap(
+        lambda b: st.integers(-2 ** b, 2 ** b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.sampled_from((1, 2, 4)),
+       n=st.integers(0, 10), m=st.integers(0, 3), count=st.integers(0, 5))
+def test_limb_product_matches_the_object_product(data, k, n, m, count):
+    entries = signed_heights()
+    matrix = np.array(data.draw(st.lists(
+        st.lists(entries, min_size=k * m, max_size=k * m),
+        min_size=k * n, max_size=k * n)), dtype=object).reshape(k * n, k * m)
+    rows = [tuple(data.draw(st.lists(entries, min_size=k * n,
+                                     max_size=k * n)))
+            for _ in range(count)]
+    assert_exact_product(rows, matrix)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_hq_ray_images_past_int64(n):
+    """HQ maps whose integer matrix passes 2**63, on probe rays and on
+    their images fed back in, whose rows pass 2**63 too."""
+    rng = random.Random(f"limbs:hq:{n}")
+    space = standard_space(HQ, n)
+
+    def part():
+        return F(rng.randint(2 ** 39, 2 ** 40) * rng.choice((1, -1)),
+                 rng.randint(2 ** 30, 2 ** 31))
+
+    images = tuple(space.vector([RQ(part(), part(), part(), part())
+                                 for _ in range(n)]) for _ in range(n))
+    sigma = list(twists(HQ))[n % 3]
+    phi = SemilinearMap(space, space, sigma, images)
+    assert max(abs(v) for v in map_matrix(phi).flat) > 2 ** 63
+    rays = list(ProbeSet.generate(space, seed=n, count=8))
+    rays += reference(phi, rays)
+    assert max(abs(v) for x in rays for v in x.row) > 2 ** 63
+    assert_same_rays(induce(phi).apply_many(rays), reference(phi, rays))
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_frame_maps_of_a_zero_subspace(sf):
+    """The frame of the zero subspace maps to and from a zero-dimensional
+    space: every ray goes to the zero ray."""
+    space = standard_space(sf, 3)
+    frame = Subspace.zero(space).frame
+    assert frame.space.dim == 0
+    rays = batch(space, random.Random(f"limbs:zero-frame:{sf.value}"))
+    got = induce(frame.projection).apply_many(rays)
+    assert got == [Ray.zero(frame.space)] * len(rays)
+    assert_same_rays(got, reference(frame.projection, rays))
+    zero = [Ray.zero(frame.space)]
+    assert_same_rays(induce(frame.inclusion).apply_many(zero),
+                     [Ray.zero(space)])
+
+
+def test_ray_map_splits_its_matrix_once_and_frees_it(monkeypatch):
+    """A RayMap splits its matrix into limbs once, whatever the number of
+    batches, and nothing keeps the matrix or its limbs once the map is
+    gone."""
+    split = []
+
+    def spy(matrix):
+        split.append(weakref.ref(matrix))
+        return perpgrid.matrix_limbs(matrix)
+
+    monkeypatch.setattr(orthoset, "matrix_limbs", spy)
+    rng = random.Random("limbs:once")
+    space = standard_space(HQ, 4)
+    f = induce(random_linear_map(space, space, rng))
+    rays = list(ProbeSet.generate(space, seed=3, count=30))
+    for lo in range(0, len(rays), 10):
+        f.apply_many(rays[lo:lo + 10])
+    f.apply_many(f.apply_many(rays))
+    assert len(split) == 1
+    limbs = weakref.ref(f._int_matrix)
+    del f
+    gc.collect()
+    assert split[0]() is None and limbs() is None
