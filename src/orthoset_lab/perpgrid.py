@@ -11,13 +11,35 @@ of the whole package, so grids are computed in two exact stages:
    wrongly declared orthogonal here.  A form with real part 0, such as
    <(1, 1), (1, -1 - i)> = i, passes as a candidate and costs one exact
    check, never a wrong answer.
-2. exact confirmation: the candidates are recomputed on Python ints in
-   all k components, so no pair can be wrongly declared orthogonal
-   either.  A row whose exact integer planes are all zero is orthogonal
-   to every row, since <0, v> = <u, 0> = 0, and its pairs skip this
-   stage; it is read off the exact planes, not the residues, because a
-   nonzero row can vanish mod p.  Every probe set holds the zero ray, so
-   this spares 2 * 256 - 1 confirmations per probe x probe grid.
+2. exact confirmation of the candidates in all k components, so no pair
+   can be wrongly declared orthogonal either.  A row whose exact integer
+   planes are all zero is orthogonal to every row, since <0, v> = <u, 0>
+   = 0, and its pairs skip this stage; it is read off the exact planes,
+   not the residues, because a nonzero row can vanish mod p.  Every probe
+   set holds the zero ray, so this spares 2 * 256 - 1 confirmations per
+   probe x probe grid.
+
+Confirmation (`_confirm`) is a multi-modular zero test where candidates
+are dense.  On the R distinct rows and C distinct columns of the N
+candidates every form component is an integer below 2**h in magnitude,
+h = bits(U) + bits(G) + bits(V) + bitlen(k**2 n**2) (`_moduli`).  The
+form is evaluated on the whole R x C block in int64, in all k components,
+mod each of the fewest leading `PRIMES` whose product P exceeds 2**h; a
+component that vanishes mod all of these distinct primes is a multiple of
+P smaller than P in magnitude, hence 0 (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 5; no CRT reconstruction is needed).  The
+reduction costs about r (R + C) k n Python-int remainders for r primes
+and the pairs on Python ints about N k**2 n multiply-adds, so the
+residues are taken when r (R + C) < k N and the table holds r primes,
+and Python ints otherwise (`_exact_zero`, which applies G to the side
+with fewer distinct rows).  Dense S x S-perp blocks take the residues;
+a closure's rays against one to three S-perp rows, with heights of
+hundreds of bits, take Python ints.  Per seed-613 benchmark round
+(2-core host, Python 3.11, `BENCH_19.json`), 28 227 of `grid`'s 28 439
+candidates took the residues and confirmation fell from about 0.105 s to
+0.016 s; all 13 260 of `partial`'s took Python ints, 0.094 s before and
+0.059 s after.  Over ten alternating pairs the median `grid` round went
+from 0.306 s to 0.161 s and the `partial` round from 1.77 s to 1.71 s.
 
 Both stages run one form kernel.  A scalar is a vector of k rational
 components over the sfield's basis (`StarSfield.basis()`: 1; 1, i; or
@@ -34,10 +56,11 @@ vanishes.
 Residues lie in [0, p), so one output component of a chunk of `step`
 contracted columns sums k * step products of magnitude at most (p - 1)**2.
 `step` is the largest length that keeps this inside int64 (128 for Q, 64
-for Qi, 32 for HQ); longer contractions are reduced mod p after every chunk
-(delayed reduction, as in Dumas, Giorgi and Pernet, FFLAS-FFPACK, 2008), so
-every dimension takes the screen.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips
-the screen and confirms every pair, zero rows included;
+for Qi, 32 for HQ, for every prime of `PRIMES`); longer contractions are
+reduced mod p after every chunk (delayed reduction, as in Dumas, Giorgi
+and Pernet, FFLAS-FFPACK, 2008), so every dimension takes the screen and
+the multi-modular confirmation.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips
+the screen and confirms every pair on Python ints, zero rows included;
 `benchmarks/grid_bench.py` compares the two paths.
 
 The same planes carry rays and induced ray maps.  A ray is held as its
@@ -99,6 +122,21 @@ import numpy as np
 from .starfields import StarSfield
 
 PRIME = 268435399  # largest prime below 2**28
+# the 64 largest primes below 2**28, PRIME first: the moduli of exact
+# confirmation, whose product passes 2**1791
+PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313,
+    268435291, 268435273, 268435243, 268435183, 268435171, 268435157,
+    268435147, 268435133, 268435129, 268435121, 268435109, 268435091,
+    268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
+    268435007, 268434997, 268434979, 268434977, 268434961, 268434949,
+    268434941, 268434937, 268434857, 268434841, 268434827, 268434821,
+    268434787, 268434781, 268434779, 268434773, 268434731, 268434721,
+    268434713, 268434707, 268434703, 268434697, 268434659, 268434623,
+    268434619, 268434581, 268434577, 268434563, 268434557, 268434547,
+    268434511, 268434499, 268434479, 268434461, 268434401, 268434391,
+    268434389, 268434373, 268434289, 268434281,
+)
 _INT64_MAX = 2 ** 63 - 1
 _LIMB_SUMS = 2  # c, the limb products of one level summed in int64
 
@@ -150,12 +188,11 @@ def _matrix_planes(sfield: StarSfield, matrix, n: int, m: int):
 @lru_cache(maxsize=None)
 def _int_gram(space):
     """The full Gram matrix as (k, n, n) integer planes under one common
-    scale, exact and mod PRIME."""
+    scale."""
     n = space.dim
     gram = _matrix_planes(space.sfield, space.gram, n, n)
-    residues = (gram % PRIME).astype(np.int64)
-    gram.flags.writeable = residues.flags.writeable = False  # shared
-    return gram, residues
+    gram.flags.writeable = False  # shared
+    return gram
 
 
 def _combine(terms, x, y, dot):
@@ -172,27 +209,81 @@ def _combine(terms, x, y, dot):
     return acc
 
 
-def _residues(terms, x, y):
-    """_combine with matrix products on int64 residues, mod PRIME.  A chunk
-    of `step` contracted columns sums len(terms) * step products below
-    PRIME**2, which int64 holds; each chunk is reduced before the next."""
-    step = _INT64_MAX // (len(terms) * (PRIME - 1) ** 2)
+def _residues(terms, x, y, p: int):
+    """_combine with matrix products on int64 residues, mod the prime p <
+    2**28.  A chunk of `step` contracted columns sums len(terms) * step
+    products below p**2, which int64 holds; each chunk is reduced before
+    the next."""
+    step = _INT64_MAX // (len(terms) * (p - 1) ** 2)
     acc = None
     for lo in range(0, x.shape[-1], step):
         part = _combine(terms, x[..., lo:lo + step], y[:, lo:lo + step],
                         np.matmul)
-        part %= PRIME
-        acc = part if acc is None else (acc + part) % PRIME
+        part %= p
+        acc = part if acc is None else (acc + part) % p
     return acc
 
 
-def _screen(tables, u, gram, v):
-    """True where component 0 of the form vanishes mod PRIME: W = U G in
-    all k components, then component 0 of W star(V)^T alone."""
+def _reduce(x, p: int):
+    """An integer array's residues mod p, in [0, p), as int64."""
+    return (x % p).astype(np.int64)
+
+
+def _form_residues(tables, u, gram, v, p: int, components):
+    """The listed components of the form on every pair of rows, mod the
+    prime p on int64 residues: W = U G in all k components, then each
+    listed component of W star(V)^T."""
     mul, mul_star = tables
-    u, v = ((x % PRIME).astype(np.int64) for x in (u, v))
-    w = np.stack([_residues(terms, u, gram) for terms in mul])
-    return _residues(mul_star[0], w, v.transpose(0, 2, 1)) == 0
+    u, gram, v = _reduce(u, p), _reduce(gram, p), _reduce(v, p)
+    w = np.stack([_residues(terms, u, gram, p) for terms in mul])
+    vt = v.transpose(0, 2, 1)
+    return [_residues(mul_star[c], w, vt, p) for c in components]
+
+
+def _screen(tables, u, gram, v):
+    """True where component 0 of the form vanishes mod PRIME."""
+    return _form_residues(tables, u, gram, v, PRIME, [0])[0] == 0
+
+
+def _bits(x) -> int:
+    """The bit length of the largest magnitude in an integer array."""
+    return int(abs(x).max()).bit_length()
+
+
+def _moduli(u, gram, v):
+    """The fewest leading PRIMES whose product P exceeds 2**h, with h the
+    height bound of every form component of the rows u against the rows v,
+    or None when the table's product does not.
+
+    A component of W = U G sums k * n signed products, each at most
+    max|U| max|G|, and a component of F = W star(V)^T sums k * n products
+    of a W entry and a V entry, so |F_c| <= k**2 n**2 max|U| max|G| max|V|
+    < 2**h for h = bits(U) + bits(G) + bits(V) + bitlen(k**2 n**2)."""
+    k, _, n = u.shape
+    h = _bits(u) + _bits(gram) + _bits(v) + (k * k * n * n).bit_length()
+    bound, prod = 1 << h, 1
+    for r, p in enumerate(PRIMES, 1):
+        prod *= p
+        if prod > bound:
+            return PRIMES[:r]
+    return None
+
+
+def _residue_zero(tables, u, gram, v, ii, jj, primes):
+    """Exact vanishing of the form on the pairs (u[:, ii[t]], v[:, jj[t]]),
+    where `primes` are `_moduli(u, gram, v)`: all k components of the form
+    on the whole block of rows, mod each prime in int64.
+
+    The primes are distinct, so a component divisible by all of them is
+    divisible by their product P.  By `_moduli` every component is an
+    integer with |F_c| < 2**h < P, and the only multiple of P in that
+    range is 0: a pair whose k components vanish mod every prime has the
+    form 0, and no CRT reconstruction is needed."""
+    zero = np.ones(len(ii), dtype=bool)
+    for p in primes:
+        for f in _form_residues(tables, u, gram, v, p, range(len(u))):
+            zero &= f[ii, jj] == 0
+    return zero
 
 
 def _pair_dot(x, y):
@@ -200,15 +291,36 @@ def _pair_dot(x, y):
 
 
 def _exact_zero(tables, u, gram, v, ii, jj):
-    """Exact vanishing of the form on the row pairs (ii[t], jj[t])."""
+    """Exact vanishing of the form on the pairs (u[:, ii[t]], v[:, jj[t]]),
+    on Python ints.  G is applied to the side with fewer rows: the Gram
+    matrix is Hermitian, so <v, u> = star(<u, v>), and one vanishes
+    exactly when the other does."""
     mul, mul_star = tables
-    rows, inv = np.unique(ii, return_inverse=True)
-    w = np.stack([_combine(terms, u[:, rows], gram, np.matmul)
-                  for terms in mul])[:, inv]
+    if v.shape[1] < u.shape[1]:
+        u, v, ii, jj = v, u, jj, ii
+    w = np.stack([_combine(terms, u, gram, np.matmul) for terms in mul])
+    w, v = w[:, ii], v[:, jj]
     zero = np.ones(len(ii), dtype=bool)
     for terms in mul_star:
-        zero &= _combine(terms, w, v[:, jj], _pair_dot) == 0
+        zero &= _combine(terms, w, v, _pair_dot) == 0
     return zero
+
+
+def _confirm(tables, u, gram, v, ii, jj):
+    """Exact vanishing of the form on the pairs (u[:, ii[t]], v[:, jj[t]]),
+    on the block of the R rows and C columns that the N pairs use: mod the
+    r primes of `_moduli` when r (R + C) < k N, the residues' cost against
+    that of Python ints (see the module docstring), and on Python ints
+    otherwise, as always under ORTHOSET_LAB_EXACT_GRID=1."""
+    k = u.shape[0]
+    rows, ii = np.unique(ii, return_inverse=True)
+    cols, jj = np.unique(jj, return_inverse=True)
+    u, v = u[:, rows], v[:, cols]
+    primes = None if _use_exact_path() else _moduli(u, gram, v)
+    if primes is not None and \
+            len(primes) * (len(rows) + len(cols)) < k * len(ii):
+        return _residue_zero(tables, u, gram, v, ii, jj, primes)
+    return _exact_zero(tables, u, gram, v, ii, jj)
 
 
 def map_matrix(phi):
@@ -367,7 +479,7 @@ def pivot_rows(sfield: StarSfield, rows) -> list[int]:
     n = len(rows[0]) // k if rows else 0
     if not n:
         return []
-    r = (np.array(rows, dtype=object) % PRIME).astype(np.int64)
+    r = _reduce(np.array(rows, dtype=object), PRIME)
     r = r.reshape(len(rows), k, n)
     # component c of e_a r sums sign * r_b over the table's (a, b, sign)
     left = np.zeros((len(rows), k, k, n), dtype=np.int64)
@@ -410,12 +522,12 @@ def _grid(space, rows_a, rows_b, planes):
     if na == 0 or nb == 0:
         return np.zeros((na, nb), dtype=bool)
     tables = _tables(space.sfield)
-    gram, gram_residues = _int_gram(space)
+    gram = _int_gram(space)
     u, v = planes(rows_a), planes(rows_b)
     if _use_exact_path():
         grid = candidates = np.ones((na, nb), dtype=bool)
     else:
-        grid = _screen(tables, u, gram_residues, v)
+        grid = _screen(tables, u, gram, v)
         # <0, v> = <u, 0> = 0, and the screen passes those pairs; zero rows
         # are read off the exact planes, as a nonzero row can vanish mod p
         nonzero_u, nonzero_v = ((x != 0).any(axis=(0, 2)) for x in (u, v))
@@ -423,5 +535,5 @@ def _grid(space, rows_a, rows_b, planes):
     # a zero residue is only a candidate; confirm with exact integers
     ii, jj = np.nonzero(candidates)
     if len(ii):
-        grid[ii, jj] = _exact_zero(tables, u, gram, v, ii, jj)
+        grid[ii, jj] = _confirm(tables, u, gram, v, ii, jj)
     return grid

@@ -21,7 +21,9 @@ from orthoset_lab.hermspace import (
     HermitianSpace,
     SemilinearMap,
     Subspace,
+    Vector,
     herm_form,
+    random_nonzero_vector,
     random_subspace,
     random_vector,
     standard_space,
@@ -36,7 +38,7 @@ from orthoset_lab.orthoset import (
     ray_payload,
     rays_of,
 )
-from orthoset_lab.perpgrid import PRIME, map_matrix, perp_grid
+from orthoset_lab.perpgrid import PRIME, PRIMES, map_matrix, perp_grid
 from orthoset_lab.sampling import random_linear_map, random_partial_isometry
 from orthoset_lab.scalars import GaussianRational as GR
 from orthoset_lab.scalars import HQ_I, HQ_J
@@ -48,9 +50,11 @@ Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
 
 
 def test_prime_is_prime_and_sized():
-    assert 2 ** 27 < PRIME < 2 ** 28
-    for d in range(2, 1 << 14):
-        assert PRIME % d != 0
+    """PRIME and the confirmation table: distinct primes below 2**28."""
+    assert PRIMES[0] == PRIME and len(set(PRIMES)) == len(PRIMES)
+    odd = np.arange(3, 1 << 14, 2)  # every odd d <= sqrt(2**28)
+    for p in PRIMES:
+        assert 2 ** 27 < p < 2 ** 28 and p % 2 and (p % odd).all()
 
 
 def spaces_under_test():
@@ -78,15 +82,15 @@ def short_id(space):
     return name
 
 
-def spy_exact_zero(monkeypatch):
+def spy_confirm(monkeypatch):
     """Record the (row, column) pairs that reach exact confirmation."""
     seen = []
-    real = perpgrid._exact_zero
+    real = perpgrid._confirm
 
     def spy(tables, u, gram, v, ii, jj):
         seen.extend(zip(ii.tolist(), jj.tolist()))
         return real(tables, u, gram, v, ii, jj)
-    monkeypatch.setattr(perpgrid, "_exact_zero", spy)
+    monkeypatch.setattr(perpgrid, "_confirm", spy)
     return seen
 
 
@@ -97,7 +101,7 @@ def test_grid_matches_pairwise_forms(space, monkeypatch):
     rows.append(space.zero_vector())
     rows.append(space.basis_vector(0))
     coords = [v.coords for v in rows]
-    seen = spy_exact_zero(monkeypatch)
+    seen = spy_confirm(monkeypatch)
     grid = perp_grid(space, coords, coords)
     # zero rows are orthogonal to every row without exact confirmation
     assert not any(rows[a].is_zero or rows[b].is_zero for a, b in seen)
@@ -127,7 +131,7 @@ def test_real_part_zero_forms_stay_non_orthogonal(sf, monkeypatch):
     space = standard_space(sf, 2)
     u, v = planted_rows(space)
     assert herm_form(space.vector(u), space.vector(v)) == PLANTED[sf]
-    seen = spy_exact_zero(monkeypatch)
+    seen = spy_confirm(monkeypatch)
     grid = perp_grid(space, [u, v], [v, u])
     assert seen == [(0, 0), (1, 1)]  # the screen passes both pairs
     assert not grid.any()
@@ -244,6 +248,204 @@ def test_huge_entries_stay_exact():
     grid = perp_grid(q2, [u], [v, w])
     assert grid[0, 0] and not grid[0, 1]
 
+
+def spy_paths(monkeypatch):
+    """Record each confirmation's path: ("residues", pairs, primes) or
+    ("ints", pairs)."""
+    seen = []
+    residue_zero, exact_zero = perpgrid._residue_zero, perpgrid._exact_zero
+
+    def residues(tables, u, gram, v, ii, jj, primes):
+        seen.append(("residues", len(ii), len(primes)))
+        return residue_zero(tables, u, gram, v, ii, jj, primes)
+
+    def ints(tables, u, gram, v, ii, jj):
+        seen.append(("ints", len(ii)))
+        return exact_zero(tables, u, gram, v, ii, jj)
+    monkeypatch.setattr(perpgrid, "_residue_zero", residues)
+    monkeypatch.setattr(perpgrid, "_exact_zero", ints)
+    return seen
+
+
+def multiple_rows(sf, m):
+    """u_i = (1, i - 8) and v_j = m t (j - 8, -1) over the sfield sf, with t
+    from PLANTED over Qi and HQ and t = 1 over Q, so that
+    <u_i, v_j> = m (j - i) star(t): a dense 16 x 16 block whose every cell
+    is a multiple of m, orthogonal on the diagonal alone.  Over Qi and HQ
+    the real part of every cell is 0, so all of them pass the screen."""
+    t = PLANTED.get(sf, F(1))
+    return ([(sf.one(), sf.coerce(i - 8)) for i in range(16)],
+            [(m * (j - 8) * t, -m * t) for j in range(16)])
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_a_product_of_the_moduli_stays_non_orthogonal(sf, m, monkeypatch):
+    """With P the product of the first m PRIMES, the cells next to the
+    diagonal are +-P star(t): nonzero, yet zero mod each of those primes
+    and so past the screen.  The height bound, bits(P) + 11 to 15 here,
+    asks for exactly one prime more, which alone tells P from 0; over Qi
+    and HQ only a component other than the real part does."""
+    rows_u, rows_v = multiple_rows(sf, math.prod(PRIMES[:m]))
+    seen = spy_paths(monkeypatch)
+    grid = perp_grid(standard_space(sf, 2), rows_u, rows_v)
+    assert seen == [("residues", 256, m + 1)]
+    assert (grid == np.eye(16, dtype=bool)).all()
+
+
+@pytest.mark.parametrize("factor", ["u", "gram", "v"])
+def test_the_height_bound_counts_every_factor(factor, monkeypatch):
+    """B, the product of PRIMES[1:9], scales one factor of the HQ block
+    of multiple_rows(HQ, PRIME): the rows u, the Gram matrix or the rows
+    v.  Every cell is then a multiple of the first nine primes, and only a
+    bound that counts the scaled factor's height asks for a tenth."""
+    b = math.prod(PRIMES[1:9])
+    rows_u, rows_v = multiple_rows(HQ, PRIME)
+    if factor == "u":
+        rows_u = [tuple(b * x for x in row) for row in rows_u]
+    if factor == "v":
+        rows_v = [tuple(b * x for x in row) for row in rows_v]
+    g = b if factor == "gram" else 1
+    space = HermitianSpace.create(HQ, 2, [[g, 0], [0, g]])
+    seen = spy_paths(monkeypatch)
+    grid = perp_grid(space, rows_u, rows_v)
+    assert seen == [("residues", 256, 10)]
+    assert (grid == np.eye(16, dtype=bool)).all()
+
+
+def test_few_columns_take_python_ints(monkeypatch):
+    """A closure's pattern: ten random rows and 20 rows of S against two
+    300-bit rows of S-perp, too few pairs for the residues, so the Python
+    ints take the pairs with the sides swapped."""
+    rng = random.Random("few-columns")
+    space = standard_space(HQ, 4)
+    s = random_subspace(space, 2, rng)
+    rows_a = [random_vector(space, rng) for _ in range(10)]
+    rows_a += combinations(s, 20, rng)
+    rows_b = [rng.randint(2 ** 299, 2 ** 300) * v
+              for v in s.orthocomplement().basis]
+    seen = spy_paths(monkeypatch)
+    grid = perp_grid(space, [v.coords for v in rows_a],
+                     [v.coords for v in rows_b])
+    assert seen == [("ints", 40)]
+    for i, u in enumerate(rows_a):
+        for j, v in enumerate(rows_b):
+            assert bool(grid[i, j]) == (not herm_form(u, v))
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_heights_past_the_moduli_fall_back_to_python_ints(sf, monkeypatch):
+    """Every cell is a multiple of the product of all PRIMES, so no
+    prefix of the table bounds the height and every residue vanishes."""
+    rows_u, rows_v = multiple_rows(sf, math.prod(PRIMES))
+    seen = spy_paths(monkeypatch)
+    grid = perp_grid(standard_space(sf, 2), rows_u, rows_v)
+    assert seen == [("ints", 256)]
+    assert (grid == np.eye(16, dtype=bool)).all()
+
+
+def combinations(subspace, count, rng):
+    """count vectors of the subspace, each a combination of its basis with
+    random nonzero left coefficients."""
+    space = subspace.space
+    rows = []
+    for _ in range(count):
+        v = space.zero_vector()
+        for b in subspace.basis:
+            v = v + nonzero_scalar(space.sfield, rng) * b
+        rows.append(v)
+    return rows
+
+
+def subspace_block(space, size, rng, big=False):
+    """The shape of the benchmark's S x S-perp grids: rows in a random S
+    and then random rows, against rows in S-perp and then random rows, so
+    that the leading half x half block is orthogonal.  With big, every
+    row is scaled by a random signed integer of 200 to 500 bits."""
+    half = size // 2
+    s = random_subspace(space, space.dim // 2, rng)
+
+    def scaled(vectors):
+        if big:
+            heights = [rng.randint(200, 500) for _ in vectors]
+            vectors = [rng.choice((1, -1)) * rng.randint(2 ** (h - 1), 2 ** h)
+                       * v for h, v in zip(heights, vectors)]
+        return [v.coords for v in vectors]
+
+    rest = size - half
+    rows_a = combinations(s, half, rng) + [random_nonzero_vector(space, rng)
+                                           for _ in range(rest)]
+    rows_b = combinations(s.orthocomplement(), half, rng) + [
+        random_nonzero_vector(space, rng) for _ in range(rest)]
+    return scaled(rows_a), scaled(rows_b)
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_dense_blocks_take_the_residue_path(sf, monkeypatch):
+    """The benchmark's S x S-perp grids, 112 rows a side at dimensions 4
+    to 6: no candidate reaches a Python-int pair product."""
+    rng = random.Random(f"dense:{sf.value}")
+    for n in (4, 5, 6):
+        space = standard_space(sf, n)
+        rows_a, rows_b = subspace_block(space, 112, rng)
+        seen = spy_paths(monkeypatch)
+        grid = perp_grid(space, rows_a, rows_b)
+        assert [path for path, *_ in seen] == ["residues"]
+        assert seen[0][1] >= 56 * 56 and grid[:56, :56].all()
+        for i, j in np.argwhere(grid):
+            assert not herm_form(Vector(space, rows_a[i]),
+                                 Vector(space, rows_b[j]))
+
+
+def gram_space():
+    return HermitianSpace.create(HQ, 3, [[2, HQ_I, 0], [-HQ_I, 2, HQ_J],
+                                         [0, -HQ_J, 3]])
+
+
+@pytest.mark.parametrize("space", [
+    standard_space(Q, 5), standard_space(QI, 4), standard_space(HQ, 4),
+    gram_space()], ids=short_id)
+@pytest.mark.parametrize("big", [False, True], ids=["small", "big"])
+def test_dense_blocks_match_the_exact_path(space, big, monkeypatch):
+    """S x S-perp blocks mixed with random rows, and with 200-500-bit
+    rows, cell for cell against ORTHOSET_LAB_EXACT_GRID=1.  The 200-500-bit
+    blocks need about 38 primes; over HQ, with k = 4, that still beats
+    Python ints, over Q and Qi it does not."""
+    rng = random.Random(f"dense-oracle:{short_id(space)}:{big}")
+    rows_a, rows_b = subspace_block(space, 40, rng, big)
+    seen = spy_paths(monkeypatch)
+    screened = perp_grid(space, rows_a, rows_b)
+    wide = space.sfield is HQ
+    assert [path for path, *_ in seen] == [
+        "ints" if big and not wide else "residues"]
+    monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
+    seen.clear()
+    pure = perp_grid(space, rows_a, rows_b)
+    assert seen == [("ints", 40 * 40)]  # the oracle: every pair, Python ints
+    assert (screened == pure).all() and screened[:20, :20].all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), sf=st.sampled_from(list(StarSfield)),
+       n=st.integers(2, 4), seed=st.integers(0, 2 ** 16))
+def test_confirmation_at_random_heights_and_signs(data, sf, n, seed):
+    """Rows of S and of S-perp, and two random rows, each scaled by a
+    nonzero integer of random height and sign, against the scalar form."""
+    space = standard_space(sf, n)
+    rng = random.Random(seed)
+    s = random_subspace(space, n // 2, rng)
+    rows_a = [random_vector(space, rng) for _ in range(2)]
+    rows_a += combinations(s, 8, rng)
+    rows_b = [random_vector(space, rng) for _ in range(2)]
+    rows_b += combinations(s.orthocomplement(), 8, rng)
+    scale = signed_heights(600).filter(bool)
+    rows_a, rows_b = ([data.draw(scale) * v for v in rows]
+                      for rows in (rows_a, rows_b))
+    grid = perp_grid(space, [v.coords for v in rows_a],
+                     [v.coords for v in rows_b])
+    for i, u in enumerate(rows_a):
+        for j, v in enumerate(rows_b):
+            assert bool(grid[i, j]) == (not herm_form(u, v))
 
 
 def twists(sf):
