@@ -1,13 +1,15 @@
 """Compare the two exact orthogonality-grid paths.
 
-The screened path screens component 0 of every form mod a fixed prime and
+The screened path screens component 0 of every form mod a fixed prime
+below 2**23, with float64 BLAS products that stay exact below 2**53, and
 confirms only the residue-zero candidates, leaving out the zero row,
-which is orthogonal to every row.  It confirms them mod as many primes
-as their height bound asks for when the candidates are dense enough to
-pay for the reduction, and on Python ints otherwise.  The pure path
-(ORTHOSET_LAB_EXACT_GRID=1) evaluates every pair, the zero row's
-included, on Python ints.  Both are exact; this script measures how much
-the screen buys per sfield and checks that the grids agree cell for cell.
+which is orthogonal to every row.  It confirms them with the same kernel
+mod as many primes as their height bound asks for when the candidates
+are dense enough to pay for the reduction, and on Python ints otherwise.
+The pure path (ORTHOSET_LAB_EXACT_GRID=1) evaluates every pair, the zero
+row's included, on Python ints.  Both are exact; this script measures how
+much the screen buys per sfield and checks that the grids agree cell for
+cell.
 
     python benchmarks/grid_bench.py [probe-count]
 """

@@ -5,12 +5,12 @@ pairs.  Doing that with exact scalar arithmetic pair by pair is the hot loop
 of the whole package, so grids are computed in two exact stages:
 
 1. a residue screen: component 0 of every pairwise form (its real part,
-   up to a positive factor) is evaluated mod a fixed prime with numpy
-   int64 matrix products.  If that component is nonzero mod p it is a
-   nonzero integer, so the form is nonzero, full stop; no pair can be
-   wrongly declared orthogonal here.  A form with real part 0, such as
-   <(1, 1), (1, -1 - i)> = i, passes as a candidate and costs one exact
-   check, never a wrong answer.
+   up to a positive factor) is evaluated mod a fixed prime with float64
+   BLAS products, exact by the bound below.  If that component is
+   nonzero mod p it is a nonzero integer, so the form is nonzero, full
+   stop; no pair can be wrongly declared orthogonal here.  A form with
+   real part 0, such as <(1, 1), (1, -1 - i)> = i, passes as a candidate
+   and costs one exact check, never a wrong answer.
 2. exact confirmation of the candidates in all k components, so no pair
    can be wrongly declared orthogonal either.  A row whose exact integer
    planes are all zero is orthogonal to every row, since <0, v> = <u, 0>
@@ -23,45 +23,74 @@ Confirmation (`_confirm`) is a multi-modular zero test where candidates
 are dense.  On the R distinct rows and C distinct columns of the N
 candidates every form component is an integer below 2**h in magnitude,
 h = bits(U) + bits(G) + bits(V) + bitlen(k**2 n**2) (`_moduli`).  The
-form is evaluated on the whole R x C block in int64, in all k components,
-mod each of the fewest leading `PRIMES` whose product P exceeds 2**h; a
-component that vanishes mod all of these distinct primes is a multiple of
-P smaller than P in magnitude, hence 0 (von zur Gathen and Gerhard,
-Modern Computer Algebra, ch. 5; no CRT reconstruction is needed).  The
-reduction costs about r (R + C) k n Python-int remainders for r primes
-and the pairs on Python ints about N k**2 n multiply-adds, so the
-residues are taken when r (R + C) < k N and the table holds r primes,
-and Python ints otherwise (`_exact_zero`, which applies G to the side
-with fewer distinct rows).  Dense S x S-perp blocks take the residues;
-a closure's rays against one to three S-perp rows, with heights of
-hundreds of bits, take Python ints.  Per seed-613 benchmark round
-(2-core host, Python 3.11, `BENCH_19.json`), 28 227 of `grid`'s 28 439
-candidates took the residues and confirmation fell from about 0.105 s to
-0.016 s; all 13 260 of `partial`'s took Python ints, 0.094 s before and
-0.059 s after.  Over ten alternating pairs the median `grid` round went
-from 0.306 s to 0.161 s and the `partial` round from 1.77 s to 1.71 s.
+form is evaluated on the whole R x C block with the screen's kernel, in
+all k components, mod each of the fewest leading `PRIMES` whose product
+P exceeds 2**h; a component that vanishes mod all of these distinct
+primes is a multiple of P smaller than P in magnitude, hence 0 (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 5; no CRT
+reconstruction is needed).  The residues cost about r (R + C) k n
+remainders of the planes for r primes, Python-int ones where the planes
+are object arrays, and the pairs on Python ints (`_exact_zero`, which
+applies G to the side with fewer distinct rows) about N k**2 n
+multiply-adds.  On 102 distinct confirmations captured from one seed-5
+round of each benchmark workload, from the dense-block tests and from
+S x S-perp blocks of 8 to 64 rows a side, each timed both ways (2-core
+host, Python 3.11, `BENCH_20.json` `confirmation_rule`), Python ints
+were faster in 56 of the 57 calls with 3 r (R + C) >= 4 k N, and the
+residues in 33 of the 45 below it, the 12 others by at most 0.25 ms
+each; the tests' 200-500-bit HQ blocks, at r (R + C) = 1.15 k N, took
+6.5-8.1 ms on residues and 10.2 ms on Python ints.  So the residues are
+taken when 3 r (R + C) < 4 k N and the table holds r primes, and Python
+ints otherwise: 136 ms over those calls, against 142 ms under the former
+rule r (R + C) < k N and 134 ms for the faster path every time.  Dense
+S x S-perp blocks take the residues; a closure's rays against one to
+three S-perp rows, with heights of hundreds of bits, take Python ints.
 
 Both stages run one form kernel.  A scalar is a vector of k rational
 components over the sfield's basis (`StarSfield.basis()`: 1; 1, i; or
 1, i, j, k), and the kernel reads the sfield's product off the scalar
 classes once, as a table of basis products e_a * e_b = sign * e_c.
 <u, v> = sum_ij u_i g_ij star(v_j) is then W = U G followed by
-F = W star(V)^T, each a signed sum of k component matrix products per
-output component; the screen needs W in all k components but only
-component 0 of F, k matrix products in place of k * k.  Rows are
-integerised by the lcm of their denominators and the Gram matrix by one
-common lcm; positive rational factors never change whether a form
-vanishes.
+F = W star(V)^T.  With the table each is one matrix product on the
+rows' flattened (rows, k n) planes (`_fold`): G folds into a (k n) x
+(k n) matrix that gives all k components of W, and star(V)^T into a
+(k n) x (c C) matrix that gives the c components of F wanted, c = 1 for
+the screen and k for confirmation.  Rows are integerised by the lcm of
+their denominators and the Gram matrix by one common lcm; positive
+rational factors never change whether a form vanishes.
 
-Residues lie in [0, p), so one output component of a chunk of `step`
-contracted columns sums k * step products of magnitude at most (p - 1)**2.
-`step` is the largest length that keeps this inside int64 (128 for Q, 64
-for Qi, 32 for HQ, for every prime of `PRIMES`); longer contractions are
-reduced mod p after every chunk (delayed reduction, as in Dumas, Giorgi
-and Pernet, FFLAS-FFPACK, 2008), so every dimension takes the screen and
-the multi-modular confirmation.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips
-the screen and confirms every pair on Python ints, zero rows included;
+The products run in float64 on BLAS, which is exact on integers while
+every partial sum stays below 2**53 (Dumas, Giorgi and Pernet,
+FFLAS-FFPACK, 2008).  The planes' residues mod p < 2**23 lie below p in
+magnitude, so a chunk of `_STEP` = 64 contracted columns sums at most
+64 (p - 1)**2 <= 2**52 in any order (`_mul_mod`), and each chunk's
+result is reduced in place as x - p rint(x / p), exact below 2**52
+(`_reduce`), to a signed residue that can feed the next product.  Every
+benchmark dimension, k n <= 24, takes one chunk, and longer contractions
+take more, so every dimension takes the screen and the multi-modular
+confirmation.  The products are float64 because numpy's int64 matmul
+does not call BLAS: one 448 x 24 by 24 x 448 product of the screen took
+3.17 ms in int64 and 0.24 ms in float64, and reducing its result took
+1.8 ms as x - p rint(x / p), 2.6 ms by np.remainder and 29 ms by np.fmod
+(best of 20, one thread, 2-core host, `BENCH_20.json` `kernel_micro_ms`).
+Per seed-829 `grid` round (in-process spies, three processes per tree)
+the screen took 0.030-0.037 s against 0.061-0.074 s before, and over ten
+alternating benchmark pairs the median `grid` round went from 0.163 s to
+0.110 s, `wigner` from 1.465 s to 1.345 s and `partial` from 1.695 s to
+1.651 s.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips the screen and
+confirms every pair on Python ints, zero rows included;
 `benchmarks/grid_bench.py` compares the two paths.
+
+Grid planes are int64 where they provably fit and object arrays of
+Python ints otherwise.  `perp_grid` builds them in C under a height check
+(`_int64_planes`: the exact lcm L of a row's denominators and its largest
+numerator with bits(num) + bits(L) < 63), and `row_grid` loads rays' rows
+in C (`_int_rows`, which sends rows past int64, or holding -2**63, whose
+abs wraps, to Python ints).  The kernel reads planes only through their
+residues mod p, taken in C from int64 planes, and `_exact_zero` casts its
+planes to Python ints, so no int64 product ever decides a pair.  Map
+matrices, `ray_rows` and the canonicalizer build object planes only,
+since their products pass int64.
 
 The same planes carry rays and induced ray maps.  A ray is held as its
 primitive integer row (`orthoset.Ray`): an integer row y of the ray with
@@ -121,23 +150,26 @@ import numpy as np
 
 from .starfields import StarSfield
 
-PRIME = 268435399  # largest prime below 2**28
-# the 64 largest primes below 2**28, PRIME first: the moduli of exact
+PRIME = 8388593  # largest prime below 2**23
+# the 78 largest primes below 2**23, PRIME first: the moduli of exact
 # confirmation, whose product passes 2**1791
 PRIMES = (
-    268435399, 268435367, 268435361, 268435337, 268435331, 268435313,
-    268435291, 268435273, 268435243, 268435183, 268435171, 268435157,
-    268435147, 268435133, 268435129, 268435121, 268435109, 268435091,
-    268435067, 268435043, 268435039, 268435033, 268435019, 268435009,
-    268435007, 268434997, 268434979, 268434977, 268434961, 268434949,
-    268434941, 268434937, 268434857, 268434841, 268434827, 268434821,
-    268434787, 268434781, 268434779, 268434773, 268434731, 268434721,
-    268434713, 268434707, 268434703, 268434697, 268434659, 268434623,
-    268434619, 268434581, 268434577, 268434563, 268434557, 268434547,
-    268434511, 268434499, 268434479, 268434461, 268434401, 268434391,
-    268434389, 268434373, 268434289, 268434281,
+    8388593, 8388587, 8388581, 8388571, 8388547, 8388539, 8388473, 8388461,
+    8388451, 8388449, 8388439, 8388427, 8388421, 8388409, 8388377, 8388371,
+    8388319, 8388301, 8388287, 8388283, 8388277, 8388239, 8388209, 8388187,
+    8388113, 8388109, 8388091, 8388071, 8388059, 8388019, 8388013, 8387999,
+    8387993, 8387959, 8387957, 8387947, 8387933, 8387921, 8387917, 8387891,
+    8387879, 8387867, 8387861, 8387857, 8387839, 8387831, 8387809, 8387807,
+    8387741, 8387737, 8387723, 8387707, 8387671, 8387611, 8387609, 8387591,
+    8387581, 8387563, 8387557, 8387543, 8387539, 8387513, 8387507, 8387501,
+    8387473, 8387471, 8387447, 8387437, 8387413, 8387377, 8387371, 8387369,
+    8387339, 8387311, 8387297, 8387251, 8387243, 8387231,
 )
+# contracted columns per chunk of a residue product, 64: the longest whose
+# products of residues below PRIME sum to at most 2**52 (`_mul_mod`)
+_STEP = 2 ** 52 // (PRIME - 1) ** 2
 _INT64_MAX = 2 ** 63 - 1
+_INT64_MIN = -2 ** 63
 _LIMB_SUMS = 2  # c, the limb products of one level summed in int64
 
 
@@ -164,9 +196,23 @@ def _tables(sfield: StarSfield):
     return table(lambda e: e), table(sfield.star)
 
 
-def _planes(sfield: StarSfield, rows, n: int):
-    """A (k, len(rows), n) object array of the rows' integer component
-    planes, each row scaled by the lcm of its denominators."""
+def _int_rows(rows, width: int):
+    """Integer rows as a (len(rows), width) array: int64, loaded in C, when
+    every entry fits, and object otherwise.  An entry at -2**63 fits but
+    goes to object too, since its abs wraps in int64."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = None
+    if a is None or (a == _INT64_MIN).any():
+        a = np.array(rows, dtype=object)
+    return a.reshape(len(rows), width)
+
+
+def _planes(sfield: StarSfield, rows, n: int, fit: bool = False):
+    """A (k, len(rows), n) array of the rows' integer component planes,
+    each row scaled by the lcm of its denominators: object, or with fit,
+    int64 where `_int64_planes` shows that every entry fits."""
     flat = [x for row in rows for x in row]
     if sfield is StarSfield.Q:
         comps = [[x.numerator for x in flat]]
@@ -174,9 +220,39 @@ def _planes(sfield: StarSfield, rows, n: int):
     else:
         comps = list(zip(*[x.component_ints() for x in flat]))
         dens = [x.denominator_int() for x in flat]
+    lcm = [math.lcm(*dens[i:i + n]) for i in range(0, len(dens), n)]
+    if fit:
+        planes = _int64_planes(comps, dens, lcm, n)
+        if planes is not None:
+            return planes
     den = np.array(dens, dtype=object).reshape(len(rows), n)
-    scale = np.lcm.reduce(den, axis=1)[:, None] // den
+    scale = np.array(lcm, dtype=object)[:, None] // den
     return np.array(comps, dtype=object).reshape(-1, len(rows), n) * scale
+
+
+def _int64_planes(comps, dens, lcm, n: int):
+    """`_planes` built in int64 in C, given the exact lcm L of each row's
+    denominators, or None where the height check fails.
+
+    An entry of a row is num * (L / den), so its magnitude is at most
+    |num| L < 2**(bits(num) + bits(L)).  Where bits(num) + bits(L) < 63
+    for the row's largest |num|, L, every denominator and every entry are
+    below 2**62 and the products are exact in int64.  A numerator at
+    -2**63 would pass the check with a wrapped abs, so it sends the rows to
+    object too."""
+    room = np.array([62 - x.bit_length() for x in lcm])
+    if (room < 0).any():
+        return None
+    try:
+        num = np.array(comps, dtype=np.int64).reshape(-1, len(lcm), n)
+    except OverflowError:
+        return None
+    # bits(num) + bits(L) < 63, that is |num| < 2**(62 - bits(L))
+    if (num == _INT64_MIN).any() or \
+            (abs(num).max(axis=(0, 2), initial=0) >> room).any():
+        return None
+    den = np.array(dens, dtype=np.int64).reshape(len(lcm), n)
+    return num * (np.array(lcm, dtype=np.int64)[:, None] // den)
 
 
 def _matrix_planes(sfield: StarSfield, matrix, n: int, m: int):
@@ -209,40 +285,77 @@ def _combine(terms, x, y, dot):
     return acc
 
 
-def _residues(terms, x, y, p: int):
-    """_combine with matrix products on int64 residues, mod the prime p <
-    2**28.  A chunk of `step` contracted columns sums len(terms) * step
-    products below p**2, which int64 holds; each chunk is reduced before
-    the next."""
-    step = _INT64_MAX // (len(terms) * (p - 1) ** 2)
-    acc = None
-    for lo in range(0, x.shape[-1], step):
-        part = _combine(terms, x[..., lo:lo + step], y[:, lo:lo + step],
-                        np.matmul)
-        part %= p
-        acc = part if acc is None else (acc + part) % p
-    return acc
+def _residues(x, p: int):
+    """An integer array, int64 or object, mod p as float64 in [0, p)."""
+    return (x % p).astype(np.float64)
 
 
 def _reduce(x, p: int):
-    """An integer array's residues mod p, in [0, p), as int64."""
-    return (x % p).astype(np.int64)
+    """x mod p in place, for a float64 array of integers of magnitude at
+    most 2**52 and a prime p < 2**23: x - p rint(x / p), a signed residue.
+
+    x / p is rounded once, with relative error at most 2**-53, so it lies
+    within 2**-53 * 2**52 / p = 1 / (2 p) of the exact quotient; q = rint(x
+    / p) is then an integer within 1/2 + 1 / (2 p) of it.  So |p q| <= |x|
+    + (p + 1) / 2 < 2**53 is exact, and x - p q is an exact integer
+    congruent to x with magnitude at most (p + 1) / 2 < p: it is 0 exactly
+    when p divides x."""
+    q = np.divide(x, p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _mul_mod(x, y, p: int):
+    """x @ y mod p, as signed residues, for float64 matrices of integers
+    of magnitude below p, one BLAS product per chunk of _STEP contracted
+    columns.  A chunk sums at most _STEP (p - 1)**2 <= 2**52 in magnitude,
+    and every partial sum the BLAS forms, in whatever order and with or
+    without fused multiply-adds, is an integer bounded by that sum of
+    magnitudes, so it is exact in float64; each chunk is reduced before it
+    joins the others.  Every benchmark dimension, k n <= 24, takes one
+    chunk."""
+    out = None
+    for lo in range(0, x.shape[1], _STEP):
+        part = _reduce(x[:, lo:lo + _STEP] @ y[lo:lo + _STEP], p)
+        if out is None:
+            out = part
+        else:
+            out += part
+            _reduce(out, p)
+    return out
+
+
+def _fold(terms, y, components):
+    """The (k m, len(components) q) matrix that sends flattened planes x,
+    (rows, k m) with x[:, a m + i] = X_a[:, i], to the listed components of
+    sum sign X_a @ y[b] over each output component's terms, for (k, m, q)
+    planes y: one product in place of k."""
+    k, m, q = y.shape
+    out = np.zeros((k, m, len(components), q))
+    for slot, c in enumerate(components):
+        for a, b, sign in terms[c]:
+            out[a, :, slot] = y[b] if sign > 0 else -y[b]
+    return out.reshape(k * m, -1)
 
 
 def _form_residues(tables, u, gram, v, p: int, components):
     """The listed components of the form on every pair of rows, mod the
-    prime p on int64 residues: W = U G in all k components, then each
-    listed component of W star(V)^T."""
+    prime p, as an (R, len(components), C) float64 array of signed
+    residues: W = U G in all k components as one product of the flattened
+    planes, then the listed components of W star(V)^T as another."""
     mul, mul_star = tables
-    u, gram, v = _reduce(u, p), _reduce(gram, p), _reduce(v, p)
-    w = np.stack([_residues(terms, u, gram, p) for terms in mul])
-    vt = v.transpose(0, 2, 1)
-    return [_residues(mul_star[c], w, vt, p) for c in components]
+    k, count, n = u.shape
+    flat = _residues(u, p).transpose(1, 0, 2).reshape(count, k * n)
+    w = _mul_mod(flat, _fold(mul, _residues(gram, p), range(k)), p)
+    vt = _fold(mul_star, _residues(v, p).transpose(0, 2, 1), components)
+    return _mul_mod(w, vt, p).reshape(count, len(components), -1)
 
 
 def _screen(tables, u, gram, v):
     """True where component 0 of the form vanishes mod PRIME."""
-    return _form_residues(tables, u, gram, v, PRIME, [0])[0] == 0
+    return _form_residues(tables, u, gram, v, PRIME, [0])[:, 0] == 0
 
 
 def _bits(x) -> int:
@@ -272,7 +385,7 @@ def _moduli(u, gram, v):
 def _residue_zero(tables, u, gram, v, ii, jj, primes):
     """Exact vanishing of the form on the pairs (u[:, ii[t]], v[:, jj[t]]),
     where `primes` are `_moduli(u, gram, v)`: all k components of the form
-    on the whole block of rows, mod each prime in int64.
+    on the whole block of rows, mod each prime by `_form_residues`.
 
     The primes are distinct, so a component divisible by all of them is
     divisible by their product P.  By `_moduli` every component is an
@@ -281,8 +394,8 @@ def _residue_zero(tables, u, gram, v, ii, jj, primes):
     form 0, and no CRT reconstruction is needed."""
     zero = np.ones(len(ii), dtype=bool)
     for p in primes:
-        for f in _form_residues(tables, u, gram, v, p, range(len(u))):
-            zero &= f[ii, jj] == 0
+        f = _form_residues(tables, u, gram, v, p, range(len(u)))
+        zero &= (f == 0).all(axis=1)[ii, jj]
     return zero
 
 
@@ -292,10 +405,12 @@ def _pair_dot(x, y):
 
 def _exact_zero(tables, u, gram, v, ii, jj):
     """Exact vanishing of the form on the pairs (u[:, ii[t]], v[:, jj[t]]),
-    on Python ints.  G is applied to the side with fewer rows: the Gram
-    matrix is Hermitian, so <v, u> = star(<u, v>), and one vanishes
-    exactly when the other does."""
+    on Python ints: int64 planes are cast to object first, so that no
+    int64 product decides a pair.  G is applied to the side with fewer
+    rows: the Gram matrix is Hermitian, so <v, u> = star(<u, v>), and one
+    vanishes exactly when the other does."""
     mul, mul_star = tables
+    u, gram, v = (x.astype(object) for x in (u, gram, v))
     if v.shape[1] < u.shape[1]:
         u, v, ii, jj = v, u, jj, ii
     w = np.stack([_combine(terms, u, gram, np.matmul) for terms in mul])
@@ -309,16 +424,16 @@ def _exact_zero(tables, u, gram, v, ii, jj):
 def _confirm(tables, u, gram, v, ii, jj):
     """Exact vanishing of the form on the pairs (u[:, ii[t]], v[:, jj[t]]),
     on the block of the R rows and C columns that the N pairs use: mod the
-    r primes of `_moduli` when r (R + C) < k N, the residues' cost against
-    that of Python ints (see the module docstring), and on Python ints
-    otherwise, as always under ORTHOSET_LAB_EXACT_GRID=1."""
+    r primes of `_moduli` when 3 r (R + C) < 4 k N, the residues' measured
+    cost against that of Python ints (see the module docstring), and on
+    Python ints otherwise, as always under ORTHOSET_LAB_EXACT_GRID=1."""
     k = u.shape[0]
     rows, ii = np.unique(ii, return_inverse=True)
     cols, jj = np.unique(jj, return_inverse=True)
     u, v = u[:, rows], v[:, cols]
     primes = None if _use_exact_path() else _moduli(u, gram, v)
     if primes is not None and \
-            len(primes) * (len(rows) + len(cols)) < k * len(ii):
+            3 * len(primes) * (len(rows) + len(cols)) < 4 * k * len(ii):
         return _residue_zero(tables, u, gram, v, ii, jj, primes)
     return _exact_zero(tables, u, gram, v, ii, jj)
 
@@ -423,15 +538,7 @@ def _limb_product(rows, matrix):
     ints, where matrix is `matrix_limbs(M)`: the int64 products of the
     rows' limbs and the matrix's limbs, recombined."""
     s = _limb_bits(matrix.shape[1])
-    # rows that fit convert in C; past int64, or at -2**63, whose abs
-    # wraps, they are split from Python ints instead
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        a = None
-    if a is None or (a == -_INT64_MAX - 1).any():
-        a = np.array(rows, dtype=object)
-    x = _limbs(a.reshape(len(rows), matrix.shape[1]), s)
+    x = _limbs(_int_rows(rows, matrix.shape[1]), s)
     # level t sums x[i] @ matrix[j] over i + j = t; by _limb_bits,
     # _LIMB_SUMS of those products at a time sum in int64, and the chunks
     # of a level sum in Python ints
@@ -479,7 +586,7 @@ def pivot_rows(sfield: StarSfield, rows) -> list[int]:
     n = len(rows[0]) // k if rows else 0
     if not n:
         return []
-    r = _reduce(np.array(rows, dtype=object), PRIME)
+    r = (_int_rows(rows, k * n) % PRIME).astype(np.int64)
     r = r.reshape(len(rows), k, n)
     # component c of e_a r sums sign * r_b over the table's (a, b, sign)
     left = np.zeros((len(rows), k, k, n), dtype=np.int64)
@@ -503,15 +610,16 @@ def perp_grid(space, rows_a, rows_b):
     """Boolean matrix of exact orthogonality for all pairs of coordinate
     rows; entry [i][j] is True iff <rows_a[i], rows_b[j]> = 0."""
     return _grid(space, rows_a, rows_b,
-                 lambda rows: _planes(space.sfield, rows, space.dim))
+                 lambda rows: _planes(space.sfield, rows, space.dim,
+                                      fit=True))
 
 
 def row_grid(space, rows_a, rows_b):
     """perp_grid on integer rows as `orthoset.Ray.row` holds them: the k
     component planes of a row, each of length n, one after the other."""
     k, n = _width(space.sfield), space.dim
-    return _grid(space, rows_a, rows_b, lambda rows: np.array(
-        rows, dtype=object).reshape(len(rows), k, n).transpose(1, 0, 2))
+    return _grid(space, rows_a, rows_b, lambda rows: _int_rows(
+        rows, k * n).reshape(len(rows), k, n).transpose(1, 0, 2))
 
 
 def _grid(space, rows_a, rows_b, planes):

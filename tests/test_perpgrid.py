@@ -50,11 +50,19 @@ Q, QI, HQ = StarSfield.Q, StarSfield.QI, StarSfield.HQ
 
 
 def test_prime_is_prime_and_sized():
-    """PRIME and the confirmation table: distinct primes below 2**28."""
-    assert PRIMES[0] == PRIME and len(set(PRIMES)) == len(PRIMES)
-    odd = np.arange(3, 1 << 14, 2)  # every odd d <= sqrt(2**28)
+    """PRIME and the confirmation table: distinct primes below 2**23,
+    PRIME the largest, whose product passes 2**1791; and _STEP is the
+    longest chunk whose products of residues below p sum to at most
+    2**52 for every one of them."""
+    assert PRIMES[0] == max(PRIMES) == PRIME
+    assert len(set(PRIMES)) == len(PRIMES) == 78
+    assert math.prod(PRIMES) > 2 ** 1791
+    odd = np.arange(3, 1 << 12, 2)  # every odd d <= sqrt(2**23)
     for p in PRIMES:
-        assert 2 ** 27 < p < 2 ** 28 and p % 2 and (p % odd).all()
+        assert 2 ** 22 < p < 2 ** 23 and p % 2 and (p % odd).all()
+        assert perpgrid._STEP * (p - 1) ** 2 <= 2 ** 52
+    assert (perpgrid._STEP + 1) * (PRIME - 1) ** 2 > 2 ** 52
+    assert perpgrid._STEP == 64
 
 
 def spaces_under_test():
@@ -209,32 +217,128 @@ def test_larger_dimensions_match_pairwise_forms(space):
     assert grid[8:s, s:].all()  # S x S-perp
 
 
-# the longest contraction whose k signed residue products per output
-# component stay inside int64: (2**63 - 1) // (k * (PRIME - 1)**2)
-CONTRACTION_BOUND = {StarSfield.Q: 128, StarSfield.QI: 64, StarSfield.HQ: 32}
+# the number of coordinates whose folded contraction, k n columns, is the
+# longest that one chunk of the float64 residue kernel takes
+ONE_CHUNK = {sf: perpgrid._STEP // len(sf.basis()) for sf in StarSfield}
 
 
 @pytest.mark.parametrize("past", [0, 2])
 @pytest.mark.parametrize("sfield", list(StarSfield), ids=lambda s: s.value)
 def test_contraction_past_the_int64_bound_stays_exact(sfield, past):
+    """The longest folded contraction of one chunk of the residue
+    kernel, k n = _STEP columns, and two coordinates past it, which take a
+    second chunk in both products."""
     # q is the sum of the basis scalars, so every component of -q has the
     # residue PRIME - 1; u = (-q, ..., -q) and v = (-q, ..., -q, (n-1) q)
     # are orthogonal, with star(q) q = k
-    n = CONTRACTION_BOUND[sfield] + past
+    n = ONE_CHUNK[sfield] + past
+    k = len(sfield.basis())
+    assert (k * n > perpgrid._STEP) == (past > 0)
     space = standard_space(sfield, n)
     q = sum(sfield.basis()[1:], sfield.one())
     u = (-q,) * n
     v = (-q,) * (n - 1) + ((n - 1) * q,)
     assert not herm_form(space.vector(u), space.vector(v))
-
-    def comps(x):
-        return (x.numerator,) if sfield is StarSfield.Q else x.component_ints()
-    # the real component of u star(v) sums these products of residues
-    total = sum(a % PRIME * (b % PRIME) for x, y in zip(u, v)
-                for a, b in zip(comps(x), comps(y)))
-    assert (total > 2 ** 63 - 1) == (past > 0)
     grid = perp_grid(space, [u, space.basis_vector(0).coords], [v])
     assert grid[0, 0] and not grid[1, 0]
+
+
+def exact_product_mod(x, y, p):
+    """(x @ y) mod p on Python ints, in [0, p)."""
+    return (x.astype(object) @ y.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", [PRIME, min(PRIMES)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("extra", [0, 2, perpgrid._STEP + 2])
+def test_residue_products_at_the_chunk_bound(p, sign, extra):
+    """Every product is sign * (p - 1) * (p - 1), and in one row of mixed
+    signs: one chunk of _STEP columns sums exactly _STEP (p - 1)**2 <=
+    2**52, the bound of _reduce.  Two columns past it take a second chunk,
+    and _STEP + 2 past it a third."""
+    length = perpgrid._STEP + extra
+    x = np.full((3, length), sign * (p - 1), dtype=np.float64)
+    y = np.full((length, 2), p - 1, dtype=np.float64)
+    x[1, ::3] = -x[1, ::3]  # a row of mixed signs
+    got = perpgrid._mul_mod(x, y, p)
+    assert (abs(got) <= (p + 1) // 2).all()
+    want = exact_product_mod(x.astype(np.int64), y.astype(np.int64), p)
+    assert ((got.astype(np.int64) - want) % p == 0).all()
+
+
+@pytest.mark.parametrize("p", [PRIME, min(PRIMES)])
+def test_residue_products_past_2_to_the_53_take_chunks(p):
+    """2 _STEP + 2 columns of odd products (p - 2)**2 and one even one:
+    their sum is an odd integer past 2**53, which float64 cannot hold, so
+    the product is exact only in chunks."""
+    length = 2 * perpgrid._STEP + 2
+    x = np.full((2, length), p - 2, dtype=np.float64)
+    y = np.full((length, 1), p - 2, dtype=np.float64)
+    y[0, 0] = p - 3
+    exact = (length - 1) * (p - 2) ** 2 + (p - 2) * (p - 3)
+    assert exact > 2 ** 53 and exact % 2
+    got = perpgrid._mul_mod(x, y, p)
+    assert ((got.astype(np.int64) - exact) % p == 0).all()
+
+
+@pytest.mark.parametrize("p", [PRIME, min(PRIMES), 3])
+def test_in_place_reduction_against_python_remainders(p):
+    """x - p rint(x / p) at +-2**52, the bound, and next to it, at
+    multiples of p and at random values: a signed residue of magnitude at
+    most (p + 1) / 2, congruent to x, written into x itself."""
+    rng = random.Random(f"reduce:{p}")
+    bound = 2 ** 52
+    near = [bound - d for d in range(8)] + [bound // p * p, p, p - 1, 1, 0]
+    near += [rng.randint(0, bound) for _ in range(200)]
+    values = sorted(set(near + [-v for v in near]))
+    x = np.array(values, dtype=np.float64)
+    assert x.astype(object).tolist() == values  # exact in float64
+    out = perpgrid._reduce(x, p)
+    assert out is x
+    for v, r in zip(values, x.tolist()):
+        assert r == int(r) and abs(r) <= (p + 1) // 2
+        assert (v - int(r)) % p == 0 and (r == 0) == (v % p == 0)
+
+
+def exact_form_mod(tables, u, gram, v, p):
+    """All k components of the form on every pair of rows, mod p, on
+    Python ints: (R, k, C), in [0, p)."""
+    mul, mul_star = tables
+    u, gram, v = (x.astype(object) for x in (u, gram, v))
+    w = np.stack([perpgrid._combine(t, u, gram, np.matmul) for t in mul])
+    vt = v.transpose(0, 2, 1)
+    f = np.stack([perpgrid._combine(t, w, vt, np.matmul) for t in mul_star])
+    return f.transpose(1, 0, 2) % p
+
+
+@pytest.mark.parametrize("sf,n", [(Q, 3), (Q, 66), (QI, 5), (QI, 33),
+                                  (HQ, 4), (HQ, 16), (HQ, 17)],
+                         ids=lambda x: getattr(x, "value", x))
+def test_form_residues_match_python_ints(sf, n):
+    """The folded float64 kernel against the form on Python ints, mod the
+    screen's prime and the table's smallest, on planes whose entries are
+    0, +-1, +-(p - 1), +-p, +-(p + 1) and 40- to 300-bit integers, with
+    folded contractions of one, two and more chunks."""
+    rng = random.Random(f"form-residues:{sf.value}:{n}")
+    k = len(sf.basis())
+    tables = perpgrid._tables(sf)
+    for p in (PRIME, min(PRIMES)):
+        edges = [0, 1, p - 1, p, p + 1]
+        edges += [-e for e in edges] + [
+            rng.choice((1, -1)) * rng.getrandbits(rng.randint(40, 300))
+            for _ in range(5)]
+
+        def planes(*shape):
+            return np.array([rng.choice(edges) for _ in range(math.prod(
+                shape))], dtype=object).reshape(shape)
+        u, gram, v = planes(k, 5, n), planes(k, n, n), planes(k, 4, n)
+        got = perpgrid._form_residues(tables, u, gram, v, p, range(k))
+        assert got.shape == (5, k, 4)
+        want = exact_form_mod(tables, u, gram, v, p)
+        assert ((got.astype(np.int64) - want.astype(np.int64)) % p
+                == 0).all()
+        zero = perpgrid._form_residues(tables, u, gram, v, p, [0])[:, 0]
+        assert ((zero == 0) == (want[:, 0] == 0)).all()
 
 
 def test_huge_entries_stay_exact():
@@ -247,6 +351,136 @@ def test_huge_entries_stay_exact():
     w = (F(1), big)    # <u, w> = big + big != 0
     grid = perp_grid(q2, [u], [v, w])
     assert grid[0, 0] and not grid[0, 1]
+
+
+# Grid planes in int64: the height check, -2**63 and the object cast.
+
+def orthogonal_partner(space, u):
+    """v = (-star(x^-1 y), 1) for u = (x, y), x != 0: <u, v> = -y + y = 0
+    in a standard space."""
+    sf = space.sfield
+    x, y = u
+    return (-sf.star(inv_scalar(x) * y), sf.one())
+
+
+@pytest.mark.parametrize("height", [57, 58, 60, 61])
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_height_check_picks_the_plane_dtype(sf, height):
+    """u = (a/3 q, 5/7) with a the largest integer of the given bit length
+    prime to 3 and q the sum of the basis scalars: its row lcm is 21, five
+    bits, and its largest scaled entry 7 a.  At 57 + 5 = 62 bits the check
+    passes and the planes are int64; at 58 it fails, and at 60 and 61 the
+    entries just under and just past 2**63 stay exact on Python ints.  The
+    grids against an orthogonal partner, a nearby row and e_1 match the
+    scalar form."""
+    space = standard_space(sf, 2)
+    q = sum(sf.basis()[1:], sf.one())
+    a = next(a for a in range(2 ** height - 1, 0, -2) if a % 3)
+    u = (F(a, 3) * q, F(5, 7) * sf.one())
+    planes = perpgrid._planes(sf, [u], 2, fit=True)
+    exact = perpgrid._planes(sf, [u], 2)
+    assert planes.dtype == (np.int64 if height + 5 < 63 else object)
+    assert planes.tolist() == exact.tolist()
+    assert (7 * a > 2 ** 63) == (height == 61)
+    v = orthogonal_partner(space, u)
+    rows_a = [u, (u[0], u[1] + 1)]
+    rows_b = [v, space.basis_vector(0).coords, (v[0], 2 * v[1])]
+    grid = perp_grid(space, rows_a, rows_b)
+    for i, x in enumerate(rows_a):
+        for j, y in enumerate(rows_b):
+            assert bool(grid[i, j]) == (not herm_form(space.vector(x),
+                                                      space.vector(y)))
+    assert grid[0, 0]
+
+
+@pytest.mark.parametrize("bits", [62, 63, 64])
+def test_row_lcm_past_the_height_check(bits):
+    """u = (1/d, 1/e) with coprime d, e whose product, the row lcm, has
+    the given bit length, and numerators 1: only an lcm of at most 61 bits
+    passes the check, so these planes are Python ints."""
+    d = _primes_from(2 ** 31, 1)[0]
+    e = _primes_from(2 ** (bits - 1) // d + 1, 1)[0]
+    assert (d * e).bit_length() == bits
+    space = standard_space(Q, 2)
+    u = (F(1, d), F(1, e))
+    planes = perpgrid._planes(Q, [u], 2, fit=True)
+    assert planes.dtype == object and planes.tolist() == [[[e, d]]]
+    grid = perp_grid(space, [u], [(F(1, e), F(-1, d)), (F(1), F(0))])
+    assert grid.tolist() == [[True, False]]
+
+
+def test_int_rows_at_the_int64_edges():
+    """Rows load in int64 up to +-(2**63 - 1); -2**63, whose abs wraps,
+    and anything past int64 load as Python ints."""
+    top = 2 ** 63 - 1
+    for rows, dtype in [([(top, -top), (0, 1)], np.int64),
+                        ([(top, -top - 1)], object),
+                        ([(top + 1, 0)], object),
+                        ([(0, -top - 2)], object),
+                        ([], np.int64)]:
+        got = perpgrid._int_rows(rows, 2)
+        assert got.dtype == dtype and got.shape == (len(rows), 2)
+        assert got.tolist() == [list(r) for r in rows]
+
+
+def row_vector(space, row):
+    """The vector of an integer row in `Ray.row` layout."""
+    sf, n = space.sfield, space.dim
+    if sf is Q:
+        return space.vector(row)
+    planes = [row[c:c + n] for c in range(0, len(row), n)]
+    return space.vector([sf.scalar_type(*comps) for comps in zip(*planes)])
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_row_grid_with_an_entry_at_minus_2_to_the_63(sf):
+    """A row holding -2**63 and rows near it, against rows that make some
+    forms vanish exactly: the planes are Python ints, and every cell
+    matches the scalar form."""
+    space = standard_space(sf, 2)
+    k = len(sf.basis())
+    low = -2 ** 63
+
+    def row(x, y):  # real parts x, y; the other components 1
+        return (x, y) + (1, 1) * (k - 1)
+    rows_a = [row(low, 1), row(low + 1, 1), row(1, low)]
+    rows_b = [row(1, 2 ** 63), row(2 ** 63 - 1, 0), row(0, 1), row(1, 0)]
+    assert perpgrid._int_rows(rows_a, 2 * k).dtype == object
+    grid = orthoset.row_grid(space, rows_a, rows_b)
+    for i, x in enumerate(rows_a):
+        for j, y in enumerate(rows_b):
+            assert bool(grid[i, j]) == (not herm_form(row_vector(space, x),
+                                                      row_vector(space, y)))
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_exact_path_on_int64_planes_past_2_to_the_63(sf, monkeypatch):
+    """u = (2**40 q, 5) against v = (2**24, 0), with q the sum of the
+    basis scalars: every component of <u, v> is 2**64, which wraps to 0 in
+    int64, so an int64 pair product would call the pair orthogonal.  The
+    planes are int64, and ORTHOSET_LAB_EXACT_GRID=1 sends every pair to
+    `_exact_zero`, which must cast them to Python ints; so must a direct
+    call with int64 Gram planes."""
+    space = standard_space(sf, 2)
+    q = sum(sf.basis()[1:], sf.one())
+    u = (2 ** 40 * q, 5 * sf.one())
+    rows_a = [u, (2 ** 40 * q, 7 * sf.one())]
+    rows_b = [(2 ** 24 * sf.one(), sf.zero()), orthogonal_partner(space, u),
+              (5 * sf.one(), -(2 ** 40) * q)]
+    want = np.array([[not herm_form(space.vector(x), space.vector(y))
+                      for y in rows_b] for x in rows_a])
+    assert not want[0, 0] and want[0, 1]
+    a = perpgrid._planes(sf, rows_a, 2, fit=True)
+    b = perpgrid._planes(sf, rows_b[:1], 2, fit=True)
+    assert a.dtype == b.dtype == np.int64
+    monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
+    seen = spy_paths(monkeypatch)
+    assert (perp_grid(space, rows_a, rows_b) == want).all()
+    assert seen == [("ints", 6)]
+    gram = perpgrid._int_gram(space).astype(np.int64)
+    ii, jj = np.array([0, 1]), np.array([0, 0])
+    zero = perpgrid._exact_zero(perpgrid._tables(sf), a, gram, b, ii, jj)
+    assert not zero.any()
 
 
 def spy_paths(monkeypatch):
@@ -409,7 +643,7 @@ def gram_space():
 def test_dense_blocks_match_the_exact_path(space, big, monkeypatch):
     """S x S-perp blocks mixed with random rows, and with 200-500-bit
     rows, cell for cell against ORTHOSET_LAB_EXACT_GRID=1.  The 200-500-bit
-    blocks need about 38 primes; over HQ, with k = 4, that still beats
+    blocks need 44 to 47 primes; over HQ, with k = 4, that still beats
     Python ints, over Q and Qi it does not."""
     rng = random.Random(f"dense-oracle:{short_id(space)}:{big}")
     rows_a, rows_b = subspace_block(space, 40, rng, big)
