@@ -43,6 +43,7 @@ from .orthoset import (
     Ray,
     RayMap,
     check_axioms,
+    compose_ray_maps,
     dacey_witness,
     linearity_witness,
     perp_closure,

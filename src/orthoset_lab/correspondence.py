@@ -56,6 +56,7 @@ from .hermspace import (
 from .orthoset import (
     ProbeSet,
     RayMap,
+    compose_ray_maps,
     perp_closure,
     probe_rays_in,
     ray_grid,
@@ -452,6 +453,13 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     that orthocomplement, the restriction to A-probes must preserve
     orthogonality both ways into B, and the composite f o P(projection onto
     A) must reproduce f on every probe.
+
+    That composite is `compose_ray_maps(f, P(projection onto A))`.  For an
+    induced f it is induced by f's map after the projection, one batch of
+    the probes' rows through one matrix, and no projected image is mapped
+    again; when f kills A-perp that map is f's map itself, with f's
+    matrix.  For an oracle f the projected images go through the
+    oracle.
     """
     records = verify_adjoint_pair(f, f_adj, probes1, probes2)
     if not passed(records):
@@ -499,7 +507,7 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
 
     frame = a_sub.frame
     project_a = induce(compose_maps(frame.inclusion, frame.projection))
-    through_a = f.apply_many(project_a.apply_many(probes1))
+    through_a = compose_ray_maps(f, project_a).apply_many(probes1)
     for x, y, z in zip(probes1, through_a, fx):
         if y != z:
             raise NotPartialOrthometryError(

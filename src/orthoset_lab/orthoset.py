@@ -35,6 +35,13 @@ trips on 256-probe sets, the limb product took the median round from
 Python 3.11, `BENCH_18.json`).  An oracle map is a batch function on
 rays, so both kinds of map are evaluated the same way: the new rays of a
 batch are mapped in one call, and every map memoizes its images.
+
+Ray maps compose as the maps that induce them do: P(psi) o P(pi) =
+P(psi o pi).  `compose_ray_maps` builds the composite of two induced
+maps as one induced map, so a batch goes through one matrix and is
+canonicalized once, and no image row is fed back into the kernel.  A
+composite with an oracle chains the two batches, since an oracle is
+evaluated only on rays.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .hermspace import (
     SemilinearMap,
     Subspace,
     Vector,
+    compose_maps,
     herm_form,
     random_nonzero_vector,
 )
@@ -256,6 +264,28 @@ class RayMap:
         cod = self.codomain
         rows = image_rows(cod.sfield, self._int_matrix, [x.row for x in rays])
         return [Ray(cod, row) for row in rows]
+
+
+def compose_ray_maps(outer: RayMap, inner: RayMap) -> RayMap:
+    """outer after inner, as one ray map.
+
+    When both maps are induced, P(psi) o P(pi) = P(psi o pi), and the
+    composite is induced by compose_maps(psi, pi): one batch through one
+    matrix in place of a batch per map, with the same rays.  Let u span
+    a ray x.  P(pi) holds the image ray by a vector r = c pi(u), c a
+    nonzero scalar (the canonical representative), or r = 0 when
+    pi(u) = 0.  Then psi(r) = sigma(c) psi(pi(u)) with sigma(c) nonzero,
+    so P(psi) sends it to the ray of psi(pi(u)), which is
+    P(psi o pi)(x); a zero stays zero.  An oracle is evaluated only on
+    rays, so a composite with an oracle is the oracle that chains the
+    two batches."""
+    if inner.codomain is not outer.domain:
+        raise InputError("ray maps do not compose")
+    if outer.is_induced and inner.is_induced:
+        return RayMap(inner.domain, outer.codomain,
+                      mapping=compose_maps(outer.mapping, inner.mapping))
+    return RayMap(inner.domain, outer.codomain,
+                  oracle=lambda rays: outer.apply_many(inner.apply_many(rays)))
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,20 @@ the product table it folds into one (k n) x (k m) integer matrix per map
 and canonicalized in one call.  Grids of rays (`row_grid`) take the same
 rows as planes without re-integerizing them.
 
-That product is exact on int64 limbs.  A map's matrix shares the lcm of
-all its denominators and easily passes 2**63, and so can rows fed back
-from images, so neither fits a machine word in general.  Each entry x, of
-the matrix and of the rows, is written as signed s-bit limbs,
-x = sum_l x_l 2**(s l) with |x_l| < 2**s (`_limbs`).  The int64 products
+A map's matrix is content-free: `map_matrix` divides it by the gcd of
+all its entries, which keeps it a positive multiple of the map, so no
+image ray changes.  The common lcm of its denominators and the twist's
+scale leave such a factor: on one seed-613 round (in-process spies,
+2-core host, Python 3.11, `BENCH_21.json`) it reached 102 bits on
+`wigner`, whose largest matrix fell from 206 to 105 bits, and 234 bits
+on `partial`, whose largest fell from 475 to 241 bits; there the
+probe check of a rebuilt map took 0.11-0.17 s a round, not 0.19-0.26 s.
+
+That product is exact on int64 limbs.  A content-free matrix still
+passes 2**63 easily, and so can rays' rows, so neither fits a machine
+word in general.  Each entry x, of the matrix and of the rows, is
+written as signed s-bit limbs, x = sum_l x_l 2**(s l) with
+|x_l| < 2**s (`_limbs`).  The int64 products
 x_i @ M_j of equal level i + j are summed, and the levels are recombined
 on Python ints by Horner's rule in 2**s.  A limb product contracts
 K = k n terms, so its entries are at most K (2**s - 1)**2; s is the
@@ -439,9 +448,17 @@ def _confirm(tables, u, gram, v, ii, jj):
 
 
 def map_matrix(phi):
-    """The semilinear map phi as one integer matrix K on flattened planes:
-    a row x, as its (k, n) component planes read row by row, goes to the
-    (k, m) planes of a positive rational multiple of phi(x), as x K."""
+    """The semilinear map phi as one content-free integer matrix K on
+    flattened planes: a row x, as its (k, n) component planes read row by
+    row, goes to the (k, m) planes of a positive rational multiple of
+    phi(x), as x K.
+
+    K is divided by the gcd of all its entries, so that gcd is 1.  The
+    common lcm of the matrix's denominators and the twist's scale for
+    inner(q) leave a common factor that would only add height to every
+    limb product and canonicalization; dividing it out keeps K a positive
+    rational multiple of the map, so no image ray changes.  An all-zero
+    K has gcd 0 and is left as it is."""
     sf, n, m = phi.domain.sfield, phi.domain.dim, phi.codomain.dim
     basis = sf.basis()
     if n == 0 or m == 0:
@@ -454,7 +471,9 @@ def map_matrix(phi):
     # y_c = sum over the table's (a, b, sign) of sign * sigma(x)_a M_b
     blocks = [_combine(terms, twist, mat, np.multiply.outer)
               for terms in _tables(sf)[0]]
-    return np.stack(blocks, axis=2).reshape(len(basis) * n, -1)
+    matrix = np.stack(blocks, axis=2).reshape(len(basis) * n, -1)
+    content = math.gcd(*matrix.flat)
+    return matrix // content if content > 1 else matrix
 
 
 @lru_cache(maxsize=None)

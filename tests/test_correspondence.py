@@ -40,7 +40,15 @@ from orthoset_lab.hermspace import (
     quasi_generalized_inverse,
     standard_space,
 )
-from orthoset_lab.orthoset import ProbeSet, Ray, RayMap, ray_of
+from orthoset_lab.orthoset import (
+    ProbeSet,
+    Ray,
+    RayMap,
+    probe_rays_in,
+    ray_grid,
+    ray_of,
+    ray_payload,
+)
 from orthoset_lab.perpgrid import image_rows
 from orthoset_lab.reports import run_tasks
 from orthoset_lab.sampling import (
@@ -497,8 +505,9 @@ def test_generalized_inverse_equals_adjoint_for_linear_partial():
 
 
 def test_partial_wigner_maps_rays_in_batches(monkeypatch):
-    """The oracles of the partial pipeline take whole batches to the map
-    kernel; applied one ray at a time, this run took 137 kernel calls."""
+    """The induced maps of the partial pipeline take whole batches to the
+    map kernel; applied one ray at a time, this run took 137 kernel
+    calls."""
     calls = []
 
     def counted(sfield, matrix, rows):
@@ -511,6 +520,71 @@ def test_partial_wigner_maps_rays_in_batches(monkeypatch):
     p = ProbeSet.generate(q5, seed=1, count=64)
     partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)), p, p)
     assert 0 < len(calls) <= 40
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_decomposition_feeds_no_image_row_back_to_the_kernel(sf, monkeypatch):
+    """f o P(projection onto A) is evaluated as one induced map: no row
+    the map kernel returns goes back into it, and the factorization check
+    is one batch of the probes' own rows."""
+    returned, fed_back, batches, composed_at = {}, [], [], []
+
+    def spy(sfield, matrix, rows):
+        fed_back.extend(row for row in rows if id(row) in returned)
+        batches.append(rows)
+        out = image_rows(sfield, matrix, rows)
+        returned.update((id(row), row) for row in out)  # keeps ids unique
+        return out
+
+    def compose(outer, inner):
+        composed_at.append(len(batches))
+        return orthoset.compose_ray_maps(outer, inner)
+
+    monkeypatch.setattr(orthoset, "image_rows", spy)
+    monkeypatch.setattr(correspondence, "compose_ray_maps", compose)
+    space = standard_space(sf, 5)
+    d, _ = random_partial_isometry(space, space, 3,
+                                   random.Random(f"feed:{sf.value}"),
+                                   quasi=True)
+    p = ProbeSet.generate(space, seed=2, count=48)
+    dec = decompose_partial_orthometry(
+        induce(d.map), induce(quasi_generalized_inverse(d)), p, p)
+    assert dec.a == d.s1 and dec.b == d.s2
+    assert fed_back == []
+    # the factorization check is the last step of the decomposition
+    start, = composed_at
+    factorization, = batches[start:]
+    assert len(factorization) == len(p)
+    assert all(row is x.row for row, x in zip(factorization, p))
+
+
+def test_decomposition_rejects_an_oracle_off_on_one_probe():
+    """An oracle equal to an induced partial isometry f except on one
+    probe x outside A and A-perp, which it sends to another ray of B with
+    the same orthogonality against the probes.  Every check before the
+    factorization passes; f o P(projection onto A) sends x to f(x), not
+    to the planted ray, so the factorization check names x."""
+    space = standard_space(QI, 4)
+    d, _ = random_partial_isometry(space, space, 2,
+                                   random.Random("planted"), quasi=True)
+    f, f_adj = induce(d.map), induce(quasi_generalized_inverse(d))
+    p = ProbeSet.generate(space, seed=1, count=32)
+
+    def pattern(y):
+        return ray_grid(space, [y], p).tolist()
+
+    a_perp = d.s1.orthocomplement()
+    x = next(r for r in p if not r.is_zero and not d.s1.contains(r.rep)
+             and not a_perp.contains(r.rep))
+    planted = next(y for y in probe_rays_in(d.s2, seed=5, count=16)
+                   if not y.is_zero and y != f(x)
+                   and pattern(y) == pattern(f(x)))
+    oracle = RayMap(space, space, oracle=lambda rays: [
+        planted if r == x else y for r, y in zip(rays, f.apply_many(rays))])
+    with pytest.raises(NotPartialOrthometryError,
+                       match="factorization") as err:
+        decompose_partial_orthometry(oracle, f_adj, p, p)
+    assert err.value.witness == {"ray": ray_payload(x)}
 
 
 def test_frame_restrictions_reject_images_outside_the_target():

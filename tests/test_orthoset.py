@@ -12,6 +12,7 @@ from orthoset_lab.hermspace import (
     SemilinearMap,
     Subspace,
     adjoint_linear,
+    compose_maps,
     invert_semilinear,
     quasi_generalized_inverse,
     random_nonzero_vector,
@@ -24,6 +25,7 @@ from orthoset_lab.orthoset import (
     Ray,
     RayMap,
     check_axioms,
+    compose_ray_maps,
     dacey_witness,
     linearity_witness,
     perp_closure,
@@ -431,3 +433,80 @@ def test_ray_map_zero_preserved_and_space_checks():
         f(ray_of(standard_space(Q, 3).vector([1, 0, 0])))
     with pytest.raises(InputError):
         RayMap(q2, q2)  # neither mapping nor oracle
+
+
+def composition_cases():
+    """Pairs (outer, inner) of partial (quasi)isometries of a standard
+    5-space, and an outer map after the orthogonal projection onto its
+    kernel complement, as the partial decomposition composes them."""
+    for sf in StarSfield:
+        space = standard_space(sf, 5)
+        for quasi in (False, True):
+            rng = random.Random(f"compose:{sf.value}:{quasi}")
+            outer, _ = random_partial_isometry(space, space, 3, rng,
+                                               quasi=quasi)
+            inner, _ = random_partial_isometry(space, space, 4, rng,
+                                               quasi=quasi)
+            frame = outer.s1.frame
+            project = compose_maps(frame.inclusion, frame.projection)
+            tag = f"{sf.value}-{'quasi' if quasi else 'plain'}"
+            yield pytest.param(outer.map, inner.map, id=f"{tag}-partial")
+            yield pytest.param(outer.map, project, id=f"{tag}-projection")
+
+
+def composition_rays(space, seed):
+    """Probe rays with the zero ray and duplicates."""
+    rays = list(ProbeSet.generate(space, seed=seed, count=48))
+    return rays + rays[:5] + [Ray.zero(space)]
+
+
+@pytest.mark.parametrize("psi,pi", list(composition_cases()))
+def test_composite_of_induced_maps_matches_the_chained_images(psi, pi):
+    """P(psi) o P(pi) = P(psi o pi): the induced composite maps every ray,
+    in one batch, to the ray the two maps give one after the other."""
+    outer, inner = induce(psi), induce(pi)
+    composite = compose_ray_maps(outer, inner)
+    assert composite.is_induced
+    assert composite.mapping == compose_maps(psi, pi)
+    rays = composition_rays(pi.domain, 7)
+    got = composite.apply_many(rays)
+    want = outer.apply_many(inner.apply_many(rays))
+    assert got == want
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_composite_with_an_oracle_chains_the_batches():
+    """An oracle outer map gets the inner map's images, each new one once,
+    in one batch per composite batch; an oracle inner map feeds the outer
+    induced map the same way.  Neither composite is induced."""
+    space = standard_space(HQ, 4)
+    rng = random.Random("compose:oracle")
+    d, _ = random_partial_isometry(space, space, 3, rng, quasi=True)
+    phi = random_linear_map(space, space, rng)
+    batches = []
+
+    def logged(rays):
+        batches.append(list(rays))
+        return induce(phi).apply_many(rays)
+
+    inner = induce(d.map)
+    rays = composition_rays(space, 8)
+    composite = compose_ray_maps(RayMap(space, space, oracle=logged), inner)
+    assert not composite.is_induced
+    assert composite.apply_many(rays) == \
+        induce(phi).apply_many(inner.apply_many(rays))
+    assert batches == [list(dict.fromkeys(inner.apply_many(rays)))]
+
+    batches.clear()
+    composite = compose_ray_maps(inner, RayMap(space, space, oracle=logged))
+    assert not composite.is_induced
+    assert composite.apply_many(rays) == \
+        inner.apply_many(induce(phi).apply_many(rays))
+    assert batches == [list(dict.fromkeys(rays))]
+
+
+def test_compose_ray_maps_checks_the_spaces():
+    q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
+    with pytest.raises(InputError, match="do not compose"):
+        compose_ray_maps(induce(SemilinearMap.identity(q2)),
+                         induce(SemilinearMap.identity(q3)))

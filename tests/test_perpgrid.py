@@ -39,7 +39,12 @@ from orthoset_lab.orthoset import (
     rays_of,
 )
 from orthoset_lab.perpgrid import PRIME, PRIMES, map_matrix, perp_grid
-from orthoset_lab.sampling import random_linear_map, random_partial_isometry
+from orthoset_lab.sampling import (
+    conjugation_map,
+    left_scalar_map,
+    random_linear_map,
+    random_partial_isometry,
+)
 from orthoset_lab.scalars import GaussianRational as GR
 from orthoset_lab.scalars import HQ_I, HQ_J
 from orthoset_lab.scalars import RationalQuaternion as RQ
@@ -1138,6 +1143,56 @@ def test_frame_maps_of_a_zero_subspace(sf):
     zero = [Ray.zero(frame.space)]
     assert_same_rays(induce(frame.inclusion).apply_many(zero),
                      [Ray.zero(space)])
+
+
+def content_cases():
+    """Maps whose integer matrix before division has a content (the gcd
+    of its entries) of 81, 122 and 72 bits, and the plain Qi conjugation
+    map, whose matrix has content 1.  The Q map's first row holds a
+    further factor of 42 that other rows lack, so the content is not the
+    gcd of one row.  Each comes with the unscaled map when it is a
+    positive rational multiple of one."""
+    q3, qi3, hq3 = (standard_space(sf, 3) for sf in (Q, QI, HQ))
+    plain = SemilinearMap(q3, q3, SfieldMorphism.identity(Q), (
+        q3.vector([2, 4, -6]), q3.vector([1, F(3, 7), 5]),
+        q3.vector([F(1, 3), 2, 0])))
+    yield pytest.param(plain.scale(2 ** 80), plain, id="Q-scaled")
+    # a quaternion of 41-bit components: an inner twist by it
+    q = RQ(2 ** 40 + 15, -(2 ** 40 + 77), 2 ** 40 + 3, 2 ** 39 + 1)
+    yield pytest.param(left_scalar_map(hq3, q), None, id="HQ-left-scalar")
+    conj = conjugation_map(qi3)
+    yield pytest.param(conj, conj, id="Qi-conjugation")
+    yield pytest.param(conj.scale(F(3 * 2 ** 70, 7)), conj,
+                       id="Qi-conjugation-scaled")
+
+
+@pytest.mark.parametrize("phi,unscaled", list(content_cases()))
+def test_map_matrices_are_content_free(phi, unscaled):
+    """map_matrix divides out its content; the result is still a positive
+    multiple of the map, so the ray images are those of the scalar path.
+    Two content-free positive multiples of one map are equal, so a
+    positive rescaling of the map leaves its matrix as it is."""
+    matrix = map_matrix(phi)
+    assert math.gcd(*matrix.flat) == 1
+    if unscaled is not None:
+        assert matrix.tolist() == map_matrix(unscaled).tolist()
+    rays = batch(phi.domain, random.Random(f"content:{phi.sigma.kind}"))
+    assert_same_rays(induce(phi).apply_many(rays), reference(phi, rays))
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_matrix_of_the_zero_map_stays_zero(sf):
+    """An all-zero matrix has gcd 0 and is not divided; its rays all go
+    to the zero ray."""
+    space = standard_space(sf, 3)
+    zero = SemilinearMap.zero(space, space)
+    matrix = map_matrix(zero)
+    assert matrix.shape == (3 * len(sf.basis()),) * 2
+    assert not any(matrix.flat)
+    rays = batch(space, random.Random(f"content:zero:{sf.value}"))
+    got = induce(zero).apply_many(rays)
+    assert got == [Ray.zero(space)] * len(rays)
+    assert_same_rays(got, reference(zero, rays))
 
 
 def test_ray_map_splits_its_matrix_once_and_frees_it(monkeypatch):
