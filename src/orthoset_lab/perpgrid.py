@@ -81,16 +81,16 @@ alternating benchmark pairs the median `grid` round went from 0.163 s to
 confirms every pair on Python ints, zero rows included;
 `benchmarks/grid_bench.py` compares the two paths.
 
-Grid planes are int64 where they provably fit and object arrays of
-Python ints otherwise.  `perp_grid` builds them in C under a height check
-(`_int64_planes`: the exact lcm L of a row's denominators and its largest
-numerator with bits(num) + bits(L) < 63), and `row_grid` loads rays' rows
-in C (`_int_rows`, which sends rows past int64, or holding -2**63, whose
-abs wraps, to Python ints).  The kernel reads planes only through their
-residues mod p, taken in C from int64 planes, and `_exact_zero` casts its
-planes to Python ints, so no int64 product ever decides a pair.  Map
-matrices, `ray_rows` and the canonicalizer build object planes only,
-since their products pass int64.
+Every grid loads its rows through one gate, `_int_rows` in `row_grid`:
+int64, converted in C, where every entry fits, and Python ints where the
+conversion raises OverflowError or an entry is -2**63, whose abs wraps
+in int64 (`_bits`).  The conversion is exact, so no height bound guards
+an int64 plane; the kernel reads planes only through their residues mod
+p, and `_exact_zero` casts them to Python ints, so no int64 product
+decides a pair.  `perp_grid` is an adapter: `_planes` integerises its
+coordinate rows, and `row_grid` takes them as rays' rows.  Map matrices,
+`ray_rows` and the canonicalizer build object planes only, since their
+products pass int64.
 
 The same planes carry rays and induced ray maps.  A ray is held as its
 primitive integer row (`orthoset.Ray`): an integer row y of the ray with
@@ -206,9 +206,10 @@ def _tables(sfield: StarSfield):
 
 
 def _int_rows(rows, width: int):
-    """Integer rows as a (len(rows), width) array: int64, loaded in C, when
-    every entry fits, and object otherwise.  An entry at -2**63 fits but
-    goes to object too, since its abs wraps in int64."""
+    """Integer rows as a (len(rows), width) array, an exact copy: int64,
+    loaded in C, when every entry fits, and object where the conversion
+    raises OverflowError.  An entry at -2**63 fits but goes to object too,
+    since its abs wraps in int64."""
     try:
         a = np.array(rows, dtype=np.int64)
     except OverflowError:
@@ -218,10 +219,10 @@ def _int_rows(rows, width: int):
     return a.reshape(len(rows), width)
 
 
-def _planes(sfield: StarSfield, rows, n: int, fit: bool = False):
-    """A (k, len(rows), n) array of the rows' integer component planes,
-    each row scaled by the lcm of its denominators: object, or with fit,
-    int64 where `_int64_planes` shows that every entry fits."""
+def _planes(sfield: StarSfield, rows, n: int):
+    """A (k, len(rows), n) object array of the rows' integer component
+    planes, each row scaled by the lcm of its denominators, a positive
+    integer that changes no ray and no form's vanishing."""
     flat = [x for row in rows for x in row]
     if sfield is StarSfield.Q:
         comps = [[x.numerator for x in flat]]
@@ -229,39 +230,11 @@ def _planes(sfield: StarSfield, rows, n: int, fit: bool = False):
     else:
         comps = list(zip(*[x.component_ints() for x in flat]))
         dens = [x.denominator_int() for x in flat]
-    lcm = [math.lcm(*dens[i:i + n]) for i in range(0, len(dens), n)]
-    if fit:
-        planes = _int64_planes(comps, dens, lcm, n)
-        if planes is not None:
-            return planes
+    lcm = [math.lcm(*dens[i * n:i * n + n]) for i in range(len(rows))]
     den = np.array(dens, dtype=object).reshape(len(rows), n)
     scale = np.array(lcm, dtype=object)[:, None] // den
-    return np.array(comps, dtype=object).reshape(-1, len(rows), n) * scale
-
-
-def _int64_planes(comps, dens, lcm, n: int):
-    """`_planes` built in int64 in C, given the exact lcm L of each row's
-    denominators, or None where the height check fails.
-
-    An entry of a row is num * (L / den), so its magnitude is at most
-    |num| L < 2**(bits(num) + bits(L)).  Where bits(num) + bits(L) < 63
-    for the row's largest |num|, L, every denominator and every entry are
-    below 2**62 and the products are exact in int64.  A numerator at
-    -2**63 would pass the check with a wrapped abs, so it sends the rows to
-    object too."""
-    room = np.array([62 - x.bit_length() for x in lcm])
-    if (room < 0).any():
-        return None
-    try:
-        num = np.array(comps, dtype=np.int64).reshape(-1, len(lcm), n)
-    except OverflowError:
-        return None
-    # bits(num) + bits(L) < 63, that is |num| < 2**(62 - bits(L))
-    if (num == _INT64_MIN).any() or \
-            (abs(num).max(axis=(0, 2), initial=0) >> room).any():
-        return None
-    den = np.array(dens, dtype=np.int64).reshape(len(lcm), n)
-    return num * (np.array(lcm, dtype=np.int64)[:, None] // den)
+    planes = np.array(comps, dtype=object)
+    return planes.reshape(_width(sfield), len(rows), n) * scale
 
 
 def _matrix_planes(sfield: StarSfield, matrix, n: int, m: int):
@@ -517,8 +490,6 @@ def _primitive_rows(sfield: StarSfield, y):
 def ray_rows(sfield: StarSfield, rows, n: int):
     """The primitive rows of the rays spanned by coordinate rows, in one
     batch."""
-    if not rows or not n:
-        return [()] * len(rows)
     return _primitive_rows(sfield, _planes(sfield, rows, n).transpose(1, 0, 2))
 
 
@@ -627,22 +598,17 @@ def pivot_rows(sfield: StarSfield, rows) -> list[int]:
 
 def perp_grid(space, rows_a, rows_b):
     """Boolean matrix of exact orthogonality for all pairs of coordinate
-    rows; entry [i][j] is True iff <rows_a[i], rows_b[j]> = 0."""
-    return _grid(space, rows_a, rows_b,
-                 lambda rows: _planes(space.sfield, rows, space.dim,
-                                      fit=True))
+    rows: `row_grid` on the rows integerised by `_planes`, laid out as
+    `orthoset.Ray.row`."""
+    a, b = (np.hstack(_planes(space.sfield, rows, space.dim))
+            for rows in (rows_a, rows_b))
+    return row_grid(space, a, b)
 
 
 def row_grid(space, rows_a, rows_b):
-    """perp_grid on integer rows as `orthoset.Ray.row` holds them: the k
-    component planes of a row, each of length n, one after the other."""
-    k, n = _width(space.sfield), space.dim
-    return _grid(space, rows_a, rows_b, lambda rows: _int_rows(
-        rows, k * n).reshape(len(rows), k, n).transpose(1, 0, 2))
-
-
-def _grid(space, rows_a, rows_b, planes):
-    """The grid kernel on the rows' (k, rows, n) integer planes."""
+    """Boolean matrix of exact orthogonality for all pairs of integer rows
+    as `orthoset.Ray.row` holds them (the k component planes of a row, one
+    after the other), each side loaded by `_int_rows`."""
     na, nb = len(rows_a), len(rows_b)
     if space.dim == 0:
         return np.ones((na, nb), dtype=bool)
@@ -650,7 +616,9 @@ def _grid(space, rows_a, rows_b, planes):
         return np.zeros((na, nb), dtype=bool)
     tables = _tables(space.sfield)
     gram = _int_gram(space)
-    u, v = planes(rows_a), planes(rows_b)
+    k, n = len(tables[0]), space.dim
+    u, v = (_int_rows(rows, k * n).reshape(len(rows), k, n).transpose(1, 0, 2)
+            for rows in (rows_a, rows_b))
     if _use_exact_path():
         grid = candidates = np.ones((na, nb), dtype=bool)
     else:

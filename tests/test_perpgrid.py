@@ -184,22 +184,22 @@ def test_zero_rows_and_empty_grids():
     assert g0.shape == (1, 1) and g0[0, 0]
 
 
+def tridiagonal_space(sf, n):
+    """The Gram space with a + 2 on the diagonal and 1, i or j next to it
+    (its conjugate below): strictly diagonally dominant, hence positive
+    definite."""
+    up = {Q: F(1), QI: GR(0, 1), HQ: HQ_J}[sf]
+    gram = [[F(a + 2) if a == b else up if b == a + 1 else
+             sf.star(up) if a == b + 1 else 0 for b in range(n)]
+            for a in range(n)]
+    return HermitianSpace.create(sf, n, gram)
+
+
 def larger_spaces():
     """Dimensions 7 and 8 with the identity Gram and with a tridiagonal
     one."""
-    i = GR(0, 1)
-    off = {StarSfield.Q: (1, 1), StarSfield.QI: (i, -i),
-           StarSfield.HQ: (HQ_J, -HQ_J)}
-    spaces = []
-    for n in (7, 8):
-        for sf in StarSfield:
-            up, down = off[sf]
-            gram = [[F(a + 2) if a == b else up if b == a + 1 else
-                     down if a == b + 1 else 0 for b in range(n)]
-                    for a in range(n)]
-            spaces.append(standard_space(sf, n))
-            spaces.append(HermitianSpace.create(sf, n, gram))
-    return spaces
+    return [space for n in (7, 8) for sf in StarSfield
+            for space in (standard_space(sf, n), tridiagonal_space(sf, n))]
 
 
 def space_id(space):
@@ -368,29 +368,41 @@ def orthogonal_partner(space, u):
     return (-sf.star(inv_scalar(x) * y), sf.one())
 
 
+def spy_loads(monkeypatch):
+    """Record every array that `_int_rows` loads, in order."""
+    seen = []
+    real = perpgrid._int_rows
+
+    def spy(rows, width):
+        seen.append(real(rows, width))
+        return seen[-1]
+    monkeypatch.setattr(perpgrid, "_int_rows", spy)
+    return seen
+
+
 @pytest.mark.parametrize("height", [57, 58, 60, 61])
 @pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
-def test_height_check_picks_the_plane_dtype(sf, height):
+def test_height_check_picks_the_plane_dtype(sf, height, monkeypatch):
     """u = (a/3 q, 5/7) with a the largest integer of the given bit length
-    prime to 3 and q the sum of the basis scalars: its row lcm is 21, five
-    bits, and its largest scaled entry 7 a.  At 57 + 5 = 62 bits the check
-    passes and the planes are int64; at 58 it fails, and at 60 and 61 the
-    entries just under and just past 2**63 stay exact on Python ints.  The
-    grids against an orthogonal partner, a nearby row and e_1 match the
-    scalar form."""
+    prime to 3 and q the sum of the basis scalars: its row lcm is 21 and
+    its largest scaled entry 7 a.  `row_grid` loads u's side in int64
+    while 7 a < 2**63, at heights 57, 58 and 60, and on Python ints at 61,
+    where 7 a passes 2**63; either load is an exact copy of the `_planes`
+    rows.  The grids against an orthogonal partner, a nearby row and e_1
+    match the scalar form."""
     space = standard_space(sf, 2)
     q = sum(sf.basis()[1:], sf.one())
     a = next(a for a in range(2 ** height - 1, 0, -2) if a % 3)
     u = (F(a, 3) * q, F(5, 7) * sf.one())
-    planes = perpgrid._planes(sf, [u], 2, fit=True)
-    exact = perpgrid._planes(sf, [u], 2)
-    assert planes.dtype == (np.int64 if height + 5 < 63 else object)
-    assert planes.tolist() == exact.tolist()
     assert (7 * a > 2 ** 63) == (height == 61)
     v = orthogonal_partner(space, u)
     rows_a = [u, (u[0], u[1] + 1)]
     rows_b = [v, space.basis_vector(0).coords, (v[0], 2 * v[1])]
+    loads = spy_loads(monkeypatch)
     grid = perp_grid(space, rows_a, rows_b)
+    assert loads[0].dtype == (np.int64 if height < 61 else object)
+    exact = np.hstack(perpgrid._planes(sf, rows_a, 2))
+    assert loads[0].tolist() == exact.tolist()
     for i, x in enumerate(rows_a):
         for j, y in enumerate(rows_b):
             assert bool(grid[i, j]) == (not herm_form(space.vector(x),
@@ -399,19 +411,22 @@ def test_height_check_picks_the_plane_dtype(sf, height):
 
 
 @pytest.mark.parametrize("bits", [62, 63, 64])
-def test_row_lcm_past_the_height_check(bits):
+def test_scaled_entries_load_as_int64_whatever_the_row_lcm(bits,
+                                                          monkeypatch):
     """u = (1/d, 1/e) with coprime d, e whose product, the row lcm, has
-    the given bit length, and numerators 1: only an lcm of at most 61 bits
-    passes the check, so these planes are Python ints."""
+    the given bit length: the scaled entries are e and d, each below
+    2**34, so `row_grid` loads both sides in int64 however long the lcm
+    is."""
     d = _primes_from(2 ** 31, 1)[0]
     e = _primes_from(2 ** (bits - 1) // d + 1, 1)[0]
     assert (d * e).bit_length() == bits
     space = standard_space(Q, 2)
     u = (F(1, d), F(1, e))
-    planes = perpgrid._planes(Q, [u], 2, fit=True)
-    assert planes.dtype == object and planes.tolist() == [[[e, d]]]
+    loads = spy_loads(monkeypatch)
     grid = perp_grid(space, [u], [(F(1, e), F(-1, d)), (F(1), F(0))])
     assert grid.tolist() == [[True, False]]
+    assert [x.dtype for x in loads] == [np.int64, np.int64]
+    assert loads[0].tolist() == [[e, d]]
 
 
 def test_int_rows_at_the_int64_edges():
@@ -462,10 +477,10 @@ def test_row_grid_with_an_entry_at_minus_2_to_the_63(sf):
 def test_exact_path_on_int64_planes_past_2_to_the_63(sf, monkeypatch):
     """u = (2**40 q, 5) against v = (2**24, 0), with q the sum of the
     basis scalars: every component of <u, v> is 2**64, which wraps to 0 in
-    int64, so an int64 pair product would call the pair orthogonal.  The
-    planes are int64, and ORTHOSET_LAB_EXACT_GRID=1 sends every pair to
-    `_exact_zero`, which must cast them to Python ints; so must a direct
-    call with int64 Gram planes."""
+    int64, so an int64 pair product would call the pair orthogonal.
+    `row_grid` loads both sides in int64, and ORTHOSET_LAB_EXACT_GRID=1
+    sends every pair to `_exact_zero`, which must cast them to Python
+    ints; so must a direct call with int64 planes."""
     space = standard_space(sf, 2)
     q = sum(sf.basis()[1:], sf.one())
     u = (2 ** 40 * q, 5 * sf.one())
@@ -475,17 +490,141 @@ def test_exact_path_on_int64_planes_past_2_to_the_63(sf, monkeypatch):
     want = np.array([[not herm_form(space.vector(x), space.vector(y))
                       for y in rows_b] for x in rows_a])
     assert not want[0, 0] and want[0, 1]
-    a = perpgrid._planes(sf, rows_a, 2, fit=True)
-    b = perpgrid._planes(sf, rows_b[:1], 2, fit=True)
-    assert a.dtype == b.dtype == np.int64
     monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
     seen = spy_paths(monkeypatch)
+    loads = spy_loads(monkeypatch)
     assert (perp_grid(space, rows_a, rows_b) == want).all()
     assert seen == [("ints", 6)]
+    assert [x.dtype for x in loads] == [np.int64, np.int64]
+    a = perpgrid._planes(sf, rows_a, 2).astype(np.int64)
+    b = perpgrid._planes(sf, rows_b[:1], 2).astype(np.int64)
     gram = perpgrid._int_gram(space).astype(np.int64)
     ii, jj = np.array([0, 1]), np.array([0, 0])
     zero = perpgrid._exact_zero(perpgrid._tables(sf), a, gram, b, ii, jj)
     assert not zero.any()
+
+
+def grids_agree(space, vectors_a, vectors_b, monkeypatch):
+    """perp_grid on the vectors' coordinate rows against row_grid on the
+    rows of their rays, screened and under ORTHOSET_LAB_EXACT_GRID=1,
+    cell for cell; returns the grid."""
+    rows_a, rows_b = ([v.coords for v in vs] for vs in (vectors_a,
+                                                        vectors_b))
+    rays_a, rays_b = ([r.row for r in rays_of(space, vs)]
+                      for vs in (vectors_a, vectors_b))
+    grids = []
+    for exact in ("", "1"):
+        monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", exact)
+        grids.append(perp_grid(space, rows_a, rows_b))
+        grids.append(perpgrid.row_grid(space, rays_a, rays_b))
+    monkeypatch.delenv("ORTHOSET_LAB_EXACT_GRID")
+    oracle = grids[-2]
+    for grid in grids:
+        assert grid.shape == (len(rows_a), len(rows_b))
+        assert (grid == oracle).all()
+    return oracle
+
+
+def grid_spaces():
+    return [space for sf in StarSfield for n in range(2, 9)
+            for space in (standard_space(sf, n), tridiagonal_space(sf, n))]
+
+
+@pytest.mark.parametrize("space", grid_spaces(), ids=space_id)
+def test_perp_grid_matches_row_grid_on_rays(space, monkeypatch):
+    """Rows of a random S and random rows, against rows of S-perp, random
+    rows and the zero row, at every dimension 2 to 8 and on Gram spaces:
+    the S x S-perp block is orthogonal, and so is every zero-row cell."""
+    rng = random.Random(f"adapter:{space_id(space)}")
+    s = random_subspace(space, space.dim // 2, rng)
+    rows_a = combinations(s, 6, rng) + [random_vector(space, rng)
+                                        for _ in range(4)]
+    rows_b = combinations(s.orthocomplement(), 6, rng) + [
+        random_vector(space, rng) for _ in range(3)] + [space.zero_vector()]
+    grid = grids_agree(space, rows_a, rows_b, monkeypatch)
+    assert grid[:6, :6].all() and grid[:, -1].all()
+
+
+def small_partner_of_minus_2_to_the_63():
+    """(x, y) with |x|, |y| < 2**13 and -2**63 x + y a nonzero multiple of
+    PRIME, which exists by Dirichlet's approximation theorem."""
+    r = pow(2, 63, PRIME)
+    return next((x, y) for x in range(1, 2 ** 13)
+                for y in ((r * x) % PRIME, (r * x) % PRIME - PRIME)
+                if abs(y) < 2 ** 13)
+
+
+def edge_cases():
+    """(id, space, rows_a, rows_b) with integer entries at the int64
+    edges, over every sfield, with the identity Gram and a tridiagonal
+    one.  The first side, non-negative with entries just under and just
+    past 2**63 and up to 2**64 - 1, fits in uint64 but not in int64; the
+    second holds their standard partners and -2**63.  The last block, 4
+    rows (-2**63, 1) against 4 rows (x, y) whose forms are nonzero
+    multiples of PRIME, asks for enough primes only when the height of
+    -2**63 is counted in full."""
+    top = 2 ** 63
+    ends = (top - 1, top + 1, 2 * top - 1)
+    x, y = small_partner_of_minus_2_to_the_63()
+    for sf in StarSfield:
+        for space in (standard_space(sf, 2), tridiagonal_space(sf, 2)):
+            def vectors(pairs):
+                return [space.vector(tuple(map(sf.coerce, p))) for p in pairs]
+            yield (space_id(space), space, vectors((e, 1) for e in ends),
+                   vectors([(1, -e) for e in ends] + [(-top, 1), (1, top)]))
+        space = standard_space(sf, 2)
+        yield (f"{sf.value}-minus", space,
+               [space.vector((sf.coerce(-top), sf.one()))] * 4,
+               [space.vector((sf.coerce(x), sf.coerce(y)))] * 4)
+
+
+@pytest.mark.parametrize("case", edge_cases(), ids=lambda c: c[0])
+def test_perp_grid_matches_row_grid_at_the_int64_edges(case, monkeypatch):
+    name, space, rows_a, rows_b = case
+    grid = grids_agree(space, rows_a, rows_b, monkeypatch)
+    if name.endswith("minus"):
+        assert not grid.any()
+    elif space == standard_space(space.sfield, 2):
+        assert grid[:, :3].tolist() == np.eye(3, dtype=bool).tolist()
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_perp_grid_matches_row_grid_on_empty_sides(sf, monkeypatch):
+    space = standard_space(sf, 3)
+    e = [space.basis_vector(0), space.zero_vector()]
+    assert grids_agree(space, [], e, monkeypatch).shape == (0, 2)
+    assert grids_agree(space, e, [], monkeypatch).shape == (2, 0)
+    point = standard_space(sf, 0)
+    z = [point.zero_vector()] * 2
+    assert grids_agree(point, z, z[:1], monkeypatch).tolist() == [[True]] * 2
+
+
+def test_perp_grid_reaches_the_kernel_only_through_row_grid(monkeypatch):
+    """perp_grid calls row_grid once, and every row load, screen and
+    confirmation of the grid runs inside that call."""
+    space = standard_space(HQ, 2)
+    rows = planted_rows(space) + [space.basis_vector(0).coords,
+                                  space.basis_vector(1).coords]
+    depth, calls = [0], []
+    row_grid = perpgrid.row_grid
+
+    def outer(*args):
+        calls.append(("row_grid", depth[0]))
+        depth[0] += 1
+        try:
+            return row_grid(*args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(perpgrid, "row_grid", outer)
+    for name in ("_int_rows", "_screen", "_confirm"):
+        def spy(*args, _name=name, _real=getattr(perpgrid, name)):
+            calls.append((_name, depth[0]))
+            return _real(*args)
+        monkeypatch.setattr(perpgrid, name, spy)
+    grid = perp_grid(space, rows, rows)
+    assert calls == [("row_grid", 0), ("_int_rows", 1), ("_int_rows", 1),
+                     ("_screen", 1), ("_confirm", 1)]
+    assert grid[2, 3] and grid[3, 2] and not grid[0, 1]
 
 
 def spy_paths(monkeypatch):
