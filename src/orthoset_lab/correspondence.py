@@ -5,7 +5,10 @@ One direction is easy: a semilinear map phi induces the ray map sending
 given a ray map known to be adjointable (with its adjoint supplied and
 probe-verified, or known injective), rebuild a semilinear map that
 induces it, classify its sfield twist, and certify the result against
-every probe.  On top of that sit the
+every probe.  The stated kernel is certified in one place,
+_certify_kernel, which coordinatize and decompose_partial_orthometry call
+with their own error classes; _reconstruct only rebuilds.  The twist is
+held once, as the rebuilt map's sigma.  On top of that sit the
 orthometric specialisations: extraction of the form scale factor of an
 orthogonality-preserving map, re-coordinatizations that turn quasi-maps
 into honestly linear or unitary ones, and the kernel/image decomposition
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -84,14 +86,12 @@ class TransportResult:
 @dataclass(frozen=True)
 class CoordinatizationResult:
     map: SemilinearMap
-    sigma: SfieldMorphism
     verified: list
 
 
 @dataclass(frozen=True)
 class WignerResult:
     coordinatization: CoordinatizationResult
-    sigma: SfieldMorphism
     lam: object
 
 
@@ -283,7 +283,9 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     so zero-image probes only corroborate, and the kernel is derived from
     the adjoint's image closure, which the theory makes exact.
 
-    The reconstruction anchors the scale on the first basis vector of the
+    The kernel is certified here, once (_certify_kernel): f must kill
+    its basis rays, and every probe f kills must lie in it.  The
+    reconstruction then anchors the scale on the first basis vector of the
     kernel complement, fixes every other image by decomposing the image of
     a sum ray, reads off the sfield twist on generator-scaled sum rays, and
     finally verifies P(phi) = f on every probe.
@@ -308,47 +310,50 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     else:
         raise InputError("need an adjoint oracle or injectivity")
 
-    phi, sigma = _reconstruct(f, h1, h2, k_sub, rank, probes)
+    _certify_kernel(f, k_sub.orthocomplement(), probes, NotInducedError)
+    phi = _reconstruct(f, k_sub, rank, probes)
     records.append(ReportRecord(
         check="coordinatize/probe-match", status="pass",
         detail={"probes": len(list(probes))}))
-    return CoordinatizationResult(phi, sigma, records)
+    return CoordinatizationResult(phi, records)
 
 
-def _reconstruct(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
-                 k_sub: Subspace, rank: int, probes: ProbeSet):
-    """The semilinear map phi, and its twist sigma, with P(phi) = f, for f
-    whose kernel is the orthocomplement of k_sub; raises NotInducedError
-    when f does not fit, and otherwise returns only once P(phi) = f holds
-    on every probe."""
-    # one batch: the kernel's basis rays, the complement's orthogonal basis
-    # us, the sum rays us[0] + us[i] and the generator-scaled us[0] + g us[1]
-    n_sub = k_sub.orthocomplement()
-    us = list(k_sub.orthogonal_basis)
-    gens = h1.sfield.generators() if len(us) > 1 else ()
-    parts = (list(n_sub.basis), us, [us[0] + u for u in us[1:]],
-             [us[0] + g * us[1] for g in gens])
-    rays = rays_of(h1, [v for part in parts for v in part])
-    kernel_rays, u_rays, _, _ = _split(rays, parts)
-    f_kernel, f_u, f_sum, f_gen = _split(f.apply_many(rays), parts)
-
-    # the kernel must actually be killed, and zero-image probes must agree
-    for x, y in zip(kernel_rays, f_kernel):
+def _certify_kernel(g: RayMap, kernel: Subspace, probes, error) -> None:
+    """Raise error unless g kills every basis ray of kernel and every proper
+    probe that g kills lies in kernel: the one kernel check, of coordinatize
+    and decompose_partial_orthometry, each with its own error class."""
+    rays = rays_of(kernel.space, kernel.basis)
+    for x, y in zip(rays, g.apply_many(rays)):
         if not y.is_zero:
-            raise NotInducedError(
-                "map does not vanish on the stated kernel",
-                witness={"ray": ray_payload(x)})
-    for x, y in zip(probes, f.apply_many(probes)):
-        if not x.is_zero and y.is_zero and not n_sub.contains(x.rep):
-            raise NotInducedError(
-                "probe killed by the map lies outside the stated kernel",
-                witness={"ray": ray_payload(x)})
+            raise error("map does not vanish on the stated kernel",
+                        witness={"ray": ray_payload(x)})
+    for x, y in zip(probes, g.apply_many(probes)):
+        if not x.is_zero and y.is_zero and not kernel.contains(x.rep):
+            raise error("probe killed by the map lies outside the stated "
+                        "kernel", witness={"ray": ray_payload(x)})
 
+
+def _reconstruct(f: RayMap, k_sub: Subspace, rank: int,
+                 probes: ProbeSet) -> SemilinearMap:
+    """The semilinear map phi with P(phi) = f, for f whose kernel, the
+    orthocomplement of k_sub, the caller has certified (_certify_kernel):
+    no kernel ray is mapped here.  Raises NotInducedError when f does not
+    fit, and returns only once P(phi) = f holds on every probe."""
+    h1, h2 = f.domain, f.codomain
+    us = list(k_sub.orthogonal_basis)
     if len(us) < 3:  # the probed rank is >= 3, so an induced map cannot fit
         raise NotInducedError(
             "stated kernel complement is smaller than the probed rank",
             witness={"complement_dim": len(us), "rank": rank})
-    for x, img in zip(u_rays, f_u):
+    # one batch: the complement's orthogonal basis us, the sum rays
+    # us[0] + us[i] and the generator-scaled us[0] + g us[1]
+    n, gens = len(us), h1.sfield.generators()
+    rays = rays_of(h1, us + [us[0] + u for u in us[1:]]
+                   + [us[0] + g * us[1] for g in gens])
+    images = f.apply_many(rays)
+    f_u, f_sum, f_gen = images[:n], images[n:2 * n - 1], images[2 * n - 1:]
+
+    for x, img in zip(rays, f_u):
         if img.is_zero:
             raise NotInducedError(
                 "map vanishes inside the stated kernel complement",
@@ -404,41 +409,33 @@ def _reconstruct(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         raise NotInducedError(
             "reconstructed map disagrees with the oracle on probes",
             witness={"ray": first, "mismatches": mismatches})
-    return phi, sigma
+    return phi
 
 
-def _split(items, parts) -> list[list]:
-    """items cut into consecutive lists as long as the parts."""
-    it = iter(items)
-    return [list(islice(it, len(part))) for part in parts]
-
-
-def wigner_reconstruct(f: RayMap, f_inv: RayMap | None,
-                       h1: HermitianSpace, h2: HermitianSpace,
-                       probes: ProbeSet) -> WignerResult:
+def wigner_reconstruct(f: RayMap, f_inv: RayMap, h1: HermitianSpace,
+                       h2: HermitianSpace, probes: ProbeSet) -> WignerResult:
     """Rebuild a quasiunitary map inducing the orthoisomorphism f.
 
-    f_inv is the inverse oracle; when it is supplied, f and f_inv are
-    verified to be an adjoint pair on probes, which characterises
-    orthoisomorphisms.  The reconstructed map is certified quasiunitary;
-    the certificate, not literal scale equality, is the contract, since
-    reconstruction is only unique up to a left scalar.
+    f_inv is the inverse oracle; f and f_inv are verified to be an adjoint
+    pair on probes, which characterises orthoisomorphisms.  The
+    reconstructed map is certified quasiunitary; the certificate, not
+    literal scale equality, is the contract, since reconstruction is only
+    unique up to a left scalar.  Its twist is the map's own sigma.
     """
     if h1.dim < 3 or h2.dim < 3:
         raise PreconditionError("reconstruction needs dimensions >= 3")
-    if f_inv is not None:
-        probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
-        pair = verify_adjoint_pair(f, f_inv, probes, probes2)
-        if not passed(pair):
-            raise NotOrthoisoError(
-                "map and claimed inverse are not an adjoint pair",
-                witness=pair[0].witness)
+    probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
+    pair = verify_adjoint_pair(f, f_inv, probes, probes2)
+    if not passed(pair):
+        raise NotOrthoisoError(
+            "map and claimed inverse are not an adjoint pair",
+            witness=pair[0].witness)
     coord = coordinatize(f, h1, h2, probes, injective=True)
     cert = is_quasiunitary(coord.map)
     if cert is None:
         raise NotOrthoisoError("reconstructed map failed the quasiunitary "
                                "certificate")
-    return WignerResult(coord, *cert)
+    return WignerResult(coord, lam=cert[1])
 
 
 def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
@@ -448,11 +445,12 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
 
     The subspaces come out of image closures: A is the closure of the
     adjoint's images (the theory identifies it with (ker f)-perp) and B the
-    closure of f's images.  Both identifications are then enforced: f must
-    kill the orthocomplement of A ray by ray, zero-image probes must lie in
-    that orthocomplement, the restriction to A-probes must preserve
-    orthogonality both ways into B, and the composite f o P(projection onto
-    A) must reproduce f on every probe.
+    closure of f's images.  Both identifications are then enforced by the
+    one kernel check (_certify_kernel): f must kill the orthocomplement of
+    A ray by ray and every probe it kills must lie there, and f_adj must
+    kill the orthocomplement of B.  The restriction to A-probes must
+    preserve orthogonality both ways into B, and the composite f o
+    P(projection onto A) must reproduce f on every probe.
 
     That composite is `compose_ray_maps(f, P(projection onto A))`.  For an
     induced f it is induced by f's map after the projection, one batch of
@@ -470,21 +468,10 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     fx = f.apply_many(probes1)
     b_sub = perp_closure(fx)
 
-    n1, n2 = a_sub.orthocomplement(), b_sub.orthocomplement()
-    for g, n, message in (
-            (f, n1, "map does not vanish on the orthocomplement of im f*"),
-            (f_adj, n2,
-             "adjoint does not vanish on the orthocomplement of im f")):
-        rays = rays_of(n.space, n.basis)
-        for x, y in zip(rays, g.apply_many(rays)):
-            if not y.is_zero:
-                raise NotPartialOrthometryError(
-                    message, witness={"ray": ray_payload(x)})
-    for x, y in zip(probes1, fx):
-        if not x.is_zero and y.is_zero and not n1.contains(x.rep):
-            raise NotPartialOrthometryError(
-                "kernel probe falls outside the orthocomplement of A",
-                witness={"ray": ray_payload(x)})
+    _certify_kernel(f, a_sub.orthocomplement(), probes1,
+                    NotPartialOrthometryError)
+    _certify_kernel(f_adj, b_sub.orthocomplement(), (),
+                    NotPartialOrthometryError)
 
     a_rays = probe_rays_in(a_sub, probes1.seed, count=max(16, 2 * a_sub.dim + 1))
     images = f.apply_many(a_rays)
@@ -523,17 +510,17 @@ def partial_wigner(f: RayMap, f_adj: RayMap, probes1: ProbeSet,
     """Rebuild a partial quasiisometry inducing the partial orthometry f;
     needs the kernel complement A to have dimension >= 3.
 
-    f is reconstructed once, exactly, with kernel A-perp, and its core
-    between the frames of A and B must pass the quasiunitary certificate:
-    on A, f is an orthoisomorphism onto B, so in dimension >= 3 it is
-    induced by a quasiunitary map (Wigner's theorem in Uhlhorn's
-    orthogonality form)."""
+    f is reconstructed once, exactly, with kernel A-perp, which the
+    decomposition has certified, and its core between the frames of A and
+    B must pass the quasiunitary certificate: on A, f is an
+    orthoisomorphism onto B, so in dimension >= 3 it is induced by a
+    quasiunitary map (Wigner's theorem in Uhlhorn's orthogonality form)."""
     dec = decompose_partial_orthometry(f, f_adj, probes1, probes2)
     if dec.a.dim < 3:
         raise PreconditionError(
             f"partial reconstruction needs a core of dimension >= 3, "
             f"got {dec.a.dim}")
-    phi, _ = _reconstruct(f, f.domain, f.codomain, dec.a, dec.b.dim, probes1)
+    phi = _reconstruct(f, dec.a, dec.b.dim, probes1)
     core = between_frames(phi, dec.a.frame, dec.b.frame)
     if is_quasiunitary(core) is None:
         raise NotPartialOrthometryError(

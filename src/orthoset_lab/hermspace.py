@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -225,25 +224,24 @@ def gram_schmidt(vectors) -> list[Vector]:
     left combination of the inputs."""
     out: list[Vector] = []
     inv_norms = []
-    combos: list[list] = []  # out[i] as left combination of the inputs
     for k, b in enumerate(vectors):
         if out:
             _same_space(out[0], b)
         e = b
-        combo = [Fraction(1) if i == k else Fraction(0) for i in range(len(vectors))]
-        for i, (o, inv_norm) in enumerate(zip(out, inv_norms)):
+        for o, inv_norm in zip(out, inv_norms):
             f = herm_form(b, o) * inv_norm
             if f:
                 e = e - f * o
-                combo = [c - f * ci for c, ci in zip(combo, combos[i])]
         if e.is_zero:
+            # the first k inputs are independent, so exactly one vanishing
+            # left combination c has c_k = 1 and zeros after k
+            c, = linalg.left_kernel([list(v.coords) for v in vectors[:k + 1]])
             raise DependencyError(
                 "input vectors are linearly dependent",
-                witness={"combination": [str(c) for c in combo],
-                         "index": k})
+                witness={"combination": [str(inv_scalar(c[k]) * x) for x in c]
+                         + ["0"] * (len(vectors) - k - 1), "index": k})
         out.append(e)
         inv_norms.append(inv_scalar(herm_form(e, e)))
-        combos.append(combo)
     return out
 
 

@@ -73,6 +73,7 @@ from .perpgrid import (
     row_grid,
 )
 from .reports import ReportRecord, law
+from .scalars import inv_scalar
 from .starfields import StarSfield
 
 MAX_WITNESSES = 5  # violating pairs shown by a failed verify_adjoint_pair
@@ -396,16 +397,13 @@ def dacey_witness(s: Subspace, x: Ray) -> tuple[Ray, Ray]:
 
 
 def separating_ray(x: Ray, y: Ray) -> Ray:
-    """A ray orthogonal to exactly one of the distinct proper rays x, y,
-    constructed from the projection of y onto the complement of x."""
+    """A ray orthogonal to exactly one of the distinct proper rays x, y: the
+    ray of y - <y, x> <x, x>^-1 x, y's projection onto x's complement."""
     if x.is_zero or y.is_zero or x == y:
         raise InputError("separation needs distinct proper rays")
-    line = Subspace.from_vectors(x.space, [x.rep])
-    _, perp_part = line.project(y.rep)
-    if perp_part.is_zero:
-        # y inside the line of x cannot happen for distinct canonical rays
-        raise InputError("rays coincide")
-    return ray_of(perp_part)
+    # distinct canonical rays span distinct lines, so the part is nonzero
+    u, v = x.rep, y.rep
+    return ray_of(v - (herm_form(v, u) * inv_scalar(herm_form(u, u))) * u)
 
 
 def verify_adjoint_pair(f: RayMap, g: RayMap, probes1,

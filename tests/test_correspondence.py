@@ -266,7 +266,7 @@ def test_coordinatize_identity_oracle():
     probes = ProbeSet.generate(q3, seed=0, count=48)
     result = coordinatize(induce(ident), q3, q3, probes,
                           adjoint=induce(ident))
-    assert result.sigma.is_identity
+    assert result.map.sigma.is_identity
     assert scalar_ratio(result.map, ident) is not None
 
 
@@ -348,6 +348,49 @@ def test_coordinatize_partial_map_with_adjoint():
         assert result.map.apply(v).is_zero
 
 
+def projection_off_a_line(sf):
+    """P(projection onto v-perp) on the standard 4-space, v = (1, 1, 1, 1),
+    and the ray of v, which is A-perp's one basis ray and no probe."""
+    sp = standard_space(sf, 4)
+    v = ray_of(sp.vector([1, 1, 1, 1]))
+    a = Subspace.from_vectors(sp, [v.rep]).orthocomplement()
+    p = ProbeSet.generate(sp, seed=2, count=32)
+    assert a.orthocomplement().basis == (v.rep,) and v not in p.rays
+    return induce(compose_maps(a.frame.inclusion, a.frame.projection)), v, p
+
+
+def off_at(g, x, y):
+    """The oracle equal to g except that it sends the ray x to y."""
+    return RayMap(g.domain, g.codomain, oracle=lambda rays: [
+        y if r == x else z for r, z in zip(rays, g.apply_many(rays))])
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_coordinatize_rejects_a_map_alive_on_the_kernel(sf):
+    """f agrees with the projection P onto A = v-perp on every probe, so
+    the adjoint pair passes and the kernel comes out as A-perp; f sends
+    its basis ray v to e0, and the kernel check names v."""
+    proj, v, p = projection_off_a_line(sf)
+    f = off_at(proj, v, ray_of(proj.domain.basis_vector(0)))
+    with pytest.raises(NotInducedError, match="does not vanish") as err:
+        coordinatize(f, f.domain, f.codomain, p, adjoint=proj)
+    assert err.value.witness == {"ray": ray_payload(v)}
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_coordinatize_rejects_an_injective_map_that_kills_a_probe(sf):
+    """Declared injective, the kernel is zero: a killed probe lies outside
+    it.  Only this path reaches the branch, since a passing adjoint pair
+    puts every killed probe in the kernel."""
+    sp = standard_space(sf, 3)
+    p = ProbeSet.generate(sp, seed=4, count=32)
+    x = p.rays[sp.dim + 1]  # the first random probe
+    f = off_at(induce(SemilinearMap.identity(sp)), x, Ray.zero(sp))
+    with pytest.raises(NotInducedError, match="outside") as err:
+        coordinatize(f, sp, sp, p, injective=True)
+    assert err.value.witness == {"ray": ray_payload(x)}
+
+
 # --------------------------------------------------------------- wigner
 
 def test_wigner_identity_and_permutation():
@@ -355,7 +398,7 @@ def test_wigner_identity_and_permutation():
     probes = ProbeSet.generate(q3, seed=0, count=48)
     ident = SemilinearMap.identity(q3)
     wig = wigner_reconstruct(induce(ident), induce(ident), q3, q3, probes)
-    assert wig.lam == F(1) and wig.sigma.is_identity
+    assert wig.lam == F(1) and wig.coordinatization.map.sigma.is_identity
     perm = SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
                          (q3.basis_vector(1), q3.basis_vector(2),
                           q3.basis_vector(0)))
@@ -440,6 +483,21 @@ def test_decompose_rejects_broken_adjoint():
         decompose_partial_orthometry(induce(shear),
                                      induce(invert_semilinear(shear)),
                                      probes, probes)
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+@pytest.mark.parametrize("alive", ["map", "adjoint"])
+def test_decompose_rejects_a_map_alive_on_a_stated_kernel(sf, alive):
+    """With the projection P onto A = v-perp, A = B and A-perp = B-perp =
+    <v>.  The map or the adjoint agrees with P on every probe but sends v
+    to e0, and the kernel check names v."""
+    proj, v, p = projection_off_a_line(sf)
+    off = off_at(proj, v, ray_of(proj.domain.basis_vector(0)))
+    f, f_adj = (off, proj) if alive == "map" else (proj, off)
+    with pytest.raises(NotPartialOrthometryError,
+                       match="does not vanish") as err:
+        decompose_partial_orthometry(f, f_adj, p, p)
+    assert err.value.witness == {"ray": ray_payload(v)}
 
 
 def gram_space_4(sf):
@@ -579,11 +637,9 @@ def test_decomposition_rejects_an_oracle_off_on_one_probe():
     planted = next(y for y in probe_rays_in(d.s2, seed=5, count=16)
                    if not y.is_zero and y != f(x)
                    and pattern(y) == pattern(f(x)))
-    oracle = RayMap(space, space, oracle=lambda rays: [
-        planted if r == x else y for r, y in zip(rays, f.apply_many(rays))])
     with pytest.raises(NotPartialOrthometryError,
                        match="factorization") as err:
-        decompose_partial_orthometry(oracle, f_adj, p, p)
+        decompose_partial_orthometry(off_at(f, x, planted), f_adj, p, p)
     assert err.value.witness == {"ray": ray_payload(x)}
 
 
@@ -629,6 +685,32 @@ def test_partial_wigner_reconstructs_once(monkeypatch):
     assert result.s1 == d.s1 and result.s2 == d.s2
     assert calls == {"pair": 1, "wigner": 0}
     assert all(space == q5 for space in probe_spaces)
+
+
+def test_partial_wigner_certifies_the_kernel_once(monkeypatch):
+    """The decomposition certifies the kernel A-perp and the
+    reconstruction does not again: A-perp.contains runs once for each
+    probe that f kills."""
+    q5 = standard_space(Q, 5)
+    e = q5.basis()
+    a = Subspace.from_vectors(q5, e[1:4])
+    a_perp = a.orthocomplement()
+    f = induce(compose_maps(a.frame.inclusion, a.frame.projection))
+    p = ProbeSet.generate(q5, seed=1, count=32)
+    killed = [x for x in p if not x.is_zero and f(x).is_zero]
+    assert killed == [ray_of(e[0]), ray_of(e[4])]
+    asked = []
+    real_contains = Subspace.contains
+
+    def contains(self, u):
+        if self == a_perp:
+            asked.append(u)
+        return real_contains(self, u)
+
+    monkeypatch.setattr(Subspace, "contains", contains)
+    result = partial_wigner(f, f, p, p)
+    assert result.s1 == a == result.s2
+    assert asked == [x.rep for x in killed]
 
 
 def test_partial_wigner_rejects_a_core_that_fails_the_certificate(

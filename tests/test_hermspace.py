@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import nonzero_scalar
 
 from orthoset_lab import hermspace, linalg, serialize
 from orthoset_lab.correspondence import transport_linear
@@ -329,16 +330,27 @@ def test_gram_schmidt_gaussian_example():
 
 
 def test_gram_schmidt_dependency_witness():
+    """The witness is the one vanishing left combination c of the inputs
+    with c_k = 1 and zeros after the first dependent index k."""
+    rng = random.Random("gs-witness")
     q2 = standard_space(Q, 2)
-    vecs = [q2.vector([1, 2]), q2.vector([2, 4])]
-    with pytest.raises(DependencyError) as err:
-        gram_schmidt(vecs)
-    combo = [F(x) if "/" not in x else F(*map(int, x.split("/")))
-             for x in err.value.witness["combination"]]
-    total = q2.zero_vector()
-    for c, v in zip(combo, vecs):
-        total = total + c * v
-    assert total.is_zero and any(combo)
+    cases = [([q2.vector([1, 2]), q2.vector([2, 4])], [-2, 1], 1)]
+    for sf in StarSfield:
+        sp = standard_space(sf, 3)
+        v0, v1, v3 = sp.vector([1, 2, 0]), sp.vector([0, 1, 1]), \
+            sp.basis_vector(2)
+        a, b = nonzero_scalar(sf, rng), nonzero_scalar(sf, rng)
+        cases += [([v0, v1, a * v0 + b * v1, v3], [-a, -b, 1, 0], 2),
+                  ([sp.zero_vector(), v0], [1, 0], 0)]
+    for vecs, combo, k in cases:
+        with pytest.raises(DependencyError) as err:
+            gram_schmidt(vecs)
+        assert err.value.witness == {"combination": [str(c) for c in combo],
+                                     "index": k}
+        total = vecs[0].space.zero_vector()
+        for c, v in zip(combo, vecs):
+            total = total + c * v
+        assert total.is_zero
 
 
 # --------------------------------------------------------- orthocomplement

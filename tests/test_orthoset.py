@@ -293,6 +293,21 @@ def test_frechet_examples():
                 assert ray_perp(w, x) != ray_perp(w, y)
 
 
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_separating_ray_matches_the_line_projection(sf):
+    """y's part orthogonal to x, built from the form directly, is the
+    orthogonal part of the projection onto the line of x."""
+    for space in default_spaces(sf):
+        rays = [r for r in ProbeSet.generate(space, seed=6, count=10)
+                if not r.is_zero]
+        for x in rays:
+            line = Subspace.from_vectors(space, [x.rep])
+            for y in rays:
+                if x != y:
+                    _, perp_part = line.project(y.rep)
+                    assert separating_ray(x, y) == ray_of(perp_part)
+
+
 def test_verify_adjoint_pair_identity():
     q3 = standard_space(Q, 3)
     ident = induce(SemilinearMap.identity(q3))
