@@ -305,12 +305,14 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
             raise InputError("claimed adjoint fails on probes",
                              witness=pair[0].witness)
         k_sub = perp_closure(adjoint.apply_many(probes2))
+        kernel = k_sub.orthocomplement()
     elif injective:
-        k_sub = Subspace.full(h1)
+        # every space is anisotropic, so the full space's complement is 0
+        k_sub, kernel = Subspace.full(h1), Subspace.zero(h1)
     else:
         raise InputError("need an adjoint oracle or injectivity")
 
-    _certify_kernel(f, k_sub.orthocomplement(), probes, NotInducedError)
+    _certify_kernel(f, kernel, probes, NotInducedError)
     phi = _reconstruct(f, k_sub, rank, probes)
     records.append(ReportRecord(
         check="coordinatize/probe-match", status="pass",
@@ -361,14 +363,16 @@ def _reconstruct(f: RayMap, k_sub: Subspace, rank: int,
 
     phi_u: list[Vector] = [f_u[0].rep]
     for i, target in enumerate(f_sum, start=1):
-        rows = [list(phi_u[0].coords), list(f_u[i].rep.coords)]
-        if linalg.rank(rows) < 2:
+        # phi_u[0] and f_u[i].rep are nonzero canonical representatives,
+        # so they are collinear exactly when the rays are equal
+        if f_u[i] == f_u[0]:
             raise NotInducedError(
                 "independent rays get collinear images on the kernel "
                 "complement", witness={"index": i})
         if target.is_zero:
             raise NotInducedError("sum ray collapses to zero",
                                   witness={"index": i})
+        rows = [list(phi_u[0].coords), list(f_u[i].rep.coords)]
         coeffs = linalg.coords_in_rows(rows, list(target.rep.coords))
         if coeffs is None or not coeffs[0] or not coeffs[1]:
             raise NotInducedError(

@@ -36,6 +36,14 @@ Python 3.11, `BENCH_18.json`).  An oracle map is a batch function on
 rays, so both kinds of map are evaluated the same way: the new rays of a
 batch are mapped in one call, and every map memoizes its images.
 
+An induced map's images need not be built to be gridded.
+`RayMap.image_grid` decides f(x_i) perp y_j from the rays' rows and the
+map's matrix (`perpgrid.row_grid`), canonicalizing no image, and an
+oracle map grids its images.  `verify_adjoint_pair`, the paper's
+biconditional f(x) perp y iff x perp g(y), takes both sides so, the
+right one as g's grid transposed, and fills no memo of an induced map:
+a `wigner` benchmark round runs `image_rows` 162 times, not 222.
+
 Ray maps compose as the maps that induce them do: P(psi) o P(pi) =
 P(psi o pi).  `compose_ray_maps` builds the composite of two induced
 maps as one induced map, so a batch goes through one matrix and is
@@ -143,6 +151,8 @@ class Ray:
 def rays_of(space: HermitianSpace, vectors) -> list[Ray]:
     """The rays spanned by vectors of space, canonicalized in one batch."""
     vectors = list(vectors)
+    if not vectors:
+        return []
     if any(v.space is not space for v in vectors):
         raise InputError("vector lives in a different space")
     rows = ray_rows(space.sfield, [v.coords for v in vectors], space.dim)
@@ -254,6 +264,21 @@ class RayMap:
                 raise InputError("oracle returned a ray of the wrong space")
             memo.update(zip(todo, images))
         return [memo[x] for x in rays]
+
+    def image_grid(self, xs, ys):
+        """The exact grid of f(x_i) perp y_j for rays xs of the domain and
+        ys of the codomain.  An induced map grids the rows of xs through
+        its matrix (`perpgrid.row_grid`), building no image ray and
+        filling no memo; an oracle grids its images `apply_many(xs)`."""
+        xs, ys = list(xs), list(ys)
+        if any(x.space is not self.domain for x in xs):
+            raise InputError("ray is not in the map's domain")
+        if not self.is_induced:
+            return ray_grid(self.codomain, self.apply_many(xs), ys)
+        if any(y.space is not self.codomain for y in ys):
+            raise InputError("ray is not in the grid's space")
+        return row_grid(self.codomain, [x.row for x in xs],
+                        [y.row for y in ys], self._int_matrix)
 
     @cached_property
     def _int_matrix(self):
@@ -409,13 +434,16 @@ def separating_ray(x: Ray, y: Ray) -> Ray:
 def verify_adjoint_pair(f: RayMap, g: RayMap, probes1,
                         probes2) -> list[ReportRecord]:
     """Check f(x) perp y iff x perp g(y) over all probe pairs; a failure
-    shows the first MAX_WITNESSES violating pairs in row-major order."""
+    shows the first MAX_WITNESSES violating pairs in row-major order.
+
+    Both sides are `RayMap.image_grid`s, so an induced map is read
+    through its matrix and no image ray of it is built.  The right side
+    is g's grid of g(y) perp x, transposed: <u, v> = 0 exactly when
+    <v, u> = star(<u, v>) = 0."""
     xs = list(probes1)
     ys = list(probes2)
-    fx = f.apply_many(xs)
-    gy = g.apply_many(ys)
-    left = ray_grid(f.codomain, fx, ys)
-    right = ray_grid(f.domain, xs, gy)
+    left = f.image_grid(xs, ys)
+    right = g.image_grid(ys, xs).T
     differ = left != right
     failures = [{"x": ray_payload(xs[i]), "y": ray_payload(ys[j]),
                  "f(x) perp y": bool(left[i, j]),

@@ -138,6 +138,18 @@ On one seed-401 `wigner` round, timed by a spy (2-core host, Python
 the median `wigner` round went from 1.82 s to 1.49 s and the `partial`
 round from 1.85 s to 1.81 s.
 
+A grid can also be taken through a map: given a map's `matrix_limbs`,
+`row_grid` reads its first side as rows of the map's domain, each
+standing for its image x K, so the rays of the images are never built.
+The screen takes the images' residues as (x mod p) (K mod p), one more
+`_mul_mod` ahead of the form, with K mod p recombined from the limbs
+(`_limb_residues`), and only the distinct candidate rows are mapped
+exactly, by `_limb_product`, for `_confirm`; `row_grid` holds the
+soundness argument.  The screen reads only the real part, and images
+have real-part-zero forms more often than probes, so a few more pairs
+reach confirmation.  `orthoset.verify_adjoint_pair` grids both sides
+of an induced pair this way.
+
 Closures of ray sets (`orthoset.perp_closure`) follow the grid's pattern:
 mod p chooses, exact arithmetic decides.  `pivot_rows` reduces the rays'
 real left-multiplication rows mod PRIME in int64 and picks the rays that
@@ -335,8 +347,16 @@ def _form_residues(tables, u, gram, v, p: int, components):
     return _mul_mod(w, vt, p).reshape(count, len(components), -1)
 
 
-def _screen(tables, u, gram, v):
-    """True where component 0 of the form vanishes mod PRIME."""
+def _screen(tables, u, gram, v, matrix=None):
+    """True where component 0 of the form vanishes mod PRIME.  Given the
+    `matrix_limbs` of a map's matrix K, u are domain rows and the form is
+    taken of their images: their residues are (u mod p) (K mod p) mod p,
+    one more `_mul_mod`, whose factors lie in [0, p)."""
+    if matrix is not None:
+        k, count, _ = u.shape
+        flat = _residues(u, PRIME).transpose(1, 0, 2).reshape(count, -1)
+        image = _mul_mod(flat, _limb_residues(matrix, PRIME), PRIME)
+        u = image.reshape(count, k, -1).transpose(1, 0, 2)
     return _form_residues(tables, u, gram, v, PRIME, [0])[:, 0] == 0
 
 
@@ -517,9 +537,19 @@ def _limbs(a, s: int):
     return np.stack(limbs)
 
 
+def _limb_residues(matrix, p: int):
+    """M mod p as float64 in [0, p), where matrix is `matrix_limbs(M)`:
+    sum_l M_l 2**(s l) mod p, each term below p**2 < 2**46 in int64."""
+    s = _limb_bits(matrix.shape[1])
+    out = np.zeros(matrix.shape[1:], dtype=np.int64)
+    for level, limb in enumerate(matrix):
+        out = (out + limb % p * pow(2, s * level, p)) % p
+    return out.astype(np.float64)
+
+
 def matrix_limbs(matrix):
-    """A `map_matrix` split once into its signed limbs for `image_rows`:
-    an (L, k n, k m) int64 array, with s = _limb_bits(k n)."""
+    """A `map_matrix` split once into its signed limbs for `image_rows` and
+    `row_grid`: an (L, k n, k m) int64 array, with s = _limb_bits(k n)."""
     return _limbs(matrix, _limb_bits(matrix.shape[0]))
 
 
@@ -605,24 +635,40 @@ def perp_grid(space, rows_a, rows_b):
     return row_grid(space, a, b)
 
 
-def row_grid(space, rows_a, rows_b):
+def row_grid(space, rows_a, rows_b, matrix=None):
     """Boolean matrix of exact orthogonality for all pairs of integer rows
     as `orthoset.Ray.row` holds them (the k component planes of a row, one
-    after the other), each side loaded by `_int_rows`."""
+    after the other), each side loaded by `_int_rows`.
+
+    Given matrix, the `matrix_limbs` of the `map_matrix` K of a map phi
+    into space, rows_a are rows of phi's domain and each stands for its
+    image x K: cell (i, j) says whether P(phi)(x_i) is orthogonal to
+    y_j, and no image ray is built.  This is exact.  x K is a positive
+    rational multiple of phi(x) (`map_matrix`), and a positive rational
+    factor never changes whether a form vanishes.  The screen reads the
+    images mod p as (x mod p) (K mod p), exact by `_mul_mod`'s chunk
+    bound, so a nonzero residue still proves a nonzero form.  A zero
+    domain row maps to zero and is excluded as before; a nonzero row
+    that phi kills has residue 0 and is only a candidate.  The distinct
+    candidate rows are then mapped exactly by `_limb_product` and go to
+    `_confirm` as any rows do, where a zero image has form 0 and so is
+    orthogonal."""
     na, nb = len(rows_a), len(rows_b)
-    if space.dim == 0:
+    if space.dim == 0 or (matrix is not None and not matrix.shape[1]):
+        # every form is taken in, or of the images of, a zero space
         return np.ones((na, nb), dtype=bool)
     if na == 0 or nb == 0:
         return np.zeros((na, nb), dtype=bool)
     tables = _tables(space.sfield)
     gram = _int_gram(space)
     k, n = len(tables[0]), space.dim
-    u, v = (_int_rows(rows, k * n).reshape(len(rows), k, n).transpose(1, 0, 2)
-            for rows in (rows_a, rows_b))
+    a = _int_rows(rows_a, k * n if matrix is None else matrix.shape[1])
+    u, v = (x.reshape(len(x), k, -1).transpose(1, 0, 2)
+            for x in (a, _int_rows(rows_b, k * n)))
     if _use_exact_path():
         grid = candidates = np.ones((na, nb), dtype=bool)
     else:
-        grid = _screen(tables, u, gram, v)
+        grid = _screen(tables, u, gram, v, matrix)
         # <0, v> = <u, 0> = 0, and the screen passes those pairs; zero rows
         # are read off the exact planes, as a nonzero row can vanish mod p
         nonzero_u, nonzero_v = ((x != 0).any(axis=(0, 2)) for x in (u, v))
@@ -630,5 +676,10 @@ def row_grid(space, rows_a, rows_b):
     # a zero residue is only a candidate; confirm with exact integers
     ii, jj = np.nonzero(candidates)
     if len(ii):
-        grid[ii, jj] = _confirm(tables, u, gram, v, ii, jj)
+        iu = ii
+        if matrix is not None:  # the distinct candidate rows' exact images
+            rows, iu = np.unique(ii, return_inverse=True)
+            image = _int_rows(_limb_product(a[rows], matrix), k * n)
+            u = image.reshape(len(rows), k, n).transpose(1, 0, 2)
+        grid[ii, jj] = _confirm(tables, u, gram, v, iu, jj)
     return grid

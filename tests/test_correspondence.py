@@ -391,6 +391,23 @@ def test_coordinatize_rejects_an_injective_map_that_kills_a_probe(sf):
     assert err.value.witness == {"ray": ray_payload(x)}
 
 
+def test_coordinatize_rejects_collinear_images_on_the_complement():
+    """Declared injective, e0, e1 -> e0 on Q^4 has rank 3 and kills no
+    probe, so the kernel check passes; the rebuild then finds the images
+    of the first two basis rays equal and raises with index 1."""
+    q4 = standard_space(Q, 4)
+    e = q4.basis()
+    phi = SemilinearMap(q4, q4, SfieldMorphism.identity(Q),
+                        (e[0], e[0], e[2], e[3]))
+    assert phi.rank == 3
+    p = ProbeSet.generate(q4, seed=0, count=32)
+    f = induce(phi)
+    assert not any(y.is_zero for y in f.apply_many(list(p)[1:]))
+    with pytest.raises(NotInducedError, match="collinear") as err:
+        coordinatize(f, q4, q4, p, injective=True)
+    assert err.value.witness == {"index": 1}
+
+
 # --------------------------------------------------------------- wigner
 
 def test_wigner_identity_and_permutation():

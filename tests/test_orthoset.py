@@ -354,6 +354,61 @@ def test_verify_adjoint_pair_rejects_rays_of_another_space():
         verify_adjoint_pair(f, g, p1, p2)
 
 
+def test_verify_adjoint_pair_builds_no_image_ray_of_an_induced_map(
+        monkeypatch):
+    """Two induced maps are read through their matrices: no image_rows
+    batch and no memo entry.  An oracle pair still maps every probe once
+    and memoizes the images, with the same records."""
+    batches = []
+    image_rows = orthoset.image_rows
+
+    def spy(*args):
+        batches.append(len(args[2]))
+        return image_rows(*args)
+
+    monkeypatch.setattr(orthoset, "image_rows", spy)
+    h1, h2 = standard_space(HQ, 3), standard_space(HQ, 2)
+    phi = random_linear_map(h1, h2, random.Random("pair:spy"))
+    p1 = ProbeSet.generate(h1, seed=2, count=32)
+    p2 = ProbeSet.generate(h2, seed=2, count=32)
+    f, g = induce(phi), induce(adjoint_linear(phi))
+    records = verify_adjoint_pair(f, g, p1, p2)
+    assert records[0].status == "pass"
+    assert batches == [] and f._memo == {} and g._memo == {}
+    of = RayMap(h1, h2, oracle=f.apply_many)
+    og = RayMap(h2, h1, oracle=g.apply_many)
+    oracle_records = verify_adjoint_pair(of, og, p1, p2)
+    assert [r.to_obj(False) for r in oracle_records] == \
+        [r.to_obj(False) for r in records]
+    assert set(of._memo) == set(p1) and set(og._memo) == set(p2)
+    assert batches == [len(set(p1)), len(set(p2))]
+
+
+def test_verify_adjoint_pair_transposes_the_adjoint_side():
+    """A map that is not its own adjoint, on a square probe grid: every
+    cell compares f(x) perp y with x perp g(y), as ray_perp decides them
+    pair by pair, so the violations and the first witness are those of
+    the pairwise loop."""
+    q2 = standard_space(Q, 2)
+    phi = SemilinearMap(q2, q2, SfieldMorphism.identity(Q),
+                        (q2.vector([1, 2]), q2.vector([0, 1])))
+    probes = list(ProbeSet.generate(q2, seed=3, count=16))
+    f = induce(phi)
+    good = verify_adjoint_pair(f, induce(adjoint_linear(phi)), probes,
+                               probes)
+    assert good[0].status == "pass"
+    bad = verify_adjoint_pair(f, f, probes, probes)
+    cells = [(x, y, ray_perp(f(x), y), ray_perp(x, f(y)))
+             for x in probes for y in probes]
+    wrong = [c for c in cells if c[2] != c[3]]
+    assert bad[0].status == "fail"
+    assert bad[0].detail["violations"] == len(wrong) > 0
+    x, y, left, right = wrong[0]
+    assert bad[0].witness["first"] == {
+        "x": ray_payload(x), "y": ray_payload(y),
+        "f(x) perp y": left, "x perp g(y)": right}
+
+
 def test_ray_grid_checks_the_space_of_every_ray():
     q2 = standard_space(Q, 2)
     gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])

@@ -22,6 +22,7 @@ from orthoset_lab.hermspace import (
     SemilinearMap,
     Subspace,
     Vector,
+    compose_maps,
     herm_form,
     random_nonzero_vector,
     random_subspace,
@@ -34,6 +35,7 @@ from orthoset_lab.orthoset import (
     ProbeSet,
     Ray,
     RayMap,
+    ray_grid,
     ray_of,
     ray_payload,
     rays_of,
@@ -1357,3 +1359,165 @@ def test_ray_map_splits_its_matrix_once_and_frees_it(monkeypatch):
     del f
     gc.collect()
     assert split[0]() is None and limbs() is None
+
+
+# Grids through a map's matrix: RayMap.image_grid, which reads an induced
+# map's images as its domain rows times its matrix, against ray_grid on
+# the map's image rays.
+
+def partners(phi, xs):
+    """Rays of phi's codomain orthogonal to the image of the first ray of
+    xs that phi does not kill, so that a grid holds orthogonal cells
+    besides those of zero rays and killed rays."""
+    for x in xs:
+        u = None if x.is_zero else phi.apply(x.rep)
+        if u is not None and not u.is_zero:
+            perp = Subspace.from_vectors(phi.codomain, [u]).orthocomplement()
+            return rays_of(phi.codomain, perp.basis)
+    return []
+
+
+def image_grids_agree(phi, xs, ys, monkeypatch):
+    """P(phi).image_grid(xs, ys) against ray_grid on P(phi)'s image rays,
+    screened and under ORTHOSET_LAB_EXACT_GRID=1, cell for cell, each on a
+    new map; the image grid fills no memo.  Returns the grid."""
+    grids = []
+    for exact in ("", "1"):
+        monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", exact)
+        want = ray_grid(phi.codomain, induce(phi).apply_many(xs), ys)
+        f = induce(phi)
+        got = f.image_grid(xs, ys)
+        assert f._memo == {}
+        assert got.shape == want.shape == (len(xs), len(ys))
+        assert got.tolist() == want.tolist()
+        grids.append(got)
+    monkeypatch.delenv("ORTHOSET_LAB_EXACT_GRID")
+    assert grids[0].tolist() == grids[1].tolist()
+    return grids[0]
+
+
+@pytest.mark.parametrize("space,sigma,m", list(map_cases()))
+def test_image_grid_matches_the_image_rays(space, sigma, m, monkeypatch):
+    """Every space under test, Gram spaces included, and every twist,
+    into the space itself, a larger standard space and a line."""
+    rng = random.Random(f"image_grid:{short_id(space)}:{sigma.kind}:{m}")
+    codomain = space if m == space.dim else standard_space(space.sfield, m)
+    phi = SemilinearMap(space, codomain, sigma, tuple(
+        random_vector(codomain, rng) for _ in range(space.dim)))
+    xs = batch(space, rng)
+    perp = partners(phi, xs)
+    grid = image_grids_agree(phi, xs, batch(codomain, rng) + perp,
+                             monkeypatch)
+    assert len(perp) == m - 1
+    assert not perp or grid[:, -len(perp):].any()
+
+
+def killing_maps(space, rng):
+    """(phi, ker phi) for maps of space that kill rays: the orthogonal
+    projection onto a random plane, a partial quasiisometry of core 1, a
+    twisted map into a plane that kills every x with x_0 = 0, and the
+    zero maps into a plane and a point."""
+    sf = space.sfield
+    s = random_subspace(space, 2, rng)
+    yield compose_maps(s.frame.inclusion, s.frame.projection), \
+        s.orthocomplement()
+    d, _ = random_partial_isometry(space, space, 1, rng, quasi=True)
+    yield d.map, d.s1.orthocomplement()
+    plane = standard_space(sf, 2)
+    first = (random_nonzero_vector(plane, rng),)
+    yield SemilinearMap(space, plane, list(twists(sf))[-1], first + (
+        plane.zero_vector(),) * (space.dim - 1)), \
+        Subspace.from_vectors(space, space.basis()[1:])
+    for target in (plane, standard_space(sf, 0)):
+        yield SemilinearMap.zero(space, target), Subspace.full(space)
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_image_grid_on_maps_that_kill_rays(sf, monkeypatch):
+    """A ray the map kills has the zero image, orthogonal to every ray:
+    its nonzero row passes the screen as a candidate and is confirmed on
+    its exact image, on standard and Gram spaces."""
+    rng = random.Random(f"image_grid:kill:{sf.value}")
+    for space in (standard_space(sf, 4), tridiagonal_space(sf, 4)):
+        for phi, kernel in killing_maps(space, rng):
+            killed = rays_of(space, combinations(kernel, 4, rng))
+            assert all(phi.apply(x.rep).is_zero for x in killed)
+            xs = killed + batch(space, rng, count=12)
+            cod = phi.codomain
+            ys = (batch(cod, rng, count=12) if cod.dim else
+                  [Ray.zero(cod)] * 2) + partners(phi, xs)
+            grid = image_grids_agree(phi, xs, ys, monkeypatch)
+            assert grid[:len(killed)].all()
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_image_grid_on_empty_and_zero_dimensional_sides(sf, monkeypatch):
+    """Empty ray lists, maps out of and into a point, and the frame maps
+    of the zero subspace."""
+    rng = random.Random(f"image_grid:empty:{sf.value}")
+    space, point = standard_space(sf, 3), standard_space(sf, 0)
+    phi = random_linear_map(space, standard_space(sf, 2), rng)
+    xs, ys = batch(space, rng, count=8), batch(phi.codomain, rng, count=8)
+    assert image_grids_agree(phi, [], ys, monkeypatch).shape == (0, len(ys))
+    assert image_grids_agree(phi, xs, [], monkeypatch).shape == (len(xs), 0)
+    z = [Ray.zero(point)] * 2
+    out = random_linear_map(point, space, rng)
+    assert image_grids_agree(out, z, xs, monkeypatch).all()
+    into = random_linear_map(space, point, rng)
+    assert image_grids_agree(into, xs, z[:1], monkeypatch).all()
+    frame = Subspace.zero(space).frame
+    assert image_grids_agree(frame.projection, xs, z, monkeypatch).all()
+    assert image_grids_agree(frame.inclusion, z, xs, monkeypatch).all()
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_image_grid_past_2_to_the_63(sf, monkeypatch):
+    """A map whose matrix passes 2**63, on rays whose rows pass it too,
+    against rays of the same heights and the partners of an image."""
+    rng = random.Random(f"image_grid:huge:{sf.value}")
+    space = standard_space(sf, 3)
+
+    def huge_vector():
+        return space.vector([huge_scalar(sf, rng) for _ in range(3)])
+
+    for sigma in twists(sf):
+        phi = SemilinearMap(space, space, sigma, tuple(
+            huge_vector() for _ in range(3)))
+        assert max(abs(v) for v in map_matrix(phi).flat) > 2 ** 63
+        xs = rays_of(space, [huge_vector() for _ in range(6)]) + batch(
+            space, rng, count=8)
+        ys = rays_of(space, [huge_vector() for _ in range(4)]) + \
+            partners(phi, xs) + reference(phi, xs[:3])
+        assert max(abs(v) for x in xs + ys for v in x.row) > 2 ** 63
+        grid = image_grids_agree(phi, xs, ys, monkeypatch)
+        assert grid[0, 4:len(ys) - 3].all()
+
+
+def test_image_grid_contracts_past_one_chunk(monkeypatch):
+    """An HQ map out of dimension 17: the image residues contract
+    k n = 68 > 64 columns, so the screen's map product takes two
+    chunks."""
+    rng = random.Random("image_grid:chunks")
+    space, codomain = standard_space(HQ, 17), standard_space(HQ, 3)
+    assert 4 * space.dim > perpgrid._STEP
+    phi = SemilinearMap(space, codomain, list(twists(HQ))[1], tuple(
+        random_vector(codomain, rng) for _ in range(space.dim)))
+    xs = list(ProbeSet.generate(space, seed=4, count=24))
+    perp = partners(phi, xs)
+    ys = batch(codomain, rng, count=12) + perp
+    grid = image_grids_agree(phi, xs, ys, monkeypatch)
+    assert grid[1, -len(perp):].all() and grid[0].all()
+
+
+def test_image_grid_checks_the_spaces():
+    q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
+    phi = SemilinearMap(q2, q3, SfieldMorphism.identity(Q),
+                        (q3.basis_vector(0), q3.basis_vector(1)))
+    xs, ys = rays_of(q2, q2.basis()), rays_of(q3, q3.basis())
+    for f in (induce(phi), oracle_map(q2, q3, induce(phi))):
+        assert f.image_grid(xs, ys).tolist() == [[False, True, True],
+                                                 [True, False, True]]
+        with pytest.raises(InputError, match="domain"):
+            f.image_grid(ys, ys)
+        with pytest.raises(InputError, match="grid's space"):
+            f.image_grid(xs, xs)
