@@ -48,7 +48,6 @@ from .orthoset import (
     linearity_witness,
     perp_closure,
     probe_rays_in,
-    ray_map_rank,
     ray_of,
     ray_perp,
     rays_of,

@@ -1,25 +1,25 @@
 """The dictionary between semilinear maps and ray maps.
 
-One direction is easy: a semilinear map phi induces the ray map sending
-<u> to <phi(u)>.  The other direction is constructive coordinatization:
-given a ray map known to be adjointable (with its adjoint supplied and
-probe-verified, or known injective), rebuild a semilinear map that
-induces it, classify its sfield twist, and certify the result against
-every probe.  The stated kernel is certified in one place,
-_certify_kernel, which coordinatize and decompose_partial_orthometry call
-with their own error classes; _reconstruct only rebuilds.  The twist is
-held once, as the rebuilt map's sigma.  On top of that sit the
-orthometric specialisations: extraction of the form scale factor of an
-orthogonality-preserving map, re-coordinatizations that turn quasi-maps
-into honestly linear or unitary ones, and the kernel/image decomposition
-of partial orthometries.  A partial orthometry is reconstructed once, by
+One direction is easy: a semilinear map phi induces the ray map sending <u>
+to <phi(u)>.  The other direction is constructive coordinatization: given a
+ray map known to be adjointable (with its adjoint supplied and
+probe-verified, or known injective), rebuild a semilinear map that induces
+it, classify its sfield twist, and certify the result against every probe.
+The stated kernel is certified in one place, _certify_kernel, which
+coordinatize and decompose_partial_orthometry call with their own error
+classes; _reconstruct only rebuilds.  The certified kernel complement sets
+the rank, so coordinatize reads f only through rays.  The twist is held
+once, as the rebuilt map's sigma.  On top of that sit the orthometric
+specialisations: extraction of the form scale factor of an
+orthogonality-preserving map, re-coordinatizations that turn quasi-maps into
+honestly linear or unitary ones, and the kernel/image decomposition of
+partial orthometries.  A partial orthometry is reconstructed once, by
 coordinatize's exact reconstruction on the kernel complement that its
 decomposition found; the core between the two subspace frames is then
 certified quasiunitary, with no second round trip.  Scale factors and
-transports read the one certificate of hermspace, `form_scale`; the scale
-of a bijective map is a positive rational (see hermspace.is_quasiunitary),
-so a transport through its twist and scale always lands in a certified
-space.
+transports read the one certificate of hermspace, `form_scale`; the scale of
+a bijective map is a positive rational (see hermspace.is_quasiunitary), so a
+transport through its twist and scale always lands in a certified space.
 
 Reconstructed maps are unique only up to a left scalar; all round-trip
 verification in this module is therefore modulo scalar_ratio.
@@ -62,7 +62,6 @@ from .orthoset import (
     perp_closure,
     probe_rays_in,
     ray_grid,
-    ray_map_rank,
     ray_payload,
     rays_of,
     verify_adjoint_pair,
@@ -284,7 +283,10 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     the adjoint's image closure, which the theory makes exact.
 
     The kernel is certified here, once (_certify_kernel): f must kill
-    its basis rays, and every probe f kills must lie in it.  The
+    its basis rays, and every probe f kills must lie in it.  Its complement
+    k_sub sets the rank that the rank >= 3 gate reads, as ker f =
+    g(H2)-perp; the injective branch trusts its claim and gates on h1.dim.
+    A claimed adjoint that fails raises InputError before the gate.  The
     reconstruction then anchors the scale on the first basis vector of the
     kernel complement, fixes every other image by decomposing the image of
     a sum ray, reads off the sfield twist on generator-scaled sum rays, and
@@ -293,10 +295,6 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     records: list[ReportRecord] = []
     if f.domain is not h1 or f.codomain is not h2:
         raise InputError("ray map does not match the stated spaces")
-    rank = ray_map_rank(f, probes)
-    if rank < 3:
-        raise PreconditionError(f"coordinatization needs rank >= 3, got {rank}")
-
     if adjoint is not None:
         probes2 = ProbeSet.generate(h2, probes.seed, probes.count)
         pair = verify_adjoint_pair(f, adjoint, probes, probes2)
@@ -313,7 +311,10 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         raise InputError("need an adjoint oracle or injectivity")
 
     _certify_kernel(f, kernel, probes, NotInducedError)
-    phi = _reconstruct(f, k_sub, rank, probes)
+    if k_sub.dim < 3:
+        raise PreconditionError(
+            f"coordinatization needs rank >= 3, got {k_sub.dim}")
+    phi = _reconstruct(f, k_sub, probes)
     records.append(ReportRecord(
         check="coordinatize/probe-match", status="pass",
         detail={"probes": len(list(probes))}))
@@ -335,18 +336,15 @@ def _certify_kernel(g: RayMap, kernel: Subspace, probes, error) -> None:
                         "kernel", witness={"ray": ray_payload(x)})
 
 
-def _reconstruct(f: RayMap, k_sub: Subspace, rank: int,
+def _reconstruct(f: RayMap, k_sub: Subspace,
                  probes: ProbeSet) -> SemilinearMap:
     """The semilinear map phi with P(phi) = f, for f whose kernel, the
     orthocomplement of k_sub, the caller has certified (_certify_kernel):
-    no kernel ray is mapped here.  Raises NotInducedError when f does not
-    fit, and returns only once P(phi) = f holds on every probe."""
+    no kernel ray is mapped here, and the callers gate k_sub.dim >= 3.
+    Raises NotInducedError when f does not fit, and returns only once
+    P(phi) = f holds on every probe."""
     h1, h2 = f.domain, f.codomain
     us = list(k_sub.orthogonal_basis)
-    if len(us) < 3:  # the probed rank is >= 3, so an induced map cannot fit
-        raise NotInducedError(
-            "stated kernel complement is smaller than the probed rank",
-            witness={"complement_dim": len(us), "rank": rank})
     # one batch: the complement's orthogonal basis us, the sum rays
     # us[0] + us[i] and the generator-scaled us[0] + g us[1]
     n, gens = len(us), h1.sfield.generators()
@@ -524,7 +522,7 @@ def partial_wigner(f: RayMap, f_adj: RayMap, probes1: ProbeSet,
         raise PreconditionError(
             f"partial reconstruction needs a core of dimension >= 3, "
             f"got {dec.a.dim}")
-    phi = _reconstruct(f, dec.a, dec.b.dim, probes1)
+    phi = _reconstruct(f, dec.a, probes1)
     core = between_frames(phi, dec.a.frame, dec.b.frame)
     if is_quasiunitary(core) is None:
         raise NotPartialOrthometryError(

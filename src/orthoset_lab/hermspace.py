@@ -281,7 +281,8 @@ class Subspace:
 
     @classmethod
     def full(cls, space: HermitianSpace) -> "Subspace":
-        return cls.from_vectors(space, space.basis())
+        # the standard basis is already in reduced echelon form
+        return cls(space, tuple(space.basis()))
 
     @property
     def dim(self) -> int:
@@ -637,11 +638,11 @@ def between_frames(phi: SemilinearMap, source: SubspaceFrame,
                    target: SubspaceFrame) -> SemilinearMap:
     """phi restricted to the subspace of frame source, in the coordinates of
     frame target: target.projection o phi o source.inclusion.  phi must
-    send the source subspace into the target subspace."""
+    send the source subspace into the target subspace, as from_ambient
+    checks; its coordinates are the projection's (the form is linear in u)."""
     into = compose_maps(phi, source.inclusion)
-    for w in into.images:
-        target.from_ambient(w)
-    return compose_maps(target.projection, into)
+    return SemilinearMap(source.space, target.space, into.sigma,
+                         tuple(target.from_ambient(w) for w in into.images))
 
 
 def random_vector(space: HermitianSpace, rng, bound: int = 10) -> Vector:

@@ -456,19 +456,6 @@ def verify_adjoint_pair(f: RayMap, g: RayMap, probes1,
     return [rec]
 
 
-def ray_map_rank(f: RayMap, probes=None) -> int:
-    """Rank of the closure of the image: exact for induced maps, a probe
-    lower bound for oracles."""
-    if f.is_induced:
-        return f.mapping.rank
-    if probes is None:
-        raise InputError("oracle maps need probes for a rank bound")
-    proper = [r for r in f.apply_many(probes) if not r.is_zero]
-    if not proper:
-        return 0
-    return perp_closure(proper).dim
-
-
 def ray_payload(r: Ray):
     if r.is_zero:
         return "zero"

@@ -5,7 +5,8 @@ Scalar text syntax: rationals are "p/q" or "p"; Gaussian rationals are
 "d": ...}; sfield tags are "Q", "Qi", "HQ"; morphisms are {"kind": "id" |
 "conj" | "inner"} with the conjugator under "q" for inner morphisms.
 Input rules: "dim" is a JSON integer, not a bool or a float; a zero
-denominator, as in "1/0", is a ParseError.
+denominator, as in "1/0", is a ParseError, and so is a key that no loader
+reads (a misspelt "gram", or "q" outside an inner morphism).
 Output is canonical: sorted keys, reduced fractions, denominators printed
 only when they differ from 1, identity Gram matrices omitted.
 """
@@ -42,6 +43,13 @@ def _rational(text) -> Fraction:
     return rational_from_str(text)
 
 
+def _known_keys(obj, keys, what: str) -> None:
+    """A key of the JSON object obj outside keys is a ParseError."""
+    if isinstance(obj, dict) and set(obj) - set(keys):
+        raise ParseError(f"unknown keys in {what} object: "
+                         f"{sorted(set(obj) - set(keys))}")
+
+
 def scalar_from_json(obj, sfield: StarSfield):
     try:
         if sfield is StarSfield.Q:
@@ -49,6 +57,7 @@ def scalar_from_json(obj, sfield: StarSfield):
         cls = sfield.scalar_type
         if isinstance(obj, str):
             return cls(_rational(obj))
+        _known_keys(obj, cls.component_names, "scalar")
         return cls(*[_rational(obj[name]) for name in cls.component_names])
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar literal {obj!r} for {sfield.value}") from exc
@@ -77,6 +86,7 @@ def _rows(rows, what: str) -> list:
 
 
 def space_from_json(obj) -> HermitianSpace:
+    _known_keys(obj, ("sfield", "dim", "gram"), "space")
     try:
         sf = sfield_from_json(obj["sfield"])
         dim = obj["dim"]
@@ -104,6 +114,8 @@ def morphism_from_json(obj, sfield: StarSfield) -> SfieldMorphism:
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
         raise ParseError("morphism object needs a kind") from exc
+    _known_keys(obj, ("kind", "q") if kind == "inner" else ("kind",),
+                "morphism")
     if kind == "id":
         return SfieldMorphism.identity(sfield)
     if kind == "conj":
@@ -133,6 +145,8 @@ def map_to_json(phi: SemilinearMap) -> dict:
 def map_from_json(obj) -> tuple[SemilinearMap, SemilinearMap | None]:
     """Returns the map and, when the file carries claimed adjoint images,
     the claimed adjoint map."""
+    _known_keys(obj, ("domain", "codomain", "sigma", "images",
+                      "adjoint_images"), "map")
     try:
         domain = space_from_json(obj["domain"])
         codomain = space_from_json(obj["codomain"])
@@ -167,6 +181,7 @@ def subspace_to_json(s: Subspace) -> dict:
 def basis_vectors_from_json(obj) -> tuple[HermitianSpace, list[Vector]]:
     """The raw basis rows of a subspace file, without echelon reduction;
     gram_schmidt-style constructions need the rows as given."""
+    _known_keys(obj, ("space", "basis"), "subspace")
     try:
         space = space_from_json(obj["space"])
         rows = _rows(obj["basis"], "basis")

@@ -57,7 +57,6 @@ from .orthoset import (
     linearity_witness,
     perp_closure,
     ray_grid,
-    ray_map_rank,
     ray_of,
     ray_payload,
     ray_perp,
@@ -297,9 +296,8 @@ def adjoint_map_records(phi: SemilinearMap, seed: int, count: int,
         records.append(rec)
     records.append(law(
         f"{prefix}/rank-equal",
-        None if ray_map_rank(induce(phi)) == ray_map_rank(induce(adj))
-        else {"rank_f": ray_map_rank(induce(phi)),
-              "rank_adj": ray_map_rank(induce(adj))}))
+        None if phi.rank == adj.rank
+        else {"rank_f": phi.rank, "rank_adj": adj.rank}))
     return records
 
 

@@ -296,8 +296,13 @@ MINUS_J = {"a": "0", "b": "0", "c": "-1", "d": "0"}
     ({"sfield": "Q", "dim": 3.9}, "ParseError"),
     ({"sfield": "Q", "dim": True}, "ParseError"),
     ({"sfield": "Q", "dim": "3"}, "ParseError"),
+    ({"sfield": "Q", "dim": 2, "Gram": [["2", "0"], ["0", "1"]]},
+     "ParseError"),
+    ({"sfield": "HQ", "dim": 1, "gram": [[dict(QUATERNION_J, e="0")]]},
+     "ParseError"),
 ], ids=["numeric-gram-entry", "indefinite-hq", "gram-not-a-list",
-        "zero-denominator", "dim-float", "dim-bool", "dim-string"])
+        "zero-denominator", "dim-float", "dim-bool", "dim-string",
+        "misspelt-gram", "unknown-scalar-key"])
 def test_verify_bad_space_file_is_load_error(tmp_path, space, error):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space))
@@ -326,8 +331,18 @@ MAP_Q2 = {"domain": Q2, "codomain": Q2, "sigma": {"kind": "id"},
      json.dumps(dict(MAP_Q2, images=[["1/0", "0"], ["0", "1"]]))),
     (["construct", "gram-schmidt"], "--subspace",
      json.dumps({"space": Q2, "basis": [["1", "2/0"]]})),
+    (["verify", "--suite", "adjoint"], "--map",
+     json.dumps(dict(MAP_Q2, adjoint_image=[["1", "0"], ["0", "1"]]))),
+    (["verify", "--suite", "adjoint"], "--map",
+     json.dumps(dict(MAP_Q2, sigma={"kind": "id", "q": "1"}))),
+    (["verify", "--suite", "adjoint"], "--map",
+     json.dumps(dict(MAP_Q2, domain=dict(Q2, sfeild="Q")))),
+    (["construct", "gram-schmidt"], "--subspace",
+     json.dumps({"space": Q2, "basis": [["1", "0"]], "rank": 1})),
 ], ids=["map-images", "map-adjoint-images", "subspace-basis", "not-utf8",
-        "map-zero-denominator", "subspace-zero-denominator"])
+        "map-zero-denominator", "subspace-zero-denominator",
+        "map-misspelt-adjoint-images", "morphism-q-not-inner",
+        "map-space-unknown-key", "subspace-unknown-key"])
 def test_malformed_input_file_is_load_error(tmp_path, argv, option, content):
     """Containers of the wrong shape, zero denominators and bytes that are
     not UTF-8 are input errors, not crashes."""

@@ -311,15 +311,95 @@ def test_coordinatize_requires_kernel_knowledge():
         coordinatize(induce(SemilinearMap.identity(q3)), q3, q3, probes)
 
 
-def test_coordinatize_rank_precondition():
+def rank2_on_q3():
     q3 = standard_space(Q, 3)
-    rank2 = SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
-                          (q3.vector([1, 0, 0]), q3.vector([0, 1, 0]),
-                           q3.zero_vector()))
+    return SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
+                         (q3.vector([1, 0, 0]), q3.vector([0, 1, 0]),
+                          q3.zero_vector()))
+
+
+def wrapped(g):
+    """The oracle that maps its rays through g: the same rays, not
+    induced, so no map and no matrix is there to read."""
+    return oracle_map(g.domain, g.codomain, g)
+
+
+def test_coordinatize_rank_precondition():
+    """A rank-2 map with its adjoint passes the pair and fails the rank
+    gate, and so does the oracle pair that wraps it, the shape of a map
+    that is not induced."""
+    rank2 = rank2_on_q3()
+    q3 = rank2.domain
     probes = ProbeSet.generate(q3, seed=0, count=32)
-    with pytest.raises(PreconditionError):
+    f, g = induce(rank2), induce(adjoint_linear(rank2))
+    for f, g in ((f, g), (wrapped(f), wrapped(g))):
+        with pytest.raises(PreconditionError) as err:
+            coordinatize(f, q3, q3, probes, adjoint=g)
+        assert str(err.value) == "coordinatization needs rank >= 3, got 2"
+
+
+def test_coordinatize_reads_the_rank_off_the_certified_kernel():
+    """A twin of a rank-4 map whose cached rank says 1: the gate reads the
+    certified kernel complement, not the map, so the twin is rebuilt."""
+    q4 = standard_space(Q, 4)
+    phi = SemilinearMap(q4, q4, SfieldMorphism.identity(Q), tuple(
+        q4.vector(r) for r in ([1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4],
+                               [5, 0, 0, 1])))
+    assert phi.rank == 4
+    twin = SemilinearMap(phi.domain, phi.codomain, phi.sigma, phi.images)
+    twin.__dict__["rank"] = 1
+    probes = ProbeSet.generate(q4, seed=3, count=32)
+    result = coordinatize(induce(twin), q4, q4, probes,
+                          adjoint=induce(adjoint_linear(phi)))
+    assert scalar_ratio(result.map, phi) is not None
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_coordinatize_an_oracle_as_its_induced_map(sf):
+    """Rays alone set the result: an oracle wrapping an induced map is
+    rebuilt to the same map with the same records, on the adjoint branch
+    (a rank-3 partial map of a 4-space) and on the injective one."""
+    sp = standard_space(sf, 4)
+    rng = random.Random(21)
+    d, _ = random_partial_isometry(sp, sp, 3, rng, quasi=True)
+    f, g = induce(d.map), induce(quasi_generalized_inverse(d))
+    probes = ProbeSet.generate(sp, seed=5, count=32)
+    induced = coordinatize(f, sp, sp, probes, adjoint=g)
+    oracle = coordinatize(wrapped(f), sp, sp, probes, adjoint=wrapped(g))
+    assert induced.map.rank == 3
+    assert oracle.map == induced.map and oracle.verified == induced.verified
+    u = induce(random_quasiunitary(sp, rng))
+    induced = coordinatize(u, sp, sp, probes, injective=True)
+    oracle = coordinatize(wrapped(u), sp, sp, probes, injective=True)
+    assert oracle.map == induced.map and oracle.verified == induced.verified
+
+
+def test_coordinatize_checks_the_adjoint_before_the_rank():
+    """A rank-2 map with a claimed adjoint that fails the pair raises
+    InputError: the rank is read off the kernel that the adjoint sets."""
+    rank2 = rank2_on_q3()
+    q3 = rank2.domain
+    probes = ProbeSet.generate(q3, seed=0, count=32)
+    with pytest.raises(InputError, match="claimed adjoint"):
         coordinatize(induce(rank2), q3, q3, probes,
-                     adjoint=induce(adjoint_linear(rank2)))
+                     adjoint=induce(SemilinearMap.identity(q3)))
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_coordinatize_trusts_a_map_declared_injective(sf):
+    """Declared injective, the gate reads h1.dim.  Below 3 it fails; a
+    rank-3 map of a 4-space whose kernel no probe meets is still induced,
+    so it is rebuilt, and the probe match certifies the result."""
+    sp = standard_space(sf, 2)
+    ident = induce(SemilinearMap.identity(sp))
+    probes = ProbeSet.generate(sp, seed=0, count=16)
+    with pytest.raises(PreconditionError, match="got 2"):
+        coordinatize(ident, sp, sp, probes, injective=True)
+    proj, _, p = projection_off_a_line(sf)
+    result = coordinatize(proj, proj.domain, proj.codomain, p,
+                          injective=True)
+    assert scalar_ratio(result.map, proj.mapping) is not None
+    assert result.map.rank == 3
 
 
 def test_coordinatize_detects_non_induced_oracle():

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from conftest import nonzero_scalar, oracle_map
+from conftest import nonzero_scalar
 
 from orthoset_lab import linalg, orthoset
 from orthoset_lab.errors import InputError
@@ -30,7 +30,6 @@ from orthoset_lab.orthoset import (
     linearity_witness,
     perp_closure,
     probe_rays_in,
-    ray_map_rank,
     ray_of,
     ray_grid,
     ray_payload,
@@ -422,21 +421,6 @@ def test_ray_grid_checks_the_space_of_every_ray():
     twin = standard_space(Q, 2)
     assert twin is q2
     assert (ray_grid(twin, rays, rays) == ray_grid(q2, rays, rays)).all()
-
-
-def test_ray_map_rank_examples():
-    q3 = standard_space(Q, 3)
-    assert ray_map_rank(induce(SemilinearMap.zero(q3, q3))) == 0
-    assert ray_map_rank(induce(SemilinearMap.identity(q3))) == 3
-    shift = SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
-                          (q3.vector([0, 1, 0]), q3.vector([0, 0, 1]),
-                           q3.zero_vector()))
-    assert ray_map_rank(induce(shift)) == 2
-    oracle = oracle_map(q3, q3, lambda x: x)
-    probes = ProbeSet.generate(q3, seed=0, count=16)
-    assert ray_map_rank(oracle, probes) == 3
-    with pytest.raises(InputError):
-        ray_map_rank(oracle)
 
 
 def test_probe_set_structure_and_reproducibility():

@@ -36,6 +36,8 @@ def test_scalar_parse_errors():
         sz.scalar_from_json("x/y", Q)
     with pytest.raises(ParseError):
         sz.scalar_from_json({"re": "1"}, QI)
+    with pytest.raises(ParseError, match="unknown keys"):
+        sz.scalar_from_json({"re": "1", "im": "0", "j": "1"}, QI)
     with pytest.raises(ParseError):
         sz.sfield_from_json("R")
     for literal, sfield in (("1/0", Q), ("1/0", QI),
@@ -64,6 +66,8 @@ def test_morphism_round_trip():
         sz.morphism_from_json({"kind": "conj"}, Q)
     with pytest.raises(ParseError):
         sz.morphism_from_json({"kind": "inner", "q": "1"}, QI)
+    with pytest.raises(ParseError, match="unknown keys"):
+        sz.morphism_from_json({"kind": "id", "q": "1"}, HQ)
 
 
 def test_map_round_trip(rng):
@@ -75,6 +79,27 @@ def test_map_round_trip(rng):
     adj_obj = dict(obj, adjoint_images=obj["images"])
     back2, claimed2 = sz.map_from_json(adj_obj)
     assert claimed2 is not None and claimed2.images == phi.images
+
+
+def test_every_key_the_writers_emit_is_accepted():
+    """Each writer's output, gram, twist and claimed adjoint included,
+    loads back through the loader of its object."""
+    gram = HermitianSpace.create(HQ, 2, [[2, RQ(0, 1, 0, 0)],
+                                         [RQ(0, -1, 0, 0), 1]])
+    phi = left_scalar_map(gram, RQ(1, 1, 0, 1))
+    obj = sz.map_to_json(phi)
+    obj["adjoint_images"] = obj["images"]
+    assert set(obj["domain"]) == {"sfield", "dim", "gram"}
+    assert set(obj["sigma"]) == {"kind", "q"}
+    back, claimed = sz.map_from_json(json.loads(canonical(obj)))
+    assert back == phi and claimed is not None
+    for sigma in (SfieldMorphism.identity(Q), SfieldMorphism.conjugation()):
+        assert sz.morphism_from_json(sz.morphism_to_json(sigma),
+                                     sigma.sfield) == sigma
+    for a, sf in ((F(1, 2), Q), (GR(1, 2), QI), (RQ(1, 2, 3, 4), HQ)):
+        assert sz.scalar_from_json(sz.scalar_to_json(a), sf) == a
+    s = Subspace.from_vectors(gram, [gram.vector([1, RQ(0, 0, 1, 0)])])
+    assert load_subspace(json.loads(canonical(sz.subspace_to_json(s)))) == s
 
 
 def load_subspace(obj):

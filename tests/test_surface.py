@@ -24,15 +24,23 @@ def _references(path):
 
 def test_every_exported_name_is_reached_by_the_library_or_the_benchmark():
     """A name that only __init__ exports and only tests call is surface no
-    suite, construction or benchmark runs; delete it or use it."""
-    paths = [p for p in glob.glob(os.path.join(ROOT, "src", "orthoset_lab",
-                                               "*.py"))
-             if os.path.basename(p) != "__init__.py"]
-    paths += glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    suite, construction or benchmark runs; delete it or use it.  The guard
+    covers every export and every public module-level function and class,
+    so a name whose last caller went fails here with or without an
+    export."""
+    modules = [p for p in glob.glob(os.path.join(ROOT, "src", "orthoset_lab",
+                                                 "*.py"))
+               if os.path.basename(p) != "__init__.py"]
     used = set()
-    for path in paths:
+    for path in modules + glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
         used.update(_references(path))
-    exported = [name for name in orthoset_lab.__all__
-                if not inspect.ismodule(getattr(orthoset_lab, name))]
-    assert exported
-    assert sorted(set(exported) - used) == []
+    public = [name for name in orthoset_lab.__all__
+              if not inspect.ismodule(getattr(orthoset_lab, name))]
+    assert public
+    for path in modules:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        public += [node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")]
+    assert sorted(set(public) - used) == []
