@@ -36,6 +36,7 @@ from .hermspace import (
     is_unitary,
     make_partial_isometry,
     quasi_generalized_inverse,
+    scalar_ratio,
     standard_space,
 )
 from .orthoset import (
@@ -63,7 +64,6 @@ from .correspondence import (
     induce,
     partial_wigner,
     piziak_lambda,
-    scalar_ratio,
     transport_linear,
     transport_partial,
     transport_unitary,

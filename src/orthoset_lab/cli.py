@@ -22,12 +22,17 @@ from .correspondence import (
     decompose_partial_orthometry,
     induce,
     piziak_lambda,
-    scalar_ratio,
     transport_linear,
     transport_unitary,
 )
 from .errors import CertificateError, InputError, OrthosetLabError, ParseError
-from .hermspace import Subspace, adjoint_linear, gram_schmidt, herm_form
+from .hermspace import (
+    Subspace,
+    adjoint_linear,
+    gram_schmidt,
+    herm_form,
+    scalar_ratio,
+)
 from .orthoset import ProbeSet
 from .reports import ReportRecord, failure_record, passed, render
 from .suites import (
@@ -174,6 +179,14 @@ def _require(value, what):
     return value
 
 
+def _adjoint_of(phi, claimed):
+    """The map file's claimed adjoint, else the adjoint of a linear map, else
+    None."""
+    if claimed is not None:
+        return claimed
+    return adjoint_linear(phi) if phi.is_linear else None
+
+
 def _run_construct(args, phi, claimed, subspace, raw_subspace):
     kind = args.kind
     seed, count = args.seed, args.probes
@@ -232,13 +245,11 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
         phi = _require(phi, "--map")
         f = induce(phi)
         probes = ProbeSet.generate(phi.domain, seed, count)
-        if phi.is_linear:
-            adj = induce(adjoint_linear(phi))
-            result = coordinatize(f, phi.domain, phi.codomain, probes,
-                                  adjoint=adj)
-        else:
-            result = coordinatize(f, phi.domain, phi.codomain, probes,
-                                  injective=True)
+        adj = _adjoint_of(phi, claimed)
+        result = coordinatize(
+            f, phi.domain, phi.codomain, probes,
+            adjoint=None if adj is None else induce(adj),
+            injective=adj is None)
         kappa = scalar_ratio(result.map, phi)
         records = list(result.verified)
         records.append(ReportRecord(
@@ -268,13 +279,10 @@ def _run_construct(args, phi, claimed, subspace, raw_subspace):
                 "composed": serialize.map_to_json(tr.composed)}, records
     if kind == "partial-decompose":
         phi = _require(phi, "--map")
-        f = induce(phi)
-        if claimed is not None:
-            f_adj = induce(claimed)
-        elif phi.is_linear:
-            f_adj = induce(adjoint_linear(phi))
-        else:
+        adj = _adjoint_of(phi, claimed)
+        if adj is None:
             raise ParseError("non-linear maps need adjoint_images in the file")
+        f, f_adj = induce(phi), induce(adj)
         p1 = ProbeSet.generate(phi.domain, seed, count)
         p2 = ProbeSet.generate(phi.codomain, seed, count)
         dec = decompose_partial_orthometry(f, f_adj, p1, p2)

@@ -4,11 +4,18 @@ One direction is easy: a semilinear map phi induces the ray map sending <u>
 to <phi(u)>.  The other direction is constructive coordinatization: given a
 ray map known to be adjointable (with its adjoint supplied and
 probe-verified, or known injective), rebuild a semilinear map that induces
-it, classify its sfield twist, and certify the result against every probe.
-The stated kernel is certified in one place, _certify_kernel, which
-coordinatize and decompose_partial_orthometry call with their own error
-classes; _reconstruct only rebuilds.  The certified kernel complement sets
-the rank, so coordinatize reads f only through rays.  The twist is held
+it, classify its sfield twist, and certify the result.  An induced ray map
+f = P(psi) is certified through its matrix: the rebuilt phi is a nonzero
+left multiple of psi (`RayMap.is_induced_by`), so P(phi) = f on every ray,
+and no probe image is built; an oracle, or a rebuilt map that fails that
+test, is compared with f on every probe.  The stated kernel is certified
+in one place, _certify_kernel, which coordinatize and
+decompose_partial_orthometry call with their own error classes; it reads
+which rays f kills (`RayMap.kills`), off the matrix for an induced f.
+_reconstruct only rebuilds.  The certified kernel complement sets
+the rank, so coordinatize asks f only ray-map questions (its images, the
+rays it kills, whether a given map induces it) and never reads its
+semilinear map.  The twist is held
 once, as the rebuilt map's sigma.  On top of that sit the orthometric
 specialisations: extraction of the form scale factor of an
 orthogonality-preserving map, re-coordinatizations that turn quasi-maps into
@@ -54,6 +61,7 @@ from .hermspace import (
     is_quasiunitary,
     is_unitary,
     make_partial_isometry,
+    scalar_ratio,
 )
 from .orthoset import (
     ProbeSet,
@@ -104,36 +112,6 @@ class PartialOrthometryDecomposition:
 def induce(phi: SemilinearMap) -> RayMap:
     """P(phi): <u> -> <phi(u)>."""
     return RayMap(phi.domain, phi.codomain, mapping=phi)
-
-
-def scalar_ratio(psi: SemilinearMap, phi: SemilinearMap):
-    """The left factor kappa with psi = kappa * phi, or None.
-
-    Equality of semilinear maps needs both the images and the twist to
-    match; rescaling by kappa twists the morphism by inner conjugation,
-    so both are checked.  Requires rank(phi) >= 2, below which the factor
-    is not unique.
-    """
-    if psi.domain is not phi.domain or psi.codomain is not phi.codomain:
-        raise InputError("maps must share domain and codomain")
-    if phi.rank < 2:
-        raise PreconditionError("scalar_ratio needs a map of rank >= 2")
-    kappa = None
-    for pv, sv in zip(phi.images, psi.images):
-        for pc, sc in zip(pv.coords, sv.coords):
-            if pc:
-                kappa = sc * inv_scalar(pc)
-                break
-        if kappa is not None:
-            break
-    if kappa is None or not kappa:
-        return None
-    for pv, sv in zip(phi.images, psi.images):
-        if kappa * pv != sv:
-            return None
-    if psi.sigma != phi.sigma.twisted_by(kappa):
-        return None
-    return kappa
 
 
 def piziak_lambda(phi: SemilinearMap, probes: ProbeSet | None = None):
@@ -290,7 +268,10 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     reconstruction then anchors the scale on the first basis vector of the
     kernel complement, fixes every other image by decomposing the image of
     a sum ray, reads off the sfield twist on generator-scaled sum rays, and
-    finally verifies P(phi) = f on every probe.
+    finally certifies P(phi) = f: on every ray when f is induced by a
+    nonzero left multiple of phi (`RayMap.is_induced_by`), which by
+    Wigner's uniqueness up to a left scalar holds for every induced f that
+    the reconstruction fits, and otherwise on every probe.
     """
     records: list[ReportRecord] = []
     if f.domain is not h1 or f.codomain is not h2:
@@ -324,14 +305,16 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
 def _certify_kernel(g: RayMap, kernel: Subspace, probes, error) -> None:
     """Raise error unless g kills every basis ray of kernel and every proper
     probe that g kills lies in kernel: the one kernel check, of coordinatize
-    and decompose_partial_orthometry, each with its own error class."""
+    and decompose_partial_orthometry, each with its own error class.  Both
+    loops read `RayMap.kills`, which decides an induced g on the exact
+    product of the rays' rows with its matrix, canonicalizing no image."""
     rays = rays_of(kernel.space, kernel.basis)
-    for x, y in zip(rays, g.apply_many(rays)):
-        if not y.is_zero:
+    for x, dead in zip(rays, g.kills(rays)):
+        if not dead:
             raise error("map does not vanish on the stated kernel",
                         witness={"ray": ray_payload(x)})
-    for x, y in zip(probes, g.apply_many(probes)):
-        if not x.is_zero and y.is_zero and not kernel.contains(x.rep):
+    for x, dead in zip(probes, g.kills(probes)):
+        if not x.is_zero and dead and not kernel.contains(x.rep):
             raise error("probe killed by the map lies outside the stated "
                         "kernel", witness={"ray": ray_payload(x)})
 
@@ -342,7 +325,14 @@ def _reconstruct(f: RayMap, k_sub: Subspace,
     orthocomplement of k_sub, the caller has certified (_certify_kernel):
     no kernel ray is mapped here, and the callers gate k_sub.dim >= 3.
     Raises NotInducedError when f does not fit, and returns only once
-    P(phi) = f holds on every probe."""
+    P(phi) = f is certified.  When f is induced by kappa phi, kappa != 0
+    (`RayMap.is_induced_by`), the two agree on every ray and no probe is
+    mapped.  An induced f = P(psi) that fits the basis, sum and generator
+    rays always passes: those rays fix phi on the orthogonal basis as one
+    common left multiple of psi, with the twist conjugated to match, and
+    both kill the certified kernel.  Otherwise, for an oracle or a wrongly
+    rebuilt phi, P(phi) and f are compared on every probe, and a mismatch
+    reports its count and first probe."""
     h1, h2 = f.domain, f.codomain
     us = list(k_sub.orthogonal_basis)
     # one batch: the complement's orthogonal basis us, the sum rays
@@ -399,6 +389,8 @@ def _reconstruct(f: RayMap, k_sub: Subspace,
     phi = compose_maps(SemilinearMap(frame.space, h2, sigma, tuple(phi_u)),
                        frame.projection)
 
+    if f.is_induced_by(phi):
+        return phi
     mismatches = 0
     first = None
     for x, y, z in zip(probes, induce(phi).apply_many(probes),

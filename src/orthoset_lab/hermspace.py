@@ -37,6 +37,7 @@ from .errors import (
     DependencyError,
     InconsistencyError,
     InputError,
+    PreconditionError,
     UnsupportedVariantError,
 )
 from .scalars import inv_scalar, real_part, star_scalar
@@ -491,6 +492,36 @@ def compose_maps(outer: SemilinearMap, inner: SemilinearMap) -> SemilinearMap:
         inner.domain, outer.codomain,
         outer.sigma.compose(inner.sigma),
         tuple(outer.apply(v) for v in inner.images))
+
+
+def scalar_ratio(psi: SemilinearMap, phi: SemilinearMap):
+    """The left factor kappa with psi = kappa * phi, or None.
+
+    Equality of semilinear maps needs both the images and the twist to
+    match; rescaling by kappa twists the morphism by inner conjugation,
+    so both are checked.  Requires rank(phi) >= 2, below which the factor
+    is not unique.
+    """
+    if psi.domain is not phi.domain or psi.codomain is not phi.codomain:
+        raise InputError("maps must share domain and codomain")
+    if phi.rank < 2:
+        raise PreconditionError("scalar_ratio needs a map of rank >= 2")
+    kappa = None
+    for pv, sv in zip(phi.images, psi.images):
+        for pc, sc in zip(pv.coords, sv.coords):
+            if pc:
+                kappa = sc * inv_scalar(pc)
+                break
+        if kappa is not None:
+            break
+    if kappa is None or not kappa:
+        return None
+    for pv, sv in zip(phi.images, psi.images):
+        if kappa * pv != sv:
+            return None
+    if psi.sigma != phi.sigma.twisted_by(kappa):
+        return None
+    return kappa
 
 
 def invert_semilinear(phi: SemilinearMap) -> SemilinearMap:

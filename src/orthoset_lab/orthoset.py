@@ -71,6 +71,7 @@ from .hermspace import (
     compose_maps,
     herm_form,
     random_nonzero_vector,
+    scalar_ratio,
 )
 from .perpgrid import (
     image_rows,
@@ -79,6 +80,7 @@ from .perpgrid import (
     pivot_rows,
     ray_rows,
     row_grid,
+    zero_images,
 )
 from .reports import ReportRecord, law
 from .scalars import inv_scalar
@@ -279,6 +281,38 @@ class RayMap:
             raise InputError("ray is not in the grid's space")
         return row_grid(self.codomain, [x.row for x in xs],
                         [y.row for y in ys], self._int_matrix)
+
+    def kills(self, rays) -> list[bool]:
+        """Whether f(x) is the zero ray, for each ray x of the domain, in
+        order.  An induced map P(phi) reads the rays not yet memoized off
+        the exact limb product x K of their rows with its matrix
+        (`perpgrid.zero_images`), building no image ray and filling no
+        memo; an oracle reads `apply_many`.  This is exact: x K is a
+        positive rational multiple of phi(x) (`perpgrid.map_matrix`), and
+        the row x is c u for the canonical representative u and a positive
+        integer c, so phi(x) = sigma(c) phi(u) is zero exactly when phi(u)
+        is, sigma being bijective."""
+        rays = list(rays)
+        if any(x.space is not self.domain for x in rays):
+            raise InputError("ray is not in the map's domain")
+        if not self.is_induced:
+            return [y.is_zero for y in self.apply_many(rays)]
+        memo = self._memo
+        todo = list(dict.fromkeys(x for x in rays if x not in memo))
+        dead = dict(zip(todo, zero_images(self._int_matrix,
+                                          [x.row for x in todo])))
+        return [memo[x].is_zero if x in memo else dead[x] for x in rays]
+
+    def is_induced_by(self, phi: SemilinearMap) -> bool:
+        """Whether this map is P(psi) for psi = kappa phi with kappa != 0
+        (`hermspace.scalar_ratio`), which makes P(phi) equal to it on every
+        ray, not only on probes: psi(x) = kappa phi(x) for every x, and a
+        nonzero left factor changes no ray.  False for an oracle, and for
+        phi of rank below 2, where the factor is not unique; a caller then
+        compares rays."""
+        if not self.is_induced or phi.rank < 2:
+            return False
+        return scalar_ratio(self.mapping, phi) is not None
 
     @cached_property
     def _int_matrix(self):

@@ -589,6 +589,15 @@ def image_rows(sfield: StarSfield, matrix, rows):
                            y.reshape(len(rows), k, matrix.shape[2] // k))
 
 
+def zero_images(matrix, rows) -> list[bool]:
+    """Whether the image of each row under the map whose `matrix_limbs` is
+    matrix is zero, read off the exact limb product; no image row is
+    canonicalized."""
+    if not rows:
+        return []
+    return (_limb_product(rows, matrix) == 0).all(axis=1).tolist()
+
+
 def pivot_rows(sfield: StarSfield, rows) -> list[int]:
     """The indices of the rays, given as primitive rows, whose real rows
     hold a pivot when all of them are reduced mod PRIME in order.

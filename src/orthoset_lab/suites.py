@@ -21,7 +21,6 @@ from .correspondence import (
     induce,
     partial_wigner,
     piziak_lambda,
-    scalar_ratio,
     transport_linear,
     transport_partial,
     transport_unitary,
@@ -48,6 +47,7 @@ from .hermspace import (
     random_nonzero_vector,
     random_subspace,
     random_vector,
+    scalar_ratio,
     standard_space,
 )
 from .orthoset import (
@@ -622,7 +622,9 @@ def _wigner_file_records(cfg: SuiteConfig) -> list[ReportRecord]:
     phi0 = cfg.map
     space = phi0.domain
     probes = ProbeSet.generate(space, cfg.seed, cfg.count)
-    wig = wigner_reconstruct(induce(phi0), induce(invert_semilinear(phi0)),
+    # the ray adjoint of an orthoisomorphism is its inverse
+    f_inv = cfg.claimed_adjoint or invert_semilinear(phi0)
+    wig = wigner_reconstruct(induce(phi0), induce(f_inv),
                              space, phi0.codomain, probes)
     kappa = scalar_ratio(wig.coordinatization.map, phi0)
     return [law("wigner/file/round-trip",

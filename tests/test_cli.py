@@ -257,6 +257,103 @@ def test_construct_coordinatize_round_trip(tmp_path):
     assert ratio and ratio[0]["status"] == "pass"
 
 
+IDENTITY_3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+SHEAR_3 = [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def map_file(tmp_path, base, adjoint_images=None):
+    """A map file: base, a map object or the name of a fixture, with
+    adjoint_images set when given."""
+    if isinstance(base, str):
+        with open(fixture(base), encoding="utf-8") as fh:
+            base = json.load(fh)
+    obj = dict(base)
+    if adjoint_images is not None:
+        obj["adjoint_images"] = adjoint_images
+    path = tmp_path / f"map{len(list(tmp_path.iterdir()))}.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def q3_identity():
+    q3 = {"sfield": "Q", "dim": 3}
+    return {"domain": q3, "codomain": q3, "sigma": {"kind": "id"},
+            "images": IDENTITY_3}
+
+
+def test_construct_coordinatize_checks_a_claimed_adjoint(tmp_path):
+    """The Q3 identity with the shear as its claimed adjoint fails the
+    claim, not the true adjoint's check; the true adjoint claimed
+    passes."""
+    code, text = run_main(tmp_path, "construct", "coordinatize", "--map",
+                          map_file(tmp_path, q3_identity(), SHEAR_3),
+                          "--probes", "16")
+    assert code == 1
+    rec, = records_of(text)
+    assert rec["check"] == "construct/coordinatize"
+    assert rec["witness"]["error"] == "InputError"
+    assert rec["witness"]["message"] == "claimed adjoint fails on probes"
+    code, text = run_main(tmp_path, "construct", "coordinatize", "--map",
+                          map_file(tmp_path, q3_identity(), IDENTITY_3),
+                          "--probes", "16")
+    assert code == 0
+    checks = [r["check"] for r in records_of(text)[1:]]
+    assert "adjoint-pair/biconditional" in checks
+
+
+def test_construct_coordinatize_takes_a_claim_for_a_non_linear_map(
+        tmp_path):
+    """A conj map with a claimed adjoint is rebuilt on the adjoint branch,
+    where the linear claim fails; without a claim it is trusted to be
+    injective and rebuilt."""
+    code, text = run_main(tmp_path, "construct", "coordinatize", "--map",
+                          map_file(tmp_path, "quasiunitary_qi3.json",
+                                   IDENTITY_3), "--probes", "16")
+    assert code == 1
+    rec, = records_of(text)
+    assert rec["witness"]["message"] == "claimed adjoint fails on probes"
+    code, text = run_main(tmp_path, "construct", "coordinatize", "--map",
+                          fixture("quasiunitary_qi3.json"), "--probes", "16")
+    assert code == 0
+    checks = [r["check"] for r in records_of(text)[1:]]
+    assert sorted(checks) == ["construct/coordinatize/ratio",
+                              "coordinatize/probe-match"]
+
+
+WIGNER_FILE = ("verify", "--suite", "wigner", "--probes", "32", "--seed", "7")
+
+
+def test_verify_wigner_file_checks_a_claimed_inverse(tmp_path):
+    """For an orthoisomorphism the ray adjoint is the inverse: a wrong
+    claimed inverse of the Qi fixture fails the round trip with exit 1,
+    and the file without a claim reports the same bytes as before."""
+    code, text = run_main(tmp_path, *WIGNER_FILE, "--map",
+                          fixture("quasiunitary_qi3.json"))
+    assert code == 0
+    assert text == ('{"check":"wigner/file/round-trip","detail":{"lam":"4"},'
+                    '"status":"pass"}\n')
+    code, text = run_main(tmp_path, *WIGNER_FILE, "--map",
+                          map_file(tmp_path, "quasiunitary_qi3.json",
+                                   IDENTITY_3))
+    assert code == 1
+    rec, = records_of(text)
+    assert rec["check"] == "wigner/file" and rec["status"] == "error"
+    assert rec["witness"]["error"] == "NotOrthoisoError"
+
+
+def test_verify_wigner_file_takes_a_true_claimed_inverse(tmp_path):
+    """A scaled Q3 identity with the inverse claimed reports the bytes of
+    the same file without a claim."""
+    scaled = dict(q3_identity(), images=[["2", "0", "0"], ["0", "2", "0"],
+                                         ["0", "0", "2"]])
+    inverse = [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1/2"]]
+    plain = run_main(tmp_path, *WIGNER_FILE, "--map",
+                     map_file(tmp_path, scaled))
+    claimed = run_main(tmp_path, *WIGNER_FILE, "--map",
+                       map_file(tmp_path, scaled, inverse))
+    assert plain == claimed and plain[0] == 0
+
+
 def test_construct_project_with_vector(tmp_path):
     subspace = {"space": {"sfield": "Q", "dim": 2},
                 "basis": [["1", "1"]]}

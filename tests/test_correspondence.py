@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import nonzero_scalar, oracle_map
 
-from orthoset_lab import correspondence, linalg, orthoset
+from orthoset_lab import correspondence, linalg, orthoset, perpgrid
 from orthoset_lab.correspondence import (
     coordinatize,
     decompose_partial_orthometry,
@@ -57,6 +57,7 @@ from orthoset_lab.sampling import (
     random_linear_map,
     random_partial_isometry,
     random_quasiunitary,
+    random_unitary,
 )
 from orthoset_lab.scalars import (
     GaussianRational as GR,
@@ -889,3 +890,110 @@ def test_partial_wigner_computes_each_orthocomplement_once(monkeypatch):
     assert kernels.count(perp_system(result.s1)) == 1
     assert kernels.count(perp_system(result.s2)) == 1
     assert result.s1.orthocomplement() is result.s1.orthocomplement()
+
+
+# ----------------------------------------- certificates of an induced map
+
+def test_is_induced_by_examples(rng):
+    q3, hq2 = standard_space(Q, 3), standard_space(HQ, 2)
+    phi = random_linear_map(q3, q3, rng)
+    while phi.rank < 3:
+        phi = random_linear_map(q3, q3, rng)
+    f = induce(phi)
+    assert f.is_induced_by(phi) and f.is_induced_by(phi.scale(F(-3, 7)))
+    assert not f.is_induced_by(shear_map(q3))
+    assert not oracle_map(q3, q3, f).is_induced_by(phi)
+    # below rank 2 the factor is not unique: False, not a raise
+    rank1 = SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
+                          (q3.vector([1, 0, 0]),) + (q3.zero_vector(),) * 2)
+    zero = SemilinearMap.zero(q3, q3)
+    assert not induce(rank1).is_induced_by(rank1)
+    assert not induce(zero).is_induced_by(zero)
+    # a left multiple twists the morphism; the same images untwisted are
+    # another map
+    ident, kappa = SemilinearMap.identity(hq2), RQ(1, 2, 0, 1)
+    assert induce(ident.scale(kappa)).is_induced_by(ident)
+    fake = SemilinearMap(hq2, hq2, SfieldMorphism.identity(HQ),
+                         ident.scale(kappa).images)
+    assert not induce(fake).is_induced_by(ident)
+
+
+def probe_mismatches(f, phi, probes):
+    """The probes on which P(phi) and f differ, compared ray by ray."""
+    return [x for x, y, z in zip(probes, induce(phi).apply_many(probes),
+                                 f.apply_many(probes)) if y != z]
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_is_induced_by_holds_only_where_the_probes_agree(sf, monkeypatch):
+    """Every rebuilt map of a Wigner round trip and of partial isometries
+    and quasiisometries, on the standard 4-space and a Gram space, is
+    certified by is_induced_by, and the ray-by-ray comparison it stands
+    in for finds no mismatch on the probes."""
+    seen = []
+    real = RayMap.is_induced_by
+
+    def spy(self, phi):
+        verdict = real(self, phi)
+        seen.append((self, phi, verdict))
+        return verdict
+
+    monkeypatch.setattr(RayMap, "is_induced_by", spy)
+    rng = random.Random(f"induced-by:{sf.value}")
+    for space in (standard_space(sf, 4), gram_space_4(sf)):
+        p = ProbeSet.generate(space, seed=6, count=48)
+        phi0 = random_quasiunitary(space, rng)
+        wigner_reconstruct(induce(phi0), induce(invert_semilinear(phi0)),
+                           space, space, p)
+        for quasi in (False, True):
+            d, _ = random_partial_isometry(space, space, 3, rng, quasi=quasi)
+            partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
+                           p, p)
+        assert [verdict for _, _, verdict in seen] == [True] * 3
+        for f, phi, _ in seen:
+            assert probe_mismatches(f, phi, p) == []
+        seen.clear()
+
+
+def test_a_wrong_twist_is_found_on_the_probes(monkeypatch):
+    """A twist classifier planted to return the identity rebuilds a Qi
+    conj map as a linear one, which no left multiple of the map is: the
+    probe comparison runs and names the same count and first probe for
+    the induced map as for the same map given as an oracle."""
+    space = standard_space(QI, 3)
+    phi = compose_maps(conjugation_map(space),
+                       random_unitary(space, random.Random(5)))
+    assert phi.sigma.kind == "conj"
+    monkeypatch.setattr(correspondence, "_classify_twist",
+                        lambda sfield, images: SfieldMorphism.identity(sfield))
+    p = ProbeSet.generate(space, seed=2, count=64)
+    for f in (induce(phi), oracle_map(space, space, induce(phi))):
+        with pytest.raises(NotInducedError,
+                           match="^reconstructed map disagrees with the "
+                                 "oracle on probes$") as err:
+            coordinatize(f, space, space, p, injective=True)
+        assert err.value.witness == {
+            "ray": ["1", "6552/3697+8043/7394i", "-1197/3697-9681/7394i"],
+            "mismatches": 60}
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_wigner_canonicalizes_no_probe_image(sf, monkeypatch):
+    """One Wigner round trip on 256 probes canonicalizes only the rays the
+    reconstruction reads, 2n - 1 + |generators| of them: the kernel check
+    and the final certificate read the map's matrix, not probe images."""
+    space = gram_space_4(sf)
+    phi0 = random_quasiunitary(space, random.Random(f"canon:{sf.value}"))
+    f_inv = induce(invert_semilinear(phi0))
+    p = ProbeSet.generate(space, seed=8, count=256)
+    batches = []
+    real = perpgrid._primitive_rows
+
+    def spy(sfield, y):
+        batches.append(len(y))
+        return real(sfield, y)
+
+    monkeypatch.setattr(perpgrid, "_primitive_rows", spy)
+    wig = wigner_reconstruct(induce(phi0), f_inv, space, space, p)
+    assert scalar_ratio(wig.coordinatization.map, phi0) is not None
+    assert max(batches) == 2 * space.dim - 1 + len(sf.generators())

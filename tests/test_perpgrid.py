@@ -46,6 +46,7 @@ from orthoset_lab.sampling import (
     left_scalar_map,
     random_linear_map,
     random_partial_isometry,
+    random_quasiunitary,
 )
 from orthoset_lab.scalars import GaussianRational as GR
 from orthoset_lab.scalars import HQ_I, HQ_J
@@ -1521,3 +1522,99 @@ def test_image_grid_checks_the_spaces():
             f.image_grid(ys, ys)
         with pytest.raises(InputError, match="grid's space"):
             f.image_grid(xs, xs)
+
+
+# Which rays a map kills: RayMap.kills, which reads an induced map's zero
+# images off the exact product of the rays' rows with its matrix, against
+# the zero rays among its canonicalized images.
+
+def kills_agree(phi, xs):
+    """P(phi).kills(xs) against the zero rays of apply_many(xs): on a new
+    map, which kills fills no memo of, then with half of the rays
+    memoized, and as an oracle.  Returns the verdicts."""
+    want = [y.is_zero for y in induce(phi).apply_many(xs)]
+    f = induce(phi)
+    got = f.kills(xs)
+    assert got == want and all(type(dead) is bool for dead in got)
+    assert f._memo == {}
+    f.apply_many(xs[::2])
+    assert f.kills(xs) == want
+    assert oracle_map(phi.domain, phi.codomain, induce(phi)).kills(xs) == want
+    return want
+
+
+def rank_one_map(space, sigma, scalar):
+    """(phi, ker phi) for a map with the twist sigma onto the line of a
+    vector v: e_i goes to c_i v for nonzero scalars c_i drawn by scalar(),
+    so phi(x) = sum_i sigma(x_i) c_i v, and ker phi is spanned by
+    e_i + sigma^-1(-c_i c_0^-1) e_0 for i >= 1."""
+    v = space.vector([scalar() for _ in range(space.dim)])
+    c = [scalar() for _ in range(space.dim)]
+    phi = SemilinearMap(space, space, sigma, tuple(a * v for a in c))
+    e = space.basis()
+    kernel = Subspace.from_vectors(space, [
+        e[i] + sigma.inverse()(-c[i] * inv_scalar(c[0])) * e[0]
+        for i in range(1, space.dim)])
+    return phi, kernel
+
+
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
+def test_kills_matches_the_image_rays(space):
+    """Quasiunitary maps after the coordinate map of every twist, partial
+    isometries and quasiisometries of every core dimension, a rank-1 map
+    of every twist and the zero map, on rays of the kernel and probes."""
+    rng = random.Random(f"kills:{short_id(space)}")
+    sf = space.sfield
+    cases = []
+    for sigma in twists(sf):
+        twist = SemilinearMap(space, space, sigma, tuple(space.basis()))
+        cases.append((compose_maps(random_quasiunitary(space, rng), twist),
+                      Subspace.zero(space)))
+        cases.append(rank_one_map(space, sigma,
+                                  lambda: nonzero_scalar(sf, rng)))
+    for core in range(1, space.dim):
+        for quasi in (False, True):
+            d, _ = random_partial_isometry(space, space, core, rng,
+                                           quasi=quasi)
+            cases.append((d.map, d.s1.orthocomplement()))
+    cases.append((SemilinearMap.zero(space, space), Subspace.full(space)))
+    for phi, kernel in cases:
+        killed = rays_of(space, combinations(kernel, 3, rng)
+                         if kernel.dim else [])
+        assert all(phi.apply(x.rep).is_zero for x in killed)
+        xs = killed + batch(space, rng)
+        verdicts = kills_agree(phi, xs)
+        assert verdicts[:len(killed)] == [True] * len(killed)
+        if kernel.dim == 0:
+            assert verdicts == [x.is_zero for x in xs]
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_kills_past_2_to_the_63(sf):
+    """A rank-1 map whose matrix passes 2**63 kills rays whose rows pass it
+    too: their images cancel only in the exact product."""
+    rng = random.Random(f"kills:huge:{sf.value}")
+    space = standard_space(sf, 3)
+    for sigma in twists(sf):
+        phi, kernel = rank_one_map(space, sigma, lambda: huge_scalar(sf, rng))
+        assert max(abs(x) for x in map_matrix(phi).flat) > 2 ** 63
+        killed = rays_of(space, list(kernel.basis) + [
+            huge_scalar(sf, rng) * kernel.basis[0]
+            + huge_scalar(sf, rng) * kernel.basis[1] for _ in range(3)])
+        assert max(abs(x) for r in killed for x in r.row) > 2 ** 63
+        assert all(phi.apply(x.rep).is_zero for x in killed)
+        alive = rays_of(space, [space.vector([huge_scalar(sf, rng)
+                                              for _ in range(3)])
+                                for _ in range(4)])
+        verdicts = kills_agree(phi, killed + alive + batch(space, rng))
+        assert verdicts[:len(killed)] == [True] * len(killed)
+        assert not any(verdicts[len(killed):len(killed) + len(alive)])
+
+
+def test_kills_checks_the_domain():
+    q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
+    phi = SemilinearMap.zero(q2, q3)
+    for f in (induce(phi), oracle_map(q2, q3, induce(phi))):
+        assert f.kills([]) == []
+        with pytest.raises(InputError, match="domain"):
+            f.kills(rays_of(q3, q3.basis()))
