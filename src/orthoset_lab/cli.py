@@ -93,9 +93,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _reject_unread(given: dict, reads, what: str) -> None:
+    """Reject an input that what does not read: a flag, named without its
+    dashes, or "adjoint_images", the map file's claimed adjoint."""
     for name, value in given.items():
         if value and name not in reads:
-            raise InputError(f"{what} does not read --{name}")
+            where = ("the adjoint_images of --map" if name == "adjoint_images"
+                     else f"--{name}")
+            raise InputError(f"{what} does not read {where}")
 
 
 def _reject_no_probes(count: int) -> None:
@@ -120,12 +124,13 @@ def _load_failed(exc, args) -> int:
 def cmd_verify(args) -> int:
     try:
         _reject_no_probes(args.probes)
+        reads, what = SUITE_INPUTS[args.suite], f"suite {args.suite!r}"
         _reject_unread({"space": args.space, "map": args.map_path,
-                        "subspace": args.subspace},
-                       SUITE_INPUTS[args.suite], f"suite {args.suite!r}")
+                        "subspace": args.subspace}, reads, what)
         space = serialize.space_from_json(serialize.load_file(args.space)) \
             if args.space else None
         phi, claimed = _load_map(args)
+        _reject_unread({"adjoint_images": claimed is not None}, reads, what)
     except OrthosetLabError as exc:
         return _load_failed(exc, args)
     cfg = SuiteConfig(suite=args.suite, seed=args.seed, count=args.probes,

@@ -67,7 +67,6 @@ from .orthoset import (
     ProbeSet,
     RayMap,
     compose_ray_maps,
-    perp_closure,
     probe_rays_in,
     ray_grid,
     ray_payload,
@@ -258,7 +257,11 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     map injective (orthoisomorphism pipelines).  Probing alone cannot find
     the kernel of an arbitrary oracle: random rays miss a proper subspace,
     so zero-image probes only corroborate, and the kernel is derived from
-    the adjoint's image closure, which the theory makes exact.
+    the adjoint's image closure, which the theory makes exact.  An
+    induced adjoint P(psi) is closed through its map
+    (`RayMap.image_closure`): the closure is the span of psi's images of
+    a basis, as psi(span X) = span psi(X), and no probe image of the
+    adjoint is built.
 
     The kernel is certified here, once (_certify_kernel): f must kill
     its basis rays, and every probe f kills must lie in it.  Its complement
@@ -283,7 +286,7 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
         if not passed(pair):
             raise InputError("claimed adjoint fails on probes",
                              witness=pair[0].witness)
-        k_sub = perp_closure(adjoint.apply_many(probes2))
+        k_sub = adjoint.image_closure(probes2)
         kernel = k_sub.orthocomplement()
     elif injective:
         # every space is anisotropic, so the full space's complement is 0
@@ -446,6 +449,13 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     preserve orthogonality both ways into B, and the composite f o
     P(projection onto A) must reproduce f on every probe.
 
+    An induced map's image closure is read through its map
+    (`RayMap.image_closure`): the closure of phi's images of the probes
+    is the span of phi's images of a basis of the probes' span, since
+    phi(span X) = span phi(X).  So no probe image of an induced adjoint is
+    built, and f's probe images are built once, for the kernel check and
+    the factorization check, and are not closed.
+
     That composite is `compose_ray_maps(f, P(projection onto A))`.  For an
     induced f it is induced by f's map after the projection, one batch of
     the probes' rows through one matrix, and no projected image is mapped
@@ -458,9 +468,9 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
         raise NotPartialOrthometryError("map and claimed adjoint fail the "
                                         "biconditional", witness=records[0].witness)
     h1, h2 = f.domain, f.codomain
-    a_sub = perp_closure(f_adj.apply_many(probes2))
+    a_sub = f_adj.image_closure(probes2)
     fx = f.apply_many(probes1)
-    b_sub = perp_closure(fx)
+    b_sub = f.image_closure(probes1)
 
     _certify_kernel(f, a_sub.orthocomplement(), probes1,
                     NotPartialOrthometryError)

@@ -44,6 +44,14 @@ biconditional f(x) perp y iff x perp g(y), takes both sides so, the
 right one as g's grid transposed, and fills no memo of an induced map:
 a `wigner` benchmark round runs `image_rows` 162 times, not 222.
 
+Nor need an induced map's images be built to be closed.
+`RayMap.image_closure` closes the rays in the domain,
+S = perp_closure(rays), and spans phi's images of S's basis, since
+phi(span X) = span phi(X) for a bijective twist.  A probe set holds every
+basis ray, so S is one pick and one n-row span: neither the probe images
+nor a confirmation grid against them is built.  An oracle map closes its
+images.
+
 Ray maps compose as the maps that induce them do: P(psi) o P(pi) =
 P(psi o pi).  `compose_ray_maps` builds the composite of two induced
 maps as one induced map, so a batch goes through one matrix and is
@@ -302,6 +310,26 @@ class RayMap:
         dead = dict(zip(todo, zero_images(self._int_matrix,
                                           [x.row for x in todo])))
         return [memo[x].is_zero if x in memo else dead[x] for x in rays]
+
+    def image_closure(self, rays) -> Subspace:
+        """The closure of the images f(x) of rays x of the domain, the
+        subspace `perp_closure(apply_many(rays))`.  An induced map P(phi)
+        closes the rays themselves, S = perp_closure(rays), and returns
+        the span of phi's images of S's basis, building no image ray and
+        filling no memo: a probe set holds every basis ray, so S is one
+        pick and one n-row span, with no confirmation grid.  This is
+        exact: span phi(X) = phi(span X) for the representatives X of the
+        rays, since phi(sum a_i u_i) = sum sigma(a_i) phi(u_i) and sigma
+        is bijective, so phi(span X) is a subspace holding phi(X) and held
+        in its span.  An oracle closes `apply_many(rays)`."""
+        rays = list(rays)
+        if any(x.space is not self.domain for x in rays):
+            raise InputError("ray is not in the map's domain")
+        if not self.is_induced:
+            return perp_closure(self.apply_many(rays))
+        phi = self.mapping
+        return Subspace.from_vectors(
+            self.codomain, [phi.apply(b) for b in perp_closure(rays).basis])
 
     def is_induced_by(self, phi: SemilinearMap) -> bool:
         """Whether this map is P(psi) for psi = kappa phi with kappa != 0

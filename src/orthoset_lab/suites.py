@@ -73,11 +73,13 @@ from .scalars import (
 )
 from .starfields import SfieldMorphism, StarSfield
 
-# the file inputs each suite reads: "space" is --space, "map" is --map
+# the file inputs each suite reads: "space" is --space, "map" is --map,
+# and "adjoint_images" the claimed adjoint that a map file may carry
 SUITE_INPUTS = {
     "axioms": ("space",), "linearity": (), "dacey": (), "frechet": (),
-    "adjoint": ("map",), "piziak": ("map",), "wigner": ("map",),
-    "transport": (), "partial": (), "all": ("space", "map"),
+    "adjoint": ("map", "adjoint_images"), "piziak": ("map",),
+    "wigner": ("map", "adjoint_images"), "transport": (), "partial": (),
+    "all": ("space", "map", "adjoint_images"),
 }
 SUITE_NAMES = tuple(SUITE_INPUTS)
 

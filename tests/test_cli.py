@@ -80,11 +80,15 @@ def test_verify_deterministic_bytes(tmp_path):
     assert first == second
 
 
+# "adjoint_images" is a map file that carries a claimed adjoint
 INPUTS = {"space": ("--space", fixture("q3.json")),
           "map": ("--map", fixture("quasiunitary_hq3.json")),
-          "subspace": ("--subspace", fixture("q2_basis.json"))}
-READS = {"axioms": {"space"}, "adjoint": {"map"}, "piziak": {"map"},
-         "wigner": {"map"}, "all": {"space", "map"}}
+          "subspace": ("--subspace", fixture("q2_basis.json")),
+          "adjoint_images": ("--map",
+                             fixture("shear_with_wrong_adjoint.json"))}
+READS = {"axioms": {"space"}, "adjoint": {"map", "adjoint_images"},
+         "piziak": {"map"}, "wigner": {"map", "adjoint_images"},
+         "all": {"space", "map", "adjoint_images"}}
 
 
 @pytest.mark.parametrize("given", sorted(INPUTS))
@@ -99,18 +103,43 @@ def test_verify_uses_or_rejects_each_input(tmp_path, monkeypatch, suite,
     monkeypatch.setattr(suites, "run_tasks", no_run)
     code, text = run_main(tmp_path, "verify", "--suite", suite,
                           *INPUTS[given])
-    if given in READS.get(suite, ()):
+    reads = READS.get(suite, ())
+    if given in reads:
         assert code == 0
-        if given == "map":
-            assert any(name.endswith("/file") for name in names)
-        else:  # q3.json is one Q space, in place of the built-in ones
+        if given == "space":  # q3.json is one Q space, in place of the
             assert [n for n in names if n.startswith("axioms/")] == \
-                ["axioms/Q/0"]
+                ["axioms/Q/0"]                    # built-in ones
+        else:
+            assert any(name.endswith("/file") for name in names)
     else:
         assert code == 2 and not names
         rec, = records_of(text)
         assert rec["check"] == "load" and rec["status"] == "error"
-        assert f"--{given}" in rec["witness"]["message"]
+        # a suite that reads no map file rejects --map before loading it
+        unread = ("the adjoint_images of --map"
+                  if given == "adjoint_images" and "map" in reads
+                  else INPUTS[given][0])
+        assert rec["witness"]["message"] == \
+            f"suite {suite!r} does not read {unread}"
+
+
+def test_verify_piziak_rejects_a_claimed_adjoint(tmp_path):
+    """piziak reads no adjoint, so a map file that claims one is a load
+    error with exit 2, not a scale extraction that drops the claim; the
+    same map without the claim passes with lam 4."""
+    args = ("verify", "--suite", "piziak", "--seed", "7", "--map")
+    code, text = run_main(tmp_path, *args, fixture("scale2_q2.json"))
+    assert code == 0
+    assert text == ('{"check":"piziak/file/scale-extraction",'
+                    '"detail":{"lam":"4"},"status":"pass"}\n')
+    claimed = map_file(tmp_path, "scale2_q2.json", [["1", "1"], ["0", "1"]])
+    code, text = run_main(tmp_path, *args, claimed)
+    assert code == 2
+    rec, = records_of(text)
+    assert rec == {"check": "load", "status": "error", "witness": {
+        "error": "InputError",
+        "message": "suite 'piziak' does not read the adjoint_images of "
+                   "--map"}}
 
 
 @pytest.mark.parametrize("raised, status, exit_code", [
@@ -538,8 +567,13 @@ def test_verify_piziak_map_file(tmp_path):
 
 
 def test_verify_piziak_violating_map_errors(tmp_path):
+    # the fixture's shear without its claimed adjoint, which piziak rejects
+    with open(fixture("shear_with_wrong_adjoint.json"),
+              encoding="utf-8") as fh:
+        shear = json.load(fh)
+    del shear["adjoint_images"]
     code, text = run_main(tmp_path, "verify", "--suite", "piziak",
-                          "--map", fixture("shear_with_wrong_adjoint.json"))
+                          "--map", map_file(tmp_path, shear))
     assert code == 1
     recs = records_of(text)
     assert any(r["status"] == "error" for r in recs)

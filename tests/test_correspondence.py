@@ -714,6 +714,35 @@ def test_decomposition_feeds_no_image_row_back_to_the_kernel(sf, monkeypatch):
     assert all(row is x.row for row, x in zip(factorization, p))
 
 
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_induced_adjoint_images_are_never_built(sf, monkeypatch):
+    """With an induced adjoint, the decomposition and coordinatize read it
+    only through its matrix: the biconditional's grid, the closure of its
+    images (RayMap.image_closure) and the kernel check.  No image_rows
+    batch runs on its matrix, and its memo stays empty."""
+    matrices = []
+
+    def spy(sfield, matrix, rows):
+        matrices.append(matrix)
+        return image_rows(sfield, matrix, rows)
+
+    monkeypatch.setattr(orthoset, "image_rows", spy)
+    space = standard_space(sf, 5)
+    d, _ = random_partial_isometry(space, space, 3,
+                                   random.Random(f"adjoint-spy:{sf.value}"),
+                                   quasi=True)
+    p = ProbeSet.generate(space, seed=3, count=48)
+    f = induce(d.map)
+    for run in (lambda g: decompose_partial_orthometry(f, g, p, p),
+                lambda g: coordinatize(f, space, space, p, adjoint=g)):
+        f_adj = induce(quasi_generalized_inverse(d))
+        del matrices[:]
+        run(f_adj)
+        assert matrices and f._memo
+        assert not any(m is f_adj._int_matrix for m in matrices)
+        assert f_adj._memo == {}
+
+
 def test_decomposition_rejects_an_oracle_off_on_one_probe():
     """An oracle equal to an induced partial isometry f except on one
     probe x outside A and A-perp, which it sends to another ray of B with

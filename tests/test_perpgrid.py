@@ -35,6 +35,8 @@ from orthoset_lab.orthoset import (
     ProbeSet,
     Ray,
     RayMap,
+    perp_closure,
+    probe_rays_in,
     ray_grid,
     ray_of,
     ray_payload,
@@ -1618,3 +1620,96 @@ def test_kills_checks_the_domain():
         assert f.kills([]) == []
         with pytest.raises(InputError, match="domain"):
             f.kills(rays_of(q3, q3.basis()))
+
+
+# The closure of a map's images: RayMap.image_closure, which closes an
+# induced map's rays in its domain and maps the basis of their span,
+# against perp_closure on the map's image rays.
+
+def closures_agree(phi, rays):
+    """P(phi).image_closure(rays) against perp_closure(apply_many(rays)):
+    on a new map, which the closure fills no memo of, and as an oracle.
+    Returns the closure."""
+    want = perp_closure(induce(phi).apply_many(rays))
+    f = induce(phi)
+    got = f.image_closure(rays)
+    assert got == want and got.space is phi.codomain
+    assert f._memo == {}
+    oracle = oracle_map(phi.domain, phi.codomain, induce(phi))
+    assert oracle.image_closure(rays) == want
+    return got
+
+
+def closure_families(space, rng):
+    """A probe set, a shuffled batch with duplicates, probe rays of a
+    hyperplane and of a line, and the zero ray alone."""
+    families = {"probes": list(ProbeSet.generate(space, seed=5, count=24)),
+                "batch": batch(space, rng)}
+    for dim in {space.dim - 1, 1} - {0}:
+        families[f"sub{dim}"] = probe_rays_in(
+            random_subspace(space, dim, rng), seed=3, count=8)
+    families["zero"] = [Ray.zero(space)]
+    return families
+
+
+@pytest.mark.parametrize("space,sigma,m", list(map_cases()))
+def test_image_closure_matches_the_closure_of_the_images(space, sigma, m):
+    """Every space under test, Gram spaces included, and every twist,
+    into the space itself, a larger standard space and a line."""
+    rng = random.Random(f"image_closure:{short_id(space)}:{sigma.kind}:{m}")
+    codomain = space if m == space.dim else standard_space(space.sfield, m)
+    phi = SemilinearMap(space, codomain, sigma, tuple(
+        random_vector(codomain, rng) for _ in range(space.dim)))
+    for name, rays in closure_families(space, rng).items():
+        got = closures_agree(phi, rays)
+        assert got.dim <= min(m, perp_closure(rays).dim), name
+
+
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
+def test_image_closure_on_maps_that_kill_rays(space):
+    """Partial isometries and quasiisometries of every core dimension,
+    whose probe images close to the image S2, a rank-1 map of every
+    twist, and the zero maps into the space and into a plane."""
+    rng = random.Random(f"image_closure:kill:{short_id(space)}")
+    sf = space.sfield
+    cases = []
+    for core in range(1, space.dim + 1):
+        for quasi in (False, True):
+            d, _ = random_partial_isometry(space, space, core, rng,
+                                           quasi=quasi)
+            cases.append((d.map, d.s2))
+    for sigma in twists(sf):
+        phi, _ = rank_one_map(space, sigma, lambda: nonzero_scalar(sf, rng))
+        cases.append((phi, Subspace.from_vectors(space, phi.images[:1])))
+    for target in (space, standard_space(sf, 2)):
+        cases.append((SemilinearMap.zero(space, target),
+                      Subspace.zero(target)))
+    for phi, image in cases:
+        for name, rays in closure_families(space, rng).items():
+            got = closures_agree(phi, rays)
+            if name == "probes":
+                assert got == image
+            if name == "zero":
+                assert got.dim == 0
+
+
+def test_image_closure_checks_the_rays():
+    """An empty list fixes no space, and a ray of another space, a Gram
+    space of the same dimension included, raises apply_many's error."""
+    q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
+    gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
+    phi = SemilinearMap(q2, q3, SfieldMorphism.identity(Q),
+                        (q3.basis_vector(0), q3.basis_vector(1)))
+    for f in (induce(phi), oracle_map(q2, q3, induce(phi))):
+        with pytest.raises(InputError, match="at least one ray"):
+            f.image_closure([])
+        for foreign in (rays_of(q3, q3.basis()), rays_of(gram, gram.basis())):
+            rays = rays_of(q2, q2.basis()[:1]) + foreign
+            with pytest.raises(InputError) as closing:
+                f.image_closure(rays)
+            with pytest.raises(InputError) as applying:
+                f.apply_many(rays)
+            assert str(closing.value) == str(applying.value) == \
+                "ray is not in the map's domain"
+        assert f.image_closure(rays_of(q2, q2.basis())) == \
+            Subspace.from_vectors(q3, q3.basis()[:2])
