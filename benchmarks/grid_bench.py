@@ -1,7 +1,8 @@
 """Compare the two exact orthogonality-grid paths.
 
-The screened path screens component 0 of every form mod a fixed prime
-below 2**23, with float64 BLAS products that stay exact below 2**53, and
+The screened path screens a fixed weighted sum of the components of every
+form mod a fixed prime below 2**23, with float64 BLAS products that stay
+exact below 2**53, and
 confirms only the residue-zero candidates, leaving out the zero row,
 which is orthogonal to every row.  It confirms them with the same kernel
 mod as many primes as their height bound asks for when the candidates

@@ -46,9 +46,12 @@ from .suites import (
 CONSTRUCT_KINDS = ("gram-schmidt", "project", "adjoint", "induce", "piziak",
                    "coordinatize", "transport", "transport-unitary",
                    "partial-decompose")
-# the inputs each construction reads; any other is rejected
+# the inputs each construction reads; any other is rejected.  As in
+# SUITE_INPUTS, "adjoint_images" is the claimed adjoint a map file carries
 CONSTRUCT_INPUTS = dict.fromkeys(CONSTRUCT_KINDS, {"map"}) | {
-    "gram-schmidt": {"subspace"}, "project": {"subspace", "vector"}}
+    "gram-schmidt": {"subspace"}, "project": {"subspace", "vector"},
+    "coordinatize": {"map", "adjoint_images"},
+    "partial-decompose": {"map", "adjoint_images"}}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -145,11 +148,12 @@ def cmd_verify(args) -> int:
 def cmd_construct(args) -> int:
     try:
         _reject_no_probes(args.probes)
+        reads = CONSTRUCT_INPUTS[args.kind]
+        what = f"construction {args.kind!r}"
         _reject_unread({"map": args.map_path, "subspace": args.subspace,
-                        "vector": args.vector},
-                       CONSTRUCT_INPUTS[args.kind],
-                       f"construction {args.kind!r}")
+                        "vector": args.vector}, reads, what)
         phi, claimed = _load_map(args)
+        _reject_unread({"adjoint_images": claimed is not None}, reads, what)
         raw_subspace = subspace = None
         if args.subspace:
             raw_subspace = serialize.basis_vectors_from_json(

@@ -41,16 +41,17 @@ An induced map's images need not be built to be gridded.
 map's matrix (`perpgrid.row_grid`), canonicalizing no image, and an
 oracle map grids its images.  `verify_adjoint_pair`, the paper's
 biconditional f(x) perp y iff x perp g(y), takes both sides so, the
-right one as g's grid transposed, and fills no memo of an induced map:
-a `wigner` benchmark round runs `image_rows` 162 times, not 222.
+right one as g's grid transposed, on rows that `RayMap.grid_rows` loads
+once per probe family, and fills no memo of an induced map: a `wigner`
+benchmark round runs `image_rows` 162 times, not 222.
 
 Nor need an induced map's images be built to be closed.
 `RayMap.image_closure` closes the rays in the domain,
 S = perp_closure(rays), and spans phi's images of S's basis, since
 phi(span X) = span phi(X) for a bijective twist.  A probe set holds every
-basis ray, so S is one pick and one n-row span: neither the probe images
-nor a confirmation grid against them is built.  An oracle map closes its
-images.
+basis ray, so S is the full space, read off n lookups with no pick and
+no span: neither the probe images nor a confirmation grid against them
+is built.  An oracle map closes its images.
 
 Ray maps compose as the maps that induce them do: P(psi) o P(pi) =
 P(psi o pi).  `compose_ray_maps` builds the composite of two induced
@@ -82,6 +83,7 @@ from .hermspace import (
     scalar_ratio,
 )
 from .perpgrid import (
+    _int_rows,
     image_rows,
     map_matrix,
     matrix_limbs,
@@ -130,7 +132,7 @@ class Ray:
 
     @classmethod
     def zero(cls, space: HermitianSpace) -> "Ray":
-        return cls(space, (0,) * (len(space.sfield.basis()) * space.dim))
+        return cls(space, (0,) * _row_width(space))
 
     @property
     def is_zero(self) -> bool:
@@ -186,7 +188,9 @@ def perp_closure(rays) -> Subspace:
     """The span of the representatives, which at finite dimension equals the
     double orthocomplement of the ray set.
 
-    Three steps, none of which decides an equality mod p:
+    When the rays hold every standard basis ray, as a probe set does, the
+    span is the full space, read off n lookups of the basis rays' rows.
+    Otherwise three steps, none of which decides an equality mod p:
     1. pick: `pivot_rows` chooses candidate basis rays from the rows mod
        PRIME (zero rays and duplicates dropped first; at most n rays are
        all picked);
@@ -210,6 +214,10 @@ def perp_closure(rays) -> Subspace:
     for r in rays:
         if not r.is_zero:
             proper.setdefault(r.row, r)
+    width = _row_width(space)
+    if all(tuple(int(j == i) for j in range(width)) in proper
+           for i in range(space.dim)):
+        return Subspace.full(space)
     rows = list(proper)
     # at most n rays are their own pick: a scalar span of that few rows
     # costs less than the residue pick, and nothing is left to confirm
@@ -275,20 +283,32 @@ class RayMap:
             memo.update(zip(todo, images))
         return [memo[x] for x in rays]
 
-    def image_grid(self, xs, ys):
-        """The exact grid of f(x_i) perp y_j for rays xs of the domain and
-        ys of the codomain.  An induced map grids the rows of xs through
-        its matrix (`perpgrid.row_grid`), building no image ray and
-        filling no memo; an oracle grids its images `apply_many(xs)`."""
-        xs, ys = list(xs), list(ys)
+    def grid_rows(self, xs, ys):
+        """The rows of rays xs of the domain and ys of the codomain, each
+        family loaded once as one integer array (`perpgrid._int_rows`), and
+        once in all when ys is xs: the rows `image_grid` reads, for every
+        grid of the same rays."""
         if any(x.space is not self.domain for x in xs):
             raise InputError("ray is not in the map's domain")
-        if not self.is_induced:
-            return ray_grid(self.codomain, self.apply_many(xs), ys)
         if any(y.space is not self.codomain for y in ys):
             raise InputError("ray is not in the grid's space")
-        return row_grid(self.codomain, [x.row for x in xs],
-                        [y.row for y in ys], self._int_matrix)
+        x_rows = _int_rows([x.row for x in xs], _row_width(self.domain))
+        if ys is xs:
+            return x_rows, x_rows
+        return x_rows, _int_rows([y.row for y in ys],
+                                 _row_width(self.codomain))
+
+    def image_grid(self, xs, ys, rows):
+        """The exact grid of f(x_i) perp y_j for rays xs of the domain and
+        ys of the codomain, whose rows are rows = `grid_rows(xs, ys)`.  An
+        induced map grids both through its matrix (`perpgrid.row_grid`),
+        building no image ray and filling no memo; an oracle grids the
+        rows of its images `apply_many(xs)` against those of ys."""
+        x_rows, y_rows = rows
+        if not self.is_induced:
+            return row_grid(self.codomain,
+                            [y.row for y in self.apply_many(xs)], y_rows)
+        return row_grid(self.codomain, x_rows, y_rows, self._int_matrix)
 
     def kills(self, rays) -> list[bool]:
         """Whether f(x) is the zero ray, for each ray x of the domain, in
@@ -316,8 +336,8 @@ class RayMap:
         subspace `perp_closure(apply_many(rays))`.  An induced map P(phi)
         closes the rays themselves, S = perp_closure(rays), and returns
         the span of phi's images of S's basis, building no image ray and
-        filling no memo: a probe set holds every basis ray, so S is one
-        pick and one n-row span, with no confirmation grid.  This is
+        filling no memo: a probe set holds every basis ray, so S is the
+        full space, with no pick and no confirmation grid.  This is
         exact: span phi(X) = phi(span X) for the representatives X of the
         rays, since phi(sum a_i u_i) = sum sigma(a_i) phi(u_i) and sigma
         is bijective, so phi(span X) is a subspace holding phi(X) and held
@@ -501,21 +521,31 @@ def verify_adjoint_pair(f: RayMap, g: RayMap, probes1,
     Both sides are `RayMap.image_grid`s, so an induced map is read
     through its matrix and no image ray of it is built.  The right side
     is g's grid of g(y) perp x, transposed: <u, v> = 0 exactly when
-    <v, u> = star(<u, v>) = 0."""
+    <v, u> = star(<u, v>) = 0.  Each probe family is loaded once and read
+    by both grids, and once in all when probes2 is probes1."""
+    if g.domain is not f.codomain or g.codomain is not f.domain:
+        raise InputError("g does not map f's codomain to f's domain")
     xs = list(probes1)
-    ys = list(probes2)
-    left = f.image_grid(xs, ys)
-    right = g.image_grid(ys, xs).T
+    ys = xs if probes2 is probes1 else list(probes2)
+    rows = f.grid_rows(xs, ys)
+    left = f.image_grid(xs, ys, rows)
+    right = g.image_grid(ys, xs, rows[::-1]).T
     differ = left != right
+    violations = int(differ.sum())
+    shown = np.argwhere(differ)[:MAX_WITNESSES] if violations else ()
     failures = [{"x": ray_payload(xs[i]), "y": ray_payload(ys[j]),
                  "f(x) perp y": bool(left[i, j]),
-                 "x perp g(y)": bool(right[i, j])}
-                for i, j in np.argwhere(differ)[:MAX_WITNESSES]]
+                 "x perp g(y)": bool(right[i, j])} for i, j in shown]
     rec = law("adjoint-pair/biconditional",
               {"first": failures[0], "shown": failures} if failures else None)
-    rec.detail = {"pairs": len(xs) * len(ys),
-                  "violations": int(differ.sum())}
+    rec.detail = {"pairs": len(xs) * len(ys), "violations": violations}
     return [rec]
+
+
+def _row_width(space: HermitianSpace) -> int:
+    """The length of a ray's row: k integer component planes of n
+    entries."""
+    return len(space.sfield.basis()) * space.dim
 
 
 def ray_payload(r: Ray):

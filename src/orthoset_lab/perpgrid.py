@@ -4,13 +4,15 @@ The property suites decide `<u, v> = 0` for hundreds of thousands of vector
 pairs.  Doing that with exact scalar arithmetic pair by pair is the hot loop
 of the whole package, so grids are computed in two exact stages:
 
-1. a residue screen: component 0 of every pairwise form (its real part,
-   up to a positive factor) is evaluated mod a fixed prime with float64
-   BLAS products, exact by the bound below.  If that component is
-   nonzero mod p it is a nonzero integer, so the form is nonzero, full
-   stop; no pair can be wrongly declared orthogonal here.  A form with
-   real part 0, such as <(1, 1), (1, -1 - i)> = i, passes as a candidate
-   and costs one exact check, never a wrong answer.
+1. a residue screen: the weighted sum sum_c w_c F_c of the k integer
+   components of every pairwise form, with fixed weights w_c that are
+   nonzero mod p (`_WEIGHTS`), is evaluated mod a fixed prime with
+   float64 BLAS products, exact by the bound below.  If the sum is
+   nonzero mod p, some F_c is nonzero mod p, so it is a nonzero integer
+   and the form is nonzero, full stop; no pair can be wrongly declared
+   orthogonal here.  A nonzero form whose weighted sum vanishes mod p,
+   such as (p - w_1) + i over Qi, passes as a candidate and costs one
+   exact check, never a wrong answer.
 2. exact confirmation of the candidates in all k components, so no pair
    can be wrongly declared orthogonal either.  A row whose exact integer
    planes are all zero is orthogonal to every row, since <0, v> = <u, 0>
@@ -54,10 +56,15 @@ classes once, as a table of basis products e_a * e_b = sign * e_c.
 F = W star(V)^T.  With the table each is one matrix product on the
 rows' flattened (rows, k n) planes (`_fold`): G folds into a (k n) x
 (k n) matrix that gives all k components of W, and star(V)^T into a
-(k n) x (c C) matrix that gives the c components of F wanted, c = 1 for
-the screen and k for confirmation.  Rows are integerised by the lcm of
-their denominators and the Gram matrix by one common lcm; positive
-rational factors never change whether a form vanishes.
+(k n) x (k C) matrix that gives all k components of F, as confirmation
+takes them.  The screen folds its weights into the Gram side instead
+(`_screen_gram`): the weighted sum is z V^T with z = U G R, where R is
+the constant weighted star table, and V's flattened rows are its own
+rows, so no fold of V is built per call.  G R mod p is cached per space
+beside the integer Gram matrix, and the screen costs two products per
+grid.  Rows are integerised by the lcm of their denominators and the
+Gram matrix by one common lcm; positive rational factors never change
+whether a form vanishes.
 
 The products run in float64 on BLAS, which is exact on integers while
 every partial sum stays below 2**53 (Dumas, Giorgi and Pernet,
@@ -84,10 +91,12 @@ confirms every pair on Python ints, zero rows included;
 Every grid loads its rows through one gate, `_int_rows` in `row_grid`:
 int64, converted in C, where every entry fits, and Python ints where the
 conversion raises OverflowError or an entry is -2**63, whose abs wraps
-in int64 (`_bits`).  The conversion is exact, so no height bound guards
-an int64 plane; the kernel reads planes only through their residues mod
-p, and `_exact_zero` casts them to Python ints, so no int64 product
-decides a pair.  `perp_grid` is an adapter: `_planes` integerises its
+in int64 (`_bits`).  A caller that grids the same rows twice loads them
+once and passes the array, which `_int_rows` copies as it is.  The
+conversion is exact, so no height bound guards an int64 plane; the
+kernel reads planes only through their residues mod p, and
+`_exact_zero` casts them to Python ints, so no int64 product decides a
+pair.  `perp_grid` is an adapter: `_planes` integerises its
 coordinate rows, and `row_grid` takes them as rays' rows.  Map matrices,
 `ray_rows` and the canonicalizer build object planes only, since their
 products pass int64.
@@ -141,14 +150,20 @@ round from 1.85 s to 1.81 s.
 A grid can also be taken through a map: given a map's `matrix_limbs`,
 `row_grid` reads its first side as rows of the map's domain, each
 standing for its image x K, so the rays of the images are never built.
-The screen takes the images' residues as (x mod p) (K mod p), one more
-`_mul_mod` ahead of the form, with K mod p recombined from the limbs
-(`_limb_residues`), and only the distinct candidate rows are mapped
+The screen multiplies K mod p, recombined from the limbs
+(`_limb_residues`), into the cached G R, one product of two small
+matrices per call, so the images' weighted forms are (x mod p)
+((K mod p) G R) and then one product with the other side: two products
+of the rows, as for rays.  Only the distinct candidate rows are mapped
 exactly, by `_limb_product`, for `_confirm`; `row_grid` holds the
-soundness argument.  The screen reads only the real part, and images
-have real-part-zero forms more often than probes, so a few more pairs
-reach confirmation.  `orthoset.verify_adjoint_pair` grids both sides
-of an induced pair this way.
+soundness argument.  A screen of component 0 alone passed every image
+whose forms have real part 0, as raw images x K often do: one seed-5
+`wigner` round sent 1 542 HQ pairs to confirmation for 10 orthogonal
+ones, and the weighted screen sends those 10 (627 pairs in all, 603 of
+them over Q, against 2 174; in-process spy, 2-core host, Python 3.11,
+`BENCH_28.json`).  `orthoset.verify_adjoint_pair` grids both sides of
+an induced pair this way, and loads each probe family once for both
+grids (`orthoset.RayMap.grid_rows`).
 
 Closures of ray sets (`orthoset.perp_closure`) follow the grid's pattern:
 mod p chooses, exact arithmetic decides.  `pivot_rows` reduces the rays'
@@ -192,6 +207,12 @@ _STEP = 2 ** 52 // (PRIME - 1) ** 2
 _INT64_MAX = 2 ** 63 - 1
 _INT64_MIN = -2 ** 63
 _LIMB_SUMS = 2  # c, the limb products of one level summed in int64
+# w_c, the screen's weight on form component c (`_screen_gram`), nonzero
+# mod PRIME.  The 22-bit weights were drawn so that sum_c w_c F_c = 0 mod
+# PRIME has no small nonzero integer solution F: every one has some
+# |F_c| >= 2880 over Qi (w_0, w_1) and >= 44 over HQ, against the bounds
+# sqrt(PRIME) = 2896 and PRIME**(1/4) = 53 that some solution always meets
+_WEIGHTS = (1, 3812735, 3314018, 2513437)
 
 
 def _use_exact_path() -> bool:
@@ -321,43 +342,70 @@ def _mul_mod(x, y, p: int):
     return out
 
 
-def _fold(terms, y, components):
-    """The (k m, len(components) q) matrix that sends flattened planes x,
-    (rows, k m) with x[:, a m + i] = X_a[:, i], to the listed components of
-    sum sign X_a @ y[b] over each output component's terms, for (k, m, q)
-    planes y: one product in place of k."""
+def _fold(terms, y):
+    """The (k m, k q) matrix that sends flattened planes x, (rows, k m)
+    with x[:, a m + i] = X_a[:, i], to the k components of sum sign
+    X_a @ y[b] over each output component's terms, for (k, m, q) planes y:
+    one product in place of k."""
     k, m, q = y.shape
-    out = np.zeros((k, m, len(components), q))
-    for slot, c in enumerate(components):
-        for a, b, sign in terms[c]:
-            out[a, :, slot] = y[b] if sign > 0 else -y[b]
+    out = np.zeros((k, m, k, q))
+    for c, component in enumerate(terms):
+        for a, b, sign in component:
+            out[a, :, c] = y[b] if sign > 0 else -y[b]
     return out.reshape(k * m, -1)
 
 
-def _form_residues(tables, u, gram, v, p: int, components):
-    """The listed components of the form on every pair of rows, mod the
-    prime p, as an (R, len(components), C) float64 array of signed
-    residues: W = U G in all k components as one product of the flattened
-    planes, then the listed components of W star(V)^T as another."""
+def _form_residues(tables, u, gram, v, p: int):
+    """All k components of the form on every pair of rows, mod the prime
+    p, as an (R, k, C) float64 array of signed residues: W = U G as one
+    product of the flattened planes, then W star(V)^T as another."""
     mul, mul_star = tables
     k, count, n = u.shape
     flat = _residues(u, p).transpose(1, 0, 2).reshape(count, k * n)
-    w = _mul_mod(flat, _fold(mul, _residues(gram, p), range(k)), p)
-    vt = _fold(mul_star, _residues(v, p).transpose(0, 2, 1), components)
-    return _mul_mod(w, vt, p).reshape(count, len(components), -1)
+    w = _mul_mod(flat, _fold(mul, _residues(gram, p)), p)
+    vt = _fold(mul_star, _residues(v, p).transpose(0, 2, 1))
+    return _mul_mod(w, vt, p).reshape(count, k, -1)
 
 
-def _screen(tables, u, gram, v, matrix=None):
-    """True where component 0 of the form vanishes mod PRIME.  Given the
-    `matrix_limbs` of a map's matrix K, u are domain rows and the form is
-    taken of their images: their residues are (u mod p) (K mod p) mod p,
-    one more `_mul_mod`, whose factors lie in [0, p)."""
+@lru_cache(maxsize=None)
+def _screen_gram(space):
+    """G R mod PRIME, as a read-only (k n) x (k n) float64 matrix of signed
+    residues: the flattened rows u go to z = u G R, whose product with the
+    flattened rows v is the screen's weighted form sum_c w_c F_c(u, v).
+
+    G is the folded Gram matrix, so u G holds the k planes W_a of W = U G.
+    F_c sums sign W_a V_b^T over the pairs (a, b) with e_a star(e_b) =
+    sign e_c, and each pair (a, b) names one c, so sum_c w_c F_c =
+    sum_b (sum_a r_ab W_a) V_b^T with r_ab = sign w_c.  R is the weighted
+    star table, r_ab times the n x n identity in block (a, b), and V's
+    planes V_b lie side by side in the flattened rows, so no fold of V is
+    needed.  Block b of G R sums k terms r_ab G_a, each below p**2 in
+    magnitude, so it is exact in float64 before it is reduced."""
+    mul, mul_star = _tables(space.sfield)
+    gram = _fold(mul, _residues(_int_gram(space), PRIME))
+    planes = gram.reshape(len(gram), len(mul), -1)  # column block a: G_a
+    out = np.zeros_like(planes)
+    for c, terms in enumerate(mul_star):
+        for a, b, sign in terms:
+            r_ab = sign * _WEIGHTS[c] % PRIME
+            out[:, b] += r_ab * planes[:, a]
+    out = _reduce(out.reshape(gram.shape), PRIME)
+    out.flags.writeable = False  # shared
+    return out
+
+
+def _screen(space, a, b, matrix=None):
+    """True where the weighted form sum_c w_c F_c vanishes mod PRIME, for
+    the flattened integer rows a and b: z = (a mod p) (G R) and then
+    z (b mod p)^T, two `_mul_mod`s.  Given the `matrix_limbs` of a map's
+    matrix K, a are domain rows and the form is taken of their images
+    a K: (K mod p) (G R), one product of two small matrices, takes the
+    place of G R, so the images cost no product of their own."""
+    fold = _screen_gram(space)
     if matrix is not None:
-        k, count, _ = u.shape
-        flat = _residues(u, PRIME).transpose(1, 0, 2).reshape(count, -1)
-        image = _mul_mod(flat, _limb_residues(matrix, PRIME), PRIME)
-        u = image.reshape(count, k, -1).transpose(1, 0, 2)
-    return _form_residues(tables, u, gram, v, PRIME, [0])[:, 0] == 0
+        fold = _mul_mod(_limb_residues(matrix, PRIME), fold, PRIME)
+    z = _mul_mod(_residues(a, PRIME), fold, PRIME)
+    return _mul_mod(z, _residues(b, PRIME).T, PRIME) == 0
 
 
 def _bits(x) -> int:
@@ -396,7 +444,7 @@ def _residue_zero(tables, u, gram, v, ii, jj, primes):
     form 0, and no CRT reconstruction is needed."""
     zero = np.ones(len(ii), dtype=bool)
     for p in primes:
-        f = _form_residues(tables, u, gram, v, p, range(len(u)))
+        f = _form_residues(tables, u, gram, v, p)
         zero &= (f == 0).all(axis=1)[ii, jj]
     return zero
 
@@ -647,7 +695,8 @@ def perp_grid(space, rows_a, rows_b):
 def row_grid(space, rows_a, rows_b, matrix=None):
     """Boolean matrix of exact orthogonality for all pairs of integer rows
     as `orthoset.Ray.row` holds them (the k component planes of a row, one
-    after the other), each side loaded by `_int_rows`.
+    after the other), or an array `_int_rows` loaded them into; each side
+    goes through `_int_rows`.
 
     Given matrix, the `matrix_limbs` of the `map_matrix` K of a map phi
     into space, rows_a are rows of phi's domain and each stands for its
@@ -655,13 +704,13 @@ def row_grid(space, rows_a, rows_b, matrix=None):
     y_j, and no image ray is built.  This is exact.  x K is a positive
     rational multiple of phi(x) (`map_matrix`), and a positive rational
     factor never changes whether a form vanishes.  The screen reads the
-    images mod p as (x mod p) (K mod p), exact by `_mul_mod`'s chunk
-    bound, so a nonzero residue still proves a nonzero form.  A zero
-    domain row maps to zero and is excluded as before; a nonzero row
-    that phi kills has residue 0 and is only a candidate.  The distinct
-    candidate rows are then mapped exactly by `_limb_product` and go to
-    `_confirm` as any rows do, where a zero image has form 0 and so is
-    orthogonal."""
+    images' weighted forms mod p as (x mod p) ((K mod p) G R), which is
+    x K G R mod p, exact by `_mul_mod`'s chunk bound, so a nonzero
+    residue still proves a nonzero form.  A zero domain row maps to zero
+    and is excluded as before; a nonzero row that phi kills has residue 0
+    and is only a candidate.  The distinct candidate rows are then mapped
+    exactly by `_limb_product` and go to `_confirm` as any rows do, where
+    a zero image has form 0 and so is orthogonal."""
     na, nb = len(rows_a), len(rows_b)
     if space.dim == 0 or (matrix is not None and not matrix.shape[1]):
         # every form is taken in, or of the images of, a zero space
@@ -669,26 +718,26 @@ def row_grid(space, rows_a, rows_b, matrix=None):
     if na == 0 or nb == 0:
         return np.zeros((na, nb), dtype=bool)
     tables = _tables(space.sfield)
-    gram = _int_gram(space)
     k, n = len(tables[0]), space.dim
     a = _int_rows(rows_a, k * n if matrix is None else matrix.shape[1])
-    u, v = (x.reshape(len(x), k, -1).transpose(1, 0, 2)
-            for x in (a, _int_rows(rows_b, k * n)))
+    b = _int_rows(rows_b, k * n)
     if _use_exact_path():
         grid = candidates = np.ones((na, nb), dtype=bool)
     else:
-        grid = _screen(tables, u, gram, v, matrix)
+        grid = _screen(space, a, b, matrix)
         # <0, v> = <u, 0> = 0, and the screen passes those pairs; zero rows
-        # are read off the exact planes, as a nonzero row can vanish mod p
-        nonzero_u, nonzero_v = ((x != 0).any(axis=(0, 2)) for x in (u, v))
-        candidates = grid & nonzero_u[:, None] & nonzero_v
-    # a zero residue is only a candidate; confirm with exact integers
-    ii, jj = np.nonzero(candidates)
-    if len(ii):
+        # are read off the exact rows, as a nonzero row can vanish mod p
+        candidates = grid & (a != 0).any(axis=1)[:, None] & \
+            (b != 0).any(axis=1)
+    # a zero residue is only a candidate; confirm with exact integers.  Most
+    # grids of a map and a probe set hold none, and any() costs less than
+    # nonzero()
+    if candidates.any():
+        ii, jj = np.nonzero(candidates)
         iu = ii
         if matrix is not None:  # the distinct candidate rows' exact images
             rows, iu = np.unique(ii, return_inverse=True)
-            image = _int_rows(_limb_product(a[rows], matrix), k * n)
-            u = image.reshape(len(rows), k, n).transpose(1, 0, 2)
-        grid[ii, jj] = _confirm(tables, u, gram, v, iu, jj)
+            a = _int_rows(_limb_product(a[rows], matrix), k * n)
+        u, v = (x.reshape(len(x), k, n).transpose(1, 0, 2) for x in (a, b))
+        grid[ii, jj] = _confirm(tables, u, _int_gram(space), v, iu, jj)
     return grid

@@ -192,11 +192,16 @@ def test_verify_adjoint_counts_every_violation(tmp_path):
     assert len(rec["witness"]["shown"]) == 5
 
 
+# "adjoint_images" is a map file that carries a claimed adjoint
 CONSTRUCT_INPUTS = {"map": ("--map", fixture("scale2_q2.json")),
                     "subspace": ("--subspace", fixture("q2_basis.json")),
-                    "vector": ("--vector", '["1", "0"]')}
+                    "vector": ("--vector", '["1", "0"]'),
+                    "adjoint_images": (
+                        "--map", fixture("shear_with_wrong_adjoint.json"))}
 CONSTRUCT_READS = {"gram-schmidt": {"subspace"},
-                   "project": {"subspace", "vector"}}
+                   "project": {"subspace", "vector"},
+                   "coordinatize": {"map", "adjoint_images"},
+                   "partial-decompose": {"map", "adjoint_images"}}
 
 
 @pytest.mark.parametrize("given", sorted(CONSTRUCT_INPUTS))
@@ -206,19 +211,43 @@ def test_construct_uses_or_rejects_each_input(tmp_path, monkeypatch, kind,
     seen = []
 
     def no_run(args, phi, claimed, subspace, raw_subspace):
-        seen.append({"map": phi, "subspace": subspace,
-                     "vector": args.vector}[given])
+        seen.append({"map": phi, "subspace": subspace, "vector": args.vector,
+                     "adjoint_images": claimed}[given])
         return {}, []
     monkeypatch.setattr(cli, "_run_construct", no_run)
     code, text = run_main(tmp_path, "construct", kind,
                           *CONSTRUCT_INPUTS[given])
-    if given in CONSTRUCT_READS.get(kind, {"map"}):
+    reads = CONSTRUCT_READS.get(kind, {"map"})
+    if given in reads:
         assert code == 0 and seen and seen[0] is not None
     else:
         assert code == 2 and not seen
         rec, = records_of(text)
         assert rec["check"] == "load" and rec["status"] == "error"
-        assert f"--{given}" in rec["witness"]["message"]
+        # a construction that reads no map file rejects --map before
+        # loading it
+        unread = ("the adjoint_images of --map"
+                  if given == "adjoint_images" and "map" in reads
+                  else CONSTRUCT_INPUTS[given][0])
+        assert rec["witness"]["message"] == \
+            f"construction {kind!r} does not read {unread}"
+
+
+@pytest.mark.parametrize("kind", ["adjoint", "induce", "piziak", "transport",
+                                  "transport-unitary"])
+def test_construct_rejects_a_claimed_adjoint_it_does_not_read(tmp_path,
+                                                              kind):
+    """A construction that reads no adjoint rejects a map file that claims
+    one with one load record and exit 2, and does not run on the map
+    without its claim."""
+    claimed = map_file(tmp_path, "scale2_q2.json", [["1", "1"], ["0", "1"]])
+    code, text = run_main(tmp_path, "construct", kind, "--map", claimed)
+    assert code == 2
+    assert records_of(text) == [{
+        "check": "load", "status": "error", "witness": {
+            "error": "InputError",
+            "message": f"construction {kind!r} does not read the "
+                       "adjoint_images of --map"}}]
 
 
 @pytest.mark.parametrize("option", [["--space", fixture("q3.json")],
@@ -518,9 +547,15 @@ def test_construct_transport_unitary(tmp_path):
 
 
 def test_construct_transport_unitary_rejects_a_non_quasiunitary_map(tmp_path):
-    # transport_unitary's own rejection reaches the report, class and all
+    # transport_unitary's own rejection reaches the report, class and all;
+    # the fixture's shear without its claimed adjoint, which
+    # transport-unitary does not read
+    with open(fixture("shear_with_wrong_adjoint.json"),
+              encoding="utf-8") as fh:
+        shear = json.load(fh)
+    del shear["adjoint_images"]
     code, text = run_main(tmp_path, "construct", "transport-unitary",
-                          "--map", fixture("shear_with_wrong_adjoint.json"))
+                          "--map", map_file(tmp_path, shear))
     assert code == 1
     rec, = records_of(text)
     assert rec["check"] == "construct/transport-unitary"

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import nonzero_scalar
 
-from orthoset_lab import linalg, orthoset
+from orthoset_lab import linalg, orthoset, perpgrid
 from orthoset_lab.errors import InputError
 from orthoset_lab.hermspace import (
     HermitianSpace,
@@ -39,7 +39,12 @@ from orthoset_lab.orthoset import (
     verify_adjoint_pair,
 )
 from orthoset_lab.perpgrid import PRIME, pivot_rows
-from orthoset_lab.sampling import random_linear_map, random_partial_isometry
+from orthoset_lab.reports import render
+from orthoset_lab.sampling import (
+    random_linear_map,
+    random_partial_isometry,
+    random_quasiunitary,
+)
 from orthoset_lab.scalars import RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K
 from orthoset_lab.starfields import SfieldMorphism, StarSfield
 from orthoset_lab.suites import default_spaces
@@ -180,6 +185,36 @@ def test_perp_closure_confirms_a_quaternion_ray_the_pick_misses():
     assert closure.dim == _closure_oracle(rays).dim == 2
 
 
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_perp_closure_of_the_basis_rays_is_read_off(sf, monkeypatch):
+    """Rays that hold every standard basis ray close to the full space with
+    no pick and no span; without one basis ray the pick runs, and both give
+    the scalar span."""
+    picks = []
+    real = orthoset.pivot_rows
+
+    def spy(sfield, rows):
+        picks.append(len(rows))
+        return real(sfield, rows)
+    monkeypatch.setattr(orthoset, "pivot_rows", spy)
+    for space in [standard_space(sf, 3)] + default_spaces(sf):
+        probes = list(ProbeSet.generate(space, seed=4, count=24))
+        full = perp_closure(probes)
+        assert picks == []
+        assert full == Subspace.full(space) == _closure_oracle(probes)
+        e1 = ray_of(space.basis_vector(0))
+        assert perp_closure(probes[::-1] + [e1]) == full and picks == []
+        rest = [r for r in probes if r != e1]
+        assert perp_closure(rest) == _closure_oracle(rest)
+        assert picks
+        picks.clear()
+        basis = rays_of(space, space.basis())
+        for i in range(space.dim):  # one basis ray short: a hyperplane
+            rest = basis[:i] + basis[i + 1:]
+            assert perp_closure(rest) == _closure_oracle(rest)
+            assert perp_closure(rest).dim == space.dim - 1
+
+
 def test_perp_closure_rejects_rays_of_another_space():
     q2 = standard_space(Q, 2)
     gram = HermitianSpace.create(Q, 2, [[2, 1], [1, 1]])
@@ -206,11 +241,24 @@ def test_partial_wigner_closures_reduce_at_most_k_n_rows(monkeypatch):
         return rref(rows)
 
     monkeypatch.setattr(linalg, "rref", spy)
+    closed = []
+    real = orthoset.perp_closure
+
+    def closing(rays):
+        closed.append(len(rays))
+        return real(rays)
+    monkeypatch.setattr(orthoset, "perp_closure", closing)
     h = standard_space(HQ, 5)
     d, _ = random_partial_isometry(h, h, 3, random.Random("closure-guard"))
     probes = ProbeSet.generate(h, seed=1, count=256)
     partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
                    probes, probes)
+    # the closures ran on the probes; a probe set holds every basis ray,
+    # so they reduce no row at all
+    assert closed and max(closed) == 256 and heights == []
+    # without a basis ray the closure picks and spans, from at most k n rows
+    e1 = ray_of(h.basis_vector(0))
+    induce(d.map).image_closure([r for r in probes if r != e1])
     assert heights
     assert max(heights) <= 4 * h.dim
 
@@ -381,6 +429,126 @@ def test_verify_adjoint_pair_builds_no_image_ray_of_an_induced_map(
         [r.to_obj(False) for r in records]
     assert set(of._memo) == set(p1) and set(og._memo) == set(p2)
     assert batches == [len(set(p1)), len(set(p2))]
+
+
+def exact_grid_records(monkeypatch, *args):
+    """verify_adjoint_pair's report bytes on the screened path and on the
+    ORTHOSET_LAB_EXACT_GRID=1 oracle path, which confirms every pair."""
+    screened = render(verify_adjoint_pair(*args))
+    with monkeypatch.context() as mp:
+        mp.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
+        exact = render(verify_adjoint_pair(*args))
+    return screened, exact
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_verify_adjoint_pair_matches_the_exact_path(sf, monkeypatch):
+    """On standard and Gram spaces: a linear map between two spaces and
+    its adjoint, on distinct probe sets; a quasiunitary map and its
+    inverse, on one probe set for both sides; and a shear and its
+    inverse, which fail on a standard space.  Every report is byte for
+    byte the oracle's."""
+    rng = random.Random(f"pair-oracle:{sf.value}")
+    for h in default_spaces(sf):
+        h2 = standard_space(sf, 3)
+        phi = random_linear_map(h, h2, rng)
+        p1 = ProbeSet.generate(h, seed=3, count=40)
+        p2 = ProbeSet.generate(h2, seed=3, count=40)
+        screened, exact = exact_grid_records(
+            monkeypatch, induce(phi), induce(adjoint_linear(phi)), p1, p2)
+        assert screened == exact and '"status":"pass"' in screened
+        u = random_quasiunitary(h, rng)
+        screened, exact = exact_grid_records(
+            monkeypatch, induce(u), induce(invert_semilinear(u)), p1, p1)
+        assert screened == exact and '"status":"pass"' in screened
+        e = h.basis()
+        shear = SemilinearMap(h, h, SfieldMorphism.identity(sf),
+                              (e[0], e[0] + e[1], *e[2:]))
+        screened, exact = exact_grid_records(
+            monkeypatch, induce(shear), induce(invert_semilinear(shear)),
+            p1, p1)
+        assert screened == exact
+        if h == standard_space(sf, h.dim):
+            assert '"status":"fail"' in screened
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["one-set", "two-sets"])
+def test_verify_adjoint_pair_shear_matches_the_exact_path(same, monkeypatch):
+    """The failing shear pair: the same violation count and the same first
+    MAX_WITNESSES violating pairs as the oracle path, with one probe set
+    for both sides and with two equal but distinct ones."""
+    q3 = standard_space(Q, 3)
+    shear = SemilinearMap(q3, q3, SfieldMorphism.identity(Q),
+                          (q3.basis_vector(0),
+                           q3.basis_vector(0) + q3.basis_vector(1),
+                           q3.basis_vector(2)))
+    probes = ProbeSet.generate(q3, seed=7, count=64)
+    other = probes if same else ProbeSet(q3, 7, 64, tuple(probes.rays))
+    f, g = induce(shear), induce(invert_semilinear(shear))
+    screened, exact = exact_grid_records(monkeypatch, f, g, probes, other)
+    assert screened == exact
+    rec, = verify_adjoint_pair(f, g, probes, other)
+    assert rec.status == "fail"
+    assert rec.detail["violations"] > orthoset.MAX_WITNESSES
+    assert len(rec.witness["shown"]) == orthoset.MAX_WITNESSES
+
+
+def spy_list_loads(monkeypatch):
+    """The row counts of every list of rows that `_int_rows` loads, in
+    `RayMap.grid_rows` and in the grids; the loaded arrays that the grids
+    copy, and the exact images of candidate rows, are not listed."""
+    loads = []
+    real = perpgrid._int_rows
+
+    def spy(rows, width):
+        if isinstance(rows, list):
+            loads.append(len(rows))
+        return real(rows, width)
+    for module in (perpgrid, orthoset):
+        monkeypatch.setattr(module, "_int_rows", spy)
+    return loads
+
+
+def test_verify_adjoint_pair_loads_each_probe_family_once(monkeypatch):
+    """One load for one probe set on both sides, and one per probe set for
+    two; both grids read the loaded rows."""
+    rng = random.Random("pair-loads")
+    h1, h2 = standard_space(QI, 4), standard_space(QI, 3)
+    phi = random_linear_map(h1, h2, rng)
+    u = random_quasiunitary(h1, rng)
+    p1 = ProbeSet.generate(h1, seed=5, count=48)
+    p2 = ProbeSet.generate(h2, seed=5, count=40)
+    loads = spy_list_loads(monkeypatch)
+    verify_adjoint_pair(induce(u), induce(invert_semilinear(u)), p1, p1)
+    assert loads == [48]
+    loads.clear()
+    verify_adjoint_pair(induce(phi), induce(adjoint_linear(phi)), p1, p2)
+    assert loads == [48, 40]
+
+
+def test_verify_adjoint_pair_confirms_few_hq_candidates(monkeypatch):
+    """The pairs that one HQ adjoint pair sends to exact confirmation, with
+    seed-fixed maps and probes.  This quasiunitary map sends a basis ray
+    to a ray whose forms with the other probes have real part 0, so a
+    screen of component 0 alone passed that row against all 255 nonzero
+    probes on each side, 510 pairs, none of them orthogonal; the weighted
+    screen passes none."""
+    h = standard_space(HQ, 3)
+    u = random_quasiunitary(h, random.Random("pair-candidates:0"))
+    probes = ProbeSet.generate(h, seed=5, count=256)
+    pairs, confirmed = [], []
+    real = perpgrid._confirm
+
+    def spy(tables, u_, gram, v, ii, jj):
+        zero = real(tables, u_, gram, v, ii, jj)
+        pairs.append(len(ii))
+        confirmed.append(int(zero.sum()))
+        return zero
+    monkeypatch.setattr(perpgrid, "_confirm", spy)
+    rec, = verify_adjoint_pair(induce(u), induce(invert_semilinear(u)),
+                               probes, probes)
+    assert rec.status == "pass"
+    assert (sum(pairs), sum(confirmed)) == (0, 0)
 
 
 def test_verify_adjoint_pair_transposes_the_adjoint_side():

@@ -134,8 +134,8 @@ PLANTED = {QI: GR(0, 1), HQ: HQ_J}
 def planted_rows(space):
     """u = (1, 1) and v = (1, -1 - t), padded with zeros, for t = i over Qi
     and t = j over HQ; none over Q.  In a standard space <u, v> = t, which
-    is nonzero with real part 0, so the screen, which reads component 0 of
-    the form only, passes the pair and exact confirmation must reject it."""
+    is nonzero with real part 0.  A screen of component 0 alone would pass
+    the pair; the weighted screen reads w_c t_c != 0 and rejects it."""
     t = PLANTED.get(space.sfield)
     if t is None or space.dim < 2:
         return []
@@ -151,8 +151,89 @@ def test_real_part_zero_forms_stay_non_orthogonal(sf, monkeypatch):
     assert herm_form(space.vector(u), space.vector(v)) == PLANTED[sf]
     seen = spy_confirm(monkeypatch)
     grid = perp_grid(space, [u, v], [v, u])
-    assert seen == [(0, 0), (1, 1)]  # the screen passes both pairs
+    assert seen == []  # the weighted screen rejects both pairs itself
     assert not grid.any()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_weighted_false_zero_reaches_confirmation(n, monkeypatch):
+    """F = (PRIME - w_1) + i over Qi is a nonzero form whose weighted sum
+    w_0 F_0 + w_1 F_1 = PRIME - w_1 + w_1 vanishes mod PRIME: the screen
+    passes it, and exact confirmation keeps it non-orthogonal."""
+    space = standard_space(QI, n)
+    w0, w1 = perpgrid._WEIGHTS[:2]
+    assert w0 == 1 and 0 < w1 < PRIME
+    pad = (0,) * (n - 1)
+    # rows in Ray.row layout: the real plane, then the i plane
+    u = (PRIME - w1,) + pad + (1,) + pad
+    v = (1,) + pad + (0,) + pad
+    assert herm_form(row_vector(space, u), row_vector(space, v)) == \
+        GR(PRIME - w1, 1)
+    seen = spy_confirm(monkeypatch)
+    grid = orthoset.row_grid(space, [u], [v])
+    assert seen == [(0, 0)]
+    assert grid.tolist() == [[False]]
+
+
+def test_screen_weights_admit_no_small_relation():
+    """Every nonzero integer F with sum_c w_c F_c = 0 mod PRIME has some
+    |F_c| >= 2880 over Qi and >= 44 over HQ, as `_WEIGHTS` states: a
+    nonzero form with smaller components never passes the screen."""
+    w = perpgrid._WEIGHTS
+    assert w[0] == 1 and all(0 < x < PRIME for x in w)
+
+    def least_f0(*fs):  # the smallest |F_0| that completes each tuple
+        f0 = -sum(x * f for x, f in zip(w[1:], fs)) % PRIME
+        return np.minimum(f0, PRIME - f0)
+    b = np.arange(1, 2880, dtype=np.int64)  # F_1 = -b gives the same |F_0|
+    assert (least_f0(b) >= 2880).all()
+    r = np.arange(-43, 44, dtype=np.int64)
+    fs = np.meshgrid(r, r, r, indexing="ij")
+    nonzero = (fs[0] != 0) | (fs[1] != 0) | (fs[2] != 0)
+    assert (least_f0(*fs)[nonzero] >= 44).all()
+
+
+def weighted_form_mod(space, a, b):
+    """sum_c w_c F_c of the form of the flattened integer rows a and b,
+    mod PRIME, on Python ints: (R, C), in [0, PRIME)."""
+    tables = perpgrid._tables(space.sfield)
+    k, n = len(tables[0]), space.dim
+    u, v = (np.array(x, dtype=object).reshape(len(x), k, n).transpose(1, 0, 2)
+            for x in (a, b))
+    f = exact_form_mod(tables, u, perpgrid._int_gram(space), v, PRIME)
+    weights = np.array(perpgrid._WEIGHTS[:k], dtype=object)
+    return (f * weights[None, :, None]).sum(axis=1) % PRIME
+
+
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
+def test_screen_reads_the_weighted_form(space):
+    """The screen, plain and through a map's matrix, against sum_c w_c F_c
+    mod PRIME on Python ints, on rows with entries 0, +-1, +-(p - 1), +-p
+    and 30- to 200-bit integers, and on rows planted to vanish."""
+    rng = random.Random(f"weighted:{short_id(space)}")
+    k, n = len(space.sfield.basis()), space.dim
+    edges = [0, 1, PRIME - 1, PRIME, -1, -PRIME + 1, -PRIME]
+
+    def rows(count, width):
+        def entry():
+            if rng.random() < 0.3:
+                return rng.choice(edges)
+            return rng.choice((1, -1)) * rng.getrandbits(rng.randint(30, 200))
+        return [tuple(entry() for _ in range(width)) for _ in range(count)]
+    a, b = rows(7, k * n), rows(5, k * n)
+    a.append(tuple(x * PRIME for x in a[0]))  # every component a multiple
+    got = perpgrid._screen(space, perpgrid._int_rows(a, k * n),
+                           perpgrid._int_rows(b, k * n))
+    assert (got == (weighted_form_mod(space, a, b) == 0)).all()
+    assert got[-1].all()
+    dom = standard_space(space.sfield, 2)
+    phi = random_linear_map(dom, space, rng)
+    limbs = perpgrid.matrix_limbs(map_matrix(phi))
+    x = rows(6, 2 * k)
+    images = np.array(x, dtype=object) @ map_matrix(phi)
+    got = perpgrid._screen(space, perpgrid._int_rows(x, 2 * k),
+                           perpgrid._int_rows(b, k * n), limbs)
+    assert (got == (weighted_form_mod(space, images.tolist(), b) == 0)).all()
 
 
 @pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
@@ -342,13 +423,11 @@ def test_form_residues_match_python_ints(sf, n):
             return np.array([rng.choice(edges) for _ in range(math.prod(
                 shape))], dtype=object).reshape(shape)
         u, gram, v = planes(k, 5, n), planes(k, n, n), planes(k, 4, n)
-        got = perpgrid._form_residues(tables, u, gram, v, p, range(k))
+        got = perpgrid._form_residues(tables, u, gram, v, p)
         assert got.shape == (5, k, 4)
         want = exact_form_mod(tables, u, gram, v, p)
         assert ((got.astype(np.int64) - want.astype(np.int64)) % p
                 == 0).all()
-        zero = perpgrid._form_residues(tables, u, gram, v, p, [0])[:, 0]
-        assert ((zero == 0) == (want[:, 0] == 0)).all()
 
 
 def test_huge_entries_stay_exact():
@@ -1380,6 +1459,11 @@ def partners(phi, xs):
     return []
 
 
+def image_grid(f, xs, ys):
+    """f's grid of xs against ys, on their rows as f loads them."""
+    return f.image_grid(xs, ys, f.grid_rows(xs, ys))
+
+
 def image_grids_agree(phi, xs, ys, monkeypatch):
     """P(phi).image_grid(xs, ys) against ray_grid on P(phi)'s image rays,
     screened and under ORTHOSET_LAB_EXACT_GRID=1, cell for cell, each on a
@@ -1389,7 +1473,7 @@ def image_grids_agree(phi, xs, ys, monkeypatch):
         monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", exact)
         want = ray_grid(phi.codomain, induce(phi).apply_many(xs), ys)
         f = induce(phi)
-        got = f.image_grid(xs, ys)
+        got = image_grid(f, xs, ys)
         assert f._memo == {}
         assert got.shape == want.shape == (len(xs), len(ys))
         assert got.tolist() == want.tolist()
@@ -1518,12 +1602,12 @@ def test_image_grid_checks_the_spaces():
                         (q3.basis_vector(0), q3.basis_vector(1)))
     xs, ys = rays_of(q2, q2.basis()), rays_of(q3, q3.basis())
     for f in (induce(phi), oracle_map(q2, q3, induce(phi))):
-        assert f.image_grid(xs, ys).tolist() == [[False, True, True],
-                                                 [True, False, True]]
+        assert image_grid(f, xs, ys).tolist() == [[False, True, True],
+                                                  [True, False, True]]
         with pytest.raises(InputError, match="domain"):
-            f.image_grid(ys, ys)
+            image_grid(f, ys, ys)
         with pytest.raises(InputError, match="grid's space"):
-            f.image_grid(xs, xs)
+            image_grid(f, xs, xs)
 
 
 # Which rays a map kills: RayMap.kills, which reads an induced map's zero
