@@ -445,9 +445,18 @@ class SemilinearMap:
 
     @cached_property
     def image_gram(self) -> tuple:
-        """<phi(e_i), phi(e_j)> for every pair of domain basis vectors."""
-        return tuple(tuple(herm_form(u, v) for v in self.images)
-                     for u in self.images)
+        """<phi(e_i), phi(e_j)> for every pair of domain basis vectors, one
+        form per unordered pair: the codomain's Gram matrix is certified
+        Hermitian, so <phi(e_j), phi(e_i)> = star(<phi(e_i), phi(e_j)>)
+        exactly."""
+        imgs = self.images
+        gram = [[None] * len(imgs) for _ in imgs]
+        for i, u in enumerate(imgs):
+            gram[i][i] = herm_form(u, u)
+            for j in range(i + 1, len(imgs)):
+                gram[i][j] = herm_form(u, imgs[j])
+                gram[j][i] = star_scalar(gram[i][j])
+        return tuple(map(tuple, gram))
 
     def apply(self, u: Vector) -> Vector:
         if u.space is not self.domain:

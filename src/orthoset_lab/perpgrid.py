@@ -84,9 +84,19 @@ Per seed-829 `grid` round (in-process spies, three processes per tree)
 the screen took 0.030-0.037 s against 0.061-0.074 s before, and over ten
 alternating benchmark pairs the median `grid` round went from 0.163 s to
 0.110 s, `wigner` from 1.465 s to 1.345 s and `partial` from 1.695 s to
-1.651 s.  Setting ORTHOSET_LAB_EXACT_GRID=1 skips the screen and
-confirms every pair on Python ints, zero rows included;
-`benchmarks/grid_bench.py` compares the two paths.
+1.651 s.  The screen's second product is decided in blocks of at most
+`_BLOCK` = 8192 cells, each block's zero test written into one boolean
+grid (`_screen`).  Whole, a 256 x 256 grid's float64 product and
+`_reduce`'s quotient of it were two live 512 KB arrays, past glibc's
+default 128 KB mmap threshold, and their pages were faulted in afresh
+for every grid: 25 536 minor faults per seed-5 `wigner` round, all in
+the screen, 224 per grid.  A block's two arrays take 64 KB each and
+reuse freed heap; the round faults none in the screen, whose time fell
+from 0.063-0.068 s to 0.032-0.034 s a round (in-process spies, three
+processes per tree, 2-core host, Python 3.11, `BENCH_29.json`).
+Setting ORTHOSET_LAB_EXACT_GRID=1 skips the screen and confirms every
+pair on Python ints, zero rows included; `benchmarks/grid_bench.py`
+compares the two paths.
 
 Every grid loads its rows through one gate, `_int_rows` in `row_grid`:
 int64, converted in C, where every entry fits, and Python ints where the
@@ -204,6 +214,11 @@ PRIMES = (
 # contracted columns per chunk of a residue product, 64: the longest whose
 # products of residues below PRIME sum to at most 2**52 (`_mul_mod`)
 _STEP = 2 ** 52 // (PRIME - 1) ** 2
+# cells per block of the screen's last product, 8192: a block's float64
+# product and `_reduce`'s quotient of it take 64 KB each, 128 KB together,
+# within glibc's default 128 KB mmap and trim thresholds, so they reuse
+# freed heap instead of pages faulted in afresh for every grid (`_screen`)
+_BLOCK = 8192
 _INT64_MAX = 2 ** 63 - 1
 _INT64_MIN = -2 ** 63
 _LIMB_SUMS = 2  # c, the limb products of one level summed in int64
@@ -400,12 +415,28 @@ def _screen(space, a, b, matrix=None):
     z (b mod p)^T, two `_mul_mod`s.  Given the `matrix_limbs` of a map's
     matrix K, a are domain rows and the form is taken of their images
     a K: (K mod p) (G R), one product of two small matrices, takes the
-    place of G R, so the images cost no product of their own."""
+    place of G R, so the images cost no product of their own.
+
+    The second product is decided in blocks of at most _BLOCK cells, rows
+    of z against a slice of the columns, and each block's zero test is
+    written into the one boolean grid, so no float64 array of the whole
+    grid is built.  A cell of a block is the same contraction of a row of
+    z with a row of b as in the whole product, so `_mul_mod`'s chunk bound
+    and `_reduce`'s argument hold cell by cell, and the blocks' cells are
+    exactly the grid's."""
     fold = _screen_gram(space)
     if matrix is not None:
         fold = _mul_mod(_limb_residues(matrix, PRIME), fold, PRIME)
     z = _mul_mod(_residues(a, PRIME), fold, PRIME)
-    return _mul_mod(z, _residues(b, PRIME).T, PRIME) == 0
+    bt = _residues(b, PRIME).T
+    grid = np.empty((len(z), bt.shape[1]), dtype=bool)
+    cols = max(1, min(bt.shape[1], _BLOCK))
+    rows = _BLOCK // cols
+    for j in range(0, bt.shape[1], cols):
+        for i in range(0, len(z), rows):
+            np.equal(_mul_mod(z[i:i + rows], bt[:, j:j + cols], PRIME), 0,
+                     out=grid[i:i + rows, j:j + cols])
+    return grid
 
 
 def _bits(x) -> int:

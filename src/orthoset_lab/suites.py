@@ -76,7 +76,8 @@ from .starfields import SfieldMorphism, StarSfield
 # the file inputs each suite reads: "space" is --space, "map" is --map,
 # and "adjoint_images" the claimed adjoint that a map file may carry
 SUITE_INPUTS = {
-    "axioms": ("space",), "linearity": (), "dacey": (), "frechet": (),
+    "axioms": ("space",), "linearity": ("space",), "dacey": (),
+    "frechet": ("space",),
     "adjoint": ("map", "adjoint_images"), "piziak": ("map",),
     "wigner": ("map", "adjoint_images"), "transport": (), "partial": (),
     "all": ("space", "map", "adjoint_images"),
@@ -529,9 +530,20 @@ def _small_core_control(sfield: StarSfield, cfg: SuiteConfig,
 
 # ---------------------------------------------------- linearity/frechet
 
+def _ray_pair_space(sfield: StarSfield, cfg: SuiteConfig) -> HermitianSpace:
+    """--space, or the standard space of dimension 4: the space the ray-pair
+    batteries draw from.  Their laws are about two distinct proper rays,
+    which a space of dimension below 2 does not hold."""
+    space = cfg.space if cfg.space is not None else standard_space(sfield, 4)
+    if space.dim < 2:
+        raise PreconditionError(
+            f"ray pairs need dimension 2 or more, got {space.dim}")
+    return space
+
+
 def linearity_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                       prefix: str) -> list[ReportRecord]:
-    space = standard_space(sfield, 4)
+    space = _ray_pair_space(sfield, cfg)
     w_wit = None
     for t in range(RAY_PAIRS):
         x = ray_of(random_nonzero_vector(space, rng))
@@ -549,7 +561,7 @@ def linearity_records(sfield: StarSfield, cfg: SuiteConfig, rng,
 
 def frechet_records(sfield: StarSfield, cfg: SuiteConfig, rng,
                     prefix: str) -> list[ReportRecord]:
-    space = standard_space(sfield, 4)
+    space = _ray_pair_space(sfield, cfg)
     w_sep = None
     for t in range(RAY_PAIRS):
         x = ray_of(random_nonzero_vector(space, rng))
@@ -565,8 +577,13 @@ def frechet_records(sfield: StarSfield, cfg: SuiteConfig, rng,
 # ----------------------------------------------------------- dispatching
 
 def _per_sfield_tasks(cfg, name, fn):
+    """One task per sfield; a suite that reads --space runs over the given
+    space's sfield alone."""
     tasks = []
     for sf in StarSfield:
+        if cfg.space is not None and cfg.space.sfield is not sf and \
+                "space" in SUITE_INPUTS[name]:
+            continue
         task_name = f"{name}/{sf.value}"
 
         def run(sf=sf, task_name=task_name):

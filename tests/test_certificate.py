@@ -14,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import short_id, spaces_under_test, twists
 
 from orthoset_lab import cli, correspondence, hermspace, suites
 from orthoset_lab.correspondence import induce, piziak_lambda
@@ -29,6 +30,7 @@ from orthoset_lab.hermspace import (
     form_scale,
     herm_form,
     is_quasiunitary,
+    random_vector,
     standard_space,
 )
 from orthoset_lab.orthoset import ProbeSet, ray_grid, ray_payload
@@ -352,6 +354,23 @@ def test_form_scale_reads_the_image_gram():
     assert form_scale(SemilinearMap.identity(standard_space(Q, 0))) is None
 
 
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
+def test_image_gram_matches_the_full_form_table(space):
+    """One form per unordered basis pair, mirrored by the star, is the full
+    n x n table of herm_form, value and printed form, for maps of every
+    twist into each space, out of it and out of a standard space."""
+    rng = random.Random(f"image_gram:{short_id(space)}")
+    for sigma in twists(space.sfield):
+        for domain in (space, standard_space(space.sfield, 4)):
+            phi = SemilinearMap(domain, space, sigma, tuple(
+                random_vector(space, rng) for _ in range(domain.dim)))
+            full = tuple(tuple(herm_form(u, v) for v in phi.images)
+                         for u in phi.images)
+            assert phi.image_gram == full
+            assert [list(map(str, row)) for row in phi.image_gram] == \
+                [list(map(str, row)) for row in full]
+
+
 def test_scale_and_certificate_evaluate_each_basis_form_once(monkeypatch):
     phi = random_quasiunitary(standard_space(Q, 4), random.Random(1))
     calls = []
@@ -363,4 +382,4 @@ def test_scale_and_certificate_evaluate_each_basis_form_once(monkeypatch):
     monkeypatch.setattr(hermspace, "herm_form", counted)
     lam = piziak_lambda(phi)
     assert is_quasiunitary(phi) == (phi.sigma, lam)
-    assert len(calls) <= 16
+    assert len(calls) == 4 * 5 // 2  # one per unordered basis pair

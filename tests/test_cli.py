@@ -9,6 +9,8 @@ from conftest import src_env
 from orthoset_lab import cli, suites
 from orthoset_lab.cli import main
 from orthoset_lab.errors import InconsistencyError
+from orthoset_lab.hermspace import standard_space
+from orthoset_lab.starfields import StarSfield
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -86,9 +88,13 @@ INPUTS = {"space": ("--space", fixture("q3.json")),
           "subspace": ("--subspace", fixture("q2_basis.json")),
           "adjoint_images": ("--map",
                              fixture("shear_with_wrong_adjoint.json"))}
-READS = {"axioms": {"space"}, "adjoint": {"map", "adjoint_images"},
+READS = {"axioms": {"space"}, "linearity": {"space"}, "frechet": {"space"},
+         "adjoint": {"map", "adjoint_images"},
          "piziak": {"map"}, "wigner": {"map", "adjoint_images"},
          "all": {"space", "map", "adjoint_images"}}
+# the tasks of each suite that reads --space, given the one Q space q3.json
+SPACE_TASKS = {"axioms": ["axioms/Q/0"], "linearity": ["linearity/Q"],
+               "frechet": ["frechet/Q"]}
 
 
 @pytest.mark.parametrize("given", sorted(INPUTS))
@@ -107,8 +113,10 @@ def test_verify_uses_or_rejects_each_input(tmp_path, monkeypatch, suite,
     if given in reads:
         assert code == 0
         if given == "space":  # q3.json is one Q space, in place of the
-            assert [n for n in names if n.startswith("axioms/")] == \
-                ["axioms/Q/0"]                    # built-in ones
+            for read, tasks in SPACE_TASKS.items():  # built-in ones
+                if suite in (read, "all"):
+                    assert [n for n in names
+                            if n.startswith(read + "/")] == tasks
         else:
             assert any(name.endswith("/file") for name in names)
     else:
@@ -121,6 +129,43 @@ def test_verify_uses_or_rejects_each_input(tmp_path, monkeypatch, suite,
                   else INPUTS[given][0])
         assert rec["witness"]["message"] == \
             f"suite {suite!r} does not read {unread}"
+
+
+@pytest.mark.parametrize("suite", ["linearity", "frechet"])
+def test_ray_batteries_run_on_the_given_space(tmp_path, monkeypatch, suite):
+    """linearity and frechet draw every ray pair from --space, a Gram space
+    over HQ, and run over its sfield alone."""
+    spaces = set()
+    real = suites.random_nonzero_vector
+
+    def spy(space, rng):
+        spaces.add((space.sfield.value, space.dim, space.gram))
+        return real(space, rng)
+    monkeypatch.setattr(suites, "random_nonzero_vector", spy)
+    code, text = run_main(tmp_path, "verify", "--suite", suite,
+                          "--space", fixture("hq3_gram.json"), "--seed", "7")
+    assert code == 0
+    check, = [r["check"] for r in records_of(text)]
+    assert check.startswith(f"{suite}/HQ/")
+    (sfield, dim, gram), = spaces
+    assert (sfield, dim) == ("HQ", 3) and gram != \
+        standard_space(StarSfield.HQ, 3).gram
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+@pytest.mark.parametrize("suite", ["linearity", "frechet"])
+def test_ray_batteries_need_two_distinct_rays(tmp_path, suite, dim):
+    """A space of dimension below 2 holds no two distinct proper rays, so
+    the battery reports an error, not a pass over pairs it never drew."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"dim": dim, "sfield": "Qi"}))
+    code, text = run_main(tmp_path, "verify", "--suite", suite,
+                          "--space", str(space))
+    assert code == 1
+    rec, = records_of(text)
+    assert rec == {"check": f"{suite}/Qi", "status": "error", "witness": {
+        "error": "PreconditionError",
+        "message": f"ray pairs need dimension 2 or more, got {dim}"}}
 
 
 def test_verify_piziak_rejects_a_claimed_adjoint(tmp_path):

@@ -6,12 +6,19 @@ scalar path, ray_of(phi.apply(x.rep)), on every sfield and twist."""
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from conftest import nonzero_scalar, oracle_map
+from conftest import (
+    nonzero_scalar,
+    oracle_map,
+    short_id,
+    spaces_under_test,
+    twists,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,31 +80,6 @@ def test_prime_is_prime_and_sized():
         assert perpgrid._STEP * (p - 1) ** 2 <= 2 ** 52
     assert (perpgrid._STEP + 1) * (PRIME - 1) ** 2 > 2 ** 52
     assert perpgrid._STEP == 64
-
-
-def spaces_under_test():
-    i = GR(0, 1)
-    return [
-        standard_space(StarSfield.Q, 3),
-        HermitianSpace.create(StarSfield.Q, 2, [[2, 1], [1, 1]]),
-        standard_space(StarSfield.QI, 3),
-        HermitianSpace.create(StarSfield.QI, 2, [[2, i], [-i, 1]]),
-        standard_space(StarSfield.HQ, 3),
-        HermitianSpace.create(StarSfield.HQ, 2, [[1, 0], [0, F(5, 2)]]),
-        HermitianSpace.create(StarSfield.HQ, 3, [[2, HQ_I, 0],
-                                                 [-HQ_I, 2, HQ_J],
-                                                 [0, -HQ_J, 3]]),
-    ]
-
-
-def short_id(space):
-    """Sfield and dimension; a Gram space that shares both with a standard
-    space under test adds "-gram"."""
-    name = f"{space.sfield.value}{space.dim}"
-    standard = standard_space(space.sfield, space.dim)
-    if space != standard and standard in spaces_under_test():
-        return name + "-gram"
-    return name
 
 
 def spy_confirm(monkeypatch):
@@ -205,6 +187,20 @@ def weighted_form_mod(space, a, b):
     return (f * weights[None, :, None]).sum(axis=1) % PRIME
 
 
+EDGES = (0, 1, PRIME - 1, PRIME, -1, -PRIME + 1, -PRIME)
+
+
+def edge_rows(rng, count, width):
+    """Integer rows whose entries are 0, +-1, +-(p - 1) and +-p with
+    probability 0.3, and 30- to 200-bit integers of either sign
+    otherwise."""
+    def entry():
+        if rng.random() < 0.3:
+            return rng.choice(EDGES)
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randint(30, 200))
+    return [tuple(entry() for _ in range(width)) for _ in range(count)]
+
+
 @pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
 def test_screen_reads_the_weighted_form(space):
     """The screen, plain and through a map's matrix, against sum_c w_c F_c
@@ -212,15 +208,7 @@ def test_screen_reads_the_weighted_form(space):
     and 30- to 200-bit integers, and on rows planted to vanish."""
     rng = random.Random(f"weighted:{short_id(space)}")
     k, n = len(space.sfield.basis()), space.dim
-    edges = [0, 1, PRIME - 1, PRIME, -1, -PRIME + 1, -PRIME]
-
-    def rows(count, width):
-        def entry():
-            if rng.random() < 0.3:
-                return rng.choice(edges)
-            return rng.choice((1, -1)) * rng.getrandbits(rng.randint(30, 200))
-        return [tuple(entry() for _ in range(width)) for _ in range(count)]
-    a, b = rows(7, k * n), rows(5, k * n)
+    a, b = edge_rows(rng, 7, k * n), edge_rows(rng, 5, k * n)
     a.append(tuple(x * PRIME for x in a[0]))  # every component a multiple
     got = perpgrid._screen(space, perpgrid._int_rows(a, k * n),
                            perpgrid._int_rows(b, k * n))
@@ -229,11 +217,107 @@ def test_screen_reads_the_weighted_form(space):
     dom = standard_space(space.sfield, 2)
     phi = random_linear_map(dom, space, rng)
     limbs = perpgrid.matrix_limbs(map_matrix(phi))
-    x = rows(6, 2 * k)
+    x = edge_rows(rng, 6, 2 * k)
     images = np.array(x, dtype=object) @ map_matrix(phi)
     got = perpgrid._screen(space, perpgrid._int_rows(x, 2 * k),
                            perpgrid._int_rows(b, k * n), limbs)
     assert (got == (weighted_form_mod(space, images.tolist(), b) == 0)).all()
+
+
+def unblocked_screen(space, a, b, matrix=None):
+    """The screen's two products taken whole, the reference for the
+    blocked screen: z = (a mod p) (G R), or (a mod p) ((K mod p) (G R))
+    through a map, and then z (b mod p)^T == 0."""
+    fold = perpgrid._screen_gram(space)
+    if matrix is not None:
+        fold = perpgrid._mul_mod(perpgrid._limb_residues(matrix, PRIME), fold,
+                                 PRIME)
+    z = perpgrid._mul_mod(perpgrid._residues(a, PRIME), fold, PRIME)
+    return perpgrid._mul_mod(z, perpgrid._residues(b, PRIME).T, PRIME) == 0
+
+
+def blocked_agrees(space, a, b, matrix=None):
+    """The blocked screen of the integer rows a, b equals the unblocked one
+    cell for cell; its zero cells are returned."""
+    width = k_n = len(space.sfield.basis()) * space.dim
+    if matrix is not None:
+        width = matrix.shape[1]
+    a, b = perpgrid._int_rows(a, width), perpgrid._int_rows(b, k_n)
+    got = perpgrid._screen(space, a, b, matrix)
+    assert got.shape == (len(a), len(b))
+    assert (got == unblocked_screen(space, a, b, matrix)).all()
+    return got
+
+
+BLOCK_COLS = 100  # so a block holds _BLOCK // 100 = 81 rows
+BLOCK_ROWS = perpgrid._BLOCK // BLOCK_COLS
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
+def test_blocked_screen_at_the_block_boundaries(space, count):
+    """Grids of 1, step - 1, step, step + 1 and 3 step + 5 rows against
+    100 columns, step = _BLOCK // 100 rows a block, plain and through a
+    map's matrix, on the edge entries of the weighted-form test; every
+    row at and beside a block boundary is a multiple of p, so the screen
+    passes it whole."""
+    assert BLOCK_ROWS == 81
+    rng = random.Random(f"blocks:{short_id(space)}:{count}")
+    k, n = len(space.sfield.basis()), space.dim
+    a = edge_rows(rng, count, k * n)
+    planted = {i for i in range(count)
+               if i % BLOCK_ROWS in (0, BLOCK_ROWS - 1)}
+    for i in planted:
+        a[i] = tuple(PRIME * x for x in a[i])
+    b = edge_rows(rng, BLOCK_COLS, k * n)
+    got = blocked_agrees(space, a, b)
+    assert all(got[i].all() for i in planted)
+    phi = random_linear_map(standard_space(space.sfield, 2), space, rng)
+    limbs = perpgrid.matrix_limbs(map_matrix(phi))
+    blocked_agrees(space, edge_rows(rng, count, 2 * k), b, limbs)
+
+
+def test_blocked_screen_on_a_grid_wider_than_a_block():
+    """_BLOCK + 3 columns: each block is part of one row, _BLOCK columns
+    and then 3, and the columns at the cut are multiples of p."""
+    rng = random.Random("blocks:wide")
+    space = spaces_under_test()[3]  # Qi2-gram
+    b = edge_rows(rng, perpgrid._BLOCK + 3, 4)
+    for j in (perpgrid._BLOCK - 1, perpgrid._BLOCK):
+        b[j] = tuple(PRIME * x for x in b[j])
+    got = blocked_agrees(space, edge_rows(rng, 3, 4), b)
+    assert got[:, perpgrid._BLOCK - 1:perpgrid._BLOCK + 1].all()
+
+
+def test_blocked_screen_contracts_past_one_chunk():
+    """HQ in dimension 17, k n = 68 > _STEP: every block's product, plain
+    and through a map's matrix, takes two chunks."""
+    rng = random.Random("blocks:chunks")
+    space = standard_space(HQ, 17)
+    assert 4 * space.dim > perpgrid._STEP
+    b = edge_rows(rng, BLOCK_COLS, 68)
+    blocked_agrees(space, edge_rows(rng, BLOCK_ROWS + 1, 68), b)
+    phi = random_linear_map(standard_space(HQ, 17), space, rng)
+    blocked_agrees(space, edge_rows(rng, BLOCK_ROWS + 1, 68), b,
+                   perpgrid.matrix_limbs(map_matrix(phi)))
+
+
+def test_screen_builds_no_float64_grid():
+    """The peak memory tracemalloc sees in one 256 x 256 screen, after a
+    warm call, stays below one float64 array of the whole grid: the
+    second product lives only in blocks."""
+    space = standard_space(HQ, 6)
+    rng = np.random.default_rng(29)
+    a, b = (rng.integers(-2 ** 62, 2 ** 62, size=(256, 24)) for _ in "ab")
+    perpgrid._screen(space, a, b)
+    tracemalloc.start()
+    try:
+        perpgrid._screen(space, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 8
 
 
 @pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
@@ -908,15 +992,6 @@ def test_confirmation_at_random_heights_and_signs(data, sf, n, seed):
     for i, u in enumerate(rows_a):
         for j, v in enumerate(rows_b):
             assert bool(grid[i, j]) == (not herm_form(u, v))
-
-
-def twists(sf):
-    yield SfieldMorphism.identity(sf)
-    if sf is QI:
-        yield SfieldMorphism.conjugation()
-    if sf is HQ:
-        yield SfieldMorphism.inner(RQ(1, 2, -1, 3))
-        yield SfieldMorphism.inner(RQ(0, F(1, 2), 0, -1))
 
 
 def reference(phi, rays):
