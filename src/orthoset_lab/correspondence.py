@@ -268,10 +268,14 @@ def coordinatize(f: RayMap, h1: HermitianSpace, h2: HermitianSpace,
     k_sub sets the rank that the rank >= 3 gate reads, as ker f =
     g(H2)-perp; the injective branch trusts its claim and gates on h1.dim.
     A claimed adjoint that fails raises InputError before the gate.  The
-    reconstruction then anchors the scale on the first basis vector of the
-    kernel complement, fixes every other image by decomposing the image of
-    a sum ray, reads off the sfield twist on generator-scaled sum rays, and
-    finally certifies P(phi) = f: on every ray when f is induced by a
+    injective branch's k_sub is `Subspace.full(h1)`, one per space, so its
+    orthogonal basis, frame and projection are built on the first call on
+    h1 only.  The reconstruction then anchors the scale on the first basis
+    vector of the kernel complement, fixes every other image by
+    decomposing the image of a sum ray on the two rows' pivots
+    (`linalg.plane_coords`), reads off the sfield twist on
+    generator-scaled sum rays the same way, and finally certifies
+    P(phi) = f: on every ray when f is induced by a
     nonzero left multiple of phi (`RayMap.is_induced_by`), which by
     Wigner's uniqueness up to a left scalar holds for every induced f that
     the reconstruction fits, and otherwise on every probe.
@@ -309,8 +313,11 @@ def _certify_kernel(g: RayMap, kernel: Subspace, probes, error) -> None:
     """Raise error unless g kills every basis ray of kernel and every proper
     probe that g kills lies in kernel: the one kernel check, of coordinatize
     and decompose_partial_orthometry, each with its own error class.  Both
-    loops read `RayMap.kills`, which decides an induced g on the exact
-    product of the rays' rows with its matrix, canonicalizing no image."""
+    loops read `RayMap.kills`, which decides an induced g on the rays' rows
+    times its matrix, canonicalizing no image: mod p first, where a
+    nonzero residue proves a live ray, and exactly only for the nonzero
+    rows whose images vanish mod p.  An injective g, as on every Wigner
+    round trip, takes no exact product."""
     rays = rays_of(kernel.space, kernel.basis)
     for x, dead in zip(rays, g.kills(rays)):
         if not dead:
@@ -355,7 +362,8 @@ def _reconstruct(f: RayMap, k_sub: Subspace,
     phi_u: list[Vector] = [f_u[0].rep]
     for i, target in enumerate(f_sum, start=1):
         # phi_u[0] and f_u[i].rep are nonzero canonical representatives,
-        # so they are collinear exactly when the rays are equal
+        # so they are collinear exactly when the rays are equal, and
+        # otherwise plane_coords solves on their pivots for the unique pair
         if f_u[i] == f_u[0]:
             raise NotInducedError(
                 "independent rays get collinear images on the kernel "
@@ -363,27 +371,29 @@ def _reconstruct(f: RayMap, k_sub: Subspace,
         if target.is_zero:
             raise NotInducedError("sum ray collapses to zero",
                                   witness={"index": i})
-        rows = [list(phi_u[0].coords), list(f_u[i].rep.coords)]
-        coeffs = linalg.coords_in_rows(rows, list(target.rep.coords))
+        coeffs = linalg.plane_coords(phi_u[0].coords, f_u[i].rep.coords,
+                                     target.rep.coords)
         if coeffs is None or not coeffs[0] or not coeffs[1]:
             raise NotInducedError(
                 "image of a sum ray leaves the plane of the summand images",
                 witness={"index": i, "ray": ray_payload(target)})
-        a, b = (h2.sfield.coerce(c) for c in coeffs)
+        a, b = coeffs
         phi_u.append((inv_scalar(a) * b) * f_u[i].rep)
 
     generator_images = []
+    # phi_u[1] is a nonzero left multiple of f_u[1].rep, so the plane's
+    # rows stay independent
     for g, target in zip(gens, f_gen):
-        rows = [list(phi_u[0].coords), list(phi_u[1].coords)]
         if target.is_zero:
             raise NotInducedError("generator-scaled sum ray collapses to zero",
                                   witness={"generator": str(g)})
-        coeffs = linalg.coords_in_rows(rows, list(target.rep.coords))
+        coeffs = linalg.plane_coords(phi_u[0].coords, phi_u[1].coords,
+                                     target.rep.coords)
         if coeffs is None or not coeffs[0]:
             raise NotInducedError(
                 "image of a generator-scaled sum ray leaves the expected "
                 "plane", witness={"generator": str(g)})
-        a, b = (h2.sfield.coerce(c) for c in coeffs)
+        a, b = coeffs
         generator_images.append((g, inv_scalar(a) * b))
     sigma = _classify_twist(h1.sfield, generator_images)
 

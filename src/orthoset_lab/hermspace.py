@@ -124,6 +124,11 @@ class HermitianSpace(metaclass=_Interned):
         return self.gram == _identity_gram(self.sfield, self.dim)
 
     @cached_property
+    def _full(self) -> "Subspace":
+        # the standard basis is already in reduced echelon form
+        return Subspace(self, tuple(self.basis()))
+
+    @cached_property
     def _cells(self):
         """Nonzero Gram cells (i, j, G_ij) for the general form path."""
         return tuple((i, j, self.gram[i][j])
@@ -259,8 +264,7 @@ class Subspace:
         row's first nonzero entry a 1, these pivot columns strictly
         increasing, and every other row 0 in each pivot column."""
         rows = [v.coords for v in self.basis]
-        pivots = tuple(next((j for j, x in enumerate(r) if x), -1)
-                       for r in rows)
+        pivots = tuple(map(linalg.pivot, rows))
         if not (all(p >= 0 and r[p] == 1 for p, r in zip(pivots, rows))
                 and all(a < b for a, b in zip(pivots, pivots[1:]))
                 and not any(r[p] for k, r in enumerate(rows)
@@ -282,8 +286,9 @@ class Subspace:
 
     @classmethod
     def full(cls, space: HermitianSpace) -> "Subspace":
-        # the standard basis is already in reduced echelon form
-        return cls(space, tuple(space.basis()))
+        """The whole space, one Subspace per interned space, held on it: its
+        orthogonal basis, frame and projection are built once per space."""
+        return space._full
 
     @property
     def dim(self) -> int:

@@ -110,20 +110,44 @@ def reduce_against(rref_rows, pivots, v) -> tuple[Row, Row]:
     return res, coeffs
 
 
-def coords_in_rows(rows, v) -> Row | None:
-    """Coefficients c with v = sum_i c_i * rows[i], or None if v is outside
-    the left row span."""
-    if not rows:
-        return [] if not any(v) else None
-    r, t, pivots = rref_with_transform(rows)
-    residue, coeffs = reduce_against(r[: len(pivots)], pivots, v)
-    if any(residue):
+def pivot(row) -> int:
+    """The first nonzero column of a row, or -1 for a zero row."""
+    return next((j for j, x in enumerate(row) if x), -1)
+
+
+def plane_coords(u, v, t) -> tuple | None:
+    """The unique (a, b) with t = a * u + b * v for left-independent rows u
+    and v, or None when t is off their left span.
+
+    The system is solved on the rows' first nonzero columns p of u and q
+    of v.  If p < q, column p reads t_p = a u_p, and then column q gives
+    b; q < p is the mirror case.  If p = q, w = v - c u with c = v_p u_p^-1
+    vanishes at p, and t = (a + b c) u + b w is solved the same way on p
+    and the first nonzero column of w.  Each step divides on the right by
+    a nonzero pivot, so the pair is the only one that can fit, and it is
+    returned only once every coordinate of t checks exactly.  Raises
+    InputError for dependent rows."""
+    p, q = pivot(u), pivot(v)
+    if p < 0 or q < 0:
+        raise InputError("plane rows are dependent")
+    if p < q:
+        a = t[p] * inv_scalar(u[p])
+        b = (t[q] - a * u[q]) * inv_scalar(v[q])
+    elif q < p:
+        b = t[q] * inv_scalar(v[q])
+        a = (t[p] - b * v[p]) * inv_scalar(u[p])
+    else:
+        c = v[p] * inv_scalar(u[p])
+        w = [y - c * x for x, y in zip(u, v)]
+        r = pivot(w)
+        if r < 0:
+            raise InputError("plane rows are dependent")
+        a = t[p] * inv_scalar(u[p])  # a + b c, as w_p = 0
+        b = (t[r] - a * u[r]) * inv_scalar(w[r])
+        a = a - b * c
+    if any(z != a * x + b * y for x, y, z in zip(u, v, t)):
         return None
-    out = [0] * len(rows)
-    for a, trow in zip(coeffs, t[: len(pivots)]):
-        if a:
-            out = [acc + a * tk for acc, tk in zip(out, trow)]
-    return out
+    return a, b
 
 
 def matmul(a, b) -> Matrix:

@@ -313,9 +313,11 @@ class RayMap:
     def kills(self, rays) -> list[bool]:
         """Whether f(x) is the zero ray, for each ray x of the domain, in
         order.  An induced map P(phi) reads the rays not yet memoized off
-        the exact limb product x K of their rows with its matrix
-        (`perpgrid.zero_images`), building no image ray and filling no
-        memo; an oracle reads `apply_many`.  This is exact: x K is a
+        x K, their rows times its matrix (`perpgrid.zero_images`),
+        building no image ray and filling no memo: a row whose image is
+        nonzero mod p is alive, and only the other nonzero rows take the
+        exact limb product, so an injective map multiplies no row
+        exactly; an oracle reads `apply_many`.  This is exact: x K is a
         positive rational multiple of phi(x) (`perpgrid.map_matrix`), and
         the row x is c u for the canonical representative u and a positive
         integer c, so phi(x) = sigma(c) phi(u) is zero exactly when phi(u)

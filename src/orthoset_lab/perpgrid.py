@@ -175,6 +175,14 @@ them over Q, against 2 174; in-process spy, 2-core host, Python 3.11,
 an induced pair this way, and loads each probe family once for both
 grids (`orthoset.RayMap.grid_rows`).
 
+Which rays a map kills (`zero_images`, behind `orthoset.RayMap.kills`)
+takes the same screen: (x mod p) (K mod p), one product, is x K mod p,
+so a nonzero residue proves a nonzero image, and only the nonzero rows
+whose images vanish mod p take the exact limb product.  A zero row is
+read off the exact row.  The kernel check of a seed-5 `wigner` round
+multiplied 13 807 probe rows exactly only to find that no proper probe
+dies; it now multiplies none (`BENCH_30.json`).
+
 Closures of ray sets (`orthoset.perp_closure`) follow the grid's pattern:
 mod p chooses, exact arithmetic decides.  `pivot_rows` reduces the rays'
 real left-multiplication rows mod PRIME in int64 and picks the rays that
@@ -670,11 +678,31 @@ def image_rows(sfield: StarSfield, matrix, rows):
 
 def zero_images(matrix, rows) -> list[bool]:
     """Whether the image of each row under the map whose `matrix_limbs` is
-    matrix is zero, read off the exact limb product; no image row is
-    canonicalized."""
+    matrix is zero; no image row is canonicalized.
+
+    The images are screened mod PRIME first, as (x mod p) (K mod p) with
+    K mod p recombined from the limbs (`_limb_residues`).  That product
+    is x K mod p, exact by `_mul_mod`'s chunk bound, so a row whose
+    residue is nonzero has a nonzero entry in x K, and its image is
+    nonzero, full stop.  A zero row maps to zero, read off the exact row,
+    since a nonzero row can vanish mod p.  Only the other rows whose
+    residue is zero, such as p e_0, are candidates, and their images are
+    decided on the exact limb product.  ORTHOSET_LAB_EXACT_GRID=1 skips
+    the screen and takes the exact product of every row."""
     if not rows:
         return []
-    return (_limb_product(rows, matrix) == 0).all(axis=1).tolist()
+    a = _int_rows(rows, matrix.shape[1])
+    if _use_exact_path():
+        return (_limb_product(a, matrix) == 0).all(axis=1).tolist()
+    dead = ~(a != 0).any(axis=1)
+    live = np.flatnonzero(~dead)
+    if len(live):
+        image = _mul_mod(_residues(a[live], PRIME),
+                         _limb_residues(matrix, PRIME), PRIME)
+        cand = live[~(image != 0).any(axis=1)]
+        if len(cand):
+            dead[cand] = (_limb_product(a[cand], matrix) == 0).all(axis=1)
+    return dead.tolist()
 
 
 def pivot_rows(sfield: StarSfield, rows) -> list[int]:
@@ -758,8 +786,8 @@ def row_grid(space, rows_a, rows_b, matrix=None):
         grid = _screen(space, a, b, matrix)
         # <0, v> = <u, 0> = 0, and the screen passes those pairs; zero rows
         # are read off the exact rows, as a nonzero row can vanish mod p
-        candidates = grid & (a != 0).any(axis=1)[:, None] & \
-            (b != 0).any(axis=1)
+        candidates = (a != 0).any(axis=1)[:, None] & (b != 0).any(axis=1)
+        candidates &= grid
     # a zero residue is only a candidate; confirm with exact integers.  Most
     # grids of a map and a probe set hold none, and any() costs less than
     # nonzero()

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import nonzero_scalar, oracle_map
 
-from orthoset_lab import correspondence, linalg, orthoset, perpgrid
+from orthoset_lab import correspondence, hermspace, linalg, orthoset, perpgrid
 from orthoset_lab.correspondence import (
     coordinatize,
     decompose_partial_orthometry,
@@ -1004,6 +1004,63 @@ def test_a_wrong_twist_is_found_on_the_probes(monkeypatch):
         assert err.value.witness == {
             "ray": ["1", "6552/3697+8043/7394i", "-1197/3697-9681/7394i"],
             "mismatches": 60}
+
+
+@pytest.mark.parametrize("sf,reductions", [(Q, 1), (QI, 1), (HQ, 3)])
+def test_wigner_round_trip_exact_work_counts(sf, reductions, monkeypatch):
+    """Two Wigner round trips on one fresh Gram space with 256 probes: the
+    kernel check's screen leaves no probe row for the exact product, the
+    full subspace's frame is built on the first call only, and each call
+    runs `reductions` scalar rrefs, the twist's and the final
+    certificate's, none for the sum rays."""
+    counts = {"exact_rows": 0, "frames": 0, "reduce": 0}
+    product, reduce = perpgrid._limb_product, linalg._reduce
+    zero_images = perpgrid.zero_images
+    for_subspace = hermspace.SubspaceFrame.for_subspace.__func__
+    inside = []
+
+    def spy_zero_images(matrix, rows):
+        inside.append(True)
+        try:
+            return zero_images(matrix, rows)
+        finally:
+            inside.pop()
+
+    def spy_product(rows, matrix):
+        if inside:
+            counts["exact_rows"] += len(rows)
+        return product(rows, matrix)
+
+    def spy_reduce(rows, track):
+        counts["reduce"] += 1
+        return reduce(rows, track)
+
+    def spy_frame(cls, s):
+        counts["frames"] += 1
+        return for_subspace(cls, s)
+
+    monkeypatch.setattr(orthoset, "zero_images", spy_zero_images)
+    monkeypatch.setattr(perpgrid, "_limb_product", spy_product)
+    monkeypatch.setattr(linalg, "_reduce", spy_reduce)
+    monkeypatch.setattr(hermspace.SubspaceFrame, "for_subspace",
+                        classmethod(spy_frame))
+    # a Gram matrix no other test builds, so its space is fresh
+    space = HermitianSpace.create(
+        sf, 4, [[(13, 17, 19, 29)[i] if i == j else 0 for j in range(4)]
+                for i in range(4)])
+    p = ProbeSet.generate(space, seed=30, count=256)
+    rng = random.Random(f"exact-work:{sf.value}")
+    seen = []
+    for _ in range(2):
+        phi0 = random_quasiunitary(space, rng)
+        f, f_inv = induce(phi0), induce(invert_semilinear(phi0))
+        for key in counts:
+            counts[key] = 0
+        wig = wigner_reconstruct(f, f_inv, space, space, p)
+        assert scalar_ratio(wig.coordinatization.map, phi0) is not None
+        seen.append(dict(counts))
+    assert seen == [{"exact_rows": 0, "frames": 1, "reduce": reductions},
+                    {"exact_rows": 0, "frames": 0, "reduce": reductions}]
 
 
 @pytest.mark.parametrize("sf", list(StarSfield))

@@ -5,7 +5,8 @@ import pytest
 
 from orthoset_lab import linalg
 from orthoset_lab.errors import InputError
-from orthoset_lab.scalars import RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K
+from orthoset_lab.scalars import (
+    RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K, inv_scalar)
 from orthoset_lab.starfields import StarSfield
 
 
@@ -81,26 +82,97 @@ def test_left_kernel_annihilates_and_is_complete(sf):
         assert len(kernel) + linalg.rank(rows) == len(rows)
 
 
+def nonzero_scalar(sf, rng):
+    while True:
+        c = sf.random_scalar(rng)
+        if c:
+            return c
+
+
+def combine(a, u, b, v):
+    return [a * x + b * y for x, y in zip(u, v)]
+
+
+def plane_oracle(u, v, t):
+    """(a, b) with t = a u + b v, read off rref_with_transform of [u, v]
+    and the reduction of t against it, or None for t off the plane."""
+    red, trans, pivots = linalg.rref_with_transform([u, v])
+    residue, coeffs = linalg.reduce_against(red[:len(pivots)], pivots, t)
+    if any(residue):
+        return None
+    out = [0, 0]
+    for c, trow in zip(coeffs, trans[:len(pivots)]):
+        out = [acc + c * tk for acc, tk in zip(out, trow)]
+    return tuple(out)
+
+
 def test_coords_in_rows_round_trip():
+    """plane_coords recovers the coefficients of a combination of two
+    independent rows over every sfield."""
     rng = random.Random("coords")
     for sf in StarSfield:
-        rows = random_matrix(sf, 3, 4, rng)
-        coeffs = [sf.random_scalar(rng) for _ in range(3)]
-        v = [0, 0, 0, 0]
-        for c, row in zip(coeffs, rows):
-            v = [acc + c * x for acc, x in zip(v, row)]
-        got = linalg.coords_in_rows(rows, v)
-        assert got is not None
-        rebuilt = [0, 0, 0, 0]
-        for c, row in zip(got, rows):
-            rebuilt = [acc + c * x for acc, x in zip(rebuilt, row)]
-        assert [sf.coerce(a) for a in rebuilt] == [sf.coerce(a) for a in v]
+        while True:
+            u, v = random_matrix(sf, 2, 4, rng)
+            if linalg.rank([u, v]) == 2:
+                break
+        a, b = sf.random_scalar(rng), sf.random_scalar(rng)
+        t = combine(a, u, b, v)
+        assert linalg.plane_coords(u, v, t) == (a, b)
 
 
 def test_in_row_span_negative():
-    rows = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
-    assert linalg.coords_in_rows(rows, [F(1), F(2), F(0)]) is not None
-    assert linalg.coords_in_rows(rows, [F(0), F(0), F(1)]) is None
+    u, v = [F(1), F(0), F(0)], [F(0), F(1), F(0)]
+    assert linalg.plane_coords(u, v, [F(1), F(2), F(0)]) == (1, 2)
+    assert linalg.plane_coords(u, v, [F(0), F(0), F(1)]) is None
+    for w in ([F(2), F(0), F(0)], [F(0)] * 3):
+        with pytest.raises(InputError, match="dependent"):
+            linalg.plane_coords(u, w, [F(1), F(0), F(0)])
+
+
+def pivoted_row(sf, n, pivot, rng, canonical):
+    """A random row whose first nonzero column is pivot; a canonical row
+    (pivot entry 1) is then left-scaled by a random nonzero scalar."""
+    row = [sf.coerce(0)] * pivot + [nonzero_scalar(sf, rng)] + \
+        [sf.random_scalar(rng) for _ in range(n - pivot - 1)]
+    if canonical:
+        lead = inv_scalar(row[pivot])
+        row = [nonzero_scalar(sf, rng) * (lead * x) for x in row]
+    return row
+
+
+@pytest.mark.parametrize("sf", list(StarSfield), ids=lambda s: s.value)
+def test_plane_coords_matches_rref_with_transform(sf):
+    """The pivot solve against the transform of a scalar rref: pivot
+    orders p < q, p > q and p = q, raw and left-scaled canonical rows,
+    targets on the plane (one coefficient zero included) and off it."""
+    rng = random.Random(f"plane:{sf.value}")
+    n = 4
+    seen = {"p<q": 0, "p>q": 0, "p=q": 0, "off": 0}
+    for p, q in [(0, 1), (1, 0), (0, 2), (3, 1), (0, 0), (1, 1), (2, 2)]:
+        for canonical in (False, True):
+            while True:
+                u = pivoted_row(sf, n, p, rng, canonical)
+                v = pivoted_row(sf, n, q, rng, canonical)
+                if linalg.rank([u, v]) == 2:
+                    break
+            a, b = nonzero_scalar(sf, rng), nonzero_scalar(sf, rng)
+            targets = [combine(a, u, b, v), combine(a, u, 0, v),
+                       combine(0, u, b, v), [sf.coerce(0)] * n]
+            targets += [[sf.random_scalar(rng) for _ in range(n)]
+                        for _ in range(3)]
+            on = targets[0]
+            targets.append(on[:-1] + [on[-1] + 1])
+            for t in targets:
+                want = plane_oracle(u, v, t)
+                got = linalg.plane_coords(u, v, t)
+                if want is None:
+                    assert got is None
+                    seen["off"] += 1
+                else:
+                    assert got == tuple(sf.coerce(c) for c in want)
+                    assert combine(got[0], u, got[1], v) == t
+            seen["p<q" if p < q else "p>q" if p > q else "p=q"] += 1
+    assert all(seen.values())
 
 
 def test_matmul_keeps_multiplication_order():

@@ -354,6 +354,32 @@ def test_zero_rows_and_empty_grids():
     assert g0.shape == (1, 1) and g0[0, 0]
 
 
+@pytest.mark.parametrize("space", spaces_under_test(), ids=short_id)
+def test_candidates_are_the_screen_on_nonzero_rows(space, monkeypatch):
+    """row_grid confirms exactly the pairs the screen passes whose rows
+    are both nonzero, zero rows on either side included, and its grid
+    equals the exact path's."""
+    rng = random.Random(f"candidates:{short_id(space)}")
+    zero = Ray.zero(space).row
+    u = random_nonzero_vector(space, rng)
+    partner = Subspace.from_vectors(space, [u]).orthocomplement().basis[0]
+    rays = rays_of(space, [random_vector(space, rng) for _ in range(6)]
+                   + [u, partner])
+    rows_a = [zero] + [r.row for r in rays] + [zero]
+    rows_b = [r.row for r in rays[::-1]] + [zero]
+    width = len(zero)
+    a, b = (perpgrid._int_rows(rows, width) for rows in (rows_a, rows_b))
+    screen = perpgrid._screen(space, a, b)
+    want = sorted((i, j) for i, j in zip(*np.nonzero(screen))
+                  if any(rows_a[i]) and any(rows_b[j]))
+    assert want and screen[0].all() and screen[:, -1].all()
+    seen = spy_confirm(monkeypatch)
+    grid = orthoset.row_grid(space, rows_a, rows_b)
+    assert sorted(seen) == want
+    monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
+    assert (grid == orthoset.row_grid(space, rows_a, rows_b)).all()
+
+
 def tridiagonal_space(sf, n):
     """The Gram space with a + 2 on the diagonal and 1, i or j next to it
     (its conjugate below): strictly diagonally dominant, hence positive
@@ -1779,6 +1805,68 @@ def test_kills_checks_the_domain():
         assert f.kills([]) == []
         with pytest.raises(InputError, match="domain"):
             f.kills(rays_of(q3, q3.basis()))
+
+
+def spy_products(monkeypatch):
+    """The rows each `_limb_product` call takes, in order."""
+    seen = []
+    product = perpgrid._limb_product
+
+    def spy(rows, matrix):
+        seen.append([tuple(int(x) for x in row) for row in rows])
+        return product(rows, matrix)
+    monkeypatch.setattr(perpgrid, "_limb_product", spy)
+    return seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_zero_images_screen_at_its_bound(k, monkeypatch):
+    """zero_images against the exact product x M == 0 on Python ints.  M
+    kills e_0 and 3 e_1 - e_2 and has entries past 2**63.  The rows are
+    the zero row, rows the map kills, p e_1 and p**4 e_1 (nonzero images
+    that vanish mod p), rows past int64 and at -2**63, and random rows;
+    then the same rows into a zero-dimensional codomain, and rows of a
+    zero-dimensional domain.  Only the nonzero rows whose images vanish
+    mod p reach the exact product, and ORTHOSET_LAB_EXACT_GRID=1 sends
+    every row there with the same verdicts."""
+    rng = random.Random(f"zero_images:{k}")
+    width, m = 4 * k, 3 * k
+    top = [rng.getrandbits(100) - 2 ** 99 for _ in range(m)]
+    matrix = np.array([[0] * m, top, [3 * x for x in top]]
+                      + [[rng.getrandbits(70) - 2 ** 69 for _ in range(m)]
+                         for _ in range(width - 3)], dtype=object)
+
+    def padded(*entries):
+        return entries + (0,) * (width - len(entries))
+
+    def signed(bits):
+        return rng.getrandbits(bits) - 2 ** (bits - 1)
+    rows = [padded(), padded(1), padded(2 ** 80), padded(0, 3, -1),
+            padded(5, 3 * 2 ** 90, -2 ** 90), padded(0, PRIME),
+            padded(2 ** 70, PRIME ** 4), padded(-2 ** 63, 0, 0, 1),
+            padded(0, 0, 0, -2 ** 63)]
+    rows += [tuple(signed(rng.choice((3, 40, 120))) for _ in range(width))
+             for _ in range(8)]
+    seen = spy_products(monkeypatch)
+    for cols in (m, 0):
+        sub = perpgrid.matrix_limbs(matrix[:, :cols])
+        images = object_product(rows, matrix[:, :cols])
+        want = (images == 0).all(axis=1).tolist()
+        assert want[:7] == [True] * 5 + [False] * 2 or not cols
+        residue_zero = [row for row, img in zip(rows, images)
+                        if any(row) and all(v % PRIME == 0 for v in img)]
+        seen.clear()
+        got = perpgrid.zero_images(sub, rows)
+        assert got == want and all(type(dead) is bool for dead in got)
+        assert seen == [residue_zero]
+        seen.clear()
+        with monkeypatch.context() as exact:
+            exact.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
+            assert perpgrid.zero_images(sub, rows) == want
+        assert seen == [rows]
+    empty = perpgrid.matrix_limbs(np.zeros((0, m), dtype=object))
+    assert perpgrid.zero_images(empty, [()] * 3) == [True] * 3
+    assert perpgrid.zero_images(perpgrid.matrix_limbs(matrix), []) == []
 
 
 # The closure of a map's images: RayMap.image_closure, which closes an
