@@ -62,7 +62,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--map", dest="map_path", help="map file (JSON)")
+    common.add_argument("--map", dest="map_path",
+                        help="map file (JSON; each space's dim at most "
+                             f"{serialize.MAX_DIM})")
     common.add_argument("--subspace",
                         help="subspace file (JSON); read by construct only")
     common.add_argument("--probes", type=int, default=256,
@@ -74,7 +76,8 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
     v.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    v.add_argument("--space", help="space file (JSON)")
+    v.add_argument("--space", help="space file (JSON; dim at most "
+                                   f"{serialize.MAX_DIM})")
     v.add_argument("--timings", action="store_true",
                    help="add task_ms to each record: the milliseconds of "
                         "the whole task that made the record (breaks byte "

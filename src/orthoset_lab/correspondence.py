@@ -8,10 +8,11 @@ it, classify its sfield twist, and certify the result.  An induced ray map
 f = P(psi) is certified through its matrix: the rebuilt phi is a nonzero
 left multiple of psi (`RayMap.is_induced_by`), so P(phi) = f on every ray,
 and no probe image is built; an oracle, or a rebuilt map that fails that
-test, is compared with f on every probe.  The stated kernel is certified
-in one place, _certify_kernel, which coordinatize and
-decompose_partial_orthometry call with their own error classes; it reads
-which rays f kills (`RayMap.kills`), off the matrix for an induced f.
+test, is compared with f on every probe (`RayMap.disagreements`).  The
+stated kernel is certified in one place, _certify_kernel, which
+coordinatize and decompose_partial_orthometry call with their own error
+classes; it reads which rays f kills (`RayMap.kills`), off the matrix
+for an induced f.
 _reconstruct only rebuilds.  The certified kernel complement sets
 the rank, so coordinatize asks f only ray-map questions (its images, the
 rays it kills, whether a given map induces it) and never reads its
@@ -341,8 +342,10 @@ def _reconstruct(f: RayMap, k_sub: Subspace,
     rays always passes: those rays fix phi on the orthogonal basis as one
     common left multiple of psi, with the twist conjugated to match, and
     both kill the certified kernel.  Otherwise, for an oracle or a wrongly
-    rebuilt phi, P(phi) and f are compared on every probe, and a mismatch
-    reports its count and first probe."""
+    rebuilt phi, P(phi) and f are compared on every probe
+    (`RayMap.disagreements`: a probe whose row phi's and f's matrices
+    map to one row agrees, and only the others are canonicalized), and a
+    mismatch reports its count and first probe."""
     h1, h2 = f.domain, f.codomain
     us = list(k_sub.orthogonal_basis)
     # one batch: the complement's orthogonal basis us, the sum rays
@@ -404,18 +407,13 @@ def _reconstruct(f: RayMap, k_sub: Subspace,
 
     if f.is_induced_by(phi):
         return phi
-    mismatches = 0
-    first = None
-    for x, y, z in zip(probes, induce(phi).apply_many(probes),
-                       f.apply_many(probes)):
-        if y != z:
-            mismatches += 1
-            if first is None:
-                first = ray_payload(x)
+    rays = list(probes)
+    mismatches = induce(phi).disagreements(f, rays)
     if mismatches:
         raise NotInducedError(
             "reconstructed map disagrees with the oracle on probes",
-            witness={"ray": first, "mismatches": mismatches})
+            witness={"ray": ray_payload(rays[mismatches[0]]),
+                     "mismatches": len(mismatches)})
     return phi
 
 
@@ -462,16 +460,19 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     An induced map's image closure is read through its map
     (`RayMap.image_closure`): the closure of phi's images of the probes
     is the span of phi's images of a basis of the probes' span, since
-    phi(span X) = span phi(X).  So no probe image of an induced adjoint is
-    built, and f's probe images are built once, for the kernel check and
-    the factorization check, and are not closed.
+    phi(span X) = span phi(X).  So no probe image of an induced map is
+    built for the closures, and the kernel check reads f's matrix
+    (`RayMap.kills`).
 
-    That composite is `compose_ray_maps(f, P(projection onto A))`.  For an
-    induced f it is induced by f's map after the projection, one batch of
-    the probes' rows through one matrix, and no projected image is mapped
-    again; when f kills A-perp that map is f's map itself, with f's
-    matrix.  For an oracle f the projected images go through the
-    oracle.
+    That composite is `compose_ray_maps(f, P(projection onto A))`, and
+    the factorization check is `RayMap.disagreements` between it and f
+    on the probes.  For an induced f the composite is induced by f's map
+    after the projection; once the kernel check has shown that f kills
+    A-perp, that map is f's map itself, with f's matrix K.  Every probe's
+    row x is still evaluated, as x (K' - K) for the composite's matrix
+    K', and a probe with x (K' - K) = 0 agrees, so no probe image of
+    either map is canonicalized.  For an oracle f the projected images
+    go through the oracle, and both sides' images are compared as rays.
     """
     records = verify_adjoint_pair(f, f_adj, probes1, probes2)
     if not passed(records):
@@ -479,7 +480,6 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
                                         "biconditional", witness=records[0].witness)
     h1, h2 = f.domain, f.codomain
     a_sub = f_adj.image_closure(probes2)
-    fx = f.apply_many(probes1)
     b_sub = f.image_closure(probes1)
 
     _certify_kernel(f, a_sub.orthocomplement(), probes1,
@@ -508,14 +508,14 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
 
     frame = a_sub.frame
     project_a = induce(compose_maps(frame.inclusion, frame.projection))
-    through_a = compose_ray_maps(f, project_a).apply_many(probes1)
-    for x, y, z in zip(probes1, through_a, fx):
-        if y != z:
-            raise NotPartialOrthometryError(
-                "factorization through A and B does not reproduce the map",
-                witness={"ray": ray_payload(x)})
+    rays = list(probes1)
+    bad = compose_ray_maps(f, project_a).disagreements(f, rays)
+    if bad:
+        raise NotPartialOrthometryError(
+            "factorization through A and B does not reproduce the map",
+            witness={"ray": ray_payload(rays[bad[0]])})
     records.append(ReportRecord(check="partial/factorization", status="pass",
-                                detail={"probes": len(list(probes1))}))
+                                detail={"probes": len(rays)}))
     return PartialOrthometryDecomposition(a_sub, b_sub, records)
 
 

@@ -53,6 +53,15 @@ basis ray, so S is the full space, read off n lookups with no pick and
 no span: neither the probe images nor a confirmation grid against them
 is built.  An oracle map closes its images.
 
+Nor need two induced maps' images be built to be compared.
+`RayMap.disagreements` reads every ray's row x off x (K - K'), the
+difference of the two maps' matrices, through `perpgrid.zero_images`:
+x K = x K' makes the two images one ray, and only the other rays are
+mapped and canonicalized.  The factorization check of a partial
+orthometry compares f with f after the projection onto (ker f)-perp;
+f kills ker f, so the two maps have one matrix, and a seed-5 `partial`
+benchmark round maps 390 image rows, not 9 588 (in-process spy).
+
 Ray maps compose as the maps that induce them do: P(psi) o P(pi) =
 P(psi o pi).  `compose_ray_maps` builds the composite of two induced
 maps as one induced map, so a batch goes through one matrix and is
@@ -83,7 +92,9 @@ from .hermspace import (
     scalar_ratio,
 )
 from .perpgrid import (
+    PRIME,
     _int_rows,
+    _limb_residues,
     image_rows,
     map_matrix,
     matrix_limbs,
@@ -308,30 +319,57 @@ class RayMap:
         if not self.is_induced:
             return row_grid(self.codomain,
                             [y.row for y in self.apply_many(xs)], y_rows)
-        return row_grid(self.codomain, x_rows, y_rows, self._int_matrix)
+        return row_grid(self.codomain, x_rows, y_rows, self._int_matrix,
+                        self._residues)
 
     def kills(self, rays) -> list[bool]:
         """Whether f(x) is the zero ray, for each ray x of the domain, in
-        order.  An induced map P(phi) reads the rays not yet memoized off
-        x K, their rows times its matrix (`perpgrid.zero_images`),
-        building no image ray and filling no memo: a row whose image is
-        nonzero mod p is alive, and only the other nonzero rows take the
-        exact limb product, so an injective map multiplies no row
-        exactly; an oracle reads `apply_many`.  This is exact: x K is a
-        positive rational multiple of phi(x) (`perpgrid.map_matrix`), and
-        the row x is c u for the canonical representative u and a positive
-        integer c, so phi(x) = sigma(c) phi(u) is zero exactly when phi(u)
-        is, sigma being bijective."""
+        order.  An induced map P(phi) reads every ray off x K, its row
+        times the map's matrix (`perpgrid.zero_images`), building no
+        image ray and filling no memo: a row whose image is nonzero mod p
+        is alive, and only the other nonzero rows take the exact limb
+        product, so an injective map multiplies no row exactly; an oracle
+        reads `apply_many`.  This is exact: x K is a positive rational
+        multiple of phi(x) (`perpgrid.map_matrix`), and the row x is c u
+        for the canonical representative u and a positive integer c, so
+        phi(x) = sigma(c) phi(u) is zero exactly when phi(u) is, sigma
+        being bijective."""
         rays = list(rays)
         if any(x.space is not self.domain for x in rays):
             raise InputError("ray is not in the map's domain")
         if not self.is_induced:
             return [y.is_zero for y in self.apply_many(rays)]
-        memo = self._memo
-        todo = list(dict.fromkeys(x for x in rays if x not in memo))
-        dead = dict(zip(todo, zero_images(self._int_matrix,
-                                          [x.row for x in todo])))
-        return [memo[x].is_zero if x in memo else dead[x] for x in rays]
+        return zero_images(self._int_matrix, [x.row for x in rays],
+                           residues=self._residues)
+
+    def disagreements(self, other: "RayMap", rays) -> list[int]:
+        """The indices i with self(rays[i]) != other(rays[i]), in order,
+        for rays of the maps' common domain.
+
+        For two induced maps P(phi) and P(psi), with `map_matrix`es K and
+        K', every ray's row x is first read off x D, D = K - K'
+        (`perpgrid.zero_images`, which decides x D = 0 exactly).  A row
+        with x D = 0 has x K = x K'.  x K is a positive rational multiple
+        of phi(x) and x K' one of psi(x), so the two images are the same
+        ray, or both are zero, and x is no disagreement.  Only the other
+        rays go through both maps' `apply_many` and are compared as
+        canonical rays, since their images may still agree: a
+        non-central left multiple over HQ has another matrix.  With an
+        oracle on either side every ray takes that path."""
+        if (other.domain is not self.domain
+                or other.codomain is not self.codomain):
+            raise InputError("ray maps have different domains or codomains")
+        rays = list(rays)
+        if any(x.space is not self.domain for x in rays):
+            raise InputError("ray is not in the map's domain")
+        todo = range(len(rays))
+        if self.is_induced and other.is_induced:
+            same = zero_images(matrix_limbs(self._matrix - other._matrix),
+                               [x.row for x in rays])
+            todo = [i for i, s in enumerate(same) if not s]
+        xs = [rays[i] for i in todo]
+        return [i for i, y, z in zip(todo, self.apply_many(xs),
+                                     other.apply_many(xs)) if y != z]
 
     def image_closure(self, rays) -> Subspace:
         """The closure of the images f(x) of rays x of the domain, the
@@ -364,10 +402,19 @@ class RayMap:
             return False
         return scalar_ratio(self.mapping, phi) is not None
 
+    # the map's matrix K, its limbs and K mod PRIME, each built once per
+    # map and freed with it
+    @cached_property
+    def _matrix(self):
+        return map_matrix(self.mapping)
+
     @cached_property
     def _int_matrix(self):
-        # split into limbs once per map, and freed with it
-        return matrix_limbs(map_matrix(self.mapping))
+        return matrix_limbs(self._matrix)
+
+    @cached_property
+    def _residues(self):
+        return _limb_residues(self._int_matrix, PRIME)
 
     def _induced(self, rays) -> list[Ray]:
         """The images of rays under the induced map, by one batch."""
@@ -386,9 +433,11 @@ def compose_ray_maps(outer: RayMap, inner: RayMap) -> RayMap:
     nonzero scalar (the canonical representative), or r = 0 when
     pi(u) = 0.  Then psi(r) = sigma(c) psi(pi(u)) with sigma(c) nonzero,
     so P(psi) sends it to the ray of psi(pi(u)), which is
-    P(psi o pi)(x); a zero stays zero.  An oracle is evaluated only on
-    rays, so a composite with an oracle is the oracle that chains the
-    two batches."""
+    P(psi o pi)(x); a zero stays zero.  The composite's matrix is that
+    of psi o pi, which `RayMap.disagreements` compares with another map's
+    matrix row by row.  An oracle is evaluated only on rays, so a
+    composite with an oracle is the oracle that chains the two
+    batches."""
     if inner.codomain is not outer.domain:
         raise InputError("ray maps do not compose")
     if outer.is_induced and inner.is_induced:

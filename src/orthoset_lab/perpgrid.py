@@ -161,12 +161,13 @@ A grid can also be taken through a map: given a map's `matrix_limbs`,
 `row_grid` reads its first side as rows of the map's domain, each
 standing for its image x K, so the rays of the images are never built.
 The screen multiplies K mod p, recombined from the limbs
-(`_limb_residues`), into the cached G R, one product of two small
-matrices per call, so the images' weighted forms are (x mod p)
-((K mod p) G R) and then one product with the other side: two products
-of the rows, as for rays.  Only the distinct candidate rows are mapped
-exactly, by `_limb_product`, for `_confirm`; `row_grid` holds the
-soundness argument.  A screen of component 0 alone passed every image
+(`_limb_residues`) once per map and kept beside them on its `RayMap`,
+into the cached G R, one product of two small matrices per call, so
+the images' weighted forms are (x mod p) ((K mod p) G R) and then one
+product with the other side: two products of the rows, as for rays.
+Only the distinct candidate rows are mapped exactly, by
+`_limb_product`, for `_confirm`; `row_grid` holds the soundness
+argument.  A screen of component 0 alone passed every image
 whose forms have real part 0, as raw images x K often do: one seed-5
 `wigner` round sent 1 542 HQ pairs to confirmation for 10 orthogonal
 ones, and the weighted screen sends those 10 (627 pairs in all, 603 of
@@ -181,7 +182,9 @@ so a nonzero residue proves a nonzero image, and only the nonzero rows
 whose images vanish mod p take the exact limb product.  A zero row is
 read off the exact row.  The kernel check of a seed-5 `wigner` round
 multiplied 13 807 probe rows exactly only to find that no proper probe
-dies; it now multiplies none (`BENCH_30.json`).
+dies; it now multiplies none (`BENCH_30.json`).  Where two maps agree
+(`orthoset.RayMap.disagreements`) is the same call on the difference of
+their matrices: a row with x (K - K') = 0 has one image ray under both.
 
 Closures of ray sets (`orthoset.perp_closure`) follow the grid's pattern:
 mod p chooses, exact arithmetic decides.  `pivot_rows` reduces the rays'
@@ -417,13 +420,14 @@ def _screen_gram(space):
     return out
 
 
-def _screen(space, a, b, matrix=None):
+def _screen(space, a, b, matrix=None, residues=None):
     """True where the weighted form sum_c w_c F_c vanishes mod PRIME, for
     the flattened integer rows a and b: z = (a mod p) (G R) and then
     z (b mod p)^T, two `_mul_mod`s.  Given the `matrix_limbs` of a map's
     matrix K, a are domain rows and the form is taken of their images
     a K: (K mod p) (G R), one product of two small matrices, takes the
-    place of G R, so the images cost no product of their own.
+    place of G R, so the images cost no product of their own.  K mod p
+    is residues when given, and otherwise recombined from the limbs.
 
     The second product is decided in blocks of at most _BLOCK cells, rows
     of z against a slice of the columns, and each block's zero test is
@@ -434,7 +438,9 @@ def _screen(space, a, b, matrix=None):
     exactly the grid's."""
     fold = _screen_gram(space)
     if matrix is not None:
-        fold = _mul_mod(_limb_residues(matrix, PRIME), fold, PRIME)
+        if residues is None:
+            residues = _limb_residues(matrix, PRIME)
+        fold = _mul_mod(residues, fold, PRIME)
     z = _mul_mod(_residues(a, PRIME), fold, PRIME)
     bt = _residues(b, PRIME).T
     grid = np.empty((len(z), bt.shape[1]), dtype=bool)
@@ -676,19 +682,20 @@ def image_rows(sfield: StarSfield, matrix, rows):
                            y.reshape(len(rows), k, matrix.shape[2] // k))
 
 
-def zero_images(matrix, rows) -> list[bool]:
+def zero_images(matrix, rows, residues=None) -> list[bool]:
     """Whether the image of each row under the map whose `matrix_limbs` is
     matrix is zero; no image row is canonicalized.
 
     The images are screened mod PRIME first, as (x mod p) (K mod p) with
-    K mod p recombined from the limbs (`_limb_residues`).  That product
-    is x K mod p, exact by `_mul_mod`'s chunk bound, so a row whose
-    residue is nonzero has a nonzero entry in x K, and its image is
-    nonzero, full stop.  A zero row maps to zero, read off the exact row,
-    since a nonzero row can vanish mod p.  Only the other rows whose
-    residue is zero, such as p e_0, are candidates, and their images are
-    decided on the exact limb product.  ORTHOSET_LAB_EXACT_GRID=1 skips
-    the screen and takes the exact product of every row."""
+    K mod p given as residues, or else recombined from the limbs
+    (`_limb_residues`).  That product is x K mod p, exact by `_mul_mod`'s
+    chunk bound, so a row whose residue is nonzero has a nonzero entry in
+    x K, and its image is nonzero, full stop.  A zero row maps to zero,
+    read off the exact row, since a nonzero row can vanish mod p.  Only
+    the other rows whose residue is zero, such as p e_0, are candidates,
+    and their images are decided on the exact limb product.
+    ORTHOSET_LAB_EXACT_GRID=1 skips the screen and takes the exact
+    product of every row."""
     if not rows:
         return []
     a = _int_rows(rows, matrix.shape[1])
@@ -697,8 +704,9 @@ def zero_images(matrix, rows) -> list[bool]:
     dead = ~(a != 0).any(axis=1)
     live = np.flatnonzero(~dead)
     if len(live):
-        image = _mul_mod(_residues(a[live], PRIME),
-                         _limb_residues(matrix, PRIME), PRIME)
+        if residues is None:
+            residues = _limb_residues(matrix, PRIME)
+        image = _mul_mod(_residues(a[live], PRIME), residues, PRIME)
         cand = live[~(image != 0).any(axis=1)]
         if len(cand):
             dead[cand] = (_limb_product(a[cand], matrix) == 0).all(axis=1)
@@ -751,7 +759,7 @@ def perp_grid(space, rows_a, rows_b):
     return row_grid(space, a, b)
 
 
-def row_grid(space, rows_a, rows_b, matrix=None):
+def row_grid(space, rows_a, rows_b, matrix=None, residues=None):
     """Boolean matrix of exact orthogonality for all pairs of integer rows
     as `orthoset.Ray.row` holds them (the k component planes of a row, one
     after the other), or an array `_int_rows` loaded them into; each side
@@ -769,7 +777,9 @@ def row_grid(space, rows_a, rows_b, matrix=None):
     and is excluded as before; a nonzero row that phi kills has residue 0
     and is only a candidate.  The distinct candidate rows are then mapped
     exactly by `_limb_product` and go to `_confirm` as any rows do, where
-    a zero image has form 0 and so is orthogonal."""
+    a zero image has form 0 and so is orthogonal.  residues is K mod
+    PRIME (`_limb_residues`), for a caller that keeps it with the limbs,
+    as `orthoset.RayMap` does; it is recombined when not given."""
     na, nb = len(rows_a), len(rows_b)
     if space.dim == 0 or (matrix is not None and not matrix.shape[1]):
         # every form is taken in, or of the images of, a zero space
@@ -783,7 +793,7 @@ def row_grid(space, rows_a, rows_b, matrix=None):
     if _use_exact_path():
         grid = candidates = np.ones((na, nb), dtype=bool)
     else:
-        grid = _screen(space, a, b, matrix)
+        grid = _screen(space, a, b, matrix, residues)
         # <0, v> = <u, 0> = 0, and the screen passes those pairs; zero rows
         # are read off the exact rows, as a nonzero row can vanish mod p
         candidates = (a != 0).any(axis=1)[:, None] & (b != 0).any(axis=1)

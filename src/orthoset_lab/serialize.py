@@ -4,9 +4,10 @@ Scalar text syntax: rationals are "p/q" or "p"; Gaussian rationals are
 {"re": ..., "im": ...}; quaternions are {"a": ..., "b": ..., "c": ...,
 "d": ...}; sfield tags are "Q", "Qi", "HQ"; morphisms are {"kind": "id" |
 "conj" | "inner"} with the conjugator under "q" for inner morphisms.
-Input rules: "dim" is a JSON integer, not a bool or a float; a zero
-denominator, as in "1/0", is a ParseError, and so is a key that no loader
-reads (a misspelt "gram", or "q" outside an inner morphism).
+Input rules: "dim" is a JSON integer, not a bool or a float, and at most
+MAX_DIM, checked before any space is built; a zero denominator, as in
+"1/0", is a ParseError, and so is a key that no loader reads (a misspelt
+"gram", or "q" outside an inner morphism).
 Output is canonical: sorted keys, reduced fractions, denominators printed
 only when they differ from 1, identity Gram matrices omitted.
 """
@@ -26,6 +27,11 @@ from .scalars import (
     rational_to_str,
 )
 from .starfields import SfieldMorphism, StarSfield
+
+# the largest "dim" an input file may state.  HermitianSpace.create builds
+# dim**2 Gram scalars before anything else reads the file, so a larger
+# dim is rejected first
+MAX_DIM = 64
 
 
 def scalar_to_json(a):
@@ -95,6 +101,8 @@ def space_from_json(obj) -> HermitianSpace:
         raise ParseError(f"bad space object: {exc}") from exc
     if type(dim) is not int:  # int() would pass a bool and truncate a float
         raise ParseError(f"dim must be a JSON integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise ParseError(f"dim must be at most {MAX_DIM}, got {dim}")
     if gram is None:
         return HermitianSpace.create(sf, dim)
     rows = [[scalar_from_json(x, sf) for x in row]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -512,6 +513,49 @@ def test_verify_bad_space_file_is_load_error(tmp_path, space, error):
     rec, = records_of(text)
     assert rec["check"] == "load" and rec["status"] == "error"
     assert rec["witness"]["error"] == error
+
+
+def test_huge_dim_is_a_prompt_load_error(tmp_path):
+    """A space file stating dim = 2**70 is rejected before any space is
+    built: `verify --suite axioms --space` exits 2 with one `load` record
+    at once.  Built, its identity Gram matrix alone would not fit in any
+    memory, so the child runs under a 2 GB address-space limit and a
+    time limit."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"sfield": "Q",
+                                "dim": 1180591620717411303424}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orthoset_lab", "verify", "--suite", "axioms",
+         "--space", str(path)],
+        capture_output=True, text=True, timeout=60, env=src_env(),
+        preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    rec, = records_of(proc.stdout)
+    assert rec["check"] == "load" and rec["status"] == "error"
+    assert rec["witness"] == {"error": "ParseError",
+                              "message": "dim must be at most 64, got "
+                                         "1180591620717411303424"}
+
+
+@pytest.mark.parametrize("dim, message", [
+    (64, "image count does not match the domain dimension"),
+    (65, "dim must be at most 64, got 65")])
+def test_dim_bound_in_a_map_file(tmp_path, dim, message):
+    """A map file's spaces take the same bound: at dim 64 the file loads
+    as far as its image count, and at 65 it stops at the bound."""
+    space = {"sfield": "Q", "dim": dim}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"domain": space, "codomain": space,
+                                "sigma": {"kind": "id"}, "images": []}))
+    code, text = run_main(tmp_path, "verify", "--suite", "adjoint",
+                          "--map", str(path))
+    assert code == 2
+    rec, = records_of(text)
+    assert rec["check"] == "load"
+    assert rec["witness"] == {"error": "ParseError", "message": message}
 
 
 Q2 = {"sfield": "Q", "dim": 2}

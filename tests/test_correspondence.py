@@ -48,8 +48,9 @@ from orthoset_lab.orthoset import (
     ray_grid,
     ray_of,
     ray_payload,
+    rays_of,
 )
-from orthoset_lab.perpgrid import image_rows
+from orthoset_lab.perpgrid import image_rows, map_matrix
 from orthoset_lab.reports import run_tasks
 from orthoset_lab.sampling import (
     conjugation_map,
@@ -682,8 +683,11 @@ def test_partial_wigner_maps_rays_in_batches(monkeypatch):
 def test_decomposition_feeds_no_image_row_back_to_the_kernel(sf, monkeypatch):
     """f o P(projection onto A) is evaluated as one induced map: no row
     the map kernel returns goes back into it, and the factorization check
-    is one batch of the probes' own rows."""
-    returned, fed_back, batches, composed_at = {}, [], [], []
+    canonicalizes no image.  It is one `zero_images` call on the probes'
+    own rows, through the difference of the two maps' matrices, which
+    is zero here, so no probe goes on to an `image_rows` batch."""
+    returned, fed_back, batches, screened, composed_at = {}, [], [], [], []
+    zero_images = orthoset.zero_images
 
     def spy(sfield, matrix, rows):
         fed_back.extend(row for row in rows if id(row) in returned)
@@ -692,11 +696,16 @@ def test_decomposition_feeds_no_image_row_back_to_the_kernel(sf, monkeypatch):
         returned.update((id(row), row) for row in out)  # keeps ids unique
         return out
 
+    def spy_zero_images(matrix, rows, **kwargs):
+        screened.append(rows)
+        return zero_images(matrix, rows, **kwargs)
+
     def compose(outer, inner):
-        composed_at.append(len(batches))
+        composed_at.append((len(batches), len(screened)))
         return orthoset.compose_ray_maps(outer, inner)
 
     monkeypatch.setattr(orthoset, "image_rows", spy)
+    monkeypatch.setattr(orthoset, "zero_images", spy_zero_images)
     monkeypatch.setattr(correspondence, "compose_ray_maps", compose)
     space = standard_space(sf, 5)
     d, _ = random_partial_isometry(space, space, 3,
@@ -708,10 +717,11 @@ def test_decomposition_feeds_no_image_row_back_to_the_kernel(sf, monkeypatch):
     assert dec.a == d.s1 and dec.b == d.s2
     assert fed_back == []
     # the factorization check is the last step of the decomposition
-    start, = composed_at
-    factorization, = batches[start:]
-    assert len(factorization) == len(p)
-    assert all(row is x.row for row, x in zip(factorization, p))
+    (start, screen_start), = composed_at
+    assert batches[start:] == []
+    rows, = screened[screen_start:]
+    assert len(rows) == len(p)
+    assert all(row is x.row for row, x in zip(rows, p))
 
 
 @pytest.mark.parametrize("sf", list(StarSfield))
@@ -984,6 +994,119 @@ def test_is_induced_by_holds_only_where_the_probes_agree(sf, monkeypatch):
         seen.clear()
 
 
+def disagreement_cases(space, rng):
+    """(name, phi, psi) pairs of maps of space for RayMap.disagreements:
+    equal maps, a negated rational multiple (another matrix, the same
+    rays), a left multiple (non-central over HQ), another quasiunitary
+    map, a partial isometry that kills rays against its own multiple and
+    against the zero map."""
+    phi = random_quasiunitary(space, rng)
+    d, _ = random_partial_isometry(space, space, 2, rng)
+    return [("equal", phi, phi),
+            ("negated", phi, phi.scale(F(-3, 7))),
+            ("left-multiple", phi, phi.scale(nonzero_scalar(space.sfield,
+                                                            rng))),
+            ("other", phi, random_quasiunitary(space, rng)),
+            ("partial", d.map, d.map.scale(nonzero_scalar(space.sfield,
+                                                          rng))),
+            ("zero", d.map, SemilinearMap.zero(space, space))]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["screen", "exact"])
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_disagreements_match_the_probe_comparison(sf, exact, monkeypatch):
+    """RayMap.disagreements names the rays that probe_mismatches finds, in
+    order, for induced maps and for oracles on either side, on a probe
+    set (zero ray first) with some rays repeated; under
+    ORTHOSET_LAB_EXACT_GRID=1 too.  Two induced maps with one matrix
+    map no ray; the other pairs differ in their matrices."""
+    if exact:
+        monkeypatch.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
+    space = standard_space(sf, 4)
+    rays = list(ProbeSet.generate(space, seed=4, count=40))
+    rays += rays[5:8] + rays[:1]
+    counts = {}
+    for name, phi, psi in disagreement_cases(space,
+                                             random.Random(f"dis:{sf.value}")):
+        want = probe_mismatches(induce(psi), phi, rays)
+        for left, right in ((induce(phi), induce(psi)),
+                            (oracle_map(space, space, induce(phi)),
+                             induce(psi)),
+                            (induce(phi),
+                             oracle_map(space, space, induce(psi))),
+                            (oracle_map(space, space, induce(phi)),
+                             oracle_map(space, space, induce(psi)))):
+            got = left.disagreements(right, rays)
+            assert [rays[i] for i in got] == want
+            assert got == sorted(got)
+        same = (map_matrix(phi) == map_matrix(psi)).all()
+        assert same == (name == "equal")
+        f = induce(phi)
+        assert f.disagreements(induce(psi), rays) == got
+        assert (f._memo == {}) == same
+        counts[name] = len(want)
+    assert counts["equal"] == counts["negated"] == 0
+    assert counts["left-multiple"] == counts["partial"] == 0
+    # every proper probe but the kernel's; the zero ray always agrees
+    assert 0 < counts["zero"] < len(rays) - 1
+    assert counts["other"] > len(rays) // 2
+
+
+def test_disagreements_checks_the_spaces():
+    q2, q3 = standard_space(Q, 2), standard_space(Q, 3)
+    f = induce(SemilinearMap.identity(q3))
+    with pytest.raises(InputError, match="different domains or codomains"):
+        f.disagreements(induce(SemilinearMap.zero(q3, q2)), [])
+    with pytest.raises(InputError, match="domain"):
+        f.disagreements(f, rays_of(q2, q2.basis()))
+    assert f.disagreements(f, []) == []
+
+
+@pytest.mark.parametrize("sf", [QI, HQ])
+def test_factorization_names_the_first_planted_probe(sf):
+    """An oracle equal to an induced partial isometry f except on three
+    probes outside A and A-perp, each sent to another ray of B with the
+    same orthogonality against the probes: every check before the
+    factorization passes, and the factorization check names the first of
+    the three in probe order, whose payload PLANTED_WITNESS pins."""
+    space = standard_space(sf, 4)
+    d, _ = random_partial_isometry(space, space, 2,
+                                   random.Random(f"planted:{sf.value}"),
+                                   quasi=True)
+    f, f_adj = induce(d.map), induce(quasi_generalized_inverse(d))
+    p = ProbeSet.generate(space, seed=3, count=32)
+    a_perp = d.s1.orthocomplement()
+    targets = probe_rays_in(d.s2, seed=7, count=32)
+    plant = {}
+    for x in reversed(list(p)):
+        if x.is_zero or d.s1.contains(x.rep) or a_perp.contains(x.rep):
+            continue
+        pattern = ray_grid(space, [f(x)], p).tolist()
+        y = next((y for y in targets if not y.is_zero and y != f(x)
+                  and ray_grid(space, [y], p).tolist() == pattern), None)
+        if y is not None:
+            plant[x] = y
+        if len(plant) == 3:
+            break
+    assert len(plant) == 3
+    g = RayMap(space, space, oracle=lambda rays: [
+        plant.get(r, z) for r, z in zip(rays, f.apply_many(rays))])
+    with pytest.raises(NotPartialOrthometryError,
+                       match="factorization") as err:
+        decompose_partial_orthometry(g, f_adj, p, p)
+    first = next(x for x in p if x in plant)
+    assert err.value.witness == {"ray": ray_payload(first)}
+    assert err.value.witness == PLANTED_WITNESS[sf]
+
+
+PLANTED_WITNESS = {
+    QI: {"ray": ["1", "-28/15-16/5i", "-4/5-16/15i", "8/5-64/35i"]},
+    HQ: {"ray": ["1", "1002/1141 + 582/1141i - 5402/5705j + 22124/5705k",
+                 "-14599/17115 - 2512/17115i + 535/978j + 13/3423k",
+                 "80/163 - 355/2282i + 828/1141j + 969/1141k"]},
+}
+
+
 def test_a_wrong_twist_is_found_on_the_probes(monkeypatch):
     """A twist classifier planted to return the identity rebuilds a Qi
     conj map as a linear one, which no left multiple of the map is: the
@@ -1019,10 +1142,10 @@ def test_wigner_round_trip_exact_work_counts(sf, reductions, monkeypatch):
     for_subspace = hermspace.SubspaceFrame.for_subspace.__func__
     inside = []
 
-    def spy_zero_images(matrix, rows):
+    def spy_zero_images(matrix, rows, **kwargs):
         inside.append(True)
         try:
-            return zero_images(matrix, rows)
+            return zero_images(matrix, rows, **kwargs)
         finally:
             inside.pop()
 
@@ -1061,6 +1184,33 @@ def test_wigner_round_trip_exact_work_counts(sf, reductions, monkeypatch):
         seen.append(dict(counts))
     assert seen == [{"exact_rows": 0, "frames": 1, "reduce": reductions},
                     {"exact_rows": 0, "frames": 0, "reduce": reductions}]
+
+
+def test_residues_recombined_once_per_map(monkeypatch):
+    """Two Wigner round trips per sfield on 64 probes: each induced map's
+    K mod PRIME is recombined from its limbs once, and serves its grid in
+    the adjoint check and, for f, the kernel check, so a round trip
+    recombines two, f's and f^-1's."""
+    seen = []
+    real = perpgrid._limb_residues
+
+    def spy(matrix, p):
+        seen.append(matrix)
+        return real(matrix, p)
+
+    monkeypatch.setattr(perpgrid, "_limb_residues", spy)
+    monkeypatch.setattr(orthoset, "_limb_residues", spy)
+    rng = random.Random("residues-once")
+    for sf in StarSfield:
+        space = standard_space(sf, 3)
+        p = ProbeSet.generate(space, seed=5, count=64)
+        for _ in range(2):
+            phi0 = random_quasiunitary(space, rng)
+            f, f_inv = induce(phi0), induce(invert_semilinear(phi0))
+            del seen[:]
+            wigner_reconstruct(f, f_inv, space, space, p)
+            assert [id(m) for m in seen] == [id(f._int_matrix),
+                                             id(f_inv._int_matrix)]
 
 
 @pytest.mark.parametrize("sf", list(StarSfield))
