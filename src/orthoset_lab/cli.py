@@ -5,9 +5,9 @@ report records; `construct` runs a single constructive operation on file
 inputs and emits its serialized output followed by a self-verification
 report.  Exit codes: 0 all checks pass, 1 any check failed or errored,
 2 inputs failed to parse or certify, were given to a suite or
-construction that does not read them, or asked for fewer than one probe,
-3 a check hit an internal error, a bug in the program rather than a
-failed law.  Reports are byte-deterministic for fixed inputs and seed.
+construction that does not read them, or asked for fewer than one probe
+or more than MAX_PROBES, 3 a check hit an internal error, a bug in the
+program rather than a failed law.  Reports are byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ from .suites import (
 CONSTRUCT_KINDS = ("gram-schmidt", "project", "adjoint", "induce", "piziak",
                    "coordinatize", "transport", "transport-unitary",
                    "partial-decompose")
+# the largest --probes count: sixteen times the 256 probes of the
+# acceptance runs, checked before any probe set is drawn
+MAX_PROBES = 4096
 # the inputs each construction reads; any other is rejected.  As in
 # SUITE_INPUTS, "adjoint_images" is the claimed adjoint a map file carries
 CONSTRUCT_INPUTS = dict.fromkeys(CONSTRUCT_KINDS, {"map"}) | {
@@ -68,7 +71,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--subspace",
                         help="subspace file (JSON); read by construct only")
     common.add_argument("--probes", type=int, default=256,
-                        help="probe count (default 256)")
+                        help=f"probe count, 1 to {MAX_PROBES} "
+                             f"(default 256)")
     common.add_argument("--seed", type=int, default=0,
                         help="probe/sampling seed (default 0)")
     common.add_argument("--out", help="write the report here instead of stdout")
@@ -108,9 +112,12 @@ def _reject_unread(given: dict, reads, what: str) -> None:
             raise InputError(f"{what} does not read {where}")
 
 
-def _reject_no_probes(count: int) -> None:
+def _check_probe_count(count: int) -> None:
     if count < 1:
         raise InputError(f"--probes must be at least 1, got {count}")
+    if count > MAX_PROBES:
+        raise InputError(f"--probes must be at most {MAX_PROBES}, "
+                         f"got {count}")
 
 
 def _load_map(args):
@@ -129,7 +136,7 @@ def _load_failed(exc, args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        _reject_no_probes(args.probes)
+        _check_probe_count(args.probes)
         reads, what = SUITE_INPUTS[args.suite], f"suite {args.suite!r}"
         _reject_unread({"space": args.space, "map": args.map_path,
                         "subspace": args.subspace}, reads, what)
@@ -150,7 +157,7 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     try:
-        _reject_no_probes(args.probes)
+        _check_probe_count(args.probes)
         reads = CONSTRUCT_INPUTS[args.kind]
         what = f"construction {args.kind!r}"
         _reject_unread({"map": args.map_path, "subspace": args.subspace,

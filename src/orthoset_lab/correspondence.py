@@ -453,9 +453,18 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     closure of f's images.  Both identifications are then enforced by the
     one kernel check (_certify_kernel): f must kill the orthocomplement of
     A ray by ray and every probe it kills must lie there, and f_adj must
-    kill the orthocomplement of B.  The restriction to A-probes must
-    preserve orthogonality both ways into B, and the composite f o
-    P(projection onto A) must reproduce f on every probe.
+    kill the orthocomplement of B.  The restriction to A-probes
+    (`probe_rays_in`, drawn as integer rows) must send every proper ray
+    to a proper ray of B and preserve orthogonality both ways, and the
+    composite f o P(projection onto A) must reproduce f on every probe.
+
+    Membership in B is read off one exact grid, of the images against
+    the basis rays of B-perp, which the kernel check of f_adj built, and
+    against themselves for the orthogonality check; no image is reduced
+    against B's basis.  This is exact: the space is finite-dimensional
+    and anisotropic, so B = (B-perp)-perp, and an image lies in B exactly
+    when it is orthogonal to every basis vector of B-perp.  The witness
+    is the first A-ray, in order, whose image is zero or leaves B.
 
     An induced map's image closure is read through its map
     (`RayMap.image_closure`): the closure of phi's images of the probes
@@ -464,9 +473,10 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     built for the closures, and the kernel check reads f's matrix
     (`RayMap.kills`).
 
-    That composite is `compose_ray_maps(f, P(projection onto A))`, and
-    the factorization check is `RayMap.disagreements` between it and f
-    on the probes.  For an induced f the composite is induced by f's map
+    That composite is `compose_ray_maps(f, P(projection onto A))`, whose
+    map is built on integer planes (`compose_maps`), and the
+    factorization check is `RayMap.disagreements` between it and f on
+    the probes.  For an induced f the composite is induced by f's map
     after the projection; once the kernel check has shown that f kills
     A-perp, that map is f's map itself, with f's matrix K.  Every probe's
     row x is still evaluated, as x (K' - K) for the composite's matrix
@@ -482,22 +492,25 @@ def decompose_partial_orthometry(f: RayMap, f_adj: RayMap,
     a_sub = f_adj.image_closure(probes2)
     b_sub = f.image_closure(probes1)
 
+    b_perp = b_sub.orthocomplement()
     _certify_kernel(f, a_sub.orthocomplement(), probes1,
                     NotPartialOrthometryError)
-    _certify_kernel(f_adj, b_sub.orthocomplement(), (),
-                    NotPartialOrthometryError)
+    _certify_kernel(f_adj, b_perp, (), NotPartialOrthometryError)
 
     a_rays = probe_rays_in(a_sub, probes1.seed, count=max(16, 2 * a_sub.dim + 1))
     images = f.apply_many(a_rays)
-    for x, img in zip(a_rays, images):
-        if x.is_zero:
-            continue
-        if img.is_zero or not b_sub.contains(img.rep):
+    # B = (B-perp)-perp in a finite-dimensional anisotropic space, so an
+    # image lies in B exactly when it is orthogonal to every basis ray of
+    # B-perp: one grid of the images against those rays and themselves
+    # decides membership and the orthogonality check below
+    grid = ray_grid(h2, images, images + rays_of(h2, b_perp.basis))
+    img_grid, in_b = grid[:, :len(images)], grid[:, len(images):].all(axis=1)
+    for x, img, inside in zip(a_rays, images, in_b):
+        if not x.is_zero and (img.is_zero or not inside):
             raise NotPartialOrthometryError(
                 "restricted image leaves the image closure",
                 witness={"ray": ray_payload(x)})
     dom_grid = ray_grid(h1, a_rays, a_rays)
-    img_grid = ray_grid(h2, images, images)
     if (dom_grid != img_grid).any():
         i, j = np.argwhere(dom_grid != img_grid)[0]
         raise NotPartialOrthometryError(

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-from . import linalg
+from . import linalg, perpgrid
 from .errors import (
     CertificateError,
     DependencyError,
@@ -449,6 +450,18 @@ class SemilinearMap:
         return linalg.rank(self.matrix)
 
     @cached_property
+    def _unit_rows(self):
+        """For images that are all unit rows e_l or zero, the l of each,
+        -1 for zero; otherwise None.  Read by `compose_maps`."""
+        one, units = self.codomain.sfield.one(), []
+        for v in self.images:
+            hits = [l for l, c in enumerate(v.coords) if c]
+            if len(hits) > 1 or (hits and v.coords[hits[0]] != one):
+                return None
+            units.append(hits[0] if hits else -1)
+        return tuple(units)
+
+    @cached_property
     def image_gram(self) -> tuple:
         """<phi(e_i), phi(e_j)> for every pair of domain basis vectors, one
         form per unordered pair: the codomain's Gram matrix is certified
@@ -499,13 +512,42 @@ class SemilinearMap:
 
 
 def compose_maps(outer: SemilinearMap, inner: SemilinearMap) -> SemilinearMap:
-    """outer after inner."""
+    """outer after inner, whose morphism is sigma_outer after sigma_inner.
+
+    Inner sends e_j to the row x_j, and outer sends it on to
+    sum_l sigma_outer(x_jl) outer(e_l): the row sigma_outer(x_j) M of the
+    matrix M of outer's images.  All rows are one exact integer product
+    (`perpgrid.compose_rows`) on the component planes, and each output
+    coordinate is one scalar over its row's denominator.  A map whose
+    images are unit or zero rows, as the projection onto the full space
+    of a standard space is, selects outer's images instead
+    (`SemilinearMap._unit_rows`): sigma fixes 0 and 1, so e_l goes to
+    outer(e_l) and 0 to 0, and no scalar is built."""
     if inner.codomain is not outer.domain:
         raise InputError("maps do not compose")
-    return SemilinearMap(
-        inner.domain, outer.codomain,
-        outer.sigma.compose(inner.sigma),
-        tuple(outer.apply(v) for v in inner.images))
+    units = inner._unit_rows
+    if units is not None:
+        zero = outer.codomain.zero_vector() if -1 in units else None
+        images = tuple(zero if l < 0 else outer.images[l] for l in units)
+    else:
+        y, dens = perpgrid.compose_rows(
+            outer.domain.sfield, [v.coords for v in inner.images],
+            [v.coords for v in outer.images], outer.codomain.dim, outer.sigma)
+        images = vectors_from_planes(outer.codomain, y.tolist(), dens)
+    return SemilinearMap(inner.domain, outer.codomain,
+                         outer.sigma.compose(inner.sigma), images)
+
+
+def vectors_from_planes(space: HermitianSpace, rows, dens) -> tuple:
+    """The vectors y_j / d_j of space, for rows y_j given as their k
+    integer component planes of n entries each and positive integers d_j:
+    one scalar per coordinate, over its row's denominator."""
+    if space.sfield is StarSfield.Q:
+        return tuple(Vector(space, tuple(Fraction(a, d) for a in row[0]))
+                     for row, d in zip(rows, dens))
+    raw = space.sfield.scalar_type._raw
+    return tuple(Vector(space, tuple(raw(c, d) for c in zip(*row)))
+                 for row, d in zip(rows, dens))
 
 
 def scalar_ratio(psi: SemilinearMap, phi: SemilinearMap):

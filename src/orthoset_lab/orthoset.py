@@ -17,7 +17,10 @@ The ray universe of a space over any of our sfields is infinite, so the
 universally quantified checks in this module run over ProbeSets: finite,
 reproducible, seed-determined families of rays that always contain the zero
 ray and all standard basis rays.  Probe sets, like every other family of
-rays the package builds, are canonicalized in one `rays_of` batch.
+rays the package builds, are canonicalized in one `rays_of` batch; probes
+inside a subspace (`probe_rays_in`) are drawn as integer coefficient rows
+and canonicalized in one batch through the matrix of the subspace's
+basis, with no vector arithmetic.
 
 Ray maps induced by a semilinear map are evaluated by the batched exact
 kernel of `perpgrid`: `RayMap.apply_many` multiplies the rays' rows with
@@ -72,9 +75,9 @@ evaluated only on rays.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -90,11 +93,13 @@ from .hermspace import (
     herm_form,
     random_nonzero_vector,
     scalar_ratio,
+    vectors_from_planes,
 )
 from .perpgrid import (
     PRIME,
     _int_rows,
     _limb_residues,
+    combination_rows,
     image_rows,
     map_matrix,
     matrix_limbs,
@@ -105,7 +110,6 @@ from .perpgrid import (
 )
 from .reports import ReportRecord, law
 from .scalars import inv_scalar
-from .starfields import StarSfield
 
 MAX_WITNESSES = 5  # violating pairs shown by a failed verify_adjoint_pair
 
@@ -156,13 +160,8 @@ class Ray:
             space, row = self.space, self.row
             n = space.dim
             den = next(x for x in row[:n] if x)  # the pivot's real part
-            if space.sfield is StarSfield.Q:
-                coords = tuple(Fraction(x, den) for x in row)
-            else:
-                raw = space.sfield.scalar_type._raw
-                coords = tuple(raw(comps, den) for comps in zip(
-                    *(row[c:c + n] for c in range(0, len(row), n))))
-            self._rep = Vector(space, coords)
+            planes = [row[c:c + n] for c in range(0, len(row), n)]
+            self._rep, = vectors_from_planes(space, [planes], [den])
         return self._rep
 
     def __repr__(self):
@@ -480,20 +479,43 @@ def _generate_probes(space: HermitianSpace, seed: int, count: int) -> ProbeSet:
 
 
 def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ray]:
-    """Probe rays inside a subspace: its basis rays plus random left
-    combinations of the basis, reproducible from the seed."""
-    space = subspace.space
-    vectors = list(subspace.basis)
-    rng = random.Random(f"subprobes:{space.sfield.value}:{subspace.dim}:{seed}")
+    """Probe rays inside a subspace: the zero ray, its basis rays, then
+    random left combinations sum_i c_i b_i of its basis b, reproducible
+    from the seed: count rays in all, but never fewer than the zero and
+    basis rays, and the zero ray alone in the zero subspace.
+
+    Each coefficient c_i takes the draws of `StarSfield.random_scalar`, a
+    numerator and a denominator per component, in the basis's order, but
+    as integers: a draw is one integer coefficient row, its components
+    scaled by the lcm of its denominators, a positive integer that changes
+    no ray.  The basis is independent, so a combination is zero exactly
+    when all its numerators are, and such a draw is drawn again.  The
+    basis rays are the unit rows, and all rows are canonicalized in one
+    batch through the integer matrix of the embedding e_i -> b_i
+    (`perpgrid.combination_rows`), with no scalar arithmetic."""
+    space, s = subspace.space, subspace.dim
+    if not s:
+        return [Ray.zero(space)]
     sf = space.sfield
-    while len(vectors) + 1 < count and subspace.dim > 0:
-        v = space.zero_vector()
-        while v.is_zero:
-            v = space.zero_vector()
-            for b in subspace.basis:
-                v = v + sf.random_scalar(rng) * b
-        vectors.append(v)
-    return [Ray.zero(space)] + rays_of(space, vectors)
+    k = len(sf.basis())
+    rng = random.Random(f"subprobes:{sf.value}:{s}:{seed}")
+    # (count, k, s) planes: the unit rows first, real component only
+    rows = [[[int(i == j and c == 0) for j in range(s)] for c in range(k)]
+            for i in range(s)]
+    while len(rows) + 1 < count:
+        nums = [0]
+        while not any(nums):  # random_scalar's draws at its bound 10
+            draws = [(rng.randint(-10, 10), rng.randint(1, 10))
+                     for _ in range(s * k)]
+            nums = [a for a, _ in draws]
+        lcm = math.lcm(*[d for _, d in draws])
+        # draws run coefficient by coefficient, component by component
+        rows.append([[draws[i * k + c][0] * (lcm // draws[i * k + c][1])
+                      for i in range(s)] for c in range(k)])
+    x = np.array(rows, dtype=object).transpose(1, 0, 2)
+    basis = [v.coords for v in subspace.basis]
+    return [Ray.zero(space)] + [Ray(space, row) for row in
+                                combination_rows(sf, x, basis, space.dim)]
 
 
 def ray_grid(space: HermitianSpace, rays_a, rays_b):

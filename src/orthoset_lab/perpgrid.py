@@ -126,6 +126,19 @@ the product table it folds into one (k n) x (k m) integer matrix per map
 and canonicalized in one call.  Grids of rays (`row_grid`) take the same
 rows as planes without re-integerizing them.
 
+Semilinear maps compose on the same planes (`compose_rows`, behind
+`hermspace.compose_maps`): the inner map's image rows, each over the lcm
+of its denominators, with the outer twist applied as its k x k integer
+matrix, times the outer map's image planes laid out by the product
+table as one (k n) x (k m) block matrix (`_fold`, slice assignment
+only), one product of Python ints; the caller builds one scalar per
+output coordinate over its row's denominator.  On a seed-5 `partial`
+round the height bound of these products, bits(rows) + bits(matrix) +
+bitlen(k n), ran from 79 to 1542 bits, so none would fit an int64
+product.  Random left combinations of a subspace basis
+(`combination_rows`, behind `orthoset.probe_rays_in`) are the same
+product with the embedding e_i -> b_i, canonicalized at once.
+
 A map's matrix is content-free: `map_matrix` divides it by the gcd of
 all its entries, which keeps it a positive multiple of the map, so no
 image ray changes.  The common lcm of its denominators and the twist's
@@ -278,10 +291,10 @@ def _int_rows(rows, width: int):
     return a.reshape(len(rows), width)
 
 
-def _planes(sfield: StarSfield, rows, n: int):
+def _row_planes(sfield: StarSfield, rows, n: int):
     """A (k, len(rows), n) object array of the rows' integer component
-    planes, each row scaled by the lcm of its denominators, a positive
-    integer that changes no ray and no form's vanishing."""
+    planes, each row scaled by the lcm of its denominators, and the list
+    of those lcms: row i is exactly its planes divided by lcm[i]."""
     flat = [x for row in rows for x in row]
     if sfield is StarSfield.Q:
         comps = [[x.numerator for x in flat]]
@@ -293,7 +306,14 @@ def _planes(sfield: StarSfield, rows, n: int):
     den = np.array(dens, dtype=object).reshape(len(rows), n)
     scale = np.array(lcm, dtype=object)[:, None] // den
     planes = np.array(comps, dtype=object)
-    return planes.reshape(_width(sfield), len(rows), n) * scale
+    return planes.reshape(_width(sfield), len(rows), n) * scale, lcm
+
+
+def _planes(sfield: StarSfield, rows, n: int):
+    """The rows' integer component planes of `_row_planes`, each row
+    scaled by the lcm of its denominators, a positive integer that changes
+    no ray and no form's vanishing."""
+    return _row_planes(sfield, rows, n)[0]
 
 
 def _matrix_planes(sfield: StarSfield, matrix, n: int, m: int):
@@ -372,9 +392,10 @@ def _fold(terms, y):
     """The (k m, k q) matrix that sends flattened planes x, (rows, k m)
     with x[:, a m + i] = X_a[:, i], to the k components of sum sign
     X_a @ y[b] over each output component's terms, for (k, m, q) planes y:
-    one product in place of k."""
+    one product in place of k.  It is built by slice assignment, with no
+    multiplication, in y's dtype: float64 residues or Python ints."""
     k, m, q = y.shape
-    out = np.zeros((k, m, k, q))
+    out = np.zeros((k, m, k, q), dtype=y.dtype)
     for c, component in enumerate(terms):
         for a, b, sign in component:
             out[a, :, c] = y[b] if sign > 0 else -y[b]
@@ -546,20 +567,73 @@ def map_matrix(phi):
     rational multiple of the map, so no image ray changes.  An all-zero
     K has gcd 0 and is left as it is."""
     sf, n, m = phi.domain.sfield, phi.domain.dim, phi.codomain.dim
-    basis = sf.basis()
+    k = _width(sf)
     if n == 0 or m == 0:
-        return np.zeros((len(basis) * n, len(basis) * m), dtype=object)
+        return np.zeros((k * n, k * m), dtype=object)
     mat = _matrix_planes(sf, phi.matrix, n, m)
-    # twist[a, b] is component a of sigma(e_b) times a positive integer:
-    # the identity for id, a negated i-plane for conj, q e_b star(q) up to
-    # scale for inner(q)
-    twist = _planes(sf, [[phi.sigma(e) for e in basis]], len(basis))[:, 0]
+    twist, _ = _twist(sf, phi.sigma)
     # y_c = sum over the table's (a, b, sign) of sign * sigma(x)_a M_b
     blocks = [_combine(terms, twist, mat, np.multiply.outer)
               for terms in _tables(sf)[0]]
-    matrix = np.stack(blocks, axis=2).reshape(len(basis) * n, -1)
+    matrix = np.stack(blocks, axis=2).reshape(k * n, -1)
     content = math.gcd(*matrix.flat)
     return matrix // content if content > 1 else matrix
+
+
+def _twist(sfield: StarSfield, sigma):
+    """sigma on a scalar's k rational components as a k x k integer matrix
+    T and a positive integer t: component a of sigma(e_b) is T[a, b] / t.
+    T is the identity for id, a negated i-plane for conj, and q e_b
+    star(q) up to scale for inner(q).  Every sigma fixes the rationals, so
+    sigma(x) has the components T x / t."""
+    planes, (scale,) = _row_planes(sfield, [[sigma(e) for e in sfield.basis()]],
+                                   _width(sfield))
+    return planes[:, 0], scale
+
+
+def _left_product(sfield: StarSfield, x, planes):
+    """The (count, k, m) integer planes of the rows x times the matrix M,
+    exactly, for x as (k, count, n) integer planes and M as its (k, n, m)
+    planes: the rows flattened, times the (k n) x (k m) block matrix that
+    `_fold` lays M out as by the product table, one product of Python
+    ints."""
+    k, count, n = x.shape
+    flat = x.transpose(1, 0, 2).reshape(count, k * n)
+    product = flat @ _fold(_tables(sfield)[0], planes)
+    return product.reshape(count, k, planes.shape[2])
+
+
+def compose_rows(sfield: StarSfield, rows, matrix, m: int, sigma):
+    """The rows sigma(x_j) M, exactly, for coordinate rows x_j of length n
+    and an n x m matrix M of scalars: (count, k, m) integer planes y and a
+    positive integer d_j per row, with sigma(x_j) M = y_j / d_j.
+
+    The rows' planes are X / l_j for the lcm l_j of row j's denominators,
+    sigma(X) = T X / t on the components (`_twist`), and M's planes P / c
+    under the common lcm c of its denominators.  Left multiplication of
+    rows is sum over the product table of sign X_a P_b, so y = (T X) P
+    by `_left_product` and d_j = l_j t c, multiplied on Python ints."""
+    n = len(matrix)
+    x, dens = _row_planes(sfield, rows, n)
+    scale = 1
+    if not sigma.is_identity:
+        twist, scale = _twist(sfield, sigma)
+        x = (twist @ x.reshape(len(x), -1)).reshape(x.shape)
+    mat, (common,) = _row_planes(sfield, [[v for row in matrix for v in row]],
+                                 n * m)
+    y = _left_product(sfield, x, mat.reshape(len(mat), n, m))
+    return y, [d * scale * common for d in dens]
+
+
+def combination_rows(sfield: StarSfield, x, basis, n: int):
+    """The primitive rows of the rays of the left combinations
+    sum_i c_ji b_i, for coefficient rows c_j given as (k, count, s)
+    integer planes, each a positive multiple of its row, and the s
+    coordinate rows b_i of length n: one `_left_product` with the matrix
+    of the embedding e_i -> b_i and one `_primitive_rows` batch.  A
+    positive rational factor on a row or on the matrix changes no ray."""
+    mat = _matrix_planes(sfield, basis, len(basis), n)
+    return _primitive_rows(sfield, _left_product(sfield, x, mat))
 
 
 @lru_cache(maxsize=None)

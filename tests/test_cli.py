@@ -619,6 +619,44 @@ def test_probe_count_below_one_is_load_error(tmp_path, argv):
     assert "--probes" in rec["witness"]["message"]
 
 
+def test_probe_count_above_the_bound_is_load_error(tmp_path):
+    """One past MAX_PROBES is rejected like a count below 1, by verify
+    and construct alike."""
+    for argv in (["verify", "--suite", "axioms"],
+                 ["construct", "induce", "--map", fixture("scale2_q2.json")]):
+        code, text = run_main(tmp_path, *argv, "--probes",
+                              str(cli.MAX_PROBES + 1))
+        assert code == 2
+        rec, = records_of(text)
+        assert rec["check"] == "load" and rec["status"] == "error"
+        assert rec["witness"] == {
+            "error": "InputError",
+            "message": f"--probes must be at most {cli.MAX_PROBES}, "
+                       f"got {cli.MAX_PROBES + 1}"}
+
+
+def test_huge_probe_count_is_a_prompt_load_error():
+    """`--probes 10**30` is rejected before any probe set is drawn:
+    `verify --suite axioms` exits 2 with one `load` record at once.  Drawn,
+    the probe set would run until memory gave out, so the child runs
+    under a 2 GB address-space limit and a time limit."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "orthoset_lab", "verify", "--suite", "axioms",
+         "--probes", str(10 ** 30)],
+        capture_output=True, text=True, timeout=60, env=src_env(),
+        preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    rec, = records_of(proc.stdout)
+    assert rec["check"] == "load" and rec["status"] == "error"
+    assert rec["witness"] == {
+        "error": "InputError",
+        "message": f"--probes must be at most {cli.MAX_PROBES}, "
+                   f"got {10 ** 30}"}
+
+
 def test_verify_axioms_on_non_diagonal_hq_space(tmp_path):
     code, text = run_main(tmp_path, "verify", "--suite", "axioms",
                           "--space", fixture("hq3_gram.json"), "--seed", "7")

@@ -780,6 +780,52 @@ def test_decomposition_rejects_an_oracle_off_on_one_probe():
     assert err.value.witness == {"ray": ray_payload(x)}
 
 
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_decomposition_rejects_a_restricted_image_outside_b(sf):
+    """An oracle equal to an induced partial isometry f except on one ray
+    x of `probe_rays_in(A, ...)`, the last, which it sends to a basis ray
+    of B-perp.  x is no probe, so the biconditional, both closures and
+    both kernel checks pass; the restriction to A's probe rays sends x
+    out of B, and the check names x, the only failing ray."""
+    space = standard_space(sf, 5)
+    d, _ = random_partial_isometry(space, space, 3,
+                                   random.Random(f"leave:{sf.value}"),
+                                   quasi=True)
+    f, f_adj = induce(d.map), induce(quasi_generalized_inverse(d))
+    p = ProbeSet.generate(space, seed=4, count=48)
+    x = probe_rays_in(d.s1, p.seed, count=16)[-1]
+    assert x not in set(p)
+    outside = rays_of(space, d.s2.orthocomplement().basis)[0]
+    with pytest.raises(NotPartialOrthometryError,
+                       match="^restricted image leaves the image "
+                             "closure$") as err:
+        decompose_partial_orthometry(off_at(f, x, outside), f_adj, p, p)
+    assert err.value.witness == {"ray": ray_payload(x)}
+    assert err.value.witness == LEAVING_WITNESS[sf]
+
+
+LEAVING_WITNESS = {
+    Q: {"ray": ["1", "3/7", "-3/14", "-2426887/1094730", "11955/291928"]},
+    QI: {"ray": [
+        "1", "-30275/24447-18200/24447i", "-5915/8149-51625/16298i",
+        "26278456042959279677665/6197793967333737313992"
+        "-7153831427538942737367/3443218870740965174440i",
+        "-201578434622455078111/516482830611144776166"
+        "+65200343695005441279/172160943537048258722i"]},
+    HQ: {"ray": [
+        "1", "-4244/4585 + 2304/4585i + 84/655j - 1662/4585k",
+        "-30/917 - 6561/9170i + 572/917j - 5106/4585k",
+        "528568239798833743809/265851498127236499240"
+        " + 19964438148864212907/132925749063618249620i"
+        " - 52448294596379715633/26585149812723649924j"
+        " - 134432776942972700613/265851498127236499240k",
+        "-15103019958827904123/19067218103387863675"
+        " - 1746043946423833039737/4652401217226638736700i"
+        " - 15519524210078049801/76268872413551454700j"
+        " + 1958800009805122513069/1163100304306659684175k"]},
+}
+
+
 def test_frame_restrictions_reject_images_outside_the_target():
     q3 = standard_space(Q, 3)
     s = Subspace.from_vectors(q3, [q3.vector([1, 0, 0]), q3.vector([0, 1, 0])])
@@ -1184,6 +1230,60 @@ def test_wigner_round_trip_exact_work_counts(sf, reductions, monkeypatch):
         seen.append(dict(counts))
     assert seen == [{"exact_rows": 0, "frames": 1, "reduce": reductions},
                     {"exact_rows": 0, "frames": 0, "reduce": reductions}]
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_partial_wigner_exact_work_counts(sf, monkeypatch):
+    """One partial reconstruction builds no scalar where planes serve:
+    every `compose_maps` is one integer product, with no
+    `SemilinearMap.apply`; membership in B is read off the B-perp grid,
+    with no `Subspace.contains` on B; and `probe_rays_in` draws integer
+    coefficient rows, with no `Vector.__add__`."""
+    counts = {"compose_apply": 0, "contains_on_b": 0, "probe_add": 0}
+    inside, subspaces = [], []
+    apply, add = SemilinearMap.apply, hermspace.Vector.__add__
+    contains = Subspace.contains
+
+    def within(name, fn):
+        def spy(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return spy
+
+    def spy_apply(self, u):
+        counts["compose_apply"] += "compose" in inside
+        return apply(self, u)
+
+    def spy_add(self, other):
+        counts["probe_add"] += "probes" in inside
+        return add(self, other)
+
+    def spy_contains(self, u):
+        subspaces.append(self)
+        return contains(self, u)
+
+    compose = within("compose", hermspace.compose_maps)
+    for module in (hermspace, orthoset, correspondence):
+        monkeypatch.setattr(module, "compose_maps", compose)
+    monkeypatch.setattr(correspondence, "probe_rays_in",
+                        within("probes", orthoset.probe_rays_in))
+    monkeypatch.setattr(SemilinearMap, "apply", spy_apply)
+    monkeypatch.setattr(hermspace.Vector, "__add__", spy_add)
+    monkeypatch.setattr(Subspace, "contains", spy_contains)
+    space = standard_space(sf, 5)
+    d, core0 = random_partial_isometry(space, space, 3,
+                                       random.Random(f"work:{sf.value}"),
+                                       quasi=True)
+    p = ProbeSet.generate(space, seed=6, count=48)
+    got = partial_wigner(induce(d.map), induce(quasi_generalized_inverse(d)),
+                         p, p)
+    assert got.s1 == d.s1 and got.s2 == d.s2
+    assert scalar_ratio(got.core, core0) is not None
+    counts["contains_on_b"] = sum(s == d.s2 for s in subspaces)
+    assert counts == {"compose_apply": 0, "contains_on_b": 0, "probe_add": 0}
 
 
 def test_residues_recombined_once_per_map(monkeypatch):

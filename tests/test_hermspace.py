@@ -704,3 +704,78 @@ def test_zero_dimensional_space_edge_cases():
         ident = SemilinearMap.identity(z)
         assert adjoint_linear(ident) == ident
         assert is_quasiunitary(ident) == (SfieldMorphism.identity(sf), sf.one())
+
+
+# ------------------------------------------------------------ composition
+
+def _scalar_compose(outer, inner):
+    """The scalar reference for compose_maps: outer applied to each image
+    of inner."""
+    return tuple(outer.apply(v) for v in inner.images)
+
+
+def _tridiagonal_space(sf, n):
+    """A Gram space with 3 on the diagonal and the last basis scalar (1, i
+    or k) beside it, positive definite by diagonal dominance."""
+    e = sf.basis()[-1]
+    return HermitianSpace.create(sf, n, [
+        [3 if i == j else e if j == i + 1 else star_scalar(e) if i == j + 1
+         else 0 for j in range(n)] for i in range(n)])
+
+
+def _huge_scalar(sf, rng):
+    """A scalar whose components pass 2**64 or sit at -2**63, over a
+    denominator past 2**64 or a small one."""
+    comps = [rng.choice((2 ** 64 + rng.randint(1, 99), -2 ** 63,
+                         rng.randint(-9, 9))) for _ in sf.basis()]
+    den = rng.choice((1, 2 ** 65 + 1, rng.randint(2, 9)))
+    if sf is Q:
+        return F(comps[0], den)
+    return sf.scalar_type._raw(comps, den)
+
+
+def _twists(sf):
+    if sf is QI:
+        return [SfieldMorphism.identity(sf), SfieldMorphism.conjugation()]
+    if sf is HQ:
+        return [SfieldMorphism.identity(sf), SfieldMorphism.inner(RQ(1, 2, -1, 3))]
+    return [SfieldMorphism.identity(sf)]
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_compose_maps_matches_the_scalar_apply_loop(sf):
+    """compose_maps, one integer product on the planes or a selection of
+    outer's images, equals outer applied to every image of inner: over
+    every twist pair, standard and Gram spaces of dimensions 0 to 6, zero
+    maps, unit-row maps, and entries past 2**64 and at -2**63."""
+    rng = random.Random(f"compose:{sf.value}")
+    twists = _twists(sf)
+
+    def space(n):
+        return _tridiagonal_space(sf, n) if rng.random() < 0.5 \
+            else standard_space(sf, n)
+
+    def vector(h, huge):
+        return h.vector([_huge_scalar(sf, rng) if huge else
+                         sf.random_scalar(rng) for _ in range(h.dim)])
+
+    for n in range(7):
+        for d, m in ((n, n), (rng.randint(0, 6), rng.randint(0, 6))):
+            a, b, c = space(d), space(n), space(m)
+            for s_out in twists:
+                for s_in in twists:
+                    huge = rng.random() < 0.3
+                    inner = SemilinearMap(a, b, s_in, tuple(
+                        vector(b, huge) for _ in range(d)))
+                    outer = SemilinearMap(b, c, s_out, tuple(
+                        vector(c, not huge) for _ in range(n)))
+                    units = SemilinearMap(a, b, s_in, tuple(
+                        b.basis_vector(rng.randrange(n)) if n and rng.random()
+                        < 0.7 else b.zero_vector() for _ in range(d)))
+                    for pi in (inner, units, SemilinearMap.zero(a, b)):
+                        for psi in (outer, SemilinearMap.zero(b, c)):
+                            got = compose_maps(psi, pi)
+                            assert got.images == _scalar_compose(psi, pi)
+                            assert got.sigma == psi.sigma.compose(pi.sigma)
+            assert compose_maps(outer, SemilinearMap.identity(b)).images \
+                == outer.images

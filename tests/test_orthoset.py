@@ -619,6 +619,44 @@ def test_probe_rays_in_subspace():
     assert len(rays) == 10
 
 
+def _scalar_probe_rays_in(subspace, seed, count):
+    """The scalar reference for probe_rays_in: every random ray a sum of
+    scalar left multiples of the basis vectors, drawn again while zero,
+    then one `rays_of` batch."""
+    space = subspace.space
+    vectors = list(subspace.basis)
+    rng = random.Random(f"subprobes:{space.sfield.value}:{subspace.dim}:{seed}")
+    sf = space.sfield
+    while len(vectors) + 1 < count and subspace.dim > 0:
+        v = space.zero_vector()
+        while v.is_zero:
+            v = space.zero_vector()
+            for b in subspace.basis:
+                v = v + sf.random_scalar(rng) * b
+        vectors.append(v)
+    return [Ray.zero(space)] + rays_of(space, vectors)
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_probe_rays_in_matches_the_scalar_combinations(sf):
+    """probe_rays_in, integer coefficient rows through the embedding's
+    matrix, gives the rays of the scalar sums, row for row: standard and
+    Gram spaces, every subspace dimension 0..n, counts 1, 2, 16 and 33."""
+    rng = random.Random(f"subprobes-ref:{sf.value}")
+    e = sf.basis()[-1]
+    for n in (3, 5):
+        gram = [[3 if i == j else e if j == i + 1 else sf.star(e)
+                 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+        for space in (standard_space(sf, n),
+                      HermitianSpace.create(sf, n, gram)):
+            for dim in range(n + 1):
+                s = random_subspace(space, dim, rng)
+                for count in (1, 2, 16, 33):
+                    got = probe_rays_in(s, seed=dim + n, count=count)
+                    assert got == _scalar_probe_rays_in(s, dim + n, count)
+                    assert len(got) == (max(count, dim + 1) if dim else 1)
+
+
 @pytest.mark.parametrize("sf", list(StarSfield))
 def test_induced_maps_preserve_spans_of_ray_pairs(sf, rng):
     # continuity: the image of the closure of {x1, x2} stays inside the
