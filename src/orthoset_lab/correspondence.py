@@ -62,7 +62,6 @@ from .hermspace import (
     is_quasiunitary,
     is_unitary,
     make_partial_isometry,
-    scalar_ratio,
 )
 from .orthoset import (
     ProbeSet,

@@ -182,15 +182,6 @@ class Vector:
         if len(self.coords) != self.space.dim:
             raise InputError("coordinate count does not match the space")
 
-    def __hash__(self):
-        # coords alone, cached: cheaper than hashing the space and still
-        # consistent with the generated __eq__
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.coords)
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -16,11 +16,13 @@ representatives, with the zero element orthogonal to everything.
 The ray universe of a space over any of our sfields is infinite, so the
 universally quantified checks in this module run over ProbeSets: finite,
 reproducible, seed-determined families of rays that always contain the zero
-ray and all standard basis rays.  Probe sets, like every other family of
-rays the package builds, are canonicalized in one `rays_of` batch; probes
-inside a subspace (`probe_rays_in`) are drawn as integer coefficient rows
-and canonicalized in one batch through the matrix of the subspace's
-basis, with no vector arithmetic.
+ray and all standard basis rays.  Probe sets and probes inside a
+subspace (`probe_rays_in`) are drawn by one drawer as integer
+coefficient rows, with no vector arithmetic, and canonicalized in one
+batch: a probe set's rows directly, a subspace's through the matrix of
+its basis.  Every other family of rays the package builds is
+canonicalized in one `rays_of` batch.  A ray set closes to the exact
+span of its rays (`perp_closure`).
 
 Ray maps induced by a semilinear map are evaluated by the batched exact
 kernel of `perpgrid`: `RayMap.apply_many` multiplies the rays' rows with
@@ -52,9 +54,8 @@ Nor need an induced map's images be built to be closed.
 `RayMap.image_closure` closes the rays in the domain,
 S = perp_closure(rays), and spans phi's images of S's basis, since
 phi(span X) = span phi(X) for a bijective twist.  A probe set holds every
-basis ray, so S is the full space, read off n lookups with no pick and
-no span: neither the probe images nor a confirmation grid against them
-is built.  An oracle map closes its images.
+basis ray, so S is the full space, read off n lookups with no span, and
+no probe image is built.  An oracle map closes its images.
 
 Nor need two induced maps' images be built to be compared.
 `RayMap.disagreements` reads every ray's row x off x (K - K'), the
@@ -91,7 +92,6 @@ from .hermspace import (
     Vector,
     compose_maps,
     herm_form,
-    random_nonzero_vector,
     scalar_ratio,
     vectors_from_planes,
 )
@@ -99,11 +99,11 @@ from .perpgrid import (
     PRIME,
     _int_rows,
     _limb_residues,
+    _primitive_rows,
     combination_rows,
     image_rows,
     map_matrix,
     matrix_limbs,
-    pivot_rows,
     ray_rows,
     row_grid,
     zero_images,
@@ -195,54 +195,23 @@ def ray_perp(x: Ray, y: Ray) -> bool:
 
 
 def perp_closure(rays) -> Subspace:
-    """The span of the representatives, which at finite dimension equals the
-    double orthocomplement of the ray set.
-
-    When the rays hold every standard basis ray, as a probe set does, the
-    span is the full space, read off n lookups of the basis rays' rows.
-    Otherwise three steps, none of which decides an equality mod p:
-    1. pick: `pivot_rows` chooses candidate basis rays from the rows mod
-       PRIME (zero rays and duplicates dropped first; at most n rays are
-       all picked);
-    2. span: S is the exact echelon span of the picked rays'
-       representatives, so S lies inside the closure;
-    3. confirm: every space here is positive definite, so S = S-perp-perp,
-       and a ray lies in S exactly when it is orthogonal to a basis of
-       S-perp.  Unless every ray is picked, one exact `row_grid` of all
-       the rays against that basis decides it; the first ray outside S
-       joins the pick and the span is taken again.
-    The pick misses a ray only when p divides a minor, and every miss
-    raises the dimension of S, so the loop ends within n rounds.  The
-    result is the span of all the rays, exactly."""
+    """The span of the representatives, which in a finite-dimensional
+    anisotropic space equals the double orthocomplement of the ray set: the
+    exact echelon span of the distinct proper rays.  When the rays hold
+    every standard basis ray, as a probe set does, the span is the full
+    space, read off n lookups of the basis rays' rows with no span taken."""
     rays = list(rays)
     if not rays:
         raise InputError("perp_closure needs at least one ray to fix the space")
     space = rays[0].space
     if any(r.space is not space for r in rays):
         raise InputError("rays live in different spaces")
-    proper = {}
-    for r in rays:
-        if not r.is_zero:
-            proper.setdefault(r.row, r)
+    proper = {r.row: r for r in rays if not r.is_zero}
     width = _row_width(space)
     if all(tuple(int(j == i) for j in range(width)) in proper
            for i in range(space.dim)):
         return Subspace.full(space)
-    rows = list(proper)
-    # at most n rays are their own pick: a scalar span of that few rows
-    # costs less than the residue pick, and nothing is left to confirm
-    picked = (list(range(len(rows))) if len(rows) <= space.dim
-              else pivot_rows(space.sfield, rows))
-    while True:
-        s = Subspace.from_vectors(space, [proper[rows[i]].rep for i in picked])
-        if s.dim == space.dim or len(picked) == len(rows):
-            return s
-        perp = rays_of(space, s.orthocomplement().basis)
-        outside = np.flatnonzero(
-            ~row_grid(space, rows, [r.row for r in perp]).all(axis=1))
-        if not len(outside):
-            return s
-        picked.append(int(outside[0]))
+    return Subspace.from_vectors(space, [r.rep for r in proper.values()])
 
 
 @dataclass(frozen=True)
@@ -376,7 +345,7 @@ class RayMap:
         closes the rays themselves, S = perp_closure(rays), and returns
         the span of phi's images of S's basis, building no image ray and
         filling no memo: a probe set holds every basis ray, so S is the
-        full space, with no pick and no confirmation grid.  This is
+        full space, read off the basis rays.  This is
         exact: span phi(X) = phi(span X) for the representatives X of the
         rays, since phi(sum a_i u_i) = sum sigma(a_i) phi(u_i) and sigma
         is bijective, so phi(span X) is a subspace holding phi(X) and held
@@ -470,36 +439,30 @@ class ProbeSet:
 
 @lru_cache(maxsize=256)
 def _generate_probes(space: HermitianSpace, seed: int, count: int) -> ProbeSet:
-    vectors = space.basis()
-    rng = random.Random(f"probes:{space.sfield.value}:{space.dim}:{seed}")
-    while len(vectors) + 1 < count and space.dim > 0:
-        vectors.append(random_nonzero_vector(space, rng))
-    rays = [Ray.zero(space)] + rays_of(space, vectors)
+    """The zero ray, then the rows of `_probe_rows` on the standard basis,
+    which are coordinate rows already: canonicalized in one batch."""
+    rays = [Ray.zero(space)]
+    if space.dim:
+        sf = space.sfield
+        rng = random.Random(f"probes:{sf.value}:{space.dim}:{seed}")
+        rays += [Ray(space, row) for row in
+                 _primitive_rows(sf, _probe_rows(sf, space.dim, rng, count))]
     return ProbeSet(space, seed, count, tuple(rays))
 
 
-def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ray]:
-    """Probe rays inside a subspace: the zero ray, its basis rays, then
-    random left combinations sum_i c_i b_i of its basis b, reproducible
-    from the seed: count rays in all, but never fewer than the zero and
-    basis rays, and the zero ray alone in the zero subspace.
+def _probe_rows(sfield, s: int, rng, count: int):
+    """The coefficient rows of a probe family on s basis vectors, as
+    (rows, k, s) integer planes: the s unit rows, then random rows until
+    the family, with the zero ray, holds count rays.
 
-    Each coefficient c_i takes the draws of `StarSfield.random_scalar`, a
+    Each coefficient takes the draws of `StarSfield.random_scalar`, a
     numerator and a denominator per component, in the basis's order, but
-    as integers: a draw is one integer coefficient row, its components
-    scaled by the lcm of its denominators, a positive integer that changes
-    no ray.  The basis is independent, so a combination is zero exactly
-    when all its numerators are, and such a draw is drawn again.  The
-    basis rays are the unit rows, and all rows are canonicalized in one
-    batch through the integer matrix of the embedding e_i -> b_i
-    (`perpgrid.combination_rows`), with no scalar arithmetic."""
-    space, s = subspace.space, subspace.dim
-    if not s:
-        return [Ray.zero(space)]
-    sf = space.sfield
-    k = len(sf.basis())
-    rng = random.Random(f"subprobes:{sf.value}:{s}:{seed}")
-    # (count, k, s) planes: the unit rows first, real component only
+    as integers: a draw is one integer row, its components scaled by the
+    lcm of its denominators, a positive integer that changes no ray.  The
+    basis is independent, so a combination is zero exactly when all its
+    numerators are, and such a draw is drawn again."""
+    k = len(sfield.basis())
+    # the unit rows first, real component only
     rows = [[[int(i == j and c == 0) for j in range(s)] for c in range(k)]
             for i in range(s)]
     while len(rows) + 1 < count:
@@ -512,7 +475,25 @@ def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ra
         # draws run coefficient by coefficient, component by component
         rows.append([[draws[i * k + c][0] * (lcm // draws[i * k + c][1])
                       for i in range(s)] for c in range(k)])
-    x = np.array(rows, dtype=object).transpose(1, 0, 2)
+    return np.array(rows, dtype=object)
+
+
+def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ray]:
+    """Probe rays inside a subspace: the zero ray, its basis rays, then
+    random left combinations sum_i c_i b_i of its basis b, reproducible
+    from the seed: count rays in all, but never fewer than the zero and
+    basis rays, and the zero ray alone in the zero subspace.
+
+    The coefficient rows are `_probe_rows`' draws, and all of them are
+    canonicalized in one batch through the integer matrix of the
+    embedding e_i -> b_i (`perpgrid.combination_rows`), with no scalar
+    arithmetic."""
+    space, s = subspace.space, subspace.dim
+    if not s:
+        return [Ray.zero(space)]
+    sf = space.sfield
+    x = _probe_rows(sf, s, random.Random(f"subprobes:{sf.value}:{s}:{seed}"),
+                    count).transpose(1, 0, 2)
     basis = [v.coords for v in subspace.basis]
     return [Ray.zero(space)] + [Ray(space, row) for row in
                                 combination_rows(sf, x, basis, space.dim)]

@@ -45,8 +45,8 @@ each; the tests' 200-500-bit HQ blocks, at r (R + C) = 1.15 k N, took
 taken when 3 r (R + C) < 4 k N and the table holds r primes, and Python
 ints otherwise: 136 ms over those calls, against 142 ms under the former
 rule r (R + C) < k N and 134 ms for the faster path every time.  Dense
-S x S-perp blocks take the residues; a closure's rays against one to
-three S-perp rows, with heights of hundreds of bits, take Python ints.
+S x S-perp blocks take the residues; a few rows against one to three
+others, with heights of hundreds of bits, take Python ints.
 
 Both stages run one form kernel.  A scalar is a vector of k rational
 components over the sfield's basis (`StarSfield.basis()`: 1; 1, i; or
@@ -198,16 +198,6 @@ multiplied 13 807 probe rows exactly only to find that no proper probe
 dies; it now multiplies none (`BENCH_30.json`).  Where two maps agree
 (`orthoset.RayMap.disagreements`) is the same call on the difference of
 their matrices: a row with x (K - K') = 0 has one image ray under both.
-
-Closures of ray sets (`orthoset.perp_closure`) follow the grid's pattern:
-mod p chooses, exact arithmetic decides.  `pivot_rows` reduces the rays'
-real left-multiplication rows mod PRIME in int64 and picks the rays that
-hold a pivot, at most k * n of them.  A vanishing minor mod p can only
-hide a ray from the pick, never invent independence, and the picked rays
-are exact rays, so their exact echelon span S lies inside the closure.
-Every space is positive definite, so S = S-perp-perp: one exact grid of
-all the rays against a basis of S-perp shows whether each ray lies in S,
-and a ray outside it joins the pick.  No equality is decided mod p.
 """
 
 from __future__ import annotations
@@ -785,43 +775,6 @@ def zero_images(matrix, rows, residues=None) -> list[bool]:
         if len(cand):
             dead[cand] = (_limb_product(a[cand], matrix) == 0).all(axis=1)
     return dead.tolist()
-
-
-def pivot_rows(sfield: StarSfield, rows) -> list[int]:
-    """The indices of the rays, given as primitive rows, whose real rows
-    hold a pivot when all of them are reduced mod PRIME in order.
-
-    A row r stands for the k rows e_a r of its real left-multiplication
-    form, whose real span is the left line of r.  Reducing all those rows
-    mod PRIME, column by column with the topmost free row as pivot, gives
-    pivot rows that span every row mod p, so the returned rays (at most
-    k * n of them, and n in practice) are a candidate basis of the left
-    span.  Residues lie in [0, p) and p**2 < 2**63, so every step is exact
-    in int64.  The pick only chooses: a minor that vanishes mod p but not
-    over Q makes it miss a ray, never add a wrong one, and
-    `orthoset.perp_closure` decides the span exactly."""
-    k = _width(sfield)
-    n = len(rows[0]) // k if rows else 0
-    if not n:
-        return []
-    r = (_int_rows(rows, k * n) % PRIME).astype(np.int64)
-    r = r.reshape(len(rows), k, n)
-    # component c of e_a r sums sign * r_b over the table's (a, b, sign)
-    left = np.zeros((len(rows), k, k, n), dtype=np.int64)
-    for c, terms in enumerate(_tables(sfield)[0]):
-        for a, b, sign in terms:
-            left[:, a, c] += sign * r[:, b]
-    m = (left % PRIME).reshape(len(rows) * k, k * n)
-    free = np.ones(len(m), dtype=bool)
-    for col in range(k * n):
-        hits = np.flatnonzero(free & (m[:, col] != 0))
-        if not len(hits):
-            continue
-        p = hits[0]
-        free[p] = False
-        pivot = m[p] * pow(int(m[p, col]), -1, PRIME) % PRIME
-        m = (m - np.outer(m[:, col], pivot)) % PRIME
-    return sorted({int(i) // k for i in np.flatnonzero(~free)})
 
 
 def perp_grid(space, rows_a, rows_b):

@@ -4,8 +4,12 @@ Scalar text syntax: rationals are "p/q" or "p"; Gaussian rationals are
 {"re": ..., "im": ...}; quaternions are {"a": ..., "b": ..., "c": ...,
 "d": ...}; sfield tags are "Q", "Qi", "HQ"; morphisms are {"kind": "id" |
 "conj" | "inner"} with the conjugator under "q" for inner morphisms.
-Input rules: "dim" is a JSON integer, not a bool or a float, and at most
-MAX_DIM, checked before any space is built; a zero denominator, as in
+Input rules: "dim" is a JSON integer, not a bool or a float, from 0 to
+MAX_DIM, checked before any space is built; a Gram matrix is dim rows of
+dim entries, a map's images are one row per domain dimension, its
+claimed adjoint images one per codomain dimension, and a basis any
+number of rows, each row as long as the dimension it lives in, all
+checked before any scalar of the file is parsed; a zero denominator, as in
 "1/0", is a ParseError, and so is a key that no loader reads (a misspelt
 "gram", or "q" outside an inner morphism).
 Output is canonical: sorted keys, reduced fractions, denominators printed
@@ -83,15 +87,20 @@ def space_to_json(space: HermitianSpace) -> dict:
     return obj
 
 
-def _rows(rows, what: str) -> list:
-    """A JSON list of lists: the rows of a Gram matrix, of map images or of
-    a basis."""
+def _rows(rows, what: str, length: int) -> list:
+    """A JSON list of lists of length entries each: the rows of a Gram
+    matrix, of map images or of a basis, shape-checked before any scalar
+    is parsed."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{what} must be a list of lists")
+    if any(len(r) != length for r in rows):
+        raise ParseError(f"{what} rows must have {length} entries")
     return rows
 
 
-def space_from_json(obj) -> HermitianSpace:
+def _space_parts(obj) -> tuple:
+    """The sfield, dim and shape-checked Gram rows (None for the standard
+    form) of a space object, with no scalar parsed."""
     _known_keys(obj, ("sfield", "dim", "gram"), "space")
     try:
         sf = sfield_from_json(obj["sfield"])
@@ -101,13 +110,24 @@ def space_from_json(obj) -> HermitianSpace:
         raise ParseError(f"bad space object: {exc}") from exc
     if type(dim) is not int:  # int() would pass a bool and truncate a float
         raise ParseError(f"dim must be a JSON integer, got {dim!r}")
+    if dim < 0:
+        raise ParseError(f"dim must be nonnegative, got {dim}")
     if dim > MAX_DIM:
         raise ParseError(f"dim must be at most {MAX_DIM}, got {dim}")
+    if gram is not None and len(_rows(gram, "gram", dim)) != dim:
+        raise ParseError("Gram matrix shape does not match dimension")
+    return sf, dim, gram
+
+
+def _space(sf: StarSfield, dim: int, gram) -> HermitianSpace:
     if gram is None:
         return HermitianSpace.create(sf, dim)
-    rows = [[scalar_from_json(x, sf) for x in row]
-            for row in _rows(gram, "gram")]
+    rows = [[scalar_from_json(x, sf) for x in row] for row in gram]
     return HermitianSpace.create(sf, dim, rows)
+
+
+def space_from_json(obj) -> HermitianSpace:
+    return _space(*_space_parts(obj))
 
 
 def morphism_to_json(sigma: SfieldMorphism) -> dict:
@@ -150,34 +170,38 @@ def map_to_json(phi: SemilinearMap) -> dict:
     }
 
 
+def _vectors(space: HermitianSpace, rows) -> list[Vector]:
+    return [space.vector([scalar_from_json(x, space.sfield) for x in row])
+            for row in rows]
+
+
 def map_from_json(obj) -> tuple[SemilinearMap, SemilinearMap | None]:
     """Returns the map and, when the file carries claimed adjoint images,
-    the claimed adjoint map."""
+    the claimed adjoint map.  Both spaces and both lists are shape-checked
+    before any scalar is parsed."""
     _known_keys(obj, ("domain", "codomain", "sigma", "images",
                       "adjoint_images"), "map")
     try:
-        domain = space_from_json(obj["domain"])
-        codomain = space_from_json(obj["codomain"])
+        dom, cod = _space_parts(obj["domain"]), _space_parts(obj["codomain"])
+        n, m = dom[1], cod[1]
+        rows = _rows(obj["images"], "images", m)
+        if len(rows) != n:
+            raise ParseError("image count does not match the domain dimension")
+        arows = None
+        if "adjoint_images" in obj:
+            arows = _rows(obj["adjoint_images"], "adjoint_images", n)
+            if len(arows) != m:
+                raise ParseError("adjoint image count does not match")
+        domain, codomain = _space(*dom), _space(*cod)
         sigma = morphism_from_json(obj["sigma"], domain.sfield)
-        rows = _rows(obj["images"], "images")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad map object: {exc}") from exc
-    if len(rows) != domain.dim:
-        raise ParseError("image count does not match the domain dimension")
-    images = tuple(
-        codomain.vector([scalar_from_json(x, codomain.sfield) for x in row])
-        for row in rows)
-    phi = SemilinearMap(domain, codomain, sigma, images)
+    phi = SemilinearMap(domain, codomain, sigma, tuple(_vectors(codomain, rows)))
     claimed = None
-    if "adjoint_images" in obj:
-        arows = _rows(obj["adjoint_images"], "adjoint_images")
-        if len(arows) != codomain.dim:
-            raise ParseError("adjoint image count does not match")
-        aimages = tuple(
-            domain.vector([scalar_from_json(x, domain.sfield) for x in row])
-            for row in arows)
+    if arows is not None:
         claimed = SemilinearMap(codomain, domain,
-                                SfieldMorphism.identity(domain.sfield), aimages)
+                                SfieldMorphism.identity(domain.sfield),
+                                tuple(_vectors(domain, arows)))
     return phi, claimed
 
 
@@ -191,13 +215,12 @@ def basis_vectors_from_json(obj) -> tuple[HermitianSpace, list[Vector]]:
     gram_schmidt-style constructions need the rows as given."""
     _known_keys(obj, ("space", "basis"), "subspace")
     try:
-        space = space_from_json(obj["space"])
-        rows = _rows(obj["basis"], "basis")
+        sf, dim, gram = _space_parts(obj["space"])
+        rows = _rows(obj["basis"], "basis", dim)
+        space = _space(sf, dim, gram)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad subspace object: {exc}") from exc
-    vectors = [space.vector([scalar_from_json(x, space.sfield) for x in row])
-               for row in rows]
-    return space, vectors
+    return space, _vectors(space, rows)
 
 
 def ray_to_json(r: Ray) -> dict:

@@ -7,7 +7,7 @@ import sys
 import pytest
 from conftest import src_env
 
-from orthoset_lab import cli, suites
+from orthoset_lab import cli, serialize, suites
 from orthoset_lab.cli import main
 from orthoset_lab.errors import InconsistencyError
 from orthoset_lab.hermspace import standard_space
@@ -542,10 +542,12 @@ def test_huge_dim_is_a_prompt_load_error(tmp_path):
 
 @pytest.mark.parametrize("dim, message", [
     (64, "image count does not match the domain dimension"),
-    (65, "dim must be at most 64, got 65")])
+    (65, "dim must be at most 64, got 65"),
+    (-2, "dim must be nonnegative, got -2")])
 def test_dim_bound_in_a_map_file(tmp_path, dim, message):
-    """A map file's spaces take the same bound: at dim 64 the file loads
-    as far as its image count, and at 65 it stops at the bound."""
+    """A map file's spaces take the same bounds: at dim 64 the file loads
+    as far as its image count, and at 65 or -2 it stops at the bound,
+    before the image lists are checked against the dimensions."""
     space = {"sfield": "Q", "dim": dim}
     path = tmp_path / "map.json"
     path.write_text(json.dumps({"domain": space, "codomain": space,
@@ -600,6 +602,62 @@ def test_malformed_input_file_is_load_error(tmp_path, argv, option, content):
     rec, = records_of(text)
     assert rec["check"] == "load" and rec["status"] == "error"
     assert rec["witness"]["error"] == "ParseError"
+
+
+Q3 = {"sfield": "Q", "dim": 3}
+ROW2 = ["1", "0"]
+# a Gram space and an inner twist: their scalars come after the shape check
+G2 = dict(Q2, gram=[["2", "0"], ["0", "1"]])
+HQ2 = {"sfield": "HQ", "dim": 2}
+INNER = {"kind": "inner", "q": {"a": "1", "b": "1", "c": "0", "d": "0"}}
+
+
+@pytest.mark.parametrize("argv, option, content, message", [
+    (["verify", "--suite", "axioms"], "--space",
+     dict(Q2, gram=[ROW2, ROW2, ROW2]),
+     "Gram matrix shape does not match dimension"),
+    (["verify", "--suite", "axioms"], "--space",
+     dict(Q2, gram=[ROW2, ["0", "1", "0"]]), "gram rows must have 2 entries"),
+    (["verify", "--suite", "adjoint"], "--map",
+     dict(MAP_Q2, images=[ROW2, ROW2, ROW2]),
+     "image count does not match the domain dimension"),
+    (["verify", "--suite", "adjoint"], "--map",
+     dict(MAP_Q2, domain=G2, codomain=Q3), "images rows must have 3 entries"),
+    (["verify", "--suite", "adjoint"], "--map",
+     {"domain": HQ2, "codomain": HQ2, "sigma": INNER, "images": [ROW2]},
+     "image count does not match the domain dimension"),
+    (["verify", "--suite", "adjoint"], "--map",
+     dict(MAP_Q2, adjoint_images=[ROW2]),
+     "adjoint image count does not match"),
+    (["verify", "--suite", "adjoint"], "--map",
+     dict(MAP_Q2, adjoint_images=[ROW2, ["0"]]),
+     "adjoint_images rows must have 2 entries"),
+    (["construct", "gram-schmidt"], "--subspace",
+     {"space": G2, "basis": [ROW2, ["1", "1", "1"]]},
+     "basis rows must have 2 entries"),
+], ids=["gram-rows", "gram-row-length", "image-count", "image-row-length",
+        "inner-image-count", "adjoint-count", "adjoint-row-length",
+        "basis-row-length"])
+def test_a_list_of_the_wrong_shape_is_rejected_before_any_scalar(
+        tmp_path, monkeypatch, argv, option, content, message):
+    """A Gram matrix, image or basis list whose rows or row lengths do not
+    match the dimension is a load error with exit 2, decided before one
+    scalar of the file is parsed."""
+    parsed = []
+    real = serialize.scalar_from_json
+
+    def spy(obj, sfield):
+        parsed.append(obj)
+        return real(obj, sfield)
+    monkeypatch.setattr(serialize, "scalar_from_json", spy)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, text = run_main(tmp_path, *argv, option, str(path))
+    assert code == 2
+    rec, = records_of(text)
+    assert rec["check"] == "load" and rec["status"] == "error"
+    assert rec["witness"] == {"error": "ParseError", "message": message}
+    assert parsed == []
 
 
 @pytest.mark.parametrize("argv", [

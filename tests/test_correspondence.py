@@ -11,7 +11,6 @@ from orthoset_lab.correspondence import (
     induce,
     partial_wigner,
     piziak_lambda,
-    scalar_ratio,
     transport_linear,
     transport_partial,
     transport_unitary,
@@ -38,6 +37,7 @@ from orthoset_lab.hermspace import (
     invert_semilinear,
     is_quasiunitary,
     quasi_generalized_inverse,
+    scalar_ratio,
     standard_space,
 )
 from orthoset_lab.orthoset import (

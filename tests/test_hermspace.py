@@ -281,6 +281,12 @@ def test_a_space_without_references_leaves_the_table():
     assert key not in hermspace._live_spaces
 
 
+def test_equal_vectors_hash_equal():
+    hq2 = standard_space(HQ, 2)
+    u, v = hq2.vector([1, HQ_I]), hq2.vector([RQ(F(2, 2)), RQ(0, 1, 0, 0)])
+    assert u == v and hash(u) == hash(v) and len({u, v}) == 1
+
+
 # ------------------------------------------------------------------- forms
 
 def test_form_examples():

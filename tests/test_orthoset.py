@@ -38,7 +38,7 @@ from orthoset_lab.orthoset import (
     separating_ray,
     verify_adjoint_pair,
 )
-from orthoset_lab.perpgrid import PRIME, pivot_rows
+from orthoset_lab.perpgrid import PRIME
 from orthoset_lab.reports import render
 from orthoset_lab.sampling import (
     random_linear_map,
@@ -158,20 +158,15 @@ def test_perp_closure_matches_the_scalar_span(sf):
 
 
 def test_perp_closure_confirms_rays_the_pick_misses():
-    # rows that agree mod p: the pick sees rank 1, the span is the plane.
-    # A third such ray makes more rays than n, so the pick runs.
+    # rows that agree mod p, rank 1 mod p: the span is the plane, exactly
     q2 = standard_space(Q, 2)
     rays = rays_of(q2, [q2.vector([1, 1 + t * PRIME]) for t in range(3)])
     assert [r.row for r in rays[:2]] == [(1, 1), (1, 1 + PRIME)]
-    assert pivot_rows(Q, [r.row for r in rays[:2]]) == [0]
-    assert pivot_rows(Q, [r.row for r in rays]) == [0]
     assert perp_closure(rays) == Subspace.full(q2)
-    # two misses: each confirmation round adds one ray
     q3 = standard_space(Q, 3)
     rays = rays_of(q3, [q3.vector(v) for v in ([1, 0, 0], [1, PRIME, 0],
                                                [1, 0, PRIME],
                                                [1, PRIME, PRIME])])
-    assert pivot_rows(Q, [r.row for r in rays]) == [0]
     assert perp_closure(rays) == Subspace.full(q3)
 
 
@@ -179,8 +174,6 @@ def test_perp_closure_confirms_a_quaternion_ray_the_pick_misses():
     hq2 = standard_space(HQ, 2)
     q = RQ(1, 2, 3, 4)
     rays = rays_of(hq2, [hq2.vector([1, q + t * PRIME]) for t in range(3)])
-    assert pivot_rows(HQ, [r.row for r in rays[:2]]) == [0]
-    assert pivot_rows(HQ, [r.row for r in rays]) == [0]
     closure = perp_closure(rays)
     assert closure.dim == _closure_oracle(rays).dim == 2
 
@@ -188,26 +181,28 @@ def test_perp_closure_confirms_a_quaternion_ray_the_pick_misses():
 @pytest.mark.parametrize("sf", list(StarSfield))
 def test_perp_closure_of_the_basis_rays_is_read_off(sf, monkeypatch):
     """Rays that hold every standard basis ray close to the full space with
-    no pick and no span; without one basis ray the pick runs, and both give
-    the scalar span."""
-    picks = []
-    real = orthoset.pivot_rows
+    no row reduction; without one basis ray the closure reduces the rays,
+    and both give the scalar span."""
+    spans = []
+    real = linalg.rref
 
-    def spy(sfield, rows):
-        picks.append(len(rows))
-        return real(sfield, rows)
-    monkeypatch.setattr(orthoset, "pivot_rows", spy)
+    def spy(rows):
+        spans.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(linalg, "rref", spy)
     for space in [standard_space(sf, 3)] + default_spaces(sf):
         probes = list(ProbeSet.generate(space, seed=4, count=24))
+        spans.clear()
         full = perp_closure(probes)
-        assert picks == []
+        assert spans == []
         assert full == Subspace.full(space) == _closure_oracle(probes)
+        spans.clear()
         e1 = ray_of(space.basis_vector(0))
-        assert perp_closure(probes[::-1] + [e1]) == full and picks == []
+        assert perp_closure(probes[::-1] + [e1]) == full and spans == []
         rest = [r for r in probes if r != e1]
-        assert perp_closure(rest) == _closure_oracle(rest)
-        assert picks
-        picks.clear()
+        closure = perp_closure(rest)
+        assert spans
+        assert closure == _closure_oracle(rest)
         basis = rays_of(space, space.basis())
         for i in range(space.dim):  # one basis ray short: a hyperplane
             rest = basis[:i] + basis[i + 1:]
@@ -227,8 +222,8 @@ def test_perp_closure_rejects_rays_of_another_space():
 
 
 def test_partial_wigner_closures_reduce_at_most_k_n_rows(monkeypatch):
-    # the closures of 256 probe images must not go back to one scalar
-    # elimination of all the rays
+    # the closures of 256 probe images read the basis rays off the probe
+    # set and reduce no row
     rref, closure = linalg.rref, orthoset.perp_closure.__code__
     heights = []
 
@@ -256,11 +251,10 @@ def test_partial_wigner_closures_reduce_at_most_k_n_rows(monkeypatch):
     # the closures ran on the probes; a probe set holds every basis ray,
     # so they reduce no row at all
     assert closed and max(closed) == 256 and heights == []
-    # without a basis ray the closure picks and spans, from at most k n rows
+    # without a basis ray the closure spans the rays, which the spy sees
     e1 = ray_of(h.basis_vector(0))
     induce(d.map).image_closure([r for r in probes if r != e1])
     assert heights
-    assert max(heights) <= 4 * h.dim
 
 
 @pytest.mark.parametrize("sf", list(StarSfield))
@@ -655,6 +649,30 @@ def test_probe_rays_in_matches_the_scalar_combinations(sf):
                     got = probe_rays_in(s, seed=dim + n, count=count)
                     assert got == _scalar_probe_rays_in(s, dim + n, count)
                     assert len(got) == (max(count, dim + 1) if dim else 1)
+
+
+def _scalar_probes(space, seed, count):
+    """The scalar reference for ProbeSet.generate: the standard basis, then
+    `random_nonzero_vector` draws, then one `rays_of` batch."""
+    vectors = space.basis()
+    rng = random.Random(f"probes:{space.sfield.value}:{space.dim}:{seed}")
+    while len(vectors) + 1 < count and space.dim > 0:
+        vectors.append(random_nonzero_vector(space, rng))
+    return [Ray.zero(space)] + rays_of(space, vectors)
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_probe_sets_match_the_scalar_draws(sf):
+    """ProbeSet.generate, integer rows drawn as probe_rays_in draws them,
+    gives the rays of the scalar draws, row for row: standard spaces of
+    dimensions 0-8 and the default Gram spaces, six seeds, eight counts."""
+    for space in [standard_space(sf, n) for n in range(9)] + default_spaces(sf):
+        for seed in range(6):
+            for count in (1, 2, 3, 5, 9, 10, 33, 256):
+                got = ProbeSet.generate(space, seed, count)
+                assert list(got) == _scalar_probes(space, seed, count)
+                assert len(got) == (max(count, space.dim + 1)
+                                    if space.dim else 1)
 
 
 @pytest.mark.parametrize("sf", list(StarSfield))

@@ -44,3 +44,27 @@ def test_every_exported_name_is_reached_by_the_library_or_the_benchmark():
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                    and not node.name.startswith("_")]
     assert sorted(set(public) - used) == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a library module imports is read in that module: an
+    import left behind by a deleted path fails here.  __init__ imports to
+    export, so it is exempt."""
+    unread = []
+    for path in glob.glob(os.path.join(ROOT, "src", "orthoset_lab", "*.py")):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded:
+                        unread.append(f"{os.path.basename(path)}: {name}")
+    assert unread == []
