@@ -6,13 +6,16 @@ inputs and emits its serialized output followed by a self-verification
 report.  Exit codes: 0 all checks pass, 1 any check failed or errored,
 2 inputs failed to parse or certify, were given to a suite or
 construction that does not read them, or asked for fewer than one probe
-or more than MAX_PROBES, 3 a check hit an internal error, a bug in the
-program rather than a failed law.  Reports are byte-deterministic for fixed inputs and seed.
+or more than MAX_PROBES, or named an --out path that cannot be written
+(found before any work; that load record goes to stdout), 3 a check hit
+an internal error, a bug in the program rather than a failed law.
+Reports are byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -75,7 +78,8 @@ def _parser() -> argparse.ArgumentParser:
                              f"(default 256)")
     common.add_argument("--seed", type=int, default=0,
                         help="probe/sampling seed (default 0)")
-    common.add_argument("--out", help="write the report here instead of stdout")
+    common.add_argument("--out", help="write the report here instead of "
+                        "stdout (a path that cannot be written: exit 2)")
 
     v = sub.add_parser("verify", parents=[common],
                        help="run a named verification suite")
@@ -94,12 +98,20 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(path: str | None):
+    """The --out file, or stdout: opened after the inputs are read and
+    before any work, so that an unwritable path is a load error."""
+    if not path:
+        return sys.stdout
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
+def _closing(out):
+    """A context that closes an --out file and leaves stdout open."""
+    return contextlib.nullcontext() if out is sys.stdout else out
 
 
 def _reject_unread(given: dict, reads, what: str) -> None:
@@ -127,10 +139,16 @@ def _load_map(args):
 
 
 def _load_failed(exc, args) -> int:
+    """A load record, to stdout when --out cannot be written; exit 2."""
     rec = ReportRecord(check="load", status="error",
                        witness={"error": type(exc).__name__,
                                 "message": str(exc)})
-    _emit(render([rec]), args.out)
+    try:
+        out = _open_out(args.out)
+    except InputError:
+        out = sys.stdout
+    with _closing(out):
+        out.write(render([rec]))
     return 2
 
 
@@ -144,12 +162,14 @@ def cmd_verify(args) -> int:
             if args.space else None
         phi, claimed = _load_map(args)
         _reject_unread({"adjoint_images": claimed is not None}, reads, what)
+        out = _open_out(args.out)
     except OrthosetLabError as exc:
         return _load_failed(exc, args)
-    cfg = SuiteConfig(suite=args.suite, seed=args.seed, count=args.probes,
-                      space=space, map=phi, claimed_adjoint=claimed)
-    records = run_suite(cfg)
-    _emit(render(records, args.timings), args.out)
+    with _closing(out):
+        records = run_suite(SuiteConfig(
+            suite=args.suite, seed=args.seed, count=args.probes, space=space,
+            map=phi, claimed_adjoint=claimed))
+        out.write(render(records, args.timings))
     if any(r.status == "internal" for r in records):
         return 3
     return 0 if passed(records) else 1
@@ -172,23 +192,23 @@ def cmd_construct(args) -> int:
             if args.vector:  # parsed here; read as a Vector from now on
                 args.vector = serialize.vector_from_json(
                     serialize.loads(args.vector, "--vector"), subspace.space)
+        out = _open_out(args.out)
     except OrthosetLabError as exc:
         return _load_failed(exc, args)
 
-    try:
-        output, records = _run_construct(args, phi, claimed, subspace,
-                                          raw_subspace)
-    except Exception as exc:  # a record and an exit code, not a crash
-        rec = failure_record(f"construct/{args.kind}", exc)
-        _emit(render([rec]), args.out)
-        if rec.status == "internal":
-            return 3
-        return 2 if isinstance(exc, (ParseError, CertificateError)) else 1
-
-    lines = json.dumps({"output": output}, sort_keys=True,
-                       separators=(",", ":"), default=str) + "\n"
-    lines += render(records)
-    _emit(lines, args.out)
+    with _closing(out):
+        try:
+            output, records = _run_construct(args, phi, claimed, subspace,
+                                              raw_subspace)
+        except Exception as exc:  # a record and an exit code, not a crash
+            rec = failure_record(f"construct/{args.kind}", exc)
+            out.write(render([rec]))
+            if rec.status == "internal":
+                return 3
+            return 2 if isinstance(exc, (ParseError, CertificateError)) else 1
+        out.write(json.dumps({"output": output}, sort_keys=True,
+                             separators=(",", ":"), default=str) + "\n")
+        out.write(render(records))
     return 0 if passed(records) else 1
 
 

@@ -572,7 +572,7 @@ def transport_partial(d: PartialIsometryDescriptor) -> tuple[TransportResult,
     # tau twists coordinates by sigma^-1, so the carried subspace is spanned
     # by tau-images of the old basis, not by the same coordinate rows
     s2_new = Subspace.from_vectors(
-        result.new_space, [result.tau.apply(v) for v in d.s2.basis])
+        result.new_space, result.tau.apply_all(d.s2.basis))
     core = between_frames(result.composed, d.s1.frame, s2_new.frame)
     transported = make_partial_isometry(d.s1, s2_new, core)
     if d.s1.dim and not is_unitary(core):

@@ -441,16 +441,13 @@ class SemilinearMap:
         return linalg.rank(self.matrix)
 
     @cached_property
-    def _unit_rows(self):
-        """For images that are all unit rows e_l or zero, the l of each,
-        -1 for zero; otherwise None.  Read by `compose_maps`."""
-        one, units = self.codomain.sfield.one(), []
-        for v in self.images:
-            hits = [l for l, c in enumerate(v.coords) if c]
-            if len(hits) > 1 or (hits and v.coords[hits[0]] != one):
-                return None
-            units.append(hits[0] if hits else -1)
-        return tuple(units)
+    def block(self):
+        """The map as one content-free integer matrix K and a positive
+        rational s with sigma(x) M = s (x K) on flattened integer planes
+        (`perpgrid.map_block`), built once per map: apply, compose_maps
+        and the induced ray map all read it."""
+        return perpgrid.map_block(self.domain.sfield, self.matrix,
+                                  self.codomain.dim, self.sigma)
 
     @cached_property
     def image_gram(self) -> tuple:
@@ -468,24 +465,17 @@ class SemilinearMap:
         return tuple(map(tuple, gram))
 
     def apply(self, u: Vector) -> Vector:
-        if u.space is not self.domain:
+        return self.apply_all([u])[0]
+
+    def apply_all(self, vectors) -> tuple:
+        """phi(u) for every vector u of the domain, in order: one integer
+        product on the map's `block` (`perpgrid.compose_rows`), then one
+        scalar per output coordinate over its row's denominator."""
+        if any(u.space is not self.domain for u in vectors):
             raise InputError("vector is not in the map's domain")
-        ident = self.sigma.is_identity
-        acc = None
-        for a, img in zip(u.coords, self.images):
-            if not a:
-                continue
-            b = a if ident else self.sigma(a)
-            row = img.coords
-            if acc is None:
-                acc = [b * c for c in row]
-            else:
-                for k, c in enumerate(row):
-                    if c:
-                        acc[k] = acc[k] + b * c
-        if acc is None:
-            return self.codomain.zero_vector()
-        return Vector(self.codomain, tuple(acc))
+        y, dens = perpgrid.compose_rows(
+            self.domain.sfield, [u.coords for u in vectors], self.block)
+        return vectors_from_planes(self.codomain, y.tolist(), dens)
 
     def scale(self, kappa) -> "SemilinearMap":
         """The left multiple kappa * phi; the associated morphism picks up
@@ -504,29 +494,15 @@ class SemilinearMap:
 
 def compose_maps(outer: SemilinearMap, inner: SemilinearMap) -> SemilinearMap:
     """outer after inner, whose morphism is sigma_outer after sigma_inner.
-
-    Inner sends e_j to the row x_j, and outer sends it on to
-    sum_l sigma_outer(x_jl) outer(e_l): the row sigma_outer(x_j) M of the
-    matrix M of outer's images.  All rows are one exact integer product
-    (`perpgrid.compose_rows`) on the component planes, and each output
-    coordinate is one scalar over its row's denominator.  A map whose
-    images are unit or zero rows, as the projection onto the full space
-    of a standard space is, selects outer's images instead
-    (`SemilinearMap._unit_rows`): sigma fixes 0 and 1, so e_l goes to
-    outer(e_l) and 0 to 0, and no scalar is built."""
+    Inner sends e_j to its image x_j and outer sends that on, so the
+    composite's images are outer's of inner's, one `apply_all` batch on
+    outer's block: the row sigma_outer(x_j) M for the matrix M of outer's
+    images."""
     if inner.codomain is not outer.domain:
         raise InputError("maps do not compose")
-    units = inner._unit_rows
-    if units is not None:
-        zero = outer.codomain.zero_vector() if -1 in units else None
-        images = tuple(zero if l < 0 else outer.images[l] for l in units)
-    else:
-        y, dens = perpgrid.compose_rows(
-            outer.domain.sfield, [v.coords for v in inner.images],
-            [v.coords for v in outer.images], outer.codomain.dim, outer.sigma)
-        images = vectors_from_planes(outer.codomain, y.tolist(), dens)
     return SemilinearMap(inner.domain, outer.codomain,
-                         outer.sigma.compose(inner.sigma), images)
+                         outer.sigma.compose(inner.sigma),
+                         outer.apply_all(inner.images))
 
 
 def vectors_from_planes(space: HermitianSpace, rows, dens) -> tuple:

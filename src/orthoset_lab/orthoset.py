@@ -32,8 +32,8 @@ row with one gcd, building no scalar object.  The product is exact on
 int64 limbs: the map's matrix is split once into signed s-bit limbs,
 with c K (2**s - 1)**2 <= 2**63 - 1 for K = k n contracted terms and c = 2
 limb products summed in int64, and the rays' rows are split the same way
-batch by batch.  The rays are the ones `ray_of(phi.apply(u))` gives,
-which the tests keep as the reference, as they keep the product on
+batch by batch.  The tests keep the rays of phi(u) by the scalar loop
+over u's coordinates as the reference, as they keep the product on
 Python ints for the limbs.  On the `wigner` benchmark, 57 Wigner round
 trips on 256-probe sets, the limb product took the median round from
 1.82 s to 1.49 s (seed 401, ten alternating pairs, all won; 2-core host,
@@ -100,8 +100,8 @@ from .perpgrid import (
     _int_rows,
     _limb_residues,
     _primitive_rows,
-    combination_rows,
     image_rows,
+    map_block,
     map_matrix,
     matrix_limbs,
     ray_rows,
@@ -110,6 +110,7 @@ from .perpgrid import (
 )
 from .reports import ReportRecord, law
 from .scalars import inv_scalar
+from .starfields import SfieldMorphism
 
 MAX_WITNESSES = 5  # violating pairs shown by a failed verify_adjoint_pair
 
@@ -332,8 +333,8 @@ class RayMap:
             raise InputError("ray is not in the map's domain")
         todo = range(len(rays))
         if self.is_induced and other.is_induced:
-            same = zero_images(matrix_limbs(self._matrix - other._matrix),
-                               [x.row for x in rays])
+            diff = map_matrix(self.mapping) - map_matrix(other.mapping)
+            same = zero_images(matrix_limbs(diff), [x.row for x in rays])
             todo = [i for i, s in enumerate(same) if not s]
         xs = [rays[i] for i in todo]
         return [i for i, y, z in zip(todo, self.apply_many(xs),
@@ -355,9 +356,8 @@ class RayMap:
             raise InputError("ray is not in the map's domain")
         if not self.is_induced:
             return perp_closure(self.apply_many(rays))
-        phi = self.mapping
         return Subspace.from_vectors(
-            self.codomain, [phi.apply(b) for b in perp_closure(rays).basis])
+            self.codomain, self.mapping.apply_all(perp_closure(rays).basis))
 
     def is_induced_by(self, phi: SemilinearMap) -> bool:
         """Whether this map is P(psi) for psi = kappa phi with kappa != 0
@@ -370,15 +370,11 @@ class RayMap:
             return False
         return scalar_ratio(self.mapping, phi) is not None
 
-    # the map's matrix K, its limbs and K mod PRIME, each built once per
-    # map and freed with it
-    @cached_property
-    def _matrix(self):
-        return map_matrix(self.mapping)
-
+    # the limbs of the map's matrix K (`perpgrid.map_matrix`, cached on the
+    # map) and K mod PRIME, each built once per ray map and freed with it
     @cached_property
     def _int_matrix(self):
-        return matrix_limbs(self._matrix)
+        return matrix_limbs(map_matrix(self.mapping))
 
     @cached_property
     def _residues(self):
@@ -484,19 +480,22 @@ def probe_rays_in(subspace: Subspace, seed: int = 0, count: int = 32) -> list[Ra
     from the seed: count rays in all, but never fewer than the zero and
     basis rays, and the zero ray alone in the zero subspace.
 
-    The coefficient rows are `_probe_rows`' draws, and all of them are
-    canonicalized in one batch through the integer matrix of the
-    embedding e_i -> b_i (`perpgrid.combination_rows`), with no scalar
-    arithmetic."""
+    The coefficient rows are `_probe_rows`' draws, multiplied by the
+    integer matrix K of the embedding e_i -> b_i (`perpgrid.map_block`)
+    in one product and canonicalized in one batch, with no scalar
+    arithmetic.  A row x of coefficients goes to a positive rational
+    multiple of sum_i x_i b_i, which changes no ray."""
     space, s = subspace.space, subspace.dim
     if not s:
         return [Ray.zero(space)]
     sf = space.sfield
     x = _probe_rows(sf, s, random.Random(f"subprobes:{sf.value}:{s}:{seed}"),
-                    count).transpose(1, 0, 2)
-    basis = [v.coords for v in subspace.basis]
-    return [Ray.zero(space)] + [Ray(space, row) for row in
-                                combination_rows(sf, x, basis, space.dim)]
+                    count)
+    matrix, _ = map_block(sf, [v.coords for v in subspace.basis], space.dim,
+                          SfieldMorphism.identity(sf))
+    y = x.reshape(len(x), len(matrix)) @ matrix
+    return [Ray.zero(space)] + [Ray(space, row) for row in _primitive_rows(
+        sf, y.reshape(len(x), x.shape[1], space.dim))]
 
 
 def ray_grid(space: HermitianSpace, rays_a, rays_b):

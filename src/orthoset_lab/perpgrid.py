@@ -106,47 +106,43 @@ once and passes the array, which `_int_rows` copies as it is.  The
 conversion is exact, so no height bound guards an int64 plane; the
 kernel reads planes only through their residues mod p, and
 `_exact_zero` casts them to Python ints, so no int64 product decides a
-pair.  `perp_grid` is an adapter: `_planes` integerises its
+pair.  `perp_grid` is an adapter: `_row_planes` integerises its
 coordinate rows, and `row_grid` takes them as rays' rows.  Map matrices,
 `ray_rows` and the canonicalizer build object planes only, since their
 products pass int64.
 
-The same planes carry rays and induced ray maps.  A ray is held as its
+The same planes carry rays and semilinear maps.  A ray is held as its
 primitive integer row (`orthoset.Ray`): an integer row y of the ray with
 pivot P, its first nonzero coordinate, becomes star(P) y, which is N(P)
 times the canonical row P^-1 y, divided by the gcd of its entries.  One
-canonicalizer, `_primitive_rows`, serves coordinate rows (`ray_rows`)
-and map images (`image_rows`), one gcd per row and no scalar object.  A
-semilinear map sends the row x to sigma(x) M.  On a scalar's components
-the twist sigma is a k x k integer matrix: the identity for id, a negated
-i-plane for conjugation, and a -> q a star(q) on q's integer components
-for inner(q), which is q a q^-1 times the positive rational N(q).  With
-the product table it folds into one (k n) x (k m) integer matrix per map
-(`map_matrix`), so a batch of rays' rows is mapped by one matrix product
-and canonicalized in one call.  Grids of rays (`row_grid`) take the same
-rows as planes without re-integerizing them.
-
-Semilinear maps compose on the same planes (`compose_rows`, behind
-`hermspace.compose_maps`): the inner map's image rows, each over the lcm
-of its denominators, with the outer twist applied as its k x k integer
-matrix, times the outer map's image planes laid out by the product
-table as one (k n) x (k m) block matrix (`_fold`, slice assignment
-only), one product of Python ints; the caller builds one scalar per
-output coordinate over its row's denominator.  On a seed-5 `partial`
-round the height bound of these products, bits(rows) + bits(matrix) +
+canonicalizer, `_primitive_rows`, serves coordinate rows (`ray_rows`),
+map images (`image_rows`) and subspace probes, one gcd per row and no
+scalar object.  A semilinear map sends the row x to sigma(x) M.  On a
+scalar's components the twist sigma is a k x k integer matrix: the
+identity for id, a negated i-plane for conjugation, and a -> q a star(q)
+on q's integer components for inner(q), which is q a q^-1 times the
+positive rational N(q).  `map_block` folds it and M's planes, laid out
+by the product table (`_fold`), into one content-free (k n) x (k m)
+integer matrix K and a positive rational s with sigma(x) M = s (x K),
+built once per map and cached on it (`hermspace.SemilinearMap.block`).
+Every product with a map reads that K: `compose_rows` maps coordinate
+rows exactly, for `SemilinearMap.apply`, `apply_all` and
+`hermspace.compose_maps`, with one scalar per output coordinate over its
+row's denominator; `map_matrix` hands K to the ray kernel, which maps a
+batch of rays' rows in one product and canonicalizes them in one call;
+and `orthoset.probe_rays_in` multiplies coefficient rows by the K of the
+embedding e_i -> b_i of a subspace basis.  On a seed-5 `partial` round
+the height bound of the compositions, bits(rows) + bits(matrix) +
 bitlen(k n), ran from 79 to 1542 bits, so none would fit an int64
-product.  Random left combinations of a subspace basis
-(`combination_rows`, behind `orthoset.probe_rays_in`) are the same
-product with the embedding e_i -> b_i, canonicalized at once.
+product.
 
-A map's matrix is content-free: `map_matrix` divides it by the gcd of
-all its entries, which keeps it a positive multiple of the map, so no
-image ray changes.  The common lcm of its denominators and the twist's
-scale leave such a factor: on one seed-613 round (in-process spies,
-2-core host, Python 3.11, `BENCH_21.json`) it reached 102 bits on
-`wigner`, whose largest matrix fell from 206 to 105 bits, and 234 bits
-on `partial`, whose largest fell from 475 to 241 bits; there the
-probe check of a rebuilt map took 0.11-0.17 s a round, not 0.19-0.26 s.
+K is content-free: the gcd of its entries is divided out into s.  The
+common lcm of M's denominators and the twist's scale leave such a
+factor: on one seed-613 round (in-process spies, 2-core host, Python
+3.11, `BENCH_21.json`) it reached 102 bits on `wigner`, whose largest
+matrix fell from 206 to 105 bits, and 234 bits on `partial`, whose
+largest fell from 475 to 241 bits; there the probe check of a rebuilt
+map took 0.11-0.17 s a round, not 0.19-0.26 s.
 
 That product is exact on int64 limbs.  A content-free matrix still
 passes 2**63 easily, and so can rays' rows, so neither fits a machine
@@ -204,6 +200,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -299,25 +296,14 @@ def _row_planes(sfield: StarSfield, rows, n: int):
     return planes.reshape(_width(sfield), len(rows), n) * scale, lcm
 
 
-def _planes(sfield: StarSfield, rows, n: int):
-    """The rows' integer component planes of `_row_planes`, each row
-    scaled by the lcm of its denominators, a positive integer that changes
-    no ray and no form's vanishing."""
-    return _row_planes(sfield, rows, n)[0]
-
-
-def _matrix_planes(sfield: StarSfield, matrix, n: int, m: int):
-    """An n x m matrix as (k, n, m) integer planes under one common scale."""
-    flat = [[x for row in matrix for x in row]]
-    return _planes(sfield, flat, n * m).reshape(-1, n, m)
-
-
 @lru_cache(maxsize=None)
 def _int_gram(space):
     """The full Gram matrix as (k, n, n) integer planes under one common
     scale."""
     n = space.dim
-    gram = _matrix_planes(space.sfield, space.gram, n, n)
+    gram, _ = _row_planes(space.sfield, [[x for row in space.gram for x in row]],
+                          n * n)
+    gram = gram.reshape(len(gram), n, n)
     gram.flags.writeable = False  # shared
     return gram
 
@@ -389,7 +375,7 @@ def _fold(terms, y):
     for c, component in enumerate(terms):
         for a, b, sign in component:
             out[a, :, c] = y[b] if sign > 0 else -y[b]
-    return out.reshape(k * m, -1)
+    return out.reshape(k * m, k * q)
 
 
 def _form_residues(tables, u, gram, v, p: int):
@@ -544,30 +530,37 @@ def _confirm(tables, u, gram, v, ii, jj):
     return _exact_zero(tables, u, gram, v, ii, jj)
 
 
-def map_matrix(phi):
-    """The semilinear map phi as one content-free integer matrix K on
-    flattened planes: a row x, as its (k, n) component planes read row by
-    row, goes to the (k, m) planes of a positive rational multiple of
-    phi(x), as x K.
+def map_block(sfield: StarSfield, images, m: int, sigma):
+    """The map with twist sigma and the n x m matrix M of image rows as
+    one content-free integer (k n) x (k m) matrix K and a positive
+    rational s: a row x, as its (k, n) integer planes read row by row,
+    goes to the planes of sigma(x) M = s (x K).
 
-    K is divided by the gcd of all its entries, so that gcd is 1.  The
-    common lcm of the matrix's denominators and the twist's scale for
-    inner(q) leave a common factor that would only add height to every
-    limb product and canonicalization; dividing it out keeps K a positive
-    rational multiple of the map, so no image ray changes.  An all-zero
-    K has gcd 0 and is left as it is."""
-    sf, n, m = phi.domain.sfield, phi.domain.dim, phi.codomain.dim
-    k = _width(sf)
-    if n == 0 or m == 0:
-        return np.zeros((k * n, k * m), dtype=object)
-    mat = _matrix_planes(sf, phi.matrix, n, m)
-    twist, _ = _twist(sf, phi.sigma)
-    # y_c = sum over the table's (a, b, sign) of sign * sigma(x)_a M_b
-    blocks = [_combine(terms, twist, mat, np.multiply.outer)
-              for terms in _tables(sf)[0]]
-    matrix = np.stack(blocks, axis=2).reshape(k * n, -1)
+    M is P / c under the common lcm c of its denominators, and `_fold`
+    lays P out so that flattened planes z go to z M = z fold(P) / c.
+    sigma(x) has the components T x / t (`_twist`), so row block a of K
+    sums T[b, a] times row block b of fold(P), one `tensordot`.  The gcd
+    g of K's entries would only add height to every product, so K is
+    divided by it and s = g / (t c); an all-zero K has gcd 0, and s =
+    1 / (t c).  K is read-only, since its map caches it."""
+    k, n = _width(sfield), len(images)
+    planes, (common,) = _row_planes(sfield, [[v for row in images for v in row]],
+                                    n * m)
+    twist, scale = _twist(sfield, sigma)
+    fold = _fold(_tables(sfield)[0], planes.reshape(k, n, m))
+    matrix = np.tensordot(twist.T, fold.reshape(k, n, k * m), axes=1)
+    matrix = matrix.reshape(k * n, k * m)
     content = math.gcd(*matrix.flat)
-    return matrix // content if content > 1 else matrix
+    if content > 1:
+        matrix //= content
+    matrix.flags.writeable = False
+    return matrix, Fraction(max(content, 1), scale * common)
+
+
+def map_matrix(phi):
+    """The K of phi's cached `map_block`: a row x goes to the planes of a
+    positive rational multiple of phi(x), x K."""
+    return phi.block[0]
 
 
 def _twist(sfield: StarSfield, sigma):
@@ -581,49 +574,24 @@ def _twist(sfield: StarSfield, sigma):
     return planes[:, 0], scale
 
 
-def _left_product(sfield: StarSfield, x, planes):
-    """The (count, k, m) integer planes of the rows x times the matrix M,
-    exactly, for x as (k, count, n) integer planes and M as its (k, n, m)
-    planes: the rows flattened, times the (k n) x (k m) block matrix that
-    `_fold` lays M out as by the product table, one product of Python
-    ints."""
-    k, count, n = x.shape
-    flat = x.transpose(1, 0, 2).reshape(count, k * n)
-    product = flat @ _fold(_tables(sfield)[0], planes)
-    return product.reshape(count, k, planes.shape[2])
+def compose_rows(sfield: StarSfield, rows, block):
+    """The rows sigma(x_j) M, exactly, for coordinate rows x_j and the
+    `map_block` (K, s) of a map with twist sigma and matrix M: (count, k, m)
+    integer planes y and a positive integer d_j per row, with
+    sigma(x_j) M = y_j / d_j.
 
-
-def compose_rows(sfield: StarSfield, rows, matrix, m: int, sigma):
-    """The rows sigma(x_j) M, exactly, for coordinate rows x_j of length n
-    and an n x m matrix M of scalars: (count, k, m) integer planes y and a
-    positive integer d_j per row, with sigma(x_j) M = y_j / d_j.
-
-    The rows' planes are X / l_j for the lcm l_j of row j's denominators,
-    sigma(X) = T X / t on the components (`_twist`), and M's planes P / c
-    under the common lcm c of its denominators.  Left multiplication of
-    rows is sum over the product table of sign X_a P_b, so y = (T X) P
-    by `_left_product` and d_j = l_j t c, multiplied on Python ints."""
-    n = len(matrix)
-    x, dens = _row_planes(sfield, rows, n)
-    scale = 1
-    if not sigma.is_identity:
-        twist, scale = _twist(sfield, sigma)
-        x = (twist @ x.reshape(len(x), -1)).reshape(x.shape)
-    mat, (common,) = _row_planes(sfield, [[v for row in matrix for v in row]],
-                                 n * m)
-    y = _left_product(sfield, x, mat.reshape(len(mat), n, m))
-    return y, [d * scale * common for d in dens]
-
-
-def combination_rows(sfield: StarSfield, x, basis, n: int):
-    """The primitive rows of the rays of the left combinations
-    sum_i c_ji b_i, for coefficient rows c_j given as (k, count, s)
-    integer planes, each a positive multiple of its row, and the s
-    coordinate rows b_i of length n: one `_left_product` with the matrix
-    of the embedding e_i -> b_i and one `_primitive_rows` batch.  A
-    positive rational factor on a row or on the matrix changes no ray."""
-    mat = _matrix_planes(sfield, basis, len(basis), n)
-    return _primitive_rows(sfield, _left_product(sfield, x, mat))
+    Row j is X_j / l_j for its integer planes X_j and the lcm l_j of its
+    denominators (`_row_planes`), and sigma fixes the rationals, so
+    sigma(x_j) M = s (X_j K) / l_j: y = num(s) X K, one product of Python
+    ints, and d_j = l_j den(s)."""
+    matrix, scale = block
+    k = _width(sfield)
+    x, dens = _row_planes(sfield, rows, len(matrix) // k)
+    y = x.transpose(1, 0, 2).reshape(len(dens), len(matrix)) @ matrix
+    if scale.numerator != 1:
+        y *= scale.numerator
+    return (y.reshape(len(dens), k, matrix.shape[1] // k),
+            [d * scale.denominator for d in dens])
 
 
 @lru_cache(maxsize=None)
@@ -667,7 +635,8 @@ def _primitive_rows(sfield: StarSfield, y):
 def ray_rows(sfield: StarSfield, rows, n: int):
     """The primitive rows of the rays spanned by coordinate rows, in one
     batch."""
-    return _primitive_rows(sfield, _planes(sfield, rows, n).transpose(1, 0, 2))
+    planes, _ = _row_planes(sfield, rows, n)
+    return _primitive_rows(sfield, planes.transpose(1, 0, 2))
 
 
 def _limb_bits(length: int) -> int:
@@ -779,9 +748,9 @@ def zero_images(matrix, rows, residues=None) -> list[bool]:
 
 def perp_grid(space, rows_a, rows_b):
     """Boolean matrix of exact orthogonality for all pairs of coordinate
-    rows: `row_grid` on the rows integerised by `_planes`, laid out as
+    rows: `row_grid` on the rows integerised by `_row_planes`, laid out as
     `orthoset.Ray.row`."""
-    a, b = (np.hstack(_planes(space.sfield, rows, space.dim))
+    a, b = (np.hstack(_row_planes(space.sfield, rows, space.dim)[0])
             for rows in (rows_a, rows_b))
     return row_grid(space, a, b)
 

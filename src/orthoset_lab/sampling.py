@@ -126,7 +126,7 @@ def random_partial_isometry(space1: HermitianSpace, space2: HermitianSpace,
     s1 = random_subspace(space1, core_dim, rng)
     ambient = random_quasiunitary(space2, rng) if quasi \
         else random_unitary(space2, rng)
-    carried = [ambient.apply(v) for v in s1.basis]
+    carried = ambient.apply_all(s1.basis)
     s2 = Subspace.from_vectors(space2, carried)
     core = between_frames(ambient, s1.frame, s2.frame)
     return make_partial_isometry(s1, s2, core), core

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from orthoset_lab.hermspace import HermitianSpace, standard_space
+from orthoset_lab.errors import InputError
+from orthoset_lab.hermspace import HermitianSpace, Vector, standard_space
 from orthoset_lab.orthoset import RayMap
 from orthoset_lab.scalars import (
     HQ_I,
@@ -30,6 +31,26 @@ def src_env():
 def oracle_map(domain, codomain, fn):
     """The oracle ray map of a per-ray function fn."""
     return RayMap(domain, codomain, oracle=lambda rays: [fn(x) for x in rays])
+
+
+def _scalar_apply(phi, u):
+    """phi(u) = sum_i sigma(u_i) phi(e_i) by the scalar loop over u's
+    coordinates: the reference for `SemilinearMap.apply` and everything
+    that reads the map's block, sharing no code with `perpgrid.map_block`."""
+    if u.space is not phi.domain:
+        raise InputError("vector is not in the map's domain")
+    acc = None
+    for a, img in zip(u.coords, phi.images):
+        if not a:
+            continue
+        b = phi.sigma(a)
+        if acc is None:
+            acc = [b * c for c in img.coords]
+        else:
+            acc = [x + b * c for x, c in zip(acc, img.coords)]
+    if acc is None:
+        return phi.codomain.zero_vector()
+    return Vector(phi.codomain, tuple(acc))
 
 
 def spaces_under_test():

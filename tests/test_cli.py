@@ -693,6 +693,36 @@ def test_probe_count_above_the_bound_is_load_error(tmp_path):
                        f"got {cli.MAX_PROBES + 1}"}
 
 
+def test_unwritable_out_is_a_load_error_before_any_work(tmp_path, capsys,
+                                                       monkeypatch):
+    """An --out path that cannot be written, in a missing directory or a
+    directory itself, is found in the load phase: one `load` record on
+    stdout and exit 2, no traceback, and no suite or construction run."""
+    calls = []
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_suite", spy(cli.run_suite))
+    monkeypatch.setattr(cli, "_run_construct", spy(cli._run_construct))
+    for argv, out in (
+            (["verify", "--suite", "frechet"], tmp_path / "missing" / "x.txt"),
+            (["construct", "gram-schmidt", "--subspace",
+              fixture("q2_basis.json")], tmp_path)):
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        rec, = records_of(captured.out)
+        assert rec["check"] == "load" and rec["status"] == "error"
+        assert rec["witness"]["error"] == "InputError"
+        assert rec["witness"]["message"].startswith(f"cannot write --out {out}")
+        assert "Traceback" not in captured.err
+    assert calls == []
+
+
 def test_huge_probe_count_is_a_prompt_load_error():
     """`--probes 10**30` is rejected before any probe set is drawn:
     `verify --suite axioms` exits 2 with one `load` record at once.  Drawn,

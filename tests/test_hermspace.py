@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import nonzero_scalar
+from conftest import _scalar_apply, nonzero_scalar, twists
 
 from orthoset_lab import hermspace, linalg, serialize
 from orthoset_lab.correspondence import transport_linear
@@ -27,10 +27,12 @@ from orthoset_lab.hermspace import (
     is_quasiunitary,
     make_partial_isometry,
     quasi_generalized_inverse,
+    random_nonzero_vector,
     random_subspace,
     random_vector,
     standard_space,
 )
+from orthoset_lab.orthoset import Ray, probe_rays_in, rays_of
 from orthoset_lab.sampling import left_scalar_map, random_linear_map, random_unitary
 from orthoset_lab.suites import default_spaces
 from orthoset_lab.scalars import GaussianRational as GR, RationalQuaternion as RQ, HQ_I, HQ_J, HQ_K, star_scalar
@@ -715,9 +717,9 @@ def test_zero_dimensional_space_edge_cases():
 # ------------------------------------------------------------ composition
 
 def _scalar_compose(outer, inner):
-    """The scalar reference for compose_maps: outer applied to each image
-    of inner."""
-    return tuple(outer.apply(v) for v in inner.images)
+    """The scalar reference for compose_maps: the scalar loop
+    `_scalar_apply` of outer on each image of inner."""
+    return tuple(_scalar_apply(outer, v) for v in inner.images)
 
 
 def _tridiagonal_space(sf, n):
@@ -750,8 +752,8 @@ def _twists(sf):
 
 @pytest.mark.parametrize("sf", list(StarSfield))
 def test_compose_maps_matches_the_scalar_apply_loop(sf):
-    """compose_maps, one integer product on the planes or a selection of
-    outer's images, equals outer applied to every image of inner: over
+    """compose_maps, one integer product on outer's block, equals the
+    scalar loop of outer on every image of inner: over
     every twist pair, standard and Gram spaces of dimensions 0 to 6, zero
     maps, unit-row maps, and entries past 2**64 and at -2**63."""
     rng = random.Random(f"compose:{sf.value}")
@@ -785,3 +787,67 @@ def test_compose_maps_matches_the_scalar_apply_loop(sf):
                             assert got.sigma == psi.sigma.compose(pi.sigma)
             assert compose_maps(outer, SemilinearMap.identity(b)).images \
                 == outer.images
+
+
+def _scalar_probe_rays(subspace, seed, count):
+    """The reference for probe_rays_in through the scalar loop: the
+    embedding e_i -> b_i of the basis applied by `_scalar_apply` to the
+    unit coefficient rows, then to scalar coefficient rows drawn as
+    probe_rays_in draws them, again while zero."""
+    space, s = subspace.space, subspace.dim
+    if not s:
+        return [Ray.zero(space)]
+    sf = space.sfield
+    coeffs = standard_space(sf, s)
+    embedding = SemilinearMap(coeffs, space, SfieldMorphism.identity(sf),
+                              subspace.basis)
+    rng = random.Random(f"subprobes:{sf.value}:{s}:{seed}")
+    rows = coeffs.basis()
+    while len(rows) + 1 < count:
+        rows.append(random_nonzero_vector(coeffs, rng))
+    return [Ray.zero(space)] + rays_of(
+        space, [_scalar_apply(embedding, c) for c in rows])
+
+
+@pytest.mark.parametrize("sf", list(StarSfield))
+def test_block_paths_match_the_scalar_loop(sf):
+    """apply, apply_all, compose_maps and probe_rays_in, which all read a
+    map's `block`, equal the scalar loop `_scalar_apply`: every twist kind
+    of the sfield, standard and Gram spaces, zero-dimensional domains and
+    codomains, and entries past 2**63 in the map or in the vectors."""
+    rng = random.Random(f"block:{sf.value}")
+
+    def vector(h, huge):
+        return h.vector([_huge_scalar(sf, rng) if huge else
+                         sf.random_scalar(rng) for _ in range(h.dim)])
+
+    for n, m in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4),
+                 (5, 3)):
+        for gram in (False, True):
+            dom = _tridiagonal_space(sf, n) if gram else standard_space(sf, n)
+            cod = standard_space(sf, m) if gram else _tridiagonal_space(sf, m)
+            for sigma in twists(sf):
+                huge = rng.random() < 0.5
+                phi = SemilinearMap(dom, cod, sigma, tuple(
+                    vector(cod, huge) for _ in range(n)))
+                us = [vector(dom, not huge) for _ in range(3)] + \
+                    [dom.zero_vector()] + dom.basis()
+                want = tuple(_scalar_apply(phi, u) for u in us)
+                assert tuple(phi.apply(u) for u in us) == want
+                assert phi.apply_all(us) == want
+                assert phi.apply_all([]) == ()
+                for inner_sigma in twists(sf):
+                    a = standard_space(sf, rng.randint(0, 3))
+                    inner = SemilinearMap(a, dom, inner_sigma, tuple(
+                        vector(dom, huge) for _ in range(a.dim)))
+                    got = compose_maps(phi, inner)
+                    assert got.images == tuple(
+                        _scalar_apply(phi, v) for v in inner.images)
+            if m:
+                sub = Subspace.from_vectors(
+                    cod, [vector(cod, huge) for _ in range(min(m, 3))])
+                for count in (1, 2, 17):
+                    assert probe_rays_in(sub, n, count) == \
+                        _scalar_probe_rays(sub, n, count)
+    with pytest.raises(InputError, match="domain"):
+        phi.apply_all([standard_space(sf, 4).zero_vector()])

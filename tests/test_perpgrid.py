@@ -1,7 +1,8 @@
 """The residue-screened orthogonality grids must agree with plain exact
 evaluation pair by pair, on every sfield, whatever the path taken; the
 batched kernel of induced ray maps must give exactly the rays of the
-scalar path, ray_of(phi.apply(x.rep)), on every sfield and twist."""
+scalar path, ray_of(_scalar_apply(phi, x.rep)), on every sfield and
+twist."""
 
 import gc
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from conftest import (
+    _scalar_apply,
     nonzero_scalar,
     oracle_map,
     short_id,
@@ -581,7 +583,7 @@ def test_height_check_picks_the_plane_dtype(sf, height, monkeypatch):
     prime to 3 and q the sum of the basis scalars: its row lcm is 21 and
     its largest scaled entry 7 a.  `row_grid` loads u's side in int64
     while 7 a < 2**63, at heights 57, 58 and 60, and on Python ints at 61,
-    where 7 a passes 2**63; either load is an exact copy of the `_planes`
+    where 7 a passes 2**63; either load is an exact copy of the `_row_planes`
     rows.  The grids against an orthogonal partner, a nearby row and e_1
     match the scalar form."""
     space = standard_space(sf, 2)
@@ -595,7 +597,7 @@ def test_height_check_picks_the_plane_dtype(sf, height, monkeypatch):
     loads = spy_loads(monkeypatch)
     grid = perp_grid(space, rows_a, rows_b)
     assert loads[0].dtype == (np.int64 if height < 61 else object)
-    exact = np.hstack(perpgrid._planes(sf, rows_a, 2))
+    exact = np.hstack(perpgrid._row_planes(sf, rows_a, 2)[0])
     assert loads[0].tolist() == exact.tolist()
     for i, x in enumerate(rows_a):
         for j, y in enumerate(rows_b):
@@ -690,8 +692,8 @@ def test_exact_path_on_int64_planes_past_2_to_the_63(sf, monkeypatch):
     assert (perp_grid(space, rows_a, rows_b) == want).all()
     assert seen == [("ints", 6)]
     assert [x.dtype for x in loads] == [np.int64, np.int64]
-    a = perpgrid._planes(sf, rows_a, 2).astype(np.int64)
-    b = perpgrid._planes(sf, rows_b[:1], 2).astype(np.int64)
+    a = perpgrid._row_planes(sf, rows_a, 2)[0].astype(np.int64)
+    b = perpgrid._row_planes(sf, rows_b[:1], 2)[0].astype(np.int64)
     gram = perpgrid._int_gram(space).astype(np.int64)
     ii, jj = np.array([0, 1]), np.array([0, 0])
     zero = perpgrid._exact_zero(perpgrid._tables(sf), a, gram, b, ii, jj)
@@ -1021,8 +1023,8 @@ def test_confirmation_at_random_heights_and_signs(data, sf, n, seed):
 
 
 def reference(phi, rays):
-    return [Ray.zero(phi.codomain) if x.is_zero else ray_of(phi.apply(x.rep))
-            for x in rays]
+    return [Ray.zero(phi.codomain) if x.is_zero
+            else ray_of(_scalar_apply(phi, x.rep)) for x in rays]
 
 
 def batch(space, rng, count=24):
@@ -1553,7 +1555,7 @@ def partners(phi, xs):
     xs that phi does not kill, so that a grid holds orthogonal cells
     besides those of zero rays and killed rays."""
     for x in xs:
-        u = None if x.is_zero else phi.apply(x.rep)
+        u = None if x.is_zero else _scalar_apply(phi, x.rep)
         if u is not None and not u.is_zero:
             perp = Subspace.from_vectors(phi.codomain, [u]).orthocomplement()
             return rays_of(phi.codomain, perp.basis)
@@ -1629,7 +1631,7 @@ def test_image_grid_on_maps_that_kill_rays(sf, monkeypatch):
     for space in (standard_space(sf, 4), tridiagonal_space(sf, 4)):
         for phi, kernel in killing_maps(space, rng):
             killed = rays_of(space, combinations(kernel, 4, rng))
-            assert all(phi.apply(x.rep).is_zero for x in killed)
+            assert all(_scalar_apply(phi, x.rep).is_zero for x in killed)
             xs = killed + batch(space, rng, count=12)
             cod = phi.codomain
             ys = (batch(cod, rng, count=12) if cod.dim else
@@ -1768,7 +1770,7 @@ def test_kills_matches_the_image_rays(space):
     for phi, kernel in cases:
         killed = rays_of(space, combinations(kernel, 3, rng)
                          if kernel.dim else [])
-        assert all(phi.apply(x.rep).is_zero for x in killed)
+        assert all(_scalar_apply(phi, x.rep).is_zero for x in killed)
         xs = killed + batch(space, rng)
         verdicts = kills_agree(phi, xs)
         assert verdicts[:len(killed)] == [True] * len(killed)
@@ -1789,7 +1791,7 @@ def test_kills_past_2_to_the_63(sf):
             huge_scalar(sf, rng) * kernel.basis[0]
             + huge_scalar(sf, rng) * kernel.basis[1] for _ in range(3)])
         assert max(abs(x) for r in killed for x in r.row) > 2 ** 63
-        assert all(phi.apply(x.rep).is_zero for x in killed)
+        assert all(_scalar_apply(phi, x.rep).is_zero for x in killed)
         alive = rays_of(space, [space.vector([huge_scalar(sf, rng)
                                               for _ in range(3)])
                                 for _ in range(4)])

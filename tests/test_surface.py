@@ -22,28 +22,53 @@ def _references(path):
             yield from (alias.name for alias in node.names)
 
 
+def _library_modules():
+    return [p for p in glob.glob(os.path.join(ROOT, "src", "orthoset_lab",
+                                              "*.py"))
+            if os.path.basename(p) != "__init__.py"]
+
+
+def _used_names():
+    """Every name the library modules and the benchmark read."""
+    used = set()
+    for path in _library_modules() + glob.glob(os.path.join(ROOT, "perfbench",
+                                                            "*.py")):
+        used.update(_references(path))
+    return used
+
+
+def _module_level_defs():
+    """The names of the module-level functions and classes of the library."""
+    names = []
+    for path in _library_modules():
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        names += [node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return names
+
+
 def test_every_exported_name_is_reached_by_the_library_or_the_benchmark():
     """A name that only __init__ exports and only tests call is surface no
     suite, construction or benchmark runs; delete it or use it.  The guard
     covers every export and every public module-level function and class,
     so a name whose last caller went fails here with or without an
     export."""
-    modules = [p for p in glob.glob(os.path.join(ROOT, "src", "orthoset_lab",
-                                                 "*.py"))
-               if os.path.basename(p) != "__init__.py"]
-    used = set()
-    for path in modules + glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
-        used.update(_references(path))
     public = [name for name in orthoset_lab.__all__
               if not inspect.ismodule(getattr(orthoset_lab, name))]
     assert public
-    for path in modules:
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        public += [node.name for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                   and not node.name.startswith("_")]
-    assert sorted(set(public) - used) == []
+    public += [name for name in _module_level_defs()
+               if not name.startswith("_")]
+    assert sorted(set(public) - _used_names()) == []
+
+
+def test_every_private_helper_is_read_by_the_library_or_the_benchmark():
+    """A private module-level function or class that no library module and
+    no benchmark script reads is a helper that outlived its last caller:
+    tests alone keep it alive.  Delete it with the path that used it."""
+    private = [name for name in _module_level_defs() if name.startswith("_")]
+    assert private
+    assert sorted(set(private) - _used_names()) == []
 
 
 def test_no_module_imports_a_name_it_never_reads():
