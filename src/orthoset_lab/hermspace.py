@@ -10,9 +10,11 @@ elimination factors the Gram matrix as G = L D L* with L unit lower
 triangular, and every pivot in D must be a positive rational.
 Then <u, u> = sum_k d_k N((u L)_k) is positive for u != 0, so the form is
 anisotropic.  Over Q and Qi the product d_1 ... d_k is the k-th leading
-principal minor.  The certificate is deliberately stronger than anisotropy
-itself, which is undecidable-in-practice for arbitrary rational forms
-without heavy machinery.
+principal minor.  The certificate decides positive definiteness, which is
+stronger than anisotropy.  Anisotropy of a rational form is decidable as
+well, but the certificate does not decide it: an anisotropic indefinite
+space, such as Q^2 with the form x1^2 - 2 x2^2, has a negative pivot and
+is rejected, although the form is anisotropic.
 
 Equal spaces are one object: construction returns the live space of the
 same sfield, dimension and Gram matrix when there is one, so the
@@ -448,6 +450,15 @@ class SemilinearMap:
         and the induced ray map all read it."""
         return perpgrid.map_block(self.domain.sfield, self.matrix,
                                   self.codomain.dim, self.sigma)
+
+    @cached_property
+    def block_residues(self):
+        """K mod PRIME for the K of `block`, as read-only float64 residues
+        (`perpgrid._residues`), taken once per map: the screens of its ray
+        map's grids and kernel checks all read it."""
+        residues = perpgrid._residues(self.block[0], perpgrid.PRIME)
+        residues.flags.writeable = False
+        return residues
 
     @cached_property
     def image_gram(self) -> tuple:

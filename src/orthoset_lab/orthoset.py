@@ -28,18 +28,14 @@ Ray maps induced by a semilinear map are evaluated by the batched exact
 kernel of `perpgrid`: `RayMap.apply_many` multiplies the rays' rows with
 one integer matrix that holds the map's matrix and its twist (a k x k
 integer matrix on a scalar's components) and canonicalizes every image
-row with one gcd, building no scalar object.  The product is exact on
-int64 limbs: the map's matrix is split once into signed s-bit limbs,
-with c K (2**s - 1)**2 <= 2**63 - 1 for K = k n contracted terms and c = 2
-limb products summed in int64, and the rays' rows are split the same way
-batch by batch.  The tests keep the rays of phi(u) by the scalar loop
-over u's coordinates as the reference, as they keep the product on
-Python ints for the limbs.  On the `wigner` benchmark, 57 Wigner round
-trips on 256-probe sets, the limb product took the median round from
-1.82 s to 1.49 s (seed 401, ten alternating pairs, all won; 2-core host,
-Python 3.11, `BENCH_18.json`).  An oracle map is a batch function on
-rays, so both kinds of map are evaluated the same way: the new rays of a
-batch are mapped in one call, and every map memoizes its images.
+row with one gcd, building no scalar object.  The matrix is the map's
+own, cached on the map (`SemilinearMap.block`), and so is its residue
+mod PRIME (`SemilinearMap.block_residues`), which the screens of grids
+and kernel checks read: a ray map keeps no matrix of its own.  The
+tests keep the rays of phi(u) by the scalar loop over u's coordinates
+as the reference.  An oracle map is a batch function on rays, so both
+kinds of map are evaluated the same way: the new rays of a batch are
+mapped in one call, and every map memoizes its images.
 
 An induced map's images need not be built to be gridded.
 `RayMap.image_grid` decides f(x_i) perp y_j from the rays' rows and the
@@ -79,7 +75,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -96,14 +92,10 @@ from .hermspace import (
     vectors_from_planes,
 )
 from .perpgrid import (
-    PRIME,
     _int_rows,
-    _limb_residues,
     _primitive_rows,
     image_rows,
     map_block,
-    map_matrix,
-    matrix_limbs,
     ray_rows,
     row_grid,
     zero_images,
@@ -288,18 +280,19 @@ class RayMap:
         if not self.is_induced:
             return row_grid(self.codomain,
                             [y.row for y in self.apply_many(xs)], y_rows)
-        return row_grid(self.codomain, x_rows, y_rows, self._int_matrix,
-                        self._residues)
+        phi = self.mapping
+        return row_grid(self.codomain, x_rows, y_rows, phi.block[0],
+                        phi.block_residues)
 
     def kills(self, rays) -> list[bool]:
         """Whether f(x) is the zero ray, for each ray x of the domain, in
         order.  An induced map P(phi) reads every ray off x K, its row
         times the map's matrix (`perpgrid.zero_images`), building no
         image ray and filling no memo: a row whose image is nonzero mod p
-        is alive, and only the other nonzero rows take the exact limb
-        product, so an injective map multiplies no row exactly; an oracle
-        reads `apply_many`.  This is exact: x K is a positive rational
-        multiple of phi(x) (`perpgrid.map_matrix`), and the row x is c u
+        is alive, and only the other nonzero rows take the exact product,
+        so an injective map multiplies no row exactly; an oracle reads
+        `apply_many`.  This is exact: x K is a positive rational multiple
+        of phi(x) (`SemilinearMap.block`), and the row x is c u
         for the canonical representative u and a positive integer c, so
         phi(x) = sigma(c) phi(u) is zero exactly when phi(u) is, sigma
         being bijective."""
@@ -308,16 +301,18 @@ class RayMap:
             raise InputError("ray is not in the map's domain")
         if not self.is_induced:
             return [y.is_zero for y in self.apply_many(rays)]
-        return zero_images(self._int_matrix, [x.row for x in rays],
-                           residues=self._residues)
+        phi = self.mapping
+        return zero_images(phi.block[0], [x.row for x in rays],
+                           residues=phi.block_residues)
 
     def disagreements(self, other: "RayMap", rays) -> list[int]:
         """The indices i with self(rays[i]) != other(rays[i]), in order,
         for rays of the maps' common domain.
 
-        For two induced maps P(phi) and P(psi), with `map_matrix`es K and
-        K', every ray's row x is first read off x D, D = K - K'
-        (`perpgrid.zero_images`, which decides x D = 0 exactly).  A row
+        For two induced maps P(phi) and P(psi), with matrices K and K'
+        (`SemilinearMap.block`), every ray's row x is first read off x D,
+        D = K - K' (`perpgrid.zero_images`, which decides x D = 0
+        exactly).  A row
         with x D = 0 has x K = x K'.  x K is a positive rational multiple
         of phi(x) and x K' one of psi(x), so the two images are the same
         ray, or both are zero, and x is no disagreement.  Only the other
@@ -333,8 +328,8 @@ class RayMap:
             raise InputError("ray is not in the map's domain")
         todo = range(len(rays))
         if self.is_induced and other.is_induced:
-            diff = map_matrix(self.mapping) - map_matrix(other.mapping)
-            same = zero_images(matrix_limbs(diff), [x.row for x in rays])
+            diff = self.mapping.block[0] - other.mapping.block[0]
+            same = zero_images(diff, [x.row for x in rays])
             todo = [i for i, s in enumerate(same) if not s]
         xs = [rays[i] for i in todo]
         return [i for i, y, z in zip(todo, self.apply_many(xs),
@@ -370,20 +365,11 @@ class RayMap:
             return False
         return scalar_ratio(self.mapping, phi) is not None
 
-    # the limbs of the map's matrix K (`perpgrid.map_matrix`, cached on the
-    # map) and K mod PRIME, each built once per ray map and freed with it
-    @cached_property
-    def _int_matrix(self):
-        return matrix_limbs(map_matrix(self.mapping))
-
-    @cached_property
-    def _residues(self):
-        return _limb_residues(self._int_matrix, PRIME)
-
     def _induced(self, rays) -> list[Ray]:
         """The images of rays under the induced map, by one batch."""
         cod = self.codomain
-        rows = image_rows(cod.sfield, self._int_matrix, [x.row for x in rays])
+        rows = image_rows(cod.sfield, self.mapping.block[0],
+                          [x.row for x in rays])
         return [Ray(cod, row) for row in rows]
 
 

@@ -125,16 +125,20 @@ positive rational N(q).  `map_block` folds it and M's planes, laid out
 by the product table (`_fold`), into one content-free (k n) x (k m)
 integer matrix K and a positive rational s with sigma(x) M = s (x K),
 built once per map and cached on it (`hermspace.SemilinearMap.block`).
-Every product with a map reads that K: `compose_rows` maps coordinate
-rows exactly, for `SemilinearMap.apply`, `apply_all` and
-`hermspace.compose_maps`, with one scalar per output coordinate over its
-row's denominator; `map_matrix` hands K to the ray kernel, which maps a
-batch of rays' rows in one product and canonicalizes them in one call;
-and `orthoset.probe_rays_in` multiplies coefficient rows by the K of the
+Every product with a map reads that K, and every one is a product on
+Python ints: `compose_rows` maps coordinate rows exactly, for
+`SemilinearMap.apply`, `apply_all` and `hermspace.compose_maps`, with
+one scalar per output coordinate over its row's denominator; the ray
+kernel (`image_rows`) maps a batch of rays' rows in one product
+(`_images`) and canonicalizes them in one call; and
+`orthoset.probe_rays_in` multiplies coefficient rows by the K of the
 embedding e_i -> b_i of a subspace basis.  On a seed-5 `partial` round
 the height bound of the compositions, bits(rows) + bits(matrix) +
 bitlen(k n), ran from 79 to 1542 bits, so none would fit an int64
-product.
+product.  Grids, kernel checks and comparisons screen mod p first, so
+only the rays a batch canonicalizes and a few candidate rows take an
+exact product, and one product on Python ints serves them all
+(`BENCH_35.json`).
 
 K is content-free: the gcd of its entries is divided out into s.  The
 common lcm of M's denominators and the twist's scale leave such a
@@ -144,40 +148,17 @@ matrix fell from 206 to 105 bits, and 234 bits on `partial`, whose
 largest fell from 475 to 241 bits; there the probe check of a rebuilt
 map took 0.11-0.17 s a round, not 0.19-0.26 s.
 
-That product is exact on int64 limbs.  A content-free matrix still
-passes 2**63 easily, and so can rays' rows, so neither fits a machine
-word in general.  Each entry x, of the matrix and of the rows, is
-written as signed s-bit limbs, x = sum_l x_l 2**(s l) with
-|x_l| < 2**s (`_limbs`).  The int64 products
-x_i @ M_j of equal level i + j are summed, and the levels are recombined
-on Python ints by Horner's rule in 2**s.  A limb product contracts
-K = k n terms, so its entries are at most K (2**s - 1)**2; s is the
-largest width with c K (2**s - 1)**2 <= 2**63 - 1 (`_limb_bits`), and c = 2
-products of a level sum in int64 (s = 31 for K = 1, 30 up to K = 4, 29 up
-to 16 and 28 up to 40, HQ at n = 10).  Further products of a level are
-added as Python ints.  A map's matrix is split once (`matrix_limbs`,
-cached on its `RayMap` and freed with it); rows that fit in int64 are
-loaded in C, and rows past it, or at -2**63, whose abs wraps, are split
-from Python ints.  The canonicalizer stays on Python ints, since
-star(P) y in limbs would need about five recombined levels per entry.
-On one seed-401 `wigner` round, timed by a spy (2-core host, Python
-3.11, `BENCH_18.json`), `image_rows` took 0.79 s before and 0.46 s after,
-0.33 s of it in the canonicalizer; over ten alternating benchmark pairs
-the median `wigner` round went from 1.82 s to 1.49 s and the `partial`
-round from 1.85 s to 1.81 s.
-
-A grid can also be taken through a map: given a map's `matrix_limbs`,
-`row_grid` reads its first side as rows of the map's domain, each
-standing for its image x K, so the rays of the images are never built.
-The screen multiplies K mod p, recombined from the limbs
-(`_limb_residues`) once per map and kept beside them on its `RayMap`,
-into the cached G R, one product of two small matrices per call, so
-the images' weighted forms are (x mod p) ((K mod p) G R) and then one
-product with the other side: two products of the rows, as for rays.
-Only the distinct candidate rows are mapped exactly, by
-`_limb_product`, for `_confirm`; `row_grid` holds the soundness
-argument.  A screen of component 0 alone passed every image
-whose forms have real part 0, as raw images x K often do: one seed-5
+A grid can also be taken through a map: given a map's K, `row_grid`
+reads its first side as rows of the map's domain, each standing for its
+image x K, so the rays of the images are never built.  The screen
+multiplies K mod p, taken once per map and cached beside K
+(`hermspace.SemilinearMap.block_residues`), into the cached G R, one
+product of two small matrices per call, so the images' weighted forms
+are (x mod p) ((K mod p) G R) and then one product with the other side:
+two products of the rows, as for rays.  Only the distinct candidate
+rows are mapped exactly, by `_images`, for `_confirm`; `row_grid` holds
+the soundness argument.  A screen of component 0 alone passed every
+image whose forms have real part 0, as raw images x K often do: one seed-5
 `wigner` round sent 1 542 HQ pairs to confirmation for 10 orthogonal
 ones, and the weighted screen sends those 10 (627 pairs in all, 603 of
 them over Q, against 2 174; in-process spy, 2-core host, Python 3.11,
@@ -188,7 +169,7 @@ grids (`orthoset.RayMap.grid_rows`).
 Which rays a map kills (`zero_images`, behind `orthoset.RayMap.kills`)
 takes the same screen: (x mod p) (K mod p), one product, is x K mod p,
 so a nonzero residue proves a nonzero image, and only the nonzero rows
-whose images vanish mod p take the exact limb product.  A zero row is
+whose images vanish mod p take the exact product.  A zero row is
 read off the exact row.  The kernel check of a seed-5 `wigner` round
 multiplied 13 807 probe rows exactly only to find that no proper probe
 dies; it now multiplies none (`BENCH_30.json`).  Where two maps agree
@@ -230,9 +211,7 @@ _STEP = 2 ** 52 // (PRIME - 1) ** 2
 # within glibc's default 128 KB mmap and trim thresholds, so they reuse
 # freed heap instead of pages faulted in afresh for every grid (`_screen`)
 _BLOCK = 8192
-_INT64_MAX = 2 ** 63 - 1
 _INT64_MIN = -2 ** 63
-_LIMB_SUMS = 2  # c, the limb products of one level summed in int64
 # w_c, the screen's weight on form component c (`_screen_gram`), nonzero
 # mod PRIME.  The 22-bit weights were drawn so that sum_c w_c F_c = 0 mod
 # PRIME has no small nonzero integer solution F: every one has some
@@ -420,11 +399,11 @@ def _screen_gram(space):
 def _screen(space, a, b, matrix=None, residues=None):
     """True where the weighted form sum_c w_c F_c vanishes mod PRIME, for
     the flattened integer rows a and b: z = (a mod p) (G R) and then
-    z (b mod p)^T, two `_mul_mod`s.  Given the `matrix_limbs` of a map's
-    matrix K, a are domain rows and the form is taken of their images
-    a K: (K mod p) (G R), one product of two small matrices, takes the
-    place of G R, so the images cost no product of their own.  K mod p
-    is residues when given, and otherwise recombined from the limbs.
+    z (b mod p)^T, two `_mul_mod`s.  Given a map's matrix K, a are domain
+    rows and the form is taken of their images a K: (K mod p) (G R), one
+    product of two small matrices, takes the place of G R, so the images
+    cost no product of their own.  K mod p is residues when given, and
+    otherwise taken here.
 
     The second product is decided in blocks of at most _BLOCK cells, rows
     of z against a slice of the columns, and each block's zero test is
@@ -436,7 +415,7 @@ def _screen(space, a, b, matrix=None, residues=None):
     fold = _screen_gram(space)
     if matrix is not None:
         if residues is None:
-            residues = _limb_residues(matrix, PRIME)
+            residues = _residues(matrix, PRIME)
         fold = _mul_mod(residues, fold, PRIME)
     z = _mul_mod(_residues(a, PRIME), fold, PRIME)
     bt = _residues(b, PRIME).T
@@ -557,12 +536,6 @@ def map_block(sfield: StarSfield, images, m: int, sigma):
     return matrix, Fraction(max(content, 1), scale * common)
 
 
-def map_matrix(phi):
-    """The K of phi's cached `map_block`: a row x goes to the planes of a
-    positive rational multiple of phi(x), x K."""
-    return phi.block[0]
-
-
 def _twist(sfield: StarSfield, sigma):
     """sigma on a scalar's k rational components as a k x k integer matrix
     T and a positive integer t: component a of sigma(e_b) is T[a, b] / t.
@@ -639,110 +612,54 @@ def ray_rows(sfield: StarSfield, rows, n: int):
     return _primitive_rows(sfield, planes.transpose(1, 0, 2))
 
 
-def _limb_bits(length: int) -> int:
-    """s, the limb width for a contraction of `length` terms: the largest s
-    with _LIMB_SUMS * length * (2**s - 1)**2 <= 2**63 - 1.  A limb product
-    sums `length` terms of magnitude at most (2**s - 1)**2, and every
-    partial sum of _LIMB_SUMS such products is bounded by the sum of their
-    magnitudes, so int64 holds them exactly."""
-    r = math.isqrt(_INT64_MAX // (_LIMB_SUMS * max(length, 1)))
-    return (r + 1).bit_length() - 1  # the largest s with 2**s - 1 <= r
-
-
-def _limbs(a, s: int):
-    """The signed s-bit limbs of an integer array, int64 or object: an
-    (L, *a.shape) int64 array x, L >= 1, with a = sum_l x[l] * 2**(s*l)
-    and |x[l]| < 2**s, each limb carrying the sign of its entry.  On int64
-    input every entry must lie above -2**63, whose abs wraps."""
-    sign, mag = np.sign(a), abs(a)
-    mask = (1 << s) - 1
-    limbs = []
-    while not limbs or mag.any():
-        limbs.append(((mag & mask) * sign).astype(np.int64))
-        mag = mag >> s
-    return np.stack(limbs)
-
-
-def _limb_residues(matrix, p: int):
-    """M mod p as float64 in [0, p), where matrix is `matrix_limbs(M)`:
-    sum_l M_l 2**(s l) mod p, each term below p**2 < 2**46 in int64."""
-    s = _limb_bits(matrix.shape[1])
-    out = np.zeros(matrix.shape[1:], dtype=np.int64)
-    for level, limb in enumerate(matrix):
-        out = (out + limb % p * pow(2, s * level, p)) % p
-    return out.astype(np.float64)
-
-
-def matrix_limbs(matrix):
-    """A `map_matrix` split once into its signed limbs for `image_rows` and
-    `row_grid`: an (L, k n, k m) int64 array, with s = _limb_bits(k n)."""
-    return _limbs(matrix, _limb_bits(matrix.shape[0]))
-
-
-def _limb_product(rows, matrix):
-    """The product of the rows and M, exact, as an object array of Python
-    ints, where matrix is `matrix_limbs(M)`: the int64 products of the
-    rows' limbs and the matrix's limbs, recombined."""
-    s = _limb_bits(matrix.shape[1])
-    x = _limbs(_int_rows(rows, matrix.shape[1]), s)
-    # level t sums x[i] @ matrix[j] over i + j = t; by _limb_bits,
-    # _LIMB_SUMS of those products at a time sum in int64, and the chunks
-    # of a level sum in Python ints
-    levels = [[] for _ in range(len(x) + len(matrix) - 1)]
-    for i, xi in enumerate(x):
-        for j, mj in enumerate(matrix):
-            levels[i + j].append(xi @ mj)
-    y = None
-    for level in reversed(levels):  # Horner's rule in 2**s
-        chunks = [sum(level[lo:lo + _LIMB_SUMS]).astype(object)
-                  for lo in range(0, len(level), _LIMB_SUMS)]
-        total = sum(chunks[1:], chunks[0])
-        y = total if y is None else (y << s) + total
-    return y
+def _images(rows, matrix):
+    """x K for integer rows x and a map's matrix K, exact: the rows loaded
+    by `_int_rows` and multiplied on Python ints, the product
+    `compose_rows` takes."""
+    return _int_rows(rows, len(matrix)).astype(object) @ matrix
 
 
 def image_rows(sfield: StarSfield, matrix, rows):
-    """The primitive rows of the images of rays under the map whose
-    `matrix_limbs` is matrix, given the rays' primitive rows.  The images
-    are one exact integer matrix product, taken on int64 limbs; every
-    factor dropped along the way is a positive rational, which changes no
-    ray."""
+    """The primitive rows of the images of rays under the map whose matrix
+    K is matrix, given the rays' primitive rows.  The images are one exact
+    product (`_images`); every factor dropped along the way is a positive
+    rational, which changes no ray."""
     if not rows:
         return []
     k = _width(sfield)
-    y = _limb_product(rows, matrix)
+    y = _images(rows, matrix)
     return _primitive_rows(sfield,
-                           y.reshape(len(rows), k, matrix.shape[2] // k))
+                           y.reshape(len(rows), k, matrix.shape[1] // k))
 
 
 def zero_images(matrix, rows, residues=None) -> list[bool]:
-    """Whether the image of each row under the map whose `matrix_limbs` is
-    matrix is zero; no image row is canonicalized.
+    """Whether the image x K of each row under the map whose matrix is K
+    is zero; no image row is canonicalized.
 
     The images are screened mod PRIME first, as (x mod p) (K mod p) with
-    K mod p given as residues, or else recombined from the limbs
-    (`_limb_residues`).  That product is x K mod p, exact by `_mul_mod`'s
+    K mod p given as residues, or else taken here.  That product is
+    x K mod p, exact by `_mul_mod`'s
     chunk bound, so a row whose residue is nonzero has a nonzero entry in
     x K, and its image is nonzero, full stop.  A zero row maps to zero,
     read off the exact row, since a nonzero row can vanish mod p.  Only
     the other rows whose residue is zero, such as p e_0, are candidates,
-    and their images are decided on the exact limb product.
+    and their images are decided on the exact product (`_images`).
     ORTHOSET_LAB_EXACT_GRID=1 skips the screen and takes the exact
     product of every row."""
     if not rows:
         return []
-    a = _int_rows(rows, matrix.shape[1])
+    a = _int_rows(rows, len(matrix))
     if _use_exact_path():
-        return (_limb_product(a, matrix) == 0).all(axis=1).tolist()
+        return (_images(a, matrix) == 0).all(axis=1).tolist()
     dead = ~(a != 0).any(axis=1)
     live = np.flatnonzero(~dead)
     if len(live):
         if residues is None:
-            residues = _limb_residues(matrix, PRIME)
+            residues = _residues(matrix, PRIME)
         image = _mul_mod(_residues(a[live], PRIME), residues, PRIME)
         cand = live[~(image != 0).any(axis=1)]
         if len(cand):
-            dead[cand] = (_limb_product(a[cand], matrix) == 0).all(axis=1)
+            dead[cand] = (_images(a[cand], matrix) == 0).all(axis=1)
     return dead.tolist()
 
 
@@ -761,30 +678,31 @@ def row_grid(space, rows_a, rows_b, matrix=None, residues=None):
     after the other), or an array `_int_rows` loaded them into; each side
     goes through `_int_rows`.
 
-    Given matrix, the `matrix_limbs` of the `map_matrix` K of a map phi
-    into space, rows_a are rows of phi's domain and each stands for its
-    image x K: cell (i, j) says whether P(phi)(x_i) is orthogonal to
-    y_j, and no image ray is built.  This is exact.  x K is a positive
-    rational multiple of phi(x) (`map_matrix`), and a positive rational
+    Given matrix, the K of a map phi into space (`map_block`), rows_a
+    are rows of phi's domain and each stands for its image x K: cell
+    (i, j) says whether P(phi)(x_i) is orthogonal to y_j, and no image
+    ray is built.  This is exact.  x K is a positive rational multiple of
+    phi(x) (`map_block`), and a positive rational
     factor never changes whether a form vanishes.  The screen reads the
     images' weighted forms mod p as (x mod p) ((K mod p) G R), which is
     x K G R mod p, exact by `_mul_mod`'s chunk bound, so a nonzero
     residue still proves a nonzero form.  A zero domain row maps to zero
     and is excluded as before; a nonzero row that phi kills has residue 0
     and is only a candidate.  The distinct candidate rows are then mapped
-    exactly by `_limb_product` and go to `_confirm` as any rows do, where
-    a zero image has form 0 and so is orthogonal.  residues is K mod
-    PRIME (`_limb_residues`), for a caller that keeps it with the limbs,
-    as `orthoset.RayMap` does; it is recombined when not given."""
+    exactly by `_images` and go to `_confirm` as any rows do, where a
+    zero image has form 0 and so is orthogonal.  residues is K mod PRIME,
+    for a caller that keeps it beside K, as
+    `hermspace.SemilinearMap.block_residues` does; it is taken here when
+    not given."""
     na, nb = len(rows_a), len(rows_b)
-    if space.dim == 0 or (matrix is not None and not matrix.shape[1]):
+    if space.dim == 0 or (matrix is not None and not len(matrix)):
         # every form is taken in, or of the images of, a zero space
         return np.ones((na, nb), dtype=bool)
     if na == 0 or nb == 0:
         return np.zeros((na, nb), dtype=bool)
     tables = _tables(space.sfield)
     k, n = len(tables[0]), space.dim
-    a = _int_rows(rows_a, k * n if matrix is None else matrix.shape[1])
+    a = _int_rows(rows_a, k * n if matrix is None else len(matrix))
     b = _int_rows(rows_b, k * n)
     if _use_exact_path():
         grid = candidates = np.ones((na, nb), dtype=bool)
@@ -802,7 +720,7 @@ def row_grid(space, rows_a, rows_b, matrix=None, residues=None):
         iu = ii
         if matrix is not None:  # the distinct candidate rows' exact images
             rows, iu = np.unique(ii, return_inverse=True)
-            a = _int_rows(_limb_product(a[rows], matrix), k * n)
+            a = _int_rows(_images(a[rows], matrix), k * n)
         u, v = (x.reshape(len(x), k, n).transpose(1, 0, 2) for x in (a, b))
         grid[ii, jj] = _confirm(tables, u, _int_gram(space), v, iu, jj)
     return grid

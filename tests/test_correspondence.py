@@ -50,7 +50,7 @@ from orthoset_lab.orthoset import (
     ray_payload,
     rays_of,
 )
-from orthoset_lab.perpgrid import image_rows, map_matrix
+from orthoset_lab.perpgrid import image_rows
 from orthoset_lab.reports import run_tasks
 from orthoset_lab.sampling import (
     conjugation_map,
@@ -749,7 +749,7 @@ def test_induced_adjoint_images_are_never_built(sf, monkeypatch):
         del matrices[:]
         run(f_adj)
         assert matrices and f._memo
-        assert not any(m is f_adj._int_matrix for m in matrices)
+        assert not any(m is f_adj.mapping.block[0] for m in matrices)
         assert f_adj._memo == {}
 
 
@@ -1085,7 +1085,7 @@ def test_disagreements_match_the_probe_comparison(sf, exact, monkeypatch):
             got = left.disagreements(right, rays)
             assert [rays[i] for i in got] == want
             assert got == sorted(got)
-        same = (map_matrix(phi) == map_matrix(psi)).all()
+        same = (phi.block[0] == psi.block[0]).all()
         assert same == (name == "equal")
         f = induce(phi)
         assert f.disagreements(induce(psi), rays) == got
@@ -1183,7 +1183,7 @@ def test_wigner_round_trip_exact_work_counts(sf, reductions, monkeypatch):
     runs `reductions` scalar rrefs, the twist's and the final
     certificate's, none for the sum rays."""
     counts = {"exact_rows": 0, "frames": 0, "reduce": 0}
-    product, reduce = perpgrid._limb_product, linalg._reduce
+    product, reduce = perpgrid._images, linalg._reduce
     zero_images = perpgrid.zero_images
     for_subspace = hermspace.SubspaceFrame.for_subspace.__func__
     inside = []
@@ -1209,7 +1209,7 @@ def test_wigner_round_trip_exact_work_counts(sf, reductions, monkeypatch):
         return for_subspace(cls, s)
 
     monkeypatch.setattr(orthoset, "zero_images", spy_zero_images)
-    monkeypatch.setattr(perpgrid, "_limb_product", spy_product)
+    monkeypatch.setattr(perpgrid, "_images", spy_product)
     monkeypatch.setattr(linalg, "_reduce", spy_reduce)
     monkeypatch.setattr(hermspace.SubspaceFrame, "for_subspace",
                         classmethod(spy_frame))
@@ -1286,31 +1286,60 @@ def test_partial_wigner_exact_work_counts(sf, monkeypatch):
     assert counts == {"compose_apply": 0, "contains_on_b": 0, "probe_add": 0}
 
 
+def spy_block_residues(monkeypatch):
+    """The map matrices K whose residues mod PRIME are taken, in order:
+    the read-only 2-D arrays that `perpgrid._residues` reduces, which are
+    the matrices `SemilinearMap.block` caches."""
+    seen = []
+    real = perpgrid._residues
+
+    def spy(x, p):
+        if x.ndim == 2 and not x.flags.writeable:
+            seen.append(x)
+        return real(x, p)
+
+    monkeypatch.setattr(perpgrid, "_residues", spy)
+    return seen
+
+
 def test_residues_recombined_once_per_map(monkeypatch):
     """Two Wigner round trips per sfield on 64 probes: each induced map's
-    K mod PRIME is recombined from its limbs once, and serves its grid in
-    the adjoint check and, for f, the kernel check, so a round trip
-    recombines two, f's and f^-1's."""
-    seen = []
-    real = perpgrid._limb_residues
-
-    def spy(matrix, p):
-        seen.append(matrix)
-        return real(matrix, p)
-
-    monkeypatch.setattr(perpgrid, "_limb_residues", spy)
-    monkeypatch.setattr(orthoset, "_limb_residues", spy)
+    K mod PRIME is taken once, and serves its grid in the adjoint check
+    and, for f, the kernel check, so a round trip takes two, f's and
+    f^-1's."""
+    seen = spy_block_residues(monkeypatch)
     rng = random.Random("residues-once")
     for sf in StarSfield:
         space = standard_space(sf, 3)
         p = ProbeSet.generate(space, seed=5, count=64)
         for _ in range(2):
             phi0 = random_quasiunitary(space, rng)
-            f, f_inv = induce(phi0), induce(invert_semilinear(phi0))
+            phi_inv = invert_semilinear(phi0)
+            f, f_inv = induce(phi0), induce(phi_inv)
             del seen[:]
             wigner_reconstruct(f, f_inv, space, space, p)
-            assert [id(m) for m in seen] == [id(f._int_matrix),
-                                             id(f_inv._int_matrix)]
+            assert [id(m) for m in seen] == [id(phi0.block[0]),
+                                             id(phi_inv.block[0])]
+
+
+def test_residues_taken_once_per_semilinear_map(monkeypatch):
+    """Two Wigner round trips of one sampled map per sfield, each through
+    fresh ray maps induce(phi) and induce(phi^-1): K mod PRIME is taken
+    once for phi and once for phi^-1 in all, since the residues are
+    cached on the semilinear map beside its block, not on a ray map."""
+    seen = spy_block_residues(monkeypatch)
+    rng = random.Random("residues-per-map")
+    for sf in StarSfield:
+        space = standard_space(sf, 3)
+        p = ProbeSet.generate(space, seed=6, count=64)
+        phi0 = random_quasiunitary(space, rng)
+        phi_inv = invert_semilinear(phi0)
+        del seen[:]
+        for _ in range(2):
+            wigner_reconstruct(induce(phi0), induce(phi_inv), space, space,
+                               p)
+        assert [id(m) for m in seen] == [id(phi0.block[0]),
+                                         id(phi_inv.block[0])]
 
 
 @pytest.mark.parametrize("sf", list(StarSfield))

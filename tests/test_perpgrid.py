@@ -4,11 +4,9 @@ batched kernel of induced ray maps must give exactly the rays of the
 scalar path, ray_of(_scalar_apply(phi, x.rep)), on every sfield and
 twist."""
 
-import gc
 import math
 import random
 import tracemalloc
-import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -37,6 +35,7 @@ from orthoset_lab.hermspace import (
     random_subspace,
     random_vector,
     standard_space,
+    vectors_from_planes,
 )
 from orthoset_lab import orthoset, perpgrid
 from orthoset_lab import serialize as sz
@@ -51,7 +50,7 @@ from orthoset_lab.orthoset import (
     ray_payload,
     rays_of,
 )
-from orthoset_lab.perpgrid import PRIME, PRIMES, map_matrix, perp_grid
+from orthoset_lab.perpgrid import PRIME, PRIMES, perp_grid
 from orthoset_lab.sampling import (
     conjugation_map,
     left_scalar_map,
@@ -218,11 +217,10 @@ def test_screen_reads_the_weighted_form(space):
     assert got[-1].all()
     dom = standard_space(space.sfield, 2)
     phi = random_linear_map(dom, space, rng)
-    limbs = perpgrid.matrix_limbs(map_matrix(phi))
     x = edge_rows(rng, 6, 2 * k)
-    images = np.array(x, dtype=object) @ map_matrix(phi)
+    images = np.array(x, dtype=object) @ phi.block[0]
     got = perpgrid._screen(space, perpgrid._int_rows(x, 2 * k),
-                           perpgrid._int_rows(b, k * n), limbs)
+                           perpgrid._int_rows(b, k * n), phi.block[0])
     assert (got == (weighted_form_mod(space, images.tolist(), b) == 0)).all()
 
 
@@ -232,7 +230,7 @@ def unblocked_screen(space, a, b, matrix=None):
     through a map, and then z (b mod p)^T == 0."""
     fold = perpgrid._screen_gram(space)
     if matrix is not None:
-        fold = perpgrid._mul_mod(perpgrid._limb_residues(matrix, PRIME), fold,
+        fold = perpgrid._mul_mod(perpgrid._residues(matrix, PRIME), fold,
                                  PRIME)
     z = perpgrid._mul_mod(perpgrid._residues(a, PRIME), fold, PRIME)
     return perpgrid._mul_mod(z, perpgrid._residues(b, PRIME).T, PRIME) == 0
@@ -243,7 +241,7 @@ def blocked_agrees(space, a, b, matrix=None):
     cell for cell; its zero cells are returned."""
     width = k_n = len(space.sfield.basis()) * space.dim
     if matrix is not None:
-        width = matrix.shape[1]
+        width = len(matrix)
     a, b = perpgrid._int_rows(a, width), perpgrid._int_rows(b, k_n)
     got = perpgrid._screen(space, a, b, matrix)
     assert got.shape == (len(a), len(b))
@@ -276,8 +274,7 @@ def test_blocked_screen_at_the_block_boundaries(space, count):
     got = blocked_agrees(space, a, b)
     assert all(got[i].all() for i in planted)
     phi = random_linear_map(standard_space(space.sfield, 2), space, rng)
-    limbs = perpgrid.matrix_limbs(map_matrix(phi))
-    blocked_agrees(space, edge_rows(rng, count, 2 * k), b, limbs)
+    blocked_agrees(space, edge_rows(rng, count, 2 * k), b, phi.block[0])
 
 
 def test_blocked_screen_on_a_grid_wider_than_a_block():
@@ -302,7 +299,7 @@ def test_blocked_screen_contracts_past_one_chunk():
     blocked_agrees(space, edge_rows(rng, BLOCK_ROWS + 1, 68), b)
     phi = random_linear_map(standard_space(HQ, 17), space, rng)
     blocked_agrees(space, edge_rows(rng, BLOCK_ROWS + 1, 68), b,
-                   perpgrid.matrix_limbs(map_matrix(phi)))
+                   phi.block[0])
 
 
 def test_screen_builds_no_float64_grid():
@@ -1326,13 +1323,15 @@ def test_planes_past_int64_stay_exact(sf):
                    for _ in range(n))
     for sigma in twists(sf):
         phi = SemilinearMap(space, space, sigma, images)
-        assert max(abs(v) for v in map_matrix(phi).flat) > 2 ** 63
+        assert max(abs(v) for v in phi.block[0].flat) > 2 ** 63
         rays = list(ProbeSet.generate(space, seed=9, count=24))
         rays += reference(phi, rays)
         assert_same_rays(induce(phi).apply_many(rays), reference(phi, rays))
 
 
-# The map kernel's int64 limb product, against the product on Python ints.
+# The exact product of rows with a map's matrix, through image_rows,
+# zero_images and row_grid, against the scalar loop on the vectors the
+# rows stand for.
 
 def object_product(rows, matrix):
     """The reference: the exact product of rows and matrix on Python ints."""
@@ -1340,97 +1339,109 @@ def object_product(rows, matrix):
         len(rows), matrix.shape[0]) @ matrix
 
 
-def assert_exact_product(rows, matrix):
-    got = perpgrid._limb_product(rows, perpgrid.matrix_limbs(matrix))
-    want = object_product(rows, matrix)
-    assert got.shape == want.shape
-    assert all(type(v) is int for v in got.flat)
-    assert got.tolist() == want.tolist()
+def vector_of(space, row):
+    """The vector of space whose k integer component planes are the row's,
+    which need not be a ray's primitive row."""
+    k, n = len(space.sfield.basis()), space.dim
+    planes = [row[c * n:c * n + n] for c in range(k)]
+    return vectors_from_planes(space, [planes], [1])[0]
 
 
-def test_limb_width_meets_its_bound():
-    """s is the largest width with c K (2**s - 1)**2 <= 2**63 - 1."""
-    c = perpgrid._LIMB_SUMS
-    for length in range(1, 41):
-        s = perpgrid._limb_bits(length)
-        assert c * length * (2 ** s - 1) ** 2 <= 2 ** 63 - 1
-        assert c * length * (2 ** (s + 1) - 1) ** 2 > 2 ** 63 - 1
+def assert_map_products(phi, xs, ys, monkeypatch):
+    """image_rows, zero_images and row_grid through phi's matrix K on the
+    integer rows xs of its domain, and ys of its codomain for the grid,
+    against `_scalar_apply` on the vectors the rows stand for: the ray of
+    each image, whether it is zero, and whether its form with each y
+    vanishes; screened and under ORTHOSET_LAB_EXACT_GRID=1."""
+    dom, cod, matrix = phi.domain, phi.codomain, phi.block[0]
+    images = [_scalar_apply(phi, vector_of(dom, x)) for x in xs]
+    rows = [ray_of(u).row for u in images]
+    dead = [u.is_zero for u in images]
+    grid = [[not herm_form(u, vector_of(cod, y)) for y in ys]
+            for u in images]
+    for exact in ("", "1"):
+        with monkeypatch.context() as env:
+            env.setenv("ORTHOSET_LAB_EXACT_GRID", exact)
+            assert perpgrid.image_rows(cod.sfield, matrix, xs) == rows
+            assert perpgrid.zero_images(matrix, xs) == dead
+            got = perpgrid.row_grid(cod, xs, ys, matrix)
+            assert got.shape == (len(xs), len(ys))
+            assert got.tolist() == grid
+
+
+EDGES_64 = (0, 1, -1, 2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63)
+SFIELD_OF_WIDTH = {1: Q, 2: QI, 4: HQ}  # k, the components of a scalar
 
 
 @pytest.mark.parametrize("k,n", [(1, 1), (1, 7), (2, 5), (4, 5), (4, 10)])
-def test_limb_product_on_edge_entries(k, n):
-    """0, +-1, +-(2**s - 1), +-2**s, 2**63 - 1, -2**63 and 200-500 bit
-    entries, with contraction lengths up to 40 (HQ, n = 10)."""
-    length = k * n
-    s = perpgrid._limb_bits(length)
-    rng = random.Random(f"limbs:edges:{k}:{n}")
-    small = [0, 1, 2 ** s - 1, 2 ** s, 2 ** 63 - 1]
-    small += [-v for v in small]
-    edges = small + [-2 ** 63] + [rng.getrandbits(rng.randint(200, 500))
-                                  * rng.choice((1, -1)) for _ in range(6)]
-    matrix = np.array([[rng.choice(edges) for _ in range(3 * k)]
-                       for _ in range(length)], dtype=object)
-    # int64 rows, loaded in C; then -2**63 and rows past int64
-    fitting = [tuple(rng.choice(small) for _ in range(length))
+def test_map_products_on_edge_entries(k, n, monkeypatch):
+    """A map F^n -> F^3 whose K holds 0, +-1, +-(2**63 - 1), -2**63 and
+    200-500 bit entries, with contractions up to k n = 40 (HQ, n = 10),
+    on domain rows of the same entries: rows that fit in int64, loaded
+    in C; then a row at -2**63 and rows past int64.  The grid's other
+    side holds edge rows, the zero row and rows orthogonal to an
+    image."""
+    sf = SFIELD_OF_WIDTH[k]
+    rng = random.Random(f"products:edges:{sf.value}:{n}")
+    small = EDGES_64[:5]
+    edges = EDGES_64 + tuple(rng.getrandbits(rng.randint(200, 500))
+                             * rng.choice((1, -1)) for _ in range(6))
+    dom, cod = standard_space(sf, n), standard_space(sf, 3)
+    entries = iter(edges * (3 * k * n) + edges)  # every edge, in order
+
+    def scalar():
+        parts = [next(entries) for _ in range(k)]
+        return (parts[0] if sf is Q else GR(*parts) if sf is QI
+                else RQ(*parts))
+
+    phi = SemilinearMap(dom, cod, SfieldMorphism.identity(sf), tuple(
+        cod.vector([scalar() for _ in range(3)]) for _ in range(n)))
+    matrix = phi.block[0]
+    if matrix.size >= len(edges):  # K holds every edge, up to sign
+        assert {abs(v) for v in matrix.flat} == {abs(v) for v in edges}
+    fitting = [tuple(rng.choice(small) for _ in range(k * n))
                for _ in range(6)]
-    assert_exact_product(fitting, matrix)
-    assert_exact_product(fitting + [(-2 ** 63,) * length], matrix)
-    wide = [tuple(rng.choice(edges) for _ in range(length))
+    wide = [tuple(rng.choice(edges) for _ in range(k * n))
             for _ in range(6)]
-    assert_exact_product(fitting + wide, matrix)
+    ys = [tuple(rng.choice(edges) for _ in range(3 * k)) for _ in range(4)]
+    ys += [(0,) * (3 * k)] + partner_rows(phi, vector_of(dom, wide[0]))
+    assert_map_products(phi, fitting, ys, monkeypatch)
+    assert_map_products(phi, fitting + [(-2 ** 63,) * (k * n)] + wide, ys,
+                        monkeypatch)
 
 
-@pytest.mark.parametrize("length", [1, 16, 40])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_limb_levels_at_the_int64_bound(length, sign):
-    """Every limb is +-(2**s - 1) with one sign, so every limb product
-    reaches K (2**s - 1)**2 and c of them the bound c K (2**s - 1)**2.
-    With 2 c limbs on both sides the middle level holds 2 c products,
-    more than the c summed in int64; at these lengths their sum would not
-    fit in int64."""
-    c = perpgrid._LIMB_SUMS
-    s = perpgrid._limb_bits(length)
-    assert 2 * c * length * (2 ** s - 1) ** 2 > 2 ** 63 - 1
-    top = 2 ** (2 * c * s) - 1
-    matrix = np.full((length, 3), top, dtype=object)
-    rows = [(sign * top,) * length] * 2
-    x = perpgrid._limbs(np.array(rows, dtype=object), s)
-    assert len(x) == 2 * c and (x == sign * (2 ** s - 1)).all()
-    assert_exact_product(rows, matrix)
+def partner_rows(phi, u):
+    """The rows of rays of phi's codomain orthogonal to phi(u)."""
+    image = _scalar_apply(phi, u)
+    perp = Subspace.from_vectors(phi.codomain, [image]).orthocomplement()
+    return [r.row for r in rays_of(phi.codomain, perp.basis)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
-def test_limb_product_on_empty_and_zero_shapes(k):
-    """Empty row lists, the zero matrix, and (k n x 0) and (0 x k m)
-    matrices, as the maps to and from zero-dimensional spaces have."""
-    rng = random.Random(f"limbs:shapes:{k}")
+def test_map_products_on_empty_and_zero_shapes(k, monkeypatch):
+    """Empty row lists, the zero map, and maps to and from
+    zero-dimensional spaces, whose K is (k n x 0) or (0 x k m)."""
+    sf = SFIELD_OF_WIDTH[k]
+    rng = random.Random(f"products:shapes:{sf.value}")
     for n, m in [(0, 3), (3, 0), (0, 0), (3, 2)]:
-        matrix = np.zeros((k * n, k * m), dtype=object)
-        rows = [tuple(rng.getrandbits(300) - 2 ** 299 for _ in range(k * n))
-                for _ in range(4)]
-        for count in (0, 1, 4):
-            assert_exact_product(rows[:count], matrix)
-            assert_exact_product([(0,) * (k * n)] * count, matrix)
+        dom, cod = standard_space(sf, n), standard_space(sf, m)
+        xs = [tuple(rng.getrandbits(300) - 2 ** 299 for _ in range(k * n))
+              for _ in range(4)]
+        ys = [tuple(rng.getrandbits(300) - 2 ** 299 for _ in range(k * m))
+              for _ in range(3)]
+        for phi in (SemilinearMap.zero(dom, cod),
+                    random_linear_map(dom, cod, rng)):
+            assert phi.block[0].shape == (k * n, k * m)
+            for count in (0, 1, 4):
+                for rows in (xs[:count], [(0,) * (k * n)] * count):
+                    assert_map_products(phi, rows, ys, monkeypatch)
+                    assert_map_products(phi, rows, [], monkeypatch)
 
 
 def signed_heights(cap=300):
     """Integers of random height up to cap bits and random sign."""
     return st.integers(0, cap).flatmap(
         lambda b: st.integers(-2 ** b, 2 ** b))
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), k=st.sampled_from((1, 2, 4)),
-       n=st.integers(0, 10), m=st.integers(0, 3), count=st.integers(0, 5))
-def test_limb_product_matches_the_object_product(data, k, n, m, count):
-    entries = signed_heights()
-    matrix = np.array(data.draw(st.lists(
-        st.lists(entries, min_size=k * m, max_size=k * m),
-        min_size=k * n, max_size=k * n)), dtype=object).reshape(k * n, k * m)
-    rows = [tuple(data.draw(st.lists(entries, min_size=k * n,
-                                     max_size=k * n)))
-            for _ in range(count)]
-    assert_exact_product(rows, matrix)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -1448,7 +1459,7 @@ def test_hq_ray_images_past_int64(n):
                                  for _ in range(n)]) for _ in range(n))
     sigma = list(twists(HQ))[n % 3]
     phi = SemilinearMap(space, space, sigma, images)
-    assert max(abs(v) for v in map_matrix(phi).flat) > 2 ** 63
+    assert max(abs(v) for v in phi.block[0].flat) > 2 ** 63
     rays = list(ProbeSet.generate(space, seed=n, count=8))
     rays += reference(phi, rays)
     assert max(abs(v) for x in rays for v in x.row) > 2 ** 63
@@ -1494,14 +1505,14 @@ def content_cases():
 
 @pytest.mark.parametrize("phi,unscaled", list(content_cases()))
 def test_map_matrices_are_content_free(phi, unscaled):
-    """map_matrix divides out its content; the result is still a positive
+    """map_block divides out its content; the result is still a positive
     multiple of the map, so the ray images are those of the scalar path.
     Two content-free positive multiples of one map are equal, so a
     positive rescaling of the map leaves its matrix as it is."""
-    matrix = map_matrix(phi)
+    matrix = phi.block[0]
     assert math.gcd(*matrix.flat) == 1
     if unscaled is not None:
-        assert matrix.tolist() == map_matrix(unscaled).tolist()
+        assert matrix.tolist() == unscaled.block[0].tolist()
     rays = batch(phi.domain, random.Random(f"content:{phi.sigma.kind}"))
     assert_same_rays(induce(phi).apply_many(rays), reference(phi, rays))
 
@@ -1512,38 +1523,13 @@ def test_matrix_of_the_zero_map_stays_zero(sf):
     to the zero ray."""
     space = standard_space(sf, 3)
     zero = SemilinearMap.zero(space, space)
-    matrix = map_matrix(zero)
+    matrix = zero.block[0]
     assert matrix.shape == (3 * len(sf.basis()),) * 2
     assert not any(matrix.flat)
     rays = batch(space, random.Random(f"content:zero:{sf.value}"))
     got = induce(zero).apply_many(rays)
     assert got == [Ray.zero(space)] * len(rays)
     assert_same_rays(got, reference(zero, rays))
-
-
-def test_ray_map_splits_its_matrix_once_and_frees_it(monkeypatch):
-    """A RayMap splits its matrix into limbs once, whatever the number of
-    batches, and nothing keeps the matrix or its limbs once the map is
-    gone."""
-    split = []
-
-    def spy(matrix):
-        split.append(weakref.ref(matrix))
-        return perpgrid.matrix_limbs(matrix)
-
-    monkeypatch.setattr(orthoset, "matrix_limbs", spy)
-    rng = random.Random("limbs:once")
-    space = standard_space(HQ, 4)
-    f = induce(random_linear_map(space, space, rng))
-    rays = list(ProbeSet.generate(space, seed=3, count=30))
-    for lo in range(0, len(rays), 10):
-        f.apply_many(rays[lo:lo + 10])
-    f.apply_many(f.apply_many(rays))
-    assert len(split) == 1
-    limbs = weakref.ref(f._int_matrix)
-    del f
-    gc.collect()
-    assert split[0]() is None and limbs() is None
 
 
 # Grids through a map's matrix: RayMap.image_grid, which reads an induced
@@ -1673,7 +1659,7 @@ def test_image_grid_past_2_to_the_63(sf, monkeypatch):
     for sigma in twists(sf):
         phi = SemilinearMap(space, space, sigma, tuple(
             huge_vector() for _ in range(3)))
-        assert max(abs(v) for v in map_matrix(phi).flat) > 2 ** 63
+        assert max(abs(v) for v in phi.block[0].flat) > 2 ** 63
         xs = rays_of(space, [huge_vector() for _ in range(6)]) + batch(
             space, rng, count=8)
         ys = rays_of(space, [huge_vector() for _ in range(4)]) + \
@@ -1786,7 +1772,7 @@ def test_kills_past_2_to_the_63(sf):
     space = standard_space(sf, 3)
     for sigma in twists(sf):
         phi, kernel = rank_one_map(space, sigma, lambda: huge_scalar(sf, rng))
-        assert max(abs(x) for x in map_matrix(phi).flat) > 2 ** 63
+        assert max(abs(x) for x in phi.block[0].flat) > 2 ** 63
         killed = rays_of(space, list(kernel.basis) + [
             huge_scalar(sf, rng) * kernel.basis[0]
             + huge_scalar(sf, rng) * kernel.basis[1] for _ in range(3)])
@@ -1810,14 +1796,14 @@ def test_kills_checks_the_domain():
 
 
 def spy_products(monkeypatch):
-    """The rows each `_limb_product` call takes, in order."""
+    """The rows each `_images` call takes, in order."""
     seen = []
-    product = perpgrid._limb_product
+    product = perpgrid._images
 
     def spy(rows, matrix):
         seen.append([tuple(int(x) for x in row) for row in rows])
         return product(rows, matrix)
-    monkeypatch.setattr(perpgrid, "_limb_product", spy)
+    monkeypatch.setattr(perpgrid, "_images", spy)
     return seen
 
 
@@ -1851,7 +1837,7 @@ def test_zero_images_screen_at_its_bound(k, monkeypatch):
              for _ in range(8)]
     seen = spy_products(monkeypatch)
     for cols in (m, 0):
-        sub = perpgrid.matrix_limbs(matrix[:, :cols])
+        sub = matrix[:, :cols]
         images = object_product(rows, matrix[:, :cols])
         want = (images == 0).all(axis=1).tolist()
         assert want[:7] == [True] * 5 + [False] * 2 or not cols
@@ -1866,9 +1852,9 @@ def test_zero_images_screen_at_its_bound(k, monkeypatch):
             exact.setenv("ORTHOSET_LAB_EXACT_GRID", "1")
             assert perpgrid.zero_images(sub, rows) == want
         assert seen == [rows]
-    empty = perpgrid.matrix_limbs(np.zeros((0, m), dtype=object))
+    empty = np.zeros((0, m), dtype=object)
     assert perpgrid.zero_images(empty, [()] * 3) == [True] * 3
-    assert perpgrid.zero_images(perpgrid.matrix_limbs(matrix), []) == []
+    assert perpgrid.zero_images(matrix, []) == []
 
 
 # The closure of a map's images: RayMap.image_closure, which closes an

@@ -37,14 +37,24 @@ def _used_names():
     return used
 
 
-def _module_level_defs():
-    """The names of the module-level functions and classes of the library."""
+def _module_level_defs(assignments=False):
+    """The names of the module-level functions and classes of the library,
+    and with assignments also the names that module-level assignments
+    bind."""
     names = []
     for path in _library_modules():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
-        names += [node.name for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif assignments and isinstance(node, (ast.Assign,
+                                                   ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names += [t.id for target in targets
+                          for t in ast.walk(target)
+                          if isinstance(t, ast.Name)]
     return names
 
 
@@ -63,11 +73,13 @@ def test_every_exported_name_is_reached_by_the_library_or_the_benchmark():
 
 
 def test_every_private_helper_is_read_by_the_library_or_the_benchmark():
-    """A private module-level function or class that no library module and
-    no benchmark script reads is a helper that outlived its last caller:
-    tests alone keep it alive.  Delete it with the path that used it."""
-    private = [name for name in _module_level_defs() if name.startswith("_")]
-    assert private
+    """A private module-level function, class or constant that no library
+    module and no benchmark script reads is a helper that outlived its
+    last caller: tests alone keep it alive.  Delete it with the path that
+    used it."""
+    private = [name for name in _module_level_defs(assignments=True)
+               if name.startswith("_")]
+    assert private and "_BLOCK" in private
     assert sorted(set(private) - _used_names()) == []
 
 
